@@ -252,36 +252,6 @@ fn catalog_delta(after: CatalogStats, before: CatalogStats) -> CatalogStats {
     }
 }
 
-/// Restores the process-wide intra-op thread override on scope exit, so
-/// an error mid-sweep cannot leave the rest of `exp_all` silently pinned
-/// to one matmul worker.
-struct ThreadPin {
-    restore_to: usize,
-}
-
-impl ThreadPin {
-    fn pin_to_one() -> Self {
-        let configured = noble_linalg::num_threads();
-        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-        noble_linalg::set_num_threads(1);
-        ThreadPin {
-            // A configured count equal to detected parallelism is
-            // indistinguishable from "no override"; restore to unset.
-            restore_to: if configured == available {
-                0
-            } else {
-                configured
-            },
-        }
-    }
-}
-
-impl Drop for ThreadPin {
-    fn drop(&mut self) {
-        noble_linalg::set_num_threads(self.restore_to);
-    }
-}
-
 /// Drives `fixes` through the server from `clients` threads and returns
 /// the wall-clock fixes/second.
 ///
@@ -443,13 +413,6 @@ pub fn run(scale: Scale) -> RunnerResult {
             Ok((registry, best))
         };
 
-        // Shard workers and client threads already use every core; letting
-        // each coalesced matmul *also* fan out over scoped threads
-        // oversubscribes the box and erases the batching win (NOBLE_THREADS
-        // still governs training above and the exp_throughput sweep).
-        // Serve with intra-op parallelism pinned to one worker; the guard
-        // restores the override even if a mode errors out mid-sweep.
-        let pin = ThreadPin::pin_to_one();
         // Single-request serving: synchronous request/response, one fix in
         // flight per client, one inference call per fix.
         let (reg, single_rate) = run_mode(&mut measurements, "single", 1, 0, false, registry)?;
@@ -472,7 +435,6 @@ pub fn run(scale: Scale) -> RunnerResult {
                 best_batched = best_batched.max(rate);
             }
         }
-        drop(pin);
         if shards == reference_shards {
             single_at_reference = single_rate;
             speedup_at_reference = best_batched / single_rate.max(f64::MIN_POSITIVE);
@@ -518,7 +480,6 @@ pub fn run(scale: Scale) -> RunnerResult {
             })
             .collect();
 
-        let pin = ThreadPin::pin_to_one();
         let max_batch = *max_batches.last().unwrap_or(&256);
         let budget_us = *budgets_us.last().unwrap_or(&200);
         let mut best = 0.0f64;
@@ -541,7 +502,6 @@ pub fn run(scale: Scale) -> RunnerResult {
                 stats = s;
             }
         }
-        drop(pin);
         measurements.push(Measurement {
             mode: "mixed-wifi-imu",
             precision: "exact",
@@ -579,7 +539,6 @@ pub fn run(scale: Scale) -> RunnerResult {
             })
             .collect();
 
-        let pin = ThreadPin::pin_to_one();
         let max_batch = *max_batches.last().unwrap_or(&256);
         let budget_us = *budgets_us.last().unwrap_or(&200);
         let mut exact_answers: Vec<Point> = Vec::new();
@@ -667,7 +626,6 @@ pub fn run(scale: Scale) -> RunnerResult {
                 shard_stats: stats,
             });
         }
-        drop(pin);
         drop(registry);
     }
 
@@ -768,7 +726,6 @@ pub fn run(scale: Scale) -> RunnerResult {
             idle_ttl: Some(Duration::from_millis(20)),
             ..BatchConfig::default()
         };
-        let pin = ThreadPin::pin_to_one();
         let resident = BatchServer::start(registry, serve_cfg)?;
         for (mode, fixes) in [("paged-uniform", &uniform), ("paged-skewed", &skewed)] {
             let (expected, _, _) = drive_collect(&resident, fixes, clients)?;
@@ -813,7 +770,6 @@ pub fn run(scale: Scale) -> RunnerResult {
                 ),
             });
         }
-        drop(pin);
         resident.shutdown();
     }
 

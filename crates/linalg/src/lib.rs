@@ -52,7 +52,9 @@ pub use matrix::Matrix;
 pub use qr::{least_squares, qr_decompose, QrFactors};
 pub use solve::{cholesky, lu_decompose, lu_solve, solve, solve_cholesky, LuFactors};
 pub use stats::{argmax, argmin, median, percentile, std_dev, Summary};
-pub use threads::{num_threads, parallel_chunks_mut, parallel_map_ranges, set_num_threads};
+pub use threads::{
+    as_worker, num_threads, parallel_chunks_mut, parallel_map_ranges, set_num_threads,
+};
 pub use vector::{
     add_assign, axpy, dot, euclidean_distance, linspace, mean, norm, normalize_in_place,
     scale_in_place, squared_distance, sub,

@@ -8,9 +8,13 @@
 //!
 //! The worker count is resolved by [`num_threads`]: an explicit
 //! [`set_num_threads`] override wins, then the `NOBLE_THREADS` environment
-//! variable, then [`std::thread::available_parallelism`].
+//! variable, then [`std::thread::available_parallelism`]. The last two are
+//! read once per process, on first use: the matmul dispatcher asks on every
+//! dense layer, and on Linux `available_parallelism` re-reads the cgroup
+//! CPU-quota files each time it is called.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Serializes tests that mutate the process-wide thread override so they
 /// don't race each other under the parallel test harness.
@@ -20,26 +24,49 @@ pub(crate) static TEST_THREAD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new
 /// Process-wide worker-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+/// `NOBLE_THREADS`, else detected parallelism — resolved on first use.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
+
 thread_local! {
-    /// Whether the current thread *is* one of this module's scoped
-    /// workers. Nested parallel regions would oversubscribe the machine
-    /// multiplicatively (N shard trainers x M matmul workers), so inside
-    /// a worker [`num_threads`] reports 1 and nested kernels run serial.
+    /// Whether the current thread is a parallel worker: one of this
+    /// module's scoped workers, or a long-lived thread that owns a core
+    /// (a serving shard worker). Nested parallel regions would
+    /// oversubscribe the machine multiplicatively (N shard workers x M
+    /// matmul workers), so inside a worker [`num_threads`] reports 1 and
+    /// nested kernels run serial.
     static IN_PARALLEL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Runs `f` with the current thread marked as a parallel worker.
-fn as_worker<R>(f: impl FnOnce() -> R) -> R {
-    IN_PARALLEL_WORKER.with(|flag| flag.set(true));
-    let result = f();
-    IN_PARALLEL_WORKER.with(|flag| flag.set(false));
-    result
+/// Restores the caller's worker mark on drop, so a nested mark or a
+/// panic unwinding out of `f` leaves the outer state as it was.
+struct WorkerMark {
+    previous: bool,
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_PARALLEL_WORKER.with(|flag| flag.set(self.previous));
+    }
+}
+
+/// Runs `f` with the current thread marked as a parallel worker, so
+/// [`num_threads`] reports 1 and kernels under `f` run serial.
+///
+/// For threads that already own a core — a serving shard worker, a
+/// per-shard trainer — whose kernels must not spawn threads of their
+/// own. The previous mark is restored when `f` returns or unwinds.
+pub fn as_worker<R>(f: impl FnOnce() -> R) -> R {
+    let _mark = WorkerMark {
+        previous: IN_PARALLEL_WORKER.with(|flag| flag.replace(true)),
+    };
+    f()
 }
 
 /// Overrides the worker count used by the parallel kernels.
 ///
-/// Pass `0` to clear the override and fall back to `NOBLE_THREADS` /
-/// detected parallelism. Benchmarks use this to sweep thread counts.
+/// Takes effect immediately. Pass `0` to clear the override and fall back
+/// to `NOBLE_THREADS` / detected parallelism. Benchmarks use this to sweep
+/// thread counts.
 pub fn set_num_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
@@ -48,9 +75,11 @@ pub fn set_num_threads(n: usize) {
 ///
 /// Resolution order: [`set_num_threads`] override, the `NOBLE_THREADS`
 /// environment variable, then detected hardware parallelism (minimum 1).
-/// On a thread that is itself one of this module's scoped workers the
-/// answer is always 1, so nested parallel regions (a matmul inside a
-/// parallel shard-training sweep, say) never multiply thread counts.
+/// The environment variable and hardware parallelism are read once per
+/// process, on the first call that needs them. On a thread marked by
+/// [`as_worker`] the answer is always 1, so nested parallel regions (a
+/// matmul inside a parallel shard-training sweep or a serving shard
+/// worker, say) never multiply thread counts.
 pub fn num_threads() -> usize {
     if IN_PARALLEL_WORKER.with(|flag| flag.get()) {
         return 1;
@@ -59,16 +88,13 @@ pub fn num_threads() -> usize {
     if forced > 0 {
         return forced;
     }
-    if let Ok(v) = std::env::var("NOBLE_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *DEFAULT_THREADS.get_or_init(|| {
+        std::env::var("NOBLE_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Splits `data` into chunks of `chunk_len` elements and runs
@@ -207,9 +233,32 @@ mod tests {
     #[test]
     fn override_wins_and_clears() {
         let _guard = TEST_THREAD_LOCK.lock().unwrap();
-        set_num_threads(3);
-        assert_eq!(num_threads(), 3);
         set_num_threads(0);
-        assert!(num_threads() >= 1);
+        let cached = num_threads();
+        assert!(cached >= 1);
+        assert_eq!(DEFAULT_THREADS.get(), Some(&cached), "first use caches");
+        // The override is never cached: each change applies on the next
+        // call, and clearing it returns the cached default.
+        set_num_threads(cached + 3);
+        assert_eq!(num_threads(), cached + 3);
+        set_num_threads(1);
+        assert_eq!(num_threads(), 1);
+        set_num_threads(0);
+        assert_eq!(num_threads(), cached);
+    }
+
+    #[test]
+    fn nested_worker_mark_restores_the_outer_mark() {
+        let _guard = TEST_THREAD_LOCK.lock().unwrap();
+        set_num_threads(4);
+        as_worker(|| {
+            as_worker(|| assert_eq!(num_threads(), 1));
+            assert_eq!(num_threads(), 1, "inner exit kept the outer mark");
+        });
+        assert_eq!(num_threads(), 4, "outer exit cleared the mark");
+        let unwound = std::panic::catch_unwind(|| as_worker(|| panic!("model failure")));
+        assert!(unwound.is_err());
+        assert_eq!(num_threads(), 4, "a panic does not leave the mark set");
+        set_num_threads(0);
     }
 }

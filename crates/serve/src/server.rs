@@ -47,9 +47,11 @@
 //!
 //! The container targets offline std-only builds, so there is no async
 //! runtime: blocking `mpsc` channels plus `recv_timeout` implement the
-//! budgeted coalescing loop, and [`noble_linalg::num_threads`] /
-//! `NOBLE_THREADS` still govern intra-batch matmul parallelism on top of
-//! the inter-shard parallelism this module adds.
+//! budgeted coalescing loop. Each shard worker owns its core: it runs
+//! under [`noble_linalg::as_worker`], so the kernels beneath it run
+//! serial and a batch never spawns matmul threads of its own (the
+//! per-row dispatch invariant keeps the answers bit-identical either
+//! way).
 //!
 //! # Examples
 //!
@@ -579,7 +581,9 @@ impl PagedEngine {
         // leave a WARMING entry whose worker never existed.
         let handle = std::thread::Builder::new()
             .name(format!("noble-page-{key}"))
-            .spawn(move || paged_worker(engine, key, rx, shard_stats, shard_gauges))
+            .spawn(move || {
+                noble_linalg::as_worker(|| paged_worker(engine, key, rx, shard_stats, shard_gauges))
+            })
             .map_err(|e| {
                 ServeError::Internal(format!("cannot spawn worker for shard {key}: {e}"))
             })?;
@@ -997,7 +1001,11 @@ impl BatchServer {
             // dropping `routes` disconnects their channels.
             let handle = std::thread::Builder::new()
                 .name(format!("noble-serve-{key}"))
-                .spawn(move || shard_worker(localizer, key, rx, cfg, &worker_stats, &worker_gauges))
+                .spawn(move || {
+                    noble_linalg::as_worker(|| {
+                        shard_worker(localizer, key, rx, cfg, &worker_stats, &worker_gauges)
+                    })
+                })
                 .map_err(|e| {
                     ServeError::Internal(format!("cannot spawn worker for shard {key}: {e}"))
                 })?;
