@@ -167,6 +167,10 @@ impl ImuNoble {
             displacement_scale,
         };
         model.fit(dataset, cfg)?;
+        // A finished model serves; it never trains again.
+        model.projection.release_training_state();
+        model.displacement.release_training_state();
+        model.location.release_training_state();
         Ok(model)
     }
 
@@ -529,6 +533,33 @@ mod tests {
         cfg.num_paths = 400;
         cfg.num_reference_points = 40;
         ImuDataset::generate(&cfg).unwrap()
+    }
+
+    #[test]
+    fn trained_and_hydrated_models_carry_no_optimizer_state() {
+        use crate::SnapshotLocalizer;
+        let trained = ImuNoble::train(
+            &quick_dataset(),
+            &ImuNobleConfig {
+                epochs: 1,
+                ..ImuNobleConfig::small()
+            },
+        )
+        .unwrap();
+        let hydrated = ImuNoble::from_snapshot(&trained.snapshot()).unwrap();
+        for (name, model) in [("trained", &trained), ("hydrated", &hydrated)] {
+            let params = model
+                .projection
+                .params()
+                .into_iter()
+                .chain(model.displacement.params())
+                .chain(model.location.params());
+            for p in params {
+                for buf in [&p.grad, &p.m, &p.v] {
+                    assert_eq!(buf.shape(), (0, 0), "{name} model kept optimizer state");
+                }
+            }
+        }
     }
 
     #[test]

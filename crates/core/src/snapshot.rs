@@ -34,6 +34,7 @@ use noble_nn::{
     Activation, Dense, HeadKind, HeadSpec, Mlp, MlpLayerSpec, OutputLayout, ParamEncoding,
 };
 use noble_quantize::{DecodePolicy, GridQuantizer};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"NOBS";
 /// Container v2 added the model-version field; v1 blobs (which predate
@@ -47,13 +48,17 @@ const LEGACY_CONTAINER_VERSION: u32 = 1;
 /// with [`SnapshotLocalizer::snapshot`], persist it through a
 /// `noble_serve::ModelStore`, and turn it back into a servable model with
 /// [`hydrate`].
+///
+/// Snapshots are immutable, so clones share one payload buffer: cloning
+/// (and thus handing a snapshot to or from a store) costs O(1), however
+/// large the model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSnapshot {
     kind: String,
     feature_dim: usize,
     class_count: usize,
     version: u64,
-    payload: Vec<u8>,
+    payload: Arc<[u8]>,
 }
 
 impl ModelSnapshot {
@@ -70,7 +75,7 @@ impl ModelSnapshot {
             feature_dim,
             class_count,
             version: 0,
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -164,7 +169,7 @@ impl ModelSnapshot {
         } else {
             r.u64()?
         };
-        let payload = r.bytes()?.to_vec();
+        let payload = r.bytes()?.into();
         r.finish()?;
         Ok(ModelSnapshot {
             kind,
@@ -343,10 +348,7 @@ impl<'a> SnapReader<'a> {
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, NobleError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(le_u64(self.take(8)?))
     }
 
     pub(crate) fn usize(&mut self) -> Result<usize, NobleError> {
@@ -354,7 +356,9 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a length that prefixes `unit`-byte elements, guarding the
-    /// subsequent allocation against corrupt huge values.
+    /// subsequent allocation against corrupt huge values. The vector
+    /// readers then take the whole run in one bounds check and decode it
+    /// in bulk.
     fn checked_len(&mut self, unit: usize) -> Result<usize, NobleError> {
         let n = self.usize()?;
         if n.checked_mul(unit).is_none_or(|b| b > self.remaining()) {
@@ -367,10 +371,7 @@ impl<'a> SnapReader<'a> {
     }
 
     pub(crate) fn f64(&mut self) -> Result<f64, NobleError> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(le_f64(self.take(8)?))
     }
 
     pub(crate) fn string(&mut self) -> Result<String, NobleError> {
@@ -390,23 +391,42 @@ impl<'a> SnapReader<'a> {
 
     pub(crate) fn usizes(&mut self) -> Result<Vec<usize>, NobleError> {
         let n = self.checked_len(8)?;
-        (0..n).map(|_| self.usize()).collect()
+        self.take(n * 8)?
+            .chunks_exact(8)
+            .map(|b| usize::try_from(le_u64(b)).map_err(|_| bad("length overflows usize")))
+            .collect()
     }
 
     pub(crate) fn points(&mut self) -> Result<Vec<Point>, NobleError> {
         let n = self.checked_len(16)?;
-        (0..n).map(|_| self.point()).collect()
+        Ok(self
+            .take(n * 16)?
+            .chunks_exact(16)
+            .map(|b| Point::new(le_f64(&b[..8]), le_f64(&b[8..])))
+            .collect())
     }
 
     pub(crate) fn matrix(&mut self) -> Result<Matrix, NobleError> {
         let rows = self.usize()?;
         let cols = self.checked_len(rows.max(1).saturating_mul(8))?;
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            data.push(self.f64()?);
-        }
+        // checked_len bounded rows * cols * 8 by the remaining bytes.
+        let data = self
+            .take(rows * cols * 8)?
+            .chunks_exact(8)
+            .map(le_f64)
+            .collect();
         Matrix::from_vec(rows, cols, data).map_err(|e| bad(format!("bad matrix: {e}")))
     }
+}
+
+/// Decodes the first 8 bytes of `b` as a little-endian `u64`.
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// Decodes the first 8 bytes of `b` as a little-endian `f64`.
+fn le_f64(b: &[u8]) -> f64 {
+    f64::from_bits(le_u64(b))
 }
 
 // ---------------------------------------------------------------------------

@@ -255,6 +255,8 @@ impl WifiNoble {
             detect_divergence: true,
         };
         Trainer::new(train_cfg).fit(&mut mlp, &x, &y, &loss, validation)?;
+        // A finished model serves; it never trains again.
+        mlp.release_training_state();
 
         Ok(WifiNoble {
             mlp,

@@ -222,6 +222,29 @@ mod tests {
     }
 
     #[test]
+    fn trained_and_hydrated_models_carry_no_optimizer_state() {
+        let mut cfg = UjiConfig::small();
+        cfg.seed = 42;
+        let campaign = uji_campaign(&cfg).unwrap();
+        let trained = WifiNoble::train(
+            &campaign,
+            &crate::wifi::WifiNobleConfig {
+                epochs: 2,
+                ..crate::wifi::WifiNobleConfig::small()
+            },
+        )
+        .unwrap();
+        let hydrated = WifiNoble::from_snapshot(&trained.snapshot()).unwrap();
+        for (name, model) in [("trained", &trained), ("hydrated", &hydrated)] {
+            for p in model.mlp.params() {
+                for buf in [&p.grad, &p.m, &p.v] {
+                    assert_eq!(buf.shape(), (0, 0), "{name} model kept optimizer state");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn knn_rejects_inconsistent_tables() {
         let mut cfg = UjiConfig::small();
         cfg.seed = 42;

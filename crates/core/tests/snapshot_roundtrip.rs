@@ -10,14 +10,18 @@
 //! never a huge allocation. Byte flips inside the f64 payload can decode
 //! to a *different but valid* model (bits are bits); the property there
 //! is "typed error or clean hydrate", and the checksummed file store one
-//! layer up is what catches silent payload damage.
+//! layer up is what catches silent payload damage. Compact
+//! (`ParamEncoding::F32`) snapshots get the same truncation and
+//! byte-flip treatment through `hydrate`, plus a parameter blob cut
+//! mid-tensor.
 
 use noble::imu::{ImuNoble, ImuNobleConfig};
 use noble::wifi::{KnnFingerprint, WifiNoble, WifiNobleConfig};
-use noble::{hydrate, Localizer, ModelSnapshot, NobleError, SnapshotLocalizer};
+use noble::{hydrate, Localizer, ModelSnapshot, NobleError, ParamEncoding, SnapshotLocalizer};
 use noble_datasets::{uji_campaign, ImuConfig, ImuDataset, ImuPathSample, UjiConfig, WifiCampaign};
 use noble_linalg::Matrix;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::OnceLock;
 
 fn campaign() -> &'static WifiCampaign {
@@ -39,9 +43,11 @@ fn imu_dataset() -> &'static ImuDataset {
 }
 
 /// One (snapshot, probe features, reference outputs) triple per model
-/// kind, trained once and shared by every test and proptest case.
+/// kind, trained once and shared by every test and proptest case, plus
+/// the same model's compact (`ParamEncoding::F32`) snapshot.
 struct Fixture {
     snapshot: ModelSnapshot,
+    compact: ModelSnapshot,
     features: Matrix,
     reference: Vec<noble_geo::Point>,
 }
@@ -63,14 +69,17 @@ fn fixtures() -> &'static Vec<Fixture> {
         .unwrap();
         out.push(Fixture {
             snapshot: SnapshotLocalizer::snapshot(&wifi),
+            compact: wifi.snapshot_with(ParamEncoding::F32),
             reference: Localizer::localize_batch(&mut wifi, &wifi_features).unwrap(),
             features: wifi_features.clone(),
         });
 
         let knn = KnnFingerprint::fit(campaign, 4).unwrap();
+        let knn_compact = knn.snapshot_with(ParamEncoding::F32);
         let mut knn_loc: Box<dyn Localizer> = Box::new(knn);
         out.push(Fixture {
             snapshot: knn_loc.try_snapshot().unwrap(),
+            compact: knn_compact,
             reference: knn_loc.localize_batch(&wifi_features).unwrap(),
             features: wifi_features,
         });
@@ -88,6 +97,7 @@ fn fixtures() -> &'static Vec<Fixture> {
         let imu_features = imu.path_features(&refs);
         out.push(Fixture {
             snapshot: SnapshotLocalizer::snapshot(&imu),
+            compact: imu.snapshot_with(ParamEncoding::F32),
             reference: Localizer::localize_batch(&mut imu, &imu_features).unwrap(),
             features: imu_features,
         });
@@ -218,31 +228,111 @@ proptest! {
     /// never produce a model whose metadata disagrees with its payload.
     #[test]
     fn corrupted_blob_never_panics(kind in 0usize..3, pos in 0usize..1 << 20, flip in 1u8..=255) {
-        let fixture = &fixtures()[kind];
-        let mut bytes = fixture.snapshot.to_bytes();
-        let pos = pos % bytes.len();
-        bytes[pos] ^= flip;
-        match ModelSnapshot::from_bytes(&bytes) {
+        flip_is_typed_or_coherent(&fixtures()[kind].snapshot, pos, flip)?;
+    }
+
+    /// Any strict prefix of a compact snapshot's payload fails to
+    /// hydrate with the typed error: every reader, down to the f32
+    /// parameter decode, checks its length before it reads.
+    #[test]
+    fn compact_truncated_payload_is_typed_error(which in 0usize..2, cut in 0usize..1 << 20) {
+        let snap = &fixtures()[COMPACT_KINDS[which]].compact;
+        let cut = cut % snap.payload().len();
+        match hydrate(&with_payload(snap, snap.payload()[..cut].to_vec())) {
             Err(NobleError::BadSnapshot(_)) => {}
             Err(e) => {
                 prop_assert!(false, "wrong error type: {e}");
             }
-            Ok(snap) => match hydrate(&snap) {
+            Ok(_) => {
+                prop_assert!(false, "compact payload cut at {cut} hydrated");
+            }
+        }
+    }
+
+    /// [`corrupted_blob_never_panics`] for compact snapshots, whose
+    /// parameter blobs decode f32 scalars.
+    #[test]
+    fn compact_corrupted_blob_never_panics(which in 0usize..2, pos in 0usize..1 << 20, flip in 1u8..=255) {
+        flip_is_typed_or_coherent(&fixtures()[COMPACT_KINDS[which]].compact, pos, flip)?;
+    }
+}
+
+/// Fixture indices whose compact snapshot narrows network parameters
+/// (the kNN baseline has none, so its compact snapshot is the exact one).
+const COMPACT_KINDS: [usize; 2] = [0, 2];
+
+fn with_payload(snap: &ModelSnapshot, payload: Vec<u8>) -> ModelSnapshot {
+    ModelSnapshot::new(snap.kind(), snap.feature_dim(), snap.class_count(), payload)
+}
+
+/// Flips one byte of `snapshot`'s encoding; decoding and hydrating the
+/// result must give the typed error or a coherent model, never a panic.
+fn flip_is_typed_or_coherent(
+    snapshot: &ModelSnapshot,
+    pos: usize,
+    flip: u8,
+) -> Result<(), TestCaseError> {
+    let mut bytes = snapshot.to_bytes();
+    let pos = pos % bytes.len();
+    bytes[pos] ^= flip;
+    match ModelSnapshot::from_bytes(&bytes) {
+        Err(NobleError::BadSnapshot(_)) => {}
+        Err(e) => {
+            prop_assert!(false, "wrong error type: {e}");
+        }
+        Ok(snap) => match hydrate(&snap) {
+            Err(NobleError::BadSnapshot(_)) => {}
+            Err(e) => {
+                prop_assert!(false, "wrong error type: {e}");
+            }
+            Ok(mut model) => {
+                // Survived the flip: it must still be a coherent
+                // localizer for its declared feature width.
+                let info = model.info();
+                prop_assert!(info.feature_dim == snap.feature_dim());
+                let probe = Matrix::zeros(1, info.feature_dim);
+                // May legitimately fail (e.g. NaN weights), but only
+                // with a typed error.
+                let _ = model.localize_batch(&probe);
+            }
+        },
+    }
+    Ok(())
+}
+
+/// Cuts every compact parameter blob in the payload through the middle
+/// of its first tensor, re-prefixing the blob with its new length so
+/// the cut reaches the network reader, which must refuse it with the
+/// typed error. (The reader's architecture-size check is what fires
+/// here; `noble-nn`'s own serialize tests feed mid-tensor cuts straight
+/// to `load_parameters` to reach the bulk decode's bounds check.)
+#[test]
+fn compact_param_blob_cut_mid_tensor_is_typed_error() {
+    const HEADER: usize = 12; // magic, format version, tensor count
+    for &kind in &COMPACT_KINDS {
+        let snap = &fixtures()[kind].compact;
+        let payload = snap.payload();
+        let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+        // Each network's blob is `u64 length | "NOBL" | version 3 | ...`.
+        let blobs: Vec<usize> = (8..payload.len() - 8)
+            .filter(|&at| &payload[at..at + 4] == b"NOBL" && u32_at(at + 4) == 3)
+            .collect();
+        assert!(!blobs.is_empty(), "{}: no compact blob found", snap.kind());
+        for start in blobs {
+            let len = u64::from_le_bytes(payload[start - 8..start].try_into().unwrap()) as usize;
+            let (rows, cols) = (u32_at(start + HEADER), u32_at(start + HEADER + 4));
+            let first_tensor = (rows * cols) as usize * 4;
+            assert!(first_tensor > 4, "{}: first tensor too small", snap.kind());
+            let cut = HEADER + 8 + first_tensor / 2 + 1;
+            let mut cut_payload = payload[..start - 8].to_vec();
+            cut_payload.extend_from_slice(&(cut as u64).to_le_bytes());
+            cut_payload.extend_from_slice(&payload[start..start + cut]);
+            cut_payload.extend_from_slice(&payload[start + len..]);
+            match hydrate(&with_payload(snap, cut_payload)) {
                 Err(NobleError::BadSnapshot(_)) => {}
-                Err(e) => {
-                    prop_assert!(false, "wrong error type: {e}");
-                }
-                Ok(mut model) => {
-                    // Survived the flip: it must still be a coherent
-                    // localizer for its declared feature width.
-                    let info = model.info();
-                    prop_assert!(info.feature_dim == snap.feature_dim());
-                    let probe = Matrix::zeros(1, info.feature_dim);
-                    // May legitimately fail (e.g. NaN weights), but only
-                    // with a typed error.
-                    let _ = model.localize_batch(&probe);
-                }
-            },
+                Err(e) => panic!("{}: wrong error type: {e}", snap.kind()),
+                Ok(_) => panic!("{}: blob cut mid-tensor hydrated", snap.kind()),
+            }
         }
     }
 }

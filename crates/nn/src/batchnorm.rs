@@ -30,9 +30,19 @@ impl BatchNorm {
     /// Creates a batch-norm layer for `dim` features with momentum 0.9 and
     /// epsilon `1e-5`.
     pub fn new(dim: usize) -> Self {
+        BatchNorm::with_params(dim, Param::new)
+    }
+
+    /// [`BatchNorm::new`] with [`Param::frozen`] scale and shift, for
+    /// networks restored for inference.
+    pub(crate) fn frozen(dim: usize) -> Self {
+        BatchNorm::with_params(dim, Param::frozen)
+    }
+
+    fn with_params(dim: usize, param: fn(Matrix) -> Param) -> Self {
         BatchNorm {
-            gamma: Param::new(Matrix::filled(1, dim, 1.0)),
-            beta: Param::new(Matrix::zeros(1, dim)),
+            gamma: param(Matrix::filled(1, dim, 1.0)),
+            beta: param(Matrix::zeros(1, dim)),
             running_mean: vec![0.0; dim],
             running_var: vec![1.0; dim],
             momentum: 0.9,
@@ -127,6 +137,8 @@ impl BatchNorm {
     /// Returns [`NnError::InvalidConfig`] if called before a training-mode
     /// forward pass, or [`NnError::ShapeMismatch`] on a bad gradient shape.
     pub fn backward(&mut self, grad_out: &Matrix) -> Result<Matrix, NnError> {
+        self.gamma.ensure_state();
+        self.beta.ensure_state();
         let cache = self.cache.as_ref().ok_or_else(|| {
             NnError::InvalidConfig("batchnorm backward called before training forward".to_string())
         })?;
@@ -162,6 +174,14 @@ impl BatchNorm {
             }
         }
         Ok(dx)
+    }
+
+    /// Drops the gradient and optimizer buffers and the training-pass
+    /// cache; the running statistics inference uses stay.
+    pub(crate) fn release_training_state(&mut self) {
+        self.gamma.release_state();
+        self.beta.release_state();
+        self.cache = None;
     }
 
     /// Mutable access to the parameter tensors (gamma, beta), for the

@@ -26,7 +26,8 @@ impl Dense {
     }
 
     /// Creates a dense layer from explicit weights and bias (for tests and
-    /// deserialization).
+    /// deserialization). The parameters start frozen: their gradient and
+    /// optimizer buffers are only allocated if the layer is ever trained.
     ///
     /// # Errors
     ///
@@ -41,8 +42,8 @@ impl Dense {
             });
         }
         Ok(Dense {
-            weights: Param::new(weights),
-            bias: Param::new(bias),
+            weights: Param::frozen(weights),
+            bias: Param::frozen(bias),
             cached_input: None,
         })
     }
@@ -107,6 +108,8 @@ impl Dense {
     /// Returns [`NnError::InvalidConfig`] when called before a training-mode
     /// forward pass, or [`NnError::ShapeMismatch`] on a bad gradient shape.
     pub fn backward(&mut self, grad_out: &Matrix) -> Result<Matrix, NnError> {
+        self.weights.ensure_state();
+        self.bias.ensure_state();
         let x = self.cached_input.as_ref().ok_or_else(|| {
             NnError::InvalidConfig("dense backward called before training forward".to_string())
         })?;
@@ -126,6 +129,15 @@ impl Dense {
             self.bias.grad[(0, j)] += col_sum;
         }
         Ok(grad_out.matmul(&self.weights.value.transpose())?)
+    }
+
+    /// Drops everything only training needs: the gradient and optimizer
+    /// buffers and the cached forward input. Inference is unaffected;
+    /// training again re-sizes the buffers to zeros.
+    pub fn release_training_state(&mut self) {
+        self.weights.release_state();
+        self.bias.release_state();
+        self.cached_input = None;
     }
 
     /// Mutable access to the parameter tensors (weights, bias), for the

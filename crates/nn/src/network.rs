@@ -410,9 +410,12 @@ impl Mlp {
             .collect()
     }
 
-    /// Rebuilds a network from [`Mlp::layer_specs`] output. Weights are
-    /// freshly initialized (seed 0) — callers restoring a serialized model
-    /// overwrite them with [`crate::load_parameters`] immediately after.
+    /// Rebuilds a network from [`Mlp::layer_specs`] output with zero
+    /// weights (no RNG draws) and frozen parameters — callers
+    /// restoring a serialized model overwrite the values with
+    /// [`crate::load_parameters`] immediately after, and an
+    /// inference-only model never allocates gradient or optimizer
+    /// buffers.
     ///
     /// # Errors
     ///
@@ -420,7 +423,7 @@ impl Mlp {
     /// on widths (e.g. a dense layer whose `in_dim` is not the running
     /// width).
     pub fn from_specs(in_dim: usize, specs: &[MlpLayerSpec]) -> Result<Mlp, NnError> {
-        let mut builder = Mlp::builder(in_dim, 0);
+        let mut layers = Vec::with_capacity(specs.len());
         let mut width = in_dim;
         for spec in specs {
             match *spec {
@@ -433,7 +436,9 @@ impl Mlp {
                             "dense spec expects input width {d_in}, running width is {width}"
                         )));
                     }
-                    builder = builder.dense(out_dim);
+                    let dense =
+                        Dense::from_parts(Matrix::zeros(d_in, out_dim), Matrix::zeros(1, out_dim))?;
+                    layers.push(Layer::Dense(dense));
                     width = out_dim;
                 }
                 MlpLayerSpec::BatchNorm { dim } => {
@@ -442,14 +447,30 @@ impl Mlp {
                             "batch-norm spec expects width {dim}, running width is {width}"
                         )));
                     }
-                    builder = builder.batch_norm();
+                    layers.push(Layer::BatchNorm(BatchNorm::frozen(dim)));
                 }
-                MlpLayerSpec::Activation(a) => {
-                    builder = builder.activation(a);
-                }
+                MlpLayerSpec::Activation(a) => layers.push(Layer::Activation(a, None)),
             }
         }
-        Ok(builder.build())
+        Ok(Mlp {
+            layers,
+            in_dim,
+            out_dim: width,
+        })
+    }
+
+    /// Drops everything only training needs — every parameter's gradient
+    /// and optimizer buffers, and the cached forward activations — so a
+    /// finished model holds just what inference reads. Training again
+    /// re-sizes the buffers to zeros on first use.
+    pub fn release_training_state(&mut self) {
+        for layer in &mut self.layers {
+            match layer {
+                Layer::Dense(d) => d.release_training_state(),
+                Layer::BatchNorm(b) => b.release_training_state(),
+                Layer::Activation(_, cache) => *cache = None,
+            }
+        }
     }
 
     /// Gradient L2 norm across all parameters (diagnostics, divergence

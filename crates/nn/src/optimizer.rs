@@ -81,43 +81,38 @@ impl Optimizer {
     }
 
     /// Applies one update to a parameter in place and clears its gradient.
+    /// A parameter whose buffers are still unsized (a restored network's)
+    /// is sized to zeros first.
     pub fn update(&self, p: &mut Param) {
+        p.ensure_state();
         let lr = self.learning_rate;
+        // Disjoint field borrows: the zipped loops see every length up
+        // front, so they run without per-element bounds checks.
+        let value = p.value.as_mut_slice();
+        let grad = p.grad.as_slice();
         match self.rule {
             Rule::Sgd => {
-                for ((v, g), _) in p
-                    .value
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(p.grad.as_slice())
-                    .zip(0..)
-                {
+                for (v, g) in value.iter_mut().zip(grad) {
                     *v -= lr * g;
                 }
             }
             Rule::Momentum { beta } => {
-                let n = p.value.as_slice().len();
-                for i in 0..n {
-                    let g = p.grad.as_slice()[i];
-                    let m = beta * p.m.as_slice()[i] + g;
-                    p.m.as_mut_slice()[i] = m;
-                    p.value.as_mut_slice()[i] -= lr * m;
+                for ((v, &g), m) in value.iter_mut().zip(grad).zip(p.m.as_mut_slice()) {
+                    *m = beta * *m + g;
+                    *v -= lr * *m;
                 }
             }
             Rule::Adam { beta1, beta2, eps } => {
                 let t = self.step.max(1) as i32;
                 let bc1 = 1.0 - beta1.powi(t);
                 let bc2 = 1.0 - beta2.powi(t);
-                let n = p.value.as_slice().len();
-                for i in 0..n {
-                    let g = p.grad.as_slice()[i];
-                    let m = beta1 * p.m.as_slice()[i] + (1.0 - beta1) * g;
-                    let v = beta2 * p.v.as_slice()[i] + (1.0 - beta2) * g * g;
-                    p.m.as_mut_slice()[i] = m;
-                    p.v.as_mut_slice()[i] = v;
-                    let m_hat = m / bc1;
-                    let v_hat = v / bc2;
-                    p.value.as_mut_slice()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+                let moments = p.m.as_mut_slice().iter_mut().zip(p.v.as_mut_slice());
+                for ((v, &g), (m, s)) in value.iter_mut().zip(grad).zip(moments) {
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *s = beta2 * *s + (1.0 - beta2) * g * g;
+                    let m_hat = *m / bc1;
+                    let v_hat = *s / bc2;
+                    *v -= lr * m_hat / (v_hat.sqrt() + eps);
                 }
             }
         }

@@ -5,6 +5,13 @@ use noble_linalg::Matrix;
 /// Keeping the Adam/momentum moments inside the parameter avoids a separate
 /// state registry keyed by parameter identity: the optimizer is a pure
 /// update rule applied uniformly to every [`Param`] a network exposes.
+///
+/// The `grad`/`m`/`v` buffers are sized lazily. Parameters of restored
+/// networks ([`crate::Mlp::from_specs`], [`crate::Dense::from_parts`])
+/// start with them `0x0`; every backward pass and optimizer update sizes
+/// them to zeros on first use, so a model that never trains never pays
+/// for them. Zeros allocated late are the same zeros [`Param::new`]
+/// allocates eagerly, so training is bit-identical either way.
 #[derive(Debug, Clone)]
 pub struct Param {
     /// Current value.
@@ -20,12 +27,40 @@ pub struct Param {
 impl Param {
     /// Wraps an initial value with zeroed gradient and moments.
     pub fn new(value: Matrix) -> Self {
-        let (r, c) = value.shape();
+        let mut p = Param::frozen(value);
+        p.ensure_state();
+        p
+    }
+
+    /// Wraps a value with `0x0` gradient and moments: an inference-only
+    /// parameter that allocates its training buffers only if it is
+    /// ever trained (see [`Param::ensure_state`]).
+    pub(crate) fn frozen(value: Matrix) -> Self {
         Param {
             value,
-            grad: Matrix::zeros(r, c),
-            m: Matrix::zeros(r, c),
-            v: Matrix::zeros(r, c),
+            grad: Matrix::zeros(0, 0),
+            m: Matrix::zeros(0, 0),
+            v: Matrix::zeros(0, 0),
+        }
+    }
+
+    /// Sizes `grad`, `m` and `v` to zeros of the value's shape wherever
+    /// they do not already match it; buffers already sized keep their
+    /// contents.
+    pub(crate) fn ensure_state(&mut self) {
+        let (r, c) = self.value.shape();
+        for buf in [&mut self.grad, &mut self.m, &mut self.v] {
+            if buf.shape() != (r, c) {
+                *buf = Matrix::zeros(r, c);
+            }
+        }
+    }
+
+    /// Drops the gradient and moment buffers back to `0x0` (the state of
+    /// [`Param::frozen`]), e.g. once training has finished.
+    pub(crate) fn release_state(&mut self) {
+        for buf in [&mut self.grad, &mut self.m, &mut self.v] {
+            *buf = Matrix::zeros(0, 0);
         }
     }
 
@@ -57,6 +92,28 @@ mod tests {
         assert!(p.grad.as_slice().iter().all(|&g| g == 0.0));
         assert!(p.m.as_slice().iter().all(|&g| g == 0.0));
         assert!(p.v.as_slice().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn frozen_param_sizes_state_lazily() {
+        let mut p = Param::frozen(Matrix::filled(2, 3, 1.5));
+        assert_eq!(p.len(), 6);
+        for buf in [&p.grad, &p.m, &p.v] {
+            assert_eq!(buf.shape(), (0, 0));
+        }
+        p.ensure_state();
+        for buf in [&p.grad, &p.m, &p.v] {
+            assert_eq!(buf.shape(), (2, 3));
+            assert!(buf.as_slice().iter().all(|&x| x == 0.0));
+        }
+        // Sized buffers keep their contents.
+        p.m.as_mut_slice()[0] = 4.0;
+        p.ensure_state();
+        assert_eq!(p.m.as_slice()[0], 4.0);
+        p.release_state();
+        for buf in [&p.grad, &p.m, &p.v] {
+            assert_eq!(buf.shape(), (0, 0));
+        }
     }
 
     #[test]

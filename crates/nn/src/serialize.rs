@@ -140,7 +140,6 @@ pub fn blob_encoding(bytes: &[u8]) -> Result<ParamEncoding, NnError> {
 /// the target network.
 pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
     let encoding = blob_encoding(bytes)?;
-    let unit = encoding.unit();
     let mut cursor = Cursor { bytes, pos: 8 };
     let count = cursor.u32()? as usize;
     {
@@ -161,9 +160,7 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
                     p.value.shape().1
                 )));
             }
-            for v in p.value.as_mut_slice() {
-                *v = cursor.scalar(encoding)?;
-            }
+            cursor.scalars_into(encoding, p.value.as_mut_slice())?;
         }
     }
     // Every vector needs at least a 4-byte length prefix; bounding the
@@ -177,17 +174,8 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
     }
     let mut stats = Vec::with_capacity(stat_count / 2);
     for _ in 0..stat_count / 2 {
-        let mut pair = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let len = cursor.checked_len(unit)?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(cursor.scalar(encoding)?);
-            }
-            pair.push(v);
-        }
-        let var = pair.pop().expect("two vectors pushed");
-        let mean = pair.pop().expect("two vectors pushed");
+        let mean = cursor.vector(encoding)?;
+        let var = cursor.vector(encoding)?;
         stats.push((mean, var));
     }
     mlp.set_running_stats(&stats)?;
@@ -207,7 +195,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], NnError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.bytes.len() - self.pos {
             return Err(NnError::InvalidConfig("truncated parameter blob".into()));
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -233,22 +221,31 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
-    fn f64(&mut self) -> Result<f64, NnError> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads one scalar in the blob's encoding, widened to f64.
-    fn scalar(&mut self, encoding: ParamEncoding) -> Result<f64, NnError> {
+    /// Fills `out` from the next `out.len()` scalars in the blob's
+    /// encoding, widened to f64: one bounds check for the whole run,
+    /// then a straight decode.
+    fn scalars_into(&mut self, encoding: ParamEncoding, out: &mut [f64]) -> Result<(), NnError> {
+        let bytes = self.take(out.len() * encoding.unit())?;
         match encoding {
-            ParamEncoding::F64 => self.f64(),
+            ParamEncoding::F64 => {
+                for (v, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+                    *v = f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+                }
+            }
             ParamEncoding::F32 => {
-                let b = self.take(4)?;
-                Ok(f64::from(f32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+                for (v, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+                    *v = f64::from(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+                }
             }
         }
+        Ok(())
+    }
+
+    /// Reads one length-prefixed scalar vector.
+    fn vector(&mut self, encoding: ParamEncoding) -> Result<Vec<f64>, NnError> {
+        let mut v = vec![0.0; self.checked_len(encoding.unit())?];
+        self.scalars_into(encoding, &mut v)?;
+        Ok(v)
     }
 }
 
@@ -383,6 +380,23 @@ mod tests {
         assert_eq!(&blob[..4], b"NOBL");
         assert_eq!(u32::from_le_bytes([blob[4], blob[5], blob[6], blob[7]]), 2);
         assert_eq!(blob, save_parameters_with(&a, ParamEncoding::F64));
+    }
+
+    #[test]
+    fn cut_mid_tensor_is_typed_for_both_encodings() {
+        let a = network(1);
+        for encoding in [ParamEncoding::F64, ParamEncoding::F32] {
+            let blob = save_parameters_with(&a, encoding);
+            // Header (12 bytes) + first tensor's shape (8), then its
+            // 3x5 scalars: cut through the middle of that run.
+            let cut = 12 + 8 + 7 * encoding.unit() + 1;
+            let err = load_parameters(&mut network(2), &blob[..cut]).unwrap_err();
+            assert!(err.to_string().contains("truncated"), "{encoding:?}: {err}");
+            // Every other prefix is a typed error too, never a panic.
+            for n in 0..blob.len() {
+                assert!(load_parameters(&mut network(2), &blob[..n]).is_err());
+            }
+        }
     }
 
     #[test]
