@@ -26,6 +26,7 @@
 //! Artifact CSVs are written under `results/`.
 
 pub mod config;
+mod latency;
 pub mod runners;
 
 pub use config::Scale;

@@ -28,6 +28,7 @@
 //! Results go to stdout and `results/BENCH_net.json`. [`Scale::Quick`]
 //! shrinks durations and rates for CI smoke runs.
 
+use crate::latency::LatencySummary;
 use crate::runners::RunnerResult;
 use crate::{write_artifact, Scale};
 use noble::{Localizer, LocalizerInfo, NobleError};
@@ -154,42 +155,6 @@ fn start_edge(
         net,
     )?;
     Ok((edge, backend))
-}
-
-/// Latency percentile summary (microseconds).
-struct LatencySummary {
-    count: usize,
-    p50_us: u64,
-    p99_us: u64,
-    p999_us: u64,
-    max_us: u64,
-}
-
-impl LatencySummary {
-    fn of(mut samples: Vec<u64>) -> Self {
-        samples.sort_unstable();
-        let pick = |pct: f64| -> u64 {
-            if samples.is_empty() {
-                0
-            } else {
-                samples[((samples.len() - 1) as f64 * pct).round() as usize]
-            }
-        };
-        LatencySummary {
-            count: samples.len(),
-            p50_us: pick(0.50),
-            p99_us: pick(0.99),
-            p999_us: pick(0.999),
-            max_us: samples.last().copied().unwrap_or(0),
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \"max_us\": {}}}",
-            self.count, self.p50_us, self.p99_us, self.p999_us, self.max_us
-        )
-    }
 }
 
 /// One sweep point's outcome.
@@ -371,7 +336,7 @@ pub fn run(scale: Scale) -> RunnerResult {
                 p.multiplier, p.served_rps, peak_served_rps
             ));
         }
-        if p.latency.p99_us > p99_bound_us {
+        if p.latency.p99_us > u128::from(p99_bound_us) {
             gate_failures.push(format!(
                 "{}x capacity: accepted p99 {}us exceeds bound {}us",
                 p.multiplier, p.latency.p99_us, p99_bound_us

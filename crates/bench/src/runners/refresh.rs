@@ -27,6 +27,7 @@
 //! [`Scale::Quick`] shrinks the workload for CI smoke runs.
 
 use crate::config::uji_config;
+use crate::latency::LatencySummary;
 use crate::runners::RunnerResult;
 use crate::{write_artifact, Scale};
 use noble::report::TextTable;
@@ -75,40 +76,6 @@ fn mean_error(
         total += fix.distance(sample.position);
     }
     Ok(total / samples.len().max(1) as f64)
-}
-
-/// Latency percentile summary of one serving phase.
-struct LatencySummary {
-    count: usize,
-    p50_us: u128,
-    p99_us: u128,
-    max_us: u128,
-}
-
-impl LatencySummary {
-    fn of(mut samples: Vec<u128>) -> Self {
-        samples.sort_unstable();
-        let pick = |pct: f64| -> u128 {
-            if samples.is_empty() {
-                return 0;
-            }
-            let idx = ((samples.len() as f64 - 1.0) * pct).round() as usize;
-            samples[idx.min(samples.len() - 1)]
-        };
-        LatencySummary {
-            count: samples.len(),
-            p50_us: pick(0.50),
-            p99_us: pick(0.99),
-            max_us: samples.last().copied().unwrap_or(0),
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-            self.count, self.p50_us, self.p99_us, self.max_us
-        )
-    }
 }
 
 /// Hammers `key` with rotating probes until `stop` is set, recording
@@ -226,7 +193,7 @@ pub fn run(scale: Scale) -> RunnerResult {
             stop.store(true, Ordering::Relaxed);
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
-        LatencySummary::of(lat.into_iter().flatten().collect())
+        LatencySummary::of(lat.into_iter().flatten())
     };
 
     // --- Concurrent refresh: retrain + activate while clients hammer. -
@@ -269,7 +236,7 @@ pub fn run(scale: Scale) -> RunnerResult {
                 .collect())
         },
     )?;
-    let during = LatencySummary::of(lat.into_iter().flatten().collect());
+    let during = LatencySummary::of(lat.into_iter().flatten());
 
     // --- Refreshed model (version 1) under the same drift. ---
     let refreshed_clean = mean_error(&client, &campaign, key, &clean_eval)?;

@@ -24,10 +24,10 @@
 //! bound). A gate failure aborts the runner.
 //!
 //! A second measurement family covers **demand-paged** serving
-//! ([`noble_serve::BatchServer::start_paged`]): an oversubscribed
-//! catalog (16 shards under a budget of 4 resident models at full
-//! scale) driven with uniform-rotation and popularity-skewed traffic,
-//! recording fault / drain / spin-down counts and cold-vs-warm latency
+//! ([`noble_serve::BatchServer::start`] over a budgeted catalog): an
+//! oversubscribed catalog (16 shards under a budget of 4 resident models
+//! at full scale) driven with uniform-rotation and popularity-skewed
+//! traffic, recording fault / drain / spin-down counts and cold-vs-warm latency
 //! percentiles — with every answer asserted bit-identical to the
 //! fully-resident server inline.
 //!
@@ -38,6 +38,7 @@
 //! CI smoke runs.
 
 use crate::config::{imu_config, uji_config};
+use crate::latency::LatencySummary;
 use crate::runners::RunnerResult;
 use crate::{write_artifact, Scale};
 use noble::imu::{ImuNoble, ImuNobleConfig};
@@ -87,41 +88,6 @@ impl Measurement {
             (
             "    {{\"mode\": \"{}\", \"precision\": \"{}\", \"shards\": {}, \"max_batch\": {}, \"budget_us\": {}, \"fixes_per_sec\": {:.1}, \"shard_stats\": [{}]}}",
             self.mode, self.precision, self.shards, self.max_batch, self.budget_us, self.fixes_per_sec, shards.join(", ")
-        )
-    }
-}
-
-/// Latency percentile summary of one request class (cold or warm).
-struct LatencySummary {
-    count: usize,
-    p50_us: u128,
-    p99_us: u128,
-    max_us: u128,
-}
-
-impl LatencySummary {
-    /// Summarizes a set of per-request latencies (microseconds).
-    fn of(mut samples: Vec<u128>) -> Self {
-        samples.sort_unstable();
-        let pick = |pct: f64| -> u128 {
-            if samples.is_empty() {
-                0
-            } else {
-                samples[((samples.len() - 1) as f64 * pct).round() as usize]
-            }
-        };
-        LatencySummary {
-            count: samples.len(),
-            p50_us: pick(0.50),
-            p99_us: pick(0.99),
-            max_us: samples.last().copied().unwrap_or(0),
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-            self.count, self.p50_us, self.p99_us, self.max_us
         )
     }
 }
@@ -355,12 +321,12 @@ pub fn run(scale: Scale) -> RunnerResult {
                 ShardKey::building((s.building * floors + s.floor) % shards)
             }
         };
-        let mut registry = ShardedRegistry::train_wifi_with(
+        let mut catalog = ModelCatalog::from(ShardedRegistry::train_wifi_with(
             &campaign,
             keyer,
             &model_cfg,
             &RegistryConfig::default(),
-        )?;
+        )?);
 
         // Replicate test fingerprints up to the request volume.
         let features = campaign.features(&campaign.test);
@@ -376,14 +342,14 @@ pub fn run(scale: Scale) -> RunnerResult {
                         max_batch: usize,
                         budget_us: u64,
                         pipeline: bool,
-                        registry: ShardedRegistry|
-         -> Result<(ShardedRegistry, f64), Box<dyn std::error::Error>> {
+                        catalog: ModelCatalog|
+         -> Result<(ModelCatalog, f64), Box<dyn std::error::Error>> {
             let mut best = 0.0f64;
             let mut stats = Vec::new();
-            let mut registry = registry;
+            let mut catalog = catalog;
             for _ in 0..reps {
                 let server = BatchServer::start(
-                    registry,
+                    catalog,
                     BatchConfig {
                         max_batch,
                         latency_budget: Duration::from_micros(budget_us),
@@ -392,8 +358,8 @@ pub fn run(scale: Scale) -> RunnerResult {
                     },
                 )?;
                 let rate = drive(&server, &fixes, clients, pipeline)?;
-                let (s, recovered) = server.shutdown_with_registry();
-                registry = recovered;
+                let (s, recovered) = server.shutdown_with_catalog()?;
+                catalog = recovered;
                 // Keep the stats of the *best* repetition so the JSON's
                 // rate and batch/latency columns describe the same run.
                 if rate > best {
@@ -410,28 +376,28 @@ pub fn run(scale: Scale) -> RunnerResult {
                 fixes_per_sec: best,
                 shard_stats: stats,
             });
-            Ok((registry, best))
+            Ok((catalog, best))
         };
 
         // Single-request serving: synchronous request/response, one fix in
         // flight per client, one inference call per fix.
-        let (reg, single_rate) = run_mode(&mut measurements, "single", 1, 0, false, registry)?;
+        let (trained, single_rate) = run_mode(&mut measurements, "single", 1, 0, false, catalog)?;
         // Streaming without coalescing isolates how much of the win comes
         // from pipelining alone vs. from the stacked inference call.
-        let (reg, _) = run_mode(&mut measurements, "pipelined", 1, 0, true, reg)?;
-        registry = reg;
+        let (trained, _) = run_mode(&mut measurements, "pipelined", 1, 0, true, trained)?;
+        catalog = trained;
         let mut best_batched = 0.0f64;
         for &max_batch in &max_batches {
             for &budget in &budgets_us {
-                let (reg, rate) = run_mode(
+                let (trained, rate) = run_mode(
                     &mut measurements,
                     "batched",
                     max_batch,
                     budget,
                     true,
-                    registry,
+                    catalog,
                 )?;
-                registry = reg;
+                catalog = trained;
                 best_batched = best_batched.max(rate);
             }
         }
@@ -439,7 +405,7 @@ pub fn run(scale: Scale) -> RunnerResult {
             single_at_reference = single_rate;
             speedup_at_reference = best_batched / single_rate.max(f64::MIN_POSITIVE);
         }
-        drop(registry);
+        drop(catalog);
     }
 
     // --- Mixed WiFi+IMU traffic (ROADMAP "IMU serving path"): one IMU
@@ -463,6 +429,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         )?;
         let wifi_shards = registry.len();
         registry.insert(imu_key, Box::new(imu_model));
+        let mut catalog = ModelCatalog::from(registry);
 
         let wifi_features = campaign.features(&campaign.test);
         let fixes: Vec<(ShardKey, Vec<f64>)> = (0..total_fixes)
@@ -486,7 +453,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         let mut stats = Vec::new();
         for _ in 0..reps {
             let server = BatchServer::start(
-                registry,
+                catalog,
                 BatchConfig {
                     max_batch,
                     latency_budget: Duration::from_micros(budget_us),
@@ -495,8 +462,8 @@ pub fn run(scale: Scale) -> RunnerResult {
                 },
             )?;
             let rate = drive(&server, &fixes, clients, true)?;
-            let (s, recovered) = server.shutdown_with_registry();
-            registry = recovered;
+            let (s, recovered) = server.shutdown_with_catalog()?;
+            catalog = recovered;
             if rate > best {
                 best = rate;
                 stats = s;
@@ -525,9 +492,10 @@ pub fn run(scale: Scale) -> RunnerResult {
     let mut i8_serving_mean = 0.0f64;
     {
         use noble::InferencePrecision;
-        let mut registry =
+        let registry =
             ShardedRegistry::train_wifi(&campaign, &model_cfg, &RegistryConfig::default())?;
         let precision_shards = registry.len();
+        let mut catalog = ModelCatalog::from(registry);
         let wifi_features = campaign.features(&campaign.test);
         let fixes: Vec<(ShardKey, Vec<f64>)> = (0..total_fixes)
             .map(|i| {
@@ -551,7 +519,7 @@ pub fn run(scale: Scale) -> RunnerResult {
             let mut stats = Vec::new();
             for _ in 0..reps {
                 let server = BatchServer::start(
-                    registry,
+                    catalog,
                     BatchConfig {
                         max_batch,
                         latency_budget: Duration::from_micros(budget_us),
@@ -561,10 +529,11 @@ pub fn run(scale: Scale) -> RunnerResult {
                     },
                 )?;
                 let (answers, _, rate) = drive_collect(&server, &fixes, clients)?;
-                let (s, recovered) = server.shutdown_with_registry();
-                // stop() hands back the exact progenitors, so each tier
-                // lowers fresh from f64 state — twins never re-lower.
-                registry = recovered;
+                let (s, recovered) = server.shutdown_with_catalog()?;
+                // Lowered twins go back through the store as their exact
+                // f64 snapshots, so each tier lowers fresh from f64
+                // state — twins never re-lower.
+                catalog = recovered;
                 match precision {
                     InferencePrecision::Exact => {
                         if exact_answers.is_empty() {
@@ -626,7 +595,7 @@ pub fn run(scale: Scale) -> RunnerResult {
                 shard_stats: stats,
             });
         }
-        drop(registry);
+        drop(catalog);
     }
 
     // --- Demand-paged oversubscribed serving (ROADMAP "store-aware
@@ -668,8 +637,9 @@ pub fn run(scale: Scale) -> RunnerResult {
         // Snapshot every trained shard into the store the paged catalog
         // will fault from (hydration is bit-identical, so the paged
         // server serves the *same models* the resident control serves).
+        let trained = ModelCatalog::from(registry);
         let store = MemStore::new();
-        registry.save_to(&store)?;
+        trained.export_to(&store)?;
         let mut catalog = Some(ModelCatalog::with_store(
             CatalogBudget::Count(paged_budget),
             Box::new(store),
@@ -726,11 +696,11 @@ pub fn run(scale: Scale) -> RunnerResult {
             idle_ttl: Some(Duration::from_millis(20)),
             ..BatchConfig::default()
         };
-        let resident = BatchServer::start(registry, serve_cfg)?;
+        let resident = BatchServer::start(trained, serve_cfg)?;
         for (mode, fixes) in [("paged-uniform", &uniform), ("paged-skewed", &skewed)] {
             let (expected, _, _) = drive_collect(&resident, fixes, clients)?;
             let paged_server =
-                BatchServer::start_paged(catalog.take().expect("catalog round-trips"), serve_cfg)?;
+                BatchServer::start(catalog.take().expect("catalog round-trips"), serve_cfg)?;
             let catalog_before = paged_server.paged_stats().expect("paged server").catalog;
             let (answers, samples, rate) = drive_collect(&paged_server, fixes, clients)?;
             if answers != expected {
@@ -754,20 +724,8 @@ pub fn run(scale: Scale) -> RunnerResult {
                 drains: pstats.drains,
                 parked_requests: pstats.parked_requests,
                 catalog: catalog_delta(pstats.catalog, catalog_before),
-                cold: LatencySummary::of(
-                    samples
-                        .iter()
-                        .filter(|(c, _)| *c)
-                        .map(|(_, l)| *l)
-                        .collect(),
-                ),
-                warm: LatencySummary::of(
-                    samples
-                        .iter()
-                        .filter(|(c, _)| !*c)
-                        .map(|(_, l)| *l)
-                        .collect(),
-                ),
+                cold: LatencySummary::of(samples.iter().filter(|(c, _)| *c).map(|(_, l)| *l)),
+                warm: LatencySummary::of(samples.iter().filter(|(c, _)| !*c).map(|(_, l)| *l)),
             });
         }
         resident.shutdown();

@@ -22,6 +22,7 @@
 //! observations that committed at least one zone event).
 
 use crate::config::uji_config;
+use crate::latency::LatencySummary;
 use crate::runners::RunnerResult;
 use crate::{write_artifact, Scale};
 use noble::wifi::tracking::SmootherConfig;
@@ -34,40 +35,6 @@ use noble_serve::{
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// Latency percentile summary (microseconds).
-struct LatencySummary {
-    count: usize,
-    p50_us: u128,
-    p99_us: u128,
-    max_us: u128,
-}
-
-impl LatencySummary {
-    fn of(mut samples: Vec<u128>) -> Self {
-        samples.sort_unstable();
-        let pick = |pct: f64| -> u128 {
-            if samples.is_empty() {
-                0
-            } else {
-                samples[((samples.len() - 1) as f64 * pct).round() as usize]
-            }
-        };
-        LatencySummary {
-            count: samples.len(),
-            p50_us: pick(0.50),
-            p99_us: pick(0.99),
-            max_us: samples.last().copied().unwrap_or(0),
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-            self.count, self.p50_us, self.p99_us, self.max_us
-        )
-    }
-}
 
 /// Devices that stop observing when the churn phase begins.
 fn is_dropout(device: DeviceId) -> bool {
@@ -121,8 +88,7 @@ pub fn run(scale: Scale) -> RunnerResult {
     // paging *pressure* is exp_serving's subject; here the fix tier just
     // needs to stay off the session layer's critical path.
     let store = MemStore::new();
-    registry.save_to(&store)?;
-    drop(registry);
+    ModelCatalog::from(registry).export_to(&store)?;
     let catalog =
         ModelCatalog::with_store(CatalogBudget::Count(keys.len().max(2)), Box::new(store))?;
     // Zero coalescing budget: session clients are synchronous (one
@@ -135,7 +101,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         away_timeout: Some(1),
         ..BatchConfig::default()
     };
-    let server = TrackingServer::start_paged(
+    let server = TrackingServer::start(
         catalog,
         ZoneSet::building_grid(&campaign.map, 2, 2)?,
         Some(campaign.map.clone()),

@@ -23,9 +23,9 @@
 //! ticks so an un-honorable budget is observable.
 //!
 //! For serving, [`ModelCatalog::into_shared`] converts the catalog into
-//! a [`SharedCatalog`]: the thread-shared face that demand-paged shard
+//! a [`SharedCatalog`]: the thread-shared face that the server's shard
 //! workers lease models out of and release them back into
-//! ([`crate::BatchServer::start_paged`]). Faulting — store reads,
+//! ([`crate::BatchServer::start`]). Faulting — store reads,
 //! hydration, retraining — runs *outside* the shared state lock, so
 //! concurrently faulting shards overlap instead of queueing behind one
 //! another; only same-shard lease/release pairs are serialized.
@@ -80,8 +80,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Memory envelope of the resident tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CatalogBudget {
-    /// No bound: every model stays resident (the legacy registry
-    /// behavior).
+    /// No bound: every model stays resident (what a trained
+    /// [`crate::ShardedRegistry`] converts into).
     Unbounded,
     /// At most this many resident models.
     Count(usize),
@@ -282,25 +282,6 @@ impl ModelCatalog {
         })
     }
 
-    /// Adopts every shard of an eagerly trained registry under a budget
-    /// (the migration path from the legacy grow-only registry).
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelCatalog::with_store`]; propagates write-through
-    /// failures while evicting down to the budget.
-    pub fn adopt(
-        registry: crate::ShardedRegistry,
-        budget: CatalogBudget,
-        store: Box<dyn ModelStore>,
-    ) -> Result<Self, ServeError> {
-        let mut catalog = Self::with_store(budget, store)?;
-        for (key, model) in registry.into_shards() {
-            catalog.insert_sited(key, model)?;
-        }
-        Ok(catalog)
-    }
-
     /// The configured budget.
     pub fn budget(&self) -> CatalogBudget {
         self.budget
@@ -323,22 +304,10 @@ impl ModelCatalog {
         key: ShardKey,
         localizer: Box<dyn Localizer>,
     ) -> Result<(), ServeError> {
-        self.insert_sited(
-            key,
-            Box::new(Sited {
-                site: key.to_string(),
-                inner: localizer,
-            }),
-        )
-    }
-
-    /// [`ModelCatalog::insert`] for a model whose site metadata is
-    /// already labeled (restores from a stopping `BatchServer`).
-    pub(crate) fn insert_sited(
-        &mut self,
-        key: ShardKey,
-        model: Box<dyn Localizer>,
-    ) -> Result<(), ServeError> {
+        let model: Box<dyn Localizer> = Box::new(Sited {
+            site: key.to_string(),
+            inner: localizer,
+        });
         // The byte budget needs each model's cost up front; the snapshot
         // is only built when that budget is active — and since it is in
         // hand, write it through now so a later eviction of this shard
@@ -502,21 +471,10 @@ impl ModelCatalog {
         Ok(self.resident.len())
     }
 
-    /// Consumes the catalog into its *resident* `(key, model)` pairs (the
-    /// batch server hand-off; cold tiers are dropped with the catalog —
-    /// persist them first via the shared store or
-    /// [`ModelCatalog::export_to`]).
-    pub fn into_shards(self) -> Vec<(ShardKey, Box<dyn Localizer>)> {
-        self.resident
-            .into_iter()
-            .map(|(k, r)| (k, r.model))
-            .collect()
-    }
-
-    /// Converts the catalog into its thread-shared face for demand-paged
-    /// serving (see [`SharedCatalog`]). All three tiers carry over:
-    /// resident models become the parked tier, the store and spec tiers
-    /// serve cold faults.
+    /// Converts the catalog into its thread-shared face for serving (see
+    /// [`SharedCatalog`]). All three tiers carry over: resident models
+    /// become the parked tier, the store and spec tiers serve cold
+    /// faults.
     pub fn into_shared(self) -> SharedCatalog {
         let active = self
             .resident
@@ -727,8 +685,8 @@ struct SharedState {
     stats: CatalogStats,
 }
 
-/// The thread-shared face of a [`ModelCatalog`], built for demand-paged
-/// serving ([`crate::BatchServer::start_paged`]).
+/// The thread-shared face of a [`ModelCatalog`], built for serving
+/// ([`crate::BatchServer::start`]).
 ///
 /// Shard workers *lease* a model out of the catalog on their first
 /// request (a parked-tier hit, a store-tier hydration, or a spec-tier
@@ -750,7 +708,7 @@ pub struct SharedCatalog {
     /// Signals lease releases and activation completions (same-shard
     /// waiters re-check here).
     released: Condvar,
-    /// Bumped on every activation/rollback. Paged workers cache the value
+    /// Bumped on every activation/rollback. Shard workers cache the value
     /// and re-check it between batches — one relaxed atomic load per
     /// batch — so a version bump is picked up at a batch boundary without
     /// ever taking the state lock on the fast path.
@@ -772,7 +730,7 @@ impl fmt::Debug for SharedCatalog {
 
 impl SharedCatalog {
     /// The configured budget (enforced across *leased* models by the
-    /// paged server, and across parked models when converting back to a
+    /// server, and across parked models when converting back to a
     /// [`ModelCatalog`]).
     pub fn budget(&self) -> CatalogBudget {
         self.budget
@@ -1017,28 +975,11 @@ impl SharedCatalog {
         drop(stale);
     }
 
-    /// Takes every parked model out of the catalog without budget
-    /// trimming (the registry hand-off: the caller wants the live models
-    /// themselves, not a budget-enforced resident tier). Stored
-    /// snapshots and specs stay behind and are dropped with `self`.
-    pub(crate) fn take_parked(&self) -> Vec<(ShardKey, Box<dyn Localizer>)> {
-        let mut state = relock(&self.state);
-        // A leftover pending activation (its lease was never released)
-        // supersedes the parked generation of the same key.
-        let pending = std::mem::take(&mut state.pending);
-        let mut parked = std::mem::take(&mut state.parked);
-        parked.extend(pending);
-        parked
-            .into_iter()
-            .map(|(key, resident)| (key, resident.model))
-            .collect()
-    }
-
     /// Drains the shared state back into a single-threaded
     /// [`ModelCatalog`] (parked models become the resident tier, trimmed
     /// back under the budget with write-through evictions). Any model
     /// still leased when this runs stays with its worker and is simply
-    /// absent — the paged server only calls this after joining every
+    /// absent — the server only calls this after joining every
     /// worker.
     ///
     /// # Errors

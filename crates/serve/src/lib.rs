@@ -12,39 +12,42 @@
 //!   ([`noble::hydrate`], bit-identical) or retrain on demand from a
 //!   registered [`TrainSpec`]; eviction writes through to the store so
 //!   a model is never lost.
-//! - [`ShardedRegistry`] (now a thin façade over an unbounded catalog)
-//!   partitions a campaign by building/floor [`ShardKey`], trains (or
-//!   accepts) one model per shard with order-free derived seeds and
-//!   bounded per-shard memory, and routes feature batches to the owning
-//!   shard — an unknown key is the typed [`ServeError::UnknownShard`],
-//!   never a panic. The catalog is the single source of truth for model
-//!   version lineage; registry-served shards are frozen at their
-//!   training-time weights.
-//! - [`BatchServer`] micro-batches concurrently arriving fixes under a
-//!   configurable latency budget / max batch size ([`BatchConfig`])
-//!   before one stacked `localize_batch` call; per-request reply
-//!   channels carry results back, [`BatchServer::shutdown`] drains
-//!   gracefully, [`BatchServer::stats`] reports per-shard
-//!   throughput/latency, and [`BatchServer::start_from_store`]
-//!   warm-restarts straight from persisted snapshots, skipping
-//!   retraining entirely. It runs in one of two disciplines:
-//!   [`BatchServer::start`] keeps every shard's model and worker alive
-//!   (fully resident), while [`BatchServer::start_paged`] **demand-pages
-//!   shards over a shared catalog** — workers fault models in on a
-//!   shard's first request and spin down when idle or when a colder
-//!   shard needs their budget slot, so one process serves strictly more
-//!   shards than fit under the [`CatalogBudget`]
-//!   ([`BatchServer::paged_stats`] counts faults, spin-downs and drains).
-//! - [`Refresher`] ([`BatchServer::refresher`], demand-paged servers
-//!   only) is the online-learning tier: served fixes and ground-truth
-//!   corrections accumulate in a bounded per-shard [`ObservationBuffer`]
-//!   ([`BufferLimits`]), and [`Refresher::refresh`] retrains a copy of
-//!   the shard model off the serving path, archives it through the
-//!   [`ModelStore`] as the next version, and atomically activates it at
-//!   a batch boundary — never mid-batch. Every version is archived
-//!   before it serves, so [`Refresher::rollback`] restores any prior
-//!   version bit-identically, and answers within a pinned version are
-//!   bit-stable (pinned by the `refresh_determinism` suite).
+//! - [`ShardedRegistry`] is the eager-training hand-off: it partitions a
+//!   campaign by building/floor [`ShardKey`] and trains (or accepts) one
+//!   model per shard with order-free derived seeds and bounded per-shard
+//!   memory, then converts into an unbounded [`ModelCatalog`] of parked
+//!   models. The catalog is the single source of truth for routing,
+//!   persistence and model version lineage.
+//! - [`BatchServer`] is the one serving engine. [`BatchServer::start`]
+//!   takes anything that converts into a [`ModelCatalog`] and
+//!   **demand-pages shards over it**: a shard's first request spawns its
+//!   worker, which leases the model (a parked model as-is, else a
+//!   hydrate or retrain) and micro-batches concurrently arriving fixes
+//!   under a configurable latency budget / max batch size
+//!   ([`BatchConfig`]) into one stacked `localize_batch` call;
+//!   per-request reply channels carry results back. Workers spin down
+//!   when idle or when a colder shard needs their budget slot, so one
+//!   process serves strictly more shards than fit under the
+//!   [`CatalogBudget`] — and over an unbounded catalog (a trained
+//!   registry) every worker simply stays hot, i.e. fully resident.
+//!   [`BatchServer::shutdown`] drains gracefully,
+//!   [`BatchServer::shutdown_with_catalog`] hands every tier back for a
+//!   restart, [`BatchServer::stats`] reports per-shard
+//!   throughput/latency and [`BatchServer::paged_stats`] counts faults,
+//!   spin-downs and drains. A catalog over an existing [`FsStore`]
+//!   ([`ModelCatalog::with_store`]) warm-restarts straight from
+//!   persisted snapshots, skipping retraining entirely.
+//! - [`Refresher`] ([`BatchServer::refresher`]) is the online-learning
+//!   tier: served fixes and ground-truth corrections accumulate in a
+//!   bounded per-shard [`ObservationBuffer`] ([`BufferLimits`]), and
+//!   [`Refresher::refresh`] retrains a copy of the shard model off the
+//!   serving path, archives it through the [`ModelStore`] as the next
+//!   version, and atomically activates it at a batch boundary — never
+//!   mid-batch. Every version is archived before it serves, so
+//!   [`Refresher::rollback`] restores any prior version bit-identically,
+//!   and answers within a pinned version are bit-stable (pinned by the
+//!   `refresh_determinism` suite). Refresh retrains from a shard's
+//!   registered [`TrainSpec`].
 //! - [`TrackingServer`] adds the stateful per-device layer: a
 //!   [`SessionTable`] of independently locked shards holds one session
 //!   per device (trajectory smoother, bounded track buffer, zone

@@ -1,9 +1,7 @@
-//! Online refresh: versioned live model updates for a demand-paged
-//! server.
+//! Online refresh: versioned live model updates for a running server.
 //!
-//! A [`Refresher`] rides next to a running
-//! [`crate::BatchServer::start_paged`] server and closes the loop
-//! between serving and training:
+//! A [`Refresher`] rides next to a running [`crate::BatchServer`] and
+//! closes the loop between serving and training:
 //!
 //! 1. **observe** — served fixes and ground-truth *corrections* stream
 //!    into a bounded per-shard [`ObservationBuffer`]
@@ -32,7 +30,7 @@
 
 use crate::buffer::{BufferLimits, Observation, ObservationBuffer, ObservationKind, PushOutcome};
 use crate::catalog::TrainSpec;
-use crate::server::PagedEngine;
+use crate::server::ServerCore;
 use crate::sync::relock;
 use crate::{shard_seed, ServeError, ShardKey};
 use noble::wifi::WifiNoble;
@@ -80,16 +78,15 @@ pub struct BufferStats {
     pub evicted_corrections: u64,
 }
 
-/// The online-refresh companion of a demand-paged [`crate::BatchServer`]
-/// (see the module docs; obtain one via
-/// [`crate::BatchServer::refresher`]).
+/// The online-refresh companion of a [`crate::BatchServer`] (see the
+/// module docs; obtain one via [`crate::BatchServer::refresher`]).
 ///
-/// Clone-free sharing: the refresher holds the same engine `Arc` the
+/// Clone-free sharing: the refresher holds the same state `Arc` the
 /// server's workers do, so it stays valid for the server's lifetime and
 /// multiple refreshers over one server see the same catalog (though the
 /// per-shard activation lock serializes their refresh cycles anyway).
 pub struct Refresher {
-    engine: Arc<PagedEngine>,
+    core: Arc<ServerCore>,
     cfg: RefreshConfig,
     /// Per-shard evidence. Locked only for buffer bookkeeping — never
     /// held across training or catalog calls.
@@ -107,9 +104,9 @@ impl std::fmt::Debug for Refresher {
 }
 
 impl Refresher {
-    pub(crate) fn new(engine: Arc<PagedEngine>, cfg: RefreshConfig) -> Self {
+    pub(crate) fn new(core: Arc<ServerCore>, cfg: RefreshConfig) -> Self {
         Refresher {
-            engine,
+            core,
             cfg,
             buffers: Mutex::new(BTreeMap::new()),
         }
@@ -154,12 +151,12 @@ impl Refresher {
         rssi: Vec<f64>,
         position: Point,
     ) -> Result<PushOutcome, ServeError> {
-        if !self.engine.keys.contains(&key) {
+        if !self.core.keys.contains(&key) {
             return Err(ServeError::UnknownShard(key));
         }
         // The spec tier is immutable after start, so width validation
         // never touches a lock.
-        if let Some(spec) = self.engine.catalog.spec_of(key) {
+        if let Some(spec) = self.core.catalog.spec_of(key) {
             if let TrainSpec::Wifi { campaign, .. } = spec.as_ref() {
                 let expected = campaign.num_waps();
                 if rssi.len() != expected {
@@ -210,10 +207,10 @@ impl Refresher {
     /// or is not a WiFi shard; propagates training and store failures
     /// (the current version keeps serving on any error).
     pub fn refresh(&self, key: ShardKey) -> Result<RefreshOutcome, ServeError> {
-        if !self.engine.keys.contains(&key) {
+        if !self.core.keys.contains(&key) {
             return Err(ServeError::UnknownShard(key));
         }
-        let spec = self.engine.catalog.spec_of(key).ok_or_else(|| {
+        let spec = self.core.catalog.spec_of(key).ok_or_else(|| {
             ServeError::InvalidConfig(format!(
                 "shard {key} has no registered training spec to refresh against"
             ))
@@ -247,7 +244,7 @@ impl Refresher {
             });
         }
         let base = cfg.clone();
-        let version = self.engine.catalog.activate(key, |version| {
+        let version = self.core.catalog.activate(key, |version| {
             let mut shard_cfg = base.clone();
             // Version joins the seed derivation chain so every
             // generation is replayable from (base, key, version) alone.
@@ -277,13 +274,13 @@ impl Refresher {
     /// [`ServeError::UnknownVersion`] when `version` was never archived
     /// for `key`; propagates store and hydration failures.
     pub fn rollback(&self, key: ShardKey, version: u64) -> Result<(), ServeError> {
-        self.engine.catalog.rollback(key, version)
+        self.core.catalog.rollback(key, version)
     }
 
     /// The version `key` currently serves (`0` = the offline
     /// generation).
     pub fn active_version(&self, key: ShardKey) -> u64 {
-        self.engine.catalog.active_version(key)
+        self.core.catalog.active_version(key)
     }
 
     /// Every archived version for `key`, ascending.
@@ -292,6 +289,6 @@ impl Refresher {
     ///
     /// Propagates store failures.
     pub fn versions(&self, key: ShardKey) -> Result<Vec<u64>, ServeError> {
-        self.engine.catalog.archived_versions(key)
+        self.core.catalog.archived_versions(key)
     }
 }

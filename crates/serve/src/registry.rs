@@ -1,13 +1,11 @@
-//! Shard-routed model registry: partitions a campaign by building/floor
-//! key, trains (or accepts) one [`Localizer`] per shard, and routes
-//! feature batches to the owning shard.
+//! Shard keys and campaign partitioning, plus the eager-training
+//! registry: partitions a campaign by building/floor key and trains (or
+//! accepts) one [`Localizer`] per shard for [`crate::BatchServer`].
 
-use crate::{CatalogBudget, ModelCatalog, ModelStore, ServeError};
+use crate::{CatalogBudget, ModelCatalog, ServeError};
 use noble::wifi::{WifiNoble, WifiNobleConfig};
-use noble::{Localizer, LocalizerInfo};
+use noble::Localizer;
 use noble_datasets::{WifiCampaign, WifiSample};
-use noble_geo::Point;
-use noble_linalg::Matrix;
 use noble_nn::derive_seed;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -151,35 +149,18 @@ pub fn partition_campaign(
     shards
 }
 
-/// A keyed collection of per-shard localizers — now a thin façade over
-/// the capacity-managed [`ModelCatalog`], kept so existing call sites
-/// and suites compile unchanged.
+/// A keyed collection of eagerly trained per-shard localizers: the
+/// hand-off from training to serving.
 ///
-/// **Deprecated as a primary API**: the registry keeps *every* model
-/// resident (an unbounded catalog), which is exactly the grow-only
-/// memory behavior [`ModelCatalog`] was built to replace — and it is
-/// invisible to the versioned-model machinery: model version lineage
-/// (activation, rollback, archived snapshots) lives solely in the
-/// shared catalog behind a demand-paged server, so registry-served
-/// shards are frozen at their training-time weights with no online
-/// refresh. Migrate in two steps:
-///
-/// 1. build a [`ModelCatalog`] with a [`CatalogBudget`] and usually a
-///    [`crate::FsStore`] — either directly
-///    ([`ModelCatalog::register_wifi_campaign`] /
-///    [`ModelCatalog::register_imu_campaign`] for lazy training) or via
-///    [`ShardedRegistry::into_catalog`] for an already-trained registry;
-/// 2. serve it demand-paged with [`crate::BatchServer::start_paged`],
-///    which replaces the one-worker-per-shard assumption of
-///    [`crate::BatchServer::start`] with request-driven shard
-///    spin-up/spin-down under the same budget — and is the only serving
-///    discipline that supports live model refresh
-///    ([`crate::BatchServer::refresher`] / [`crate::Refresher`]).
-///
-/// Routing is by exact [`ShardKey`]; an unknown key is the typed
-/// [`ServeError::UnknownShard`], never a panic. The registry is the
-/// hand-off point to [`crate::BatchServer`], which moves each shard's
-/// model onto its own worker thread.
+/// [`ShardedRegistry::train_wifi`] trains every shard up front (the lazy
+/// alternative is [`ModelCatalog::register_wifi_campaign`]), and
+/// [`crate::BatchServer::start`] takes the registry through
+/// `From<ShardedRegistry> for ModelCatalog`: an unbounded catalog whose
+/// models are already parked, so the server serves them fully resident.
+/// Everything past training — routing, persistence
+/// ([`ModelCatalog::export_to`]), budgets, and online refresh — lives on
+/// the catalog and the server. Refresh retrains from a registered
+/// [`crate::TrainSpec`], which a registry's shards do not carry.
 pub struct ShardedRegistry {
     catalog: ModelCatalog,
 }
@@ -299,78 +280,5 @@ impl ShardedRegistry {
     /// Shard keys in sorted order.
     pub fn keys(&self) -> Vec<ShardKey> {
         self.catalog.resident_keys()
-    }
-
-    /// Metadata of every shard, in key order.
-    pub fn info(&self) -> Vec<LocalizerInfo> {
-        self.catalog.info()
-    }
-
-    /// Mutable access to the localizer serving `key`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownShard`] when no shard owns `key`.
-    pub fn get_mut(&mut self, key: ShardKey) -> Result<&mut (dyn Localizer + '_), ServeError> {
-        self.catalog.get_mut(key)
-    }
-
-    /// Routes a feature batch to its shard and localizes it (the direct,
-    /// unbatched serving path; [`crate::BatchServer`] is the coalescing
-    /// one).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownShard`] on an unroutable key; propagates model
-    /// failures as [`ServeError::Model`].
-    pub fn localize(&mut self, key: ShardKey, features: &Matrix) -> Result<Vec<Point>, ServeError> {
-        self.catalog.localize(key, features)
-    }
-
-    /// Snapshots every shard model into `store` so a later
-    /// [`crate::BatchServer::start_from_store`] can warm-restart serving
-    /// without retraining. Returns how many snapshots were written.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::NotSnapshotable`] when a shard's model cannot
-    /// serialize itself; propagates store failures.
-    pub fn save_to(&self, store: &dyn ModelStore) -> Result<usize, ServeError> {
-        self.catalog.export_to(store)
-    }
-
-    /// Upgrades the registry into a capacity-managed [`ModelCatalog`]
-    /// (the migration path off this façade): every trained shard moves
-    /// into the catalog, which then enforces `budget` against `store`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelCatalog::adopt`].
-    pub fn into_catalog(
-        self,
-        budget: CatalogBudget,
-        store: Box<dyn ModelStore>,
-    ) -> Result<ModelCatalog, ServeError> {
-        ModelCatalog::adopt(self, budget, store)
-    }
-
-    /// Consumes the registry into `(key, localizer)` pairs for the batch
-    /// server's per-shard workers.
-    pub fn into_shards(self) -> Vec<(ShardKey, Box<dyn Localizer>)> {
-        self.catalog.into_shards()
-    }
-
-    /// Rebuilds a registry from already-sited shards handed back by a
-    /// stopping [`crate::BatchServer`] (no re-wrapping, no relabeling).
-    pub(crate) fn restore(shards: Vec<(ShardKey, Box<dyn Localizer>)>) -> Self {
-        let mut registry = ShardedRegistry::new();
-        for (key, model) in shards {
-            registry
-                .catalog
-                .insert_sited(key, model)
-                // noble-lint: allow(panic-path, "insert only fails on write-through eviction, which an unbounded catalog never performs; restore rebuilds a registry that held these models")
-                .expect("an unbounded catalog never evicts, so insert cannot fail");
-        }
-        registry
     }
 }

@@ -1,17 +1,21 @@
-//! The micro-batching request pipeline, in two serving disciplines.
+//! The micro-batching request pipeline: one demand-paged serving engine.
 //!
-//! [`BatchServer::start`] is the **fully-resident** server: one std
-//! worker thread per shard, every model materialized up front. Clients
-//! submit fingerprints tagged with a [`ShardKey`]; the shard's worker
-//! coalesces whatever arrives within a **latency budget** (or up to a
-//! **max batch size**) into one stacked [`Localizer::localize_batch`]
-//! call and fans the results back through per-request reply channels.
+//! [`BatchServer::start`] serves every shard of a [`crate::ModelCatalog`]
+//! — resident, stored, or merely spec-registered — while keeping only
+//! the catalog's [`crate::CatalogBudget`] worth of models (and worker
+//! threads) alive. Clients submit fingerprints tagged with a
+//! [`ShardKey`]; the shard's worker coalesces whatever arrives within a
+//! **latency budget** (or up to a **max batch size**) into one stacked
+//! [`Localizer::localize_batch`] call and fans the results back through
+//! per-request reply channels.
 //!
-//! [`BatchServer::start_paged`] is the **demand-paged** server: it
-//! serves every shard of a [`crate::ModelCatalog`] — resident, stored,
-//! or merely spec-registered — while keeping only the catalog's
-//! [`crate::CatalogBudget`] worth of models (and worker threads) alive.
-//! Each shard walks a four-state lifecycle:
+//! A fully-resident server is the same engine over an unbounded catalog
+//! whose models are already parked — which is what a trained
+//! [`crate::ShardedRegistry`] converts into. Start is lazy for every
+//! shard: a resident shard's first request spawns its worker and leases
+//! the parked model (no hydration), and without budget pressure or an
+//! idle TTL the worker then stays hot for the server's lifetime. Each
+//! shard walks a four-state lifecycle:
 //!
 //! ```text
 //!          submit() to a cold shard              lease() done
@@ -27,8 +31,9 @@
 //!
 //! - **COLD → WARMING**: the first request to a cold shard spawns its
 //!   worker and *parks* in the worker's queue; the worker leases the
-//!   model from the shared [`crate::SharedCatalog`] (hydrate or retrain,
-//!   outside any global lock, so concurrently warming shards overlap).
+//!   model from the shared [`crate::SharedCatalog`] (a parked model
+//!   as-is, else a hydrate or retrain outside any global lock, so
+//!   concurrently warming shards overlap).
 //! - **HOT → DRAINING**: a worker retires when it has been idle for
 //!   [`BatchConfig::idle_ttl`], or when a *colder* shard needs its
 //!   budget slot (the least-recently-active hot worker is drained — the
@@ -41,8 +46,8 @@
 //!
 //! Because model snapshot round-trips and key-derived retrains are
 //! bit-identical (pinned by the `snapshot_roundtrip` and `model_store`
-//! suites), a demand-paged server returns the **exact bits** the
-//! fully-resident server returns — oversubscription buys memory, never
+//! suites), an oversubscribed server returns the **exact bits** a
+//! fully-resident one returns — oversubscription buys memory, never
 //! changes answers (pinned by `serving_parity`).
 //!
 //! The container targets offline std-only builds, so there is no async
@@ -71,7 +76,7 @@
 //!     catalog.insert(ShardKey::building(i), Box::new(model))?;
 //! }
 //!
-//! let server = BatchServer::start_paged(
+//! let server = BatchServer::start(
 //!     catalog,
 //!     BatchConfig {
 //!         idle_ttl: Some(Duration::from_millis(50)),
@@ -84,7 +89,7 @@
 //!     let fix = client.localize(ShardKey::building(i), vec![0.0; campaign.num_waps()])?;
 //!     println!("b{i}: {fix}");
 //! }
-//! let paged = server.paged_stats().expect("paged server");
+//! let paged = server.paged_stats().expect("every server is paged");
 //! assert!(paged.faults >= 6);
 //! server.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -93,9 +98,7 @@
 use crate::catalog::SharedCatalog;
 use crate::refresh::{RefreshConfig, Refresher};
 use crate::sync::{relock, rewait_timeout};
-use crate::{
-    CatalogBudget, CatalogStats, ModelCatalog, ModelStore, ServeError, ShardKey, ShardedRegistry,
-};
+use crate::{CatalogBudget, CatalogStats, ModelCatalog, ServeError, ShardKey};
 use noble::{InferencePrecision, Localizer};
 use noble_geo::Point;
 use noble_linalg::Matrix;
@@ -115,11 +118,11 @@ pub struct BatchConfig {
     /// after the first request arrives. `ZERO` disables coalescing
     /// waits (each batch is whatever is already queued).
     pub latency_budget: Duration,
-    /// Demand-paged servers only ([`BatchServer::start_paged`]): how
-    /// long a hot shard worker sits with an empty queue before spinning
-    /// itself down (writing its model back through the store and
-    /// exiting). `None` — the default — means idle shards stay hot and
-    /// spin down only under budget pressure (the LRU drain policy).
+    /// How long a hot shard worker sits with an empty queue before
+    /// spinning itself down (writing its model back through the store
+    /// and exiting). `None` — the default — means idle shards stay hot
+    /// and spin down only under budget pressure (the LRU drain policy),
+    /// so under an unbounded catalog they never spin down.
     pub idle_ttl: Option<Duration>,
     /// Tracking-session servers only ([`crate::TrackingServer`]): number
     /// of independently locked shards the per-device session table is
@@ -140,7 +143,7 @@ pub struct BatchConfig {
     /// Inference tier shards serve in. `Exact` — the default — serves
     /// the f64 models untouched (bit-identical to every earlier
     /// release). `F32` / `Int8` lower each model once, off the hot path
-    /// (at resident startup, or right after a paged fault-in), via
+    /// (right after its worker leases it), via
     /// [`Localizer::try_lower`]; models that cannot lower (e.g. the kNN
     /// radio map) keep serving exact. Lowered shards stay within the
     /// tier's accuracy gate, and persistence write-through always
@@ -164,12 +167,10 @@ impl Default for BatchConfig {
 
 /// Lowers a leased model into `precision` when requested and possible,
 /// *discarding* the exact progenitor; models that cannot lower (or an
-/// `Exact` config) serve unchanged. Paged workers use this at fault-in —
-/// dropping the f64 model is the point (only the lowered twin stays
-/// resident), and persistence is safe because the twin's snapshot is the
-/// progenitor's exact state. The fully-resident server stashes the
-/// progenitor instead (see [`BatchServer::start`]) so shutdown hands
-/// exact models back.
+/// `Exact` config) serve unchanged. Workers use this right after the
+/// lease — dropping the f64 model is the point (only the lowered twin
+/// stays resident), and persistence is safe because the twin's snapshot
+/// is the progenitor's exact state.
 fn lower_for_serving(
     model: Box<dyn Localizer>,
     precision: InferencePrecision,
@@ -301,11 +302,10 @@ enum Job {
         enqueued: Instant,
         reply: Sender<Result<Point, ServeError>>,
     },
-    /// Paged only: retire after serving everything queued ahead of this
-    /// marker; write the model back through the store and free it.
+    /// Retire after serving everything queued ahead of this marker;
+    /// write the model back through the store and free it.
     Drain,
-    /// Retire after serving the backlog. A static worker returns its
-    /// model to the caller; a paged worker parks it in the shared
+    /// Retire after serving the backlog and park the model in the shared
     /// catalog.
     Shutdown,
 }
@@ -329,75 +329,35 @@ impl PendingFix {
     }
 
     /// Whether this fix found its shard cold (or still warming) and had
-    /// to park while the model faulted in — always `false` on a
-    /// fully-resident server. Latency-sensitive callers use this to
-    /// split cold-start tails from steady-state percentiles.
+    /// to park while the model faulted in. Start is lazy, so on a
+    /// fully-resident server this is `true` only for the fixes that
+    /// reach a shard before its worker's first lease. Latency-sensitive
+    /// callers use this to split cold-start tails from steady-state
+    /// percentiles.
     pub fn cold(&self) -> bool {
         self.cold
     }
 }
 
-/// One fully-resident shard's submission route: its worker's sender plus
-/// the gauges the submit path ticks.
-#[derive(Clone)]
-struct StaticRoute {
-    tx: Sender<Job>,
-    gauges: Arc<ShardGauges>,
-}
-
-/// Routing table behind a [`ServeClient`] (and the server itself).
-#[derive(Clone)]
-enum Router {
-    /// Fixed sender per shard, workers alive for the server's lifetime.
-    Static(BTreeMap<ShardKey, StaticRoute>),
-    /// Dynamic: senders appear and disappear as shards spin up and down.
-    Paged(Arc<PagedEngine>),
-}
-
 /// A cloneable submission handle onto a running [`BatchServer`].
 #[derive(Clone)]
 pub struct ServeClient {
-    router: Router,
+    core: Arc<ServerCore>,
 }
 
 impl ServeClient {
     /// Enqueues one fingerprint for `key`'s shard and returns the pending
     /// reply without blocking (clients pipeline by submitting many fixes
-    /// before waiting — that depth is what the worker coalesces). On a
-    /// demand-paged server, a submit to a cold shard spins its worker up
-    /// and parks the request while the model faults in.
+    /// before waiting — that depth is what the worker coalesces). A
+    /// submit to a cold shard spins its worker up and parks the request
+    /// while the model faults in.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownShard`] for an unroutable key,
     /// [`ServeError::ShuttingDown`] when the server is stopping.
     pub fn submit(&self, key: ShardKey, fingerprint: Vec<f64>) -> Result<PendingFix, ServeError> {
-        match &self.router {
-            Router::Static(routes) => {
-                let route = routes.get(&key).ok_or(ServeError::UnknownShard(key))?;
-                let (tx, rx) = mpsc::channel();
-                // Gauges tick up *before* the send so the worker's
-                // matching decrement can never land first; a failed send
-                // takes them back down.
-                route.gauges.queued.fetch_add(1, Ordering::AcqRel);
-                route.gauges.in_flight.fetch_add(1, Ordering::AcqRel);
-                route
-                    .tx
-                    .send(Job::Fix {
-                        fingerprint,
-                        // noble-lint: allow(wall-clock, "enqueue stamp feeds latency metrics only; results never read it")
-                        enqueued: Instant::now(),
-                        reply: tx,
-                    })
-                    .map_err(|_| {
-                        ShardGauges::dec(&route.gauges.queued);
-                        ShardGauges::dec(&route.gauges.in_flight);
-                        ServeError::ShuttingDown
-                    })?;
-                Ok(PendingFix { rx, cold: false })
-            }
-            Router::Paged(engine) => engine.submit(key, fingerprint),
-        }
+        self.core.submit(key, fingerprint)
     }
 
     /// Submits and blocks for the result (the per-fix convenience path).
@@ -411,10 +371,7 @@ impl ServeClient {
 
     /// Keys this client can route to.
     pub fn keys(&self) -> Vec<ShardKey> {
-        match &self.router {
-            Router::Static(routes) => routes.keys().copied().collect(),
-            Router::Paged(engine) => engine.keys.iter().copied().collect(),
-        }
+        self.core.keys.iter().copied().collect()
     }
 
     /// Whole-server queue gauge snapshot (see
@@ -422,22 +379,8 @@ impl ServeClient {
     /// admission layer holding only a [`ServeClient`] can read its
     /// watermarks without a reference to the server.
     pub fn server_stats(&self) -> ServerStats {
-        match &self.router {
-            Router::Static(routes) => sum_gauges(routes.values().map(|r| r.gauges.as_ref())),
-            Router::Paged(engine) => sum_gauges(engine.gauges.values().map(Arc::as_ref)),
-        }
+        self.core.server_stats()
     }
-}
-
-/// Sums per-shard gauges into a [`ServerStats`] snapshot.
-fn sum_gauges<'a>(gauges: impl Iterator<Item = &'a ShardGauges>) -> ServerStats {
-    let mut out = ServerStats::default();
-    for g in gauges {
-        out.queue_depth += g.queued.load(Ordering::Acquire);
-        out.in_flight += g.in_flight.load(Ordering::Acquire);
-        out.shards += 1;
-    }
-    out
 }
 
 /// A shard's routing slot. Absent from the map = COLD (no worker).
@@ -475,8 +418,9 @@ struct Slots {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Shared state of a demand-paged server.
-pub(crate) struct PagedEngine {
+/// Shared state of a running server: its catalog, routing slots and
+/// counters, held by the server, every client and every shard worker.
+pub(crate) struct ServerCore {
     pub(crate) catalog: SharedCatalog,
     cfg: BatchConfig,
     /// Routable keys, fixed at start (the catalog's keys).
@@ -494,7 +438,18 @@ pub(crate) struct PagedEngine {
     paged: Mutex<PagedStats>,
 }
 
-impl PagedEngine {
+impl ServerCore {
+    /// Sums the per-shard gauges into a [`ServerStats`] snapshot.
+    fn server_stats(&self) -> ServerStats {
+        let mut out = ServerStats::default();
+        for g in self.gauges.values() {
+            out.queue_depth += g.queued.load(Ordering::Acquire);
+            out.in_flight += g.in_flight.load(Ordering::Acquire);
+            out.shards += 1;
+        }
+        out
+    }
+
     fn submit(
         self: &Arc<Self>,
         key: ShardKey,
@@ -574,7 +529,7 @@ impl PagedEngine {
             }
         }
         let (tx, rx) = mpsc::channel::<Job>();
-        let engine = Arc::clone(self);
+        let core = Arc::clone(self);
         let shard_stats = Arc::clone(&self.stats[&key]);
         let shard_gauges = Arc::clone(&self.gauges[&key]);
         // Spawn before publishing the slot: a spawn failure must not
@@ -582,7 +537,7 @@ impl PagedEngine {
         let handle = std::thread::Builder::new()
             .name(format!("noble-page-{key}"))
             .spawn(move || {
-                noble_linalg::as_worker(|| paged_worker(engine, key, rx, shard_stats, shard_gauges))
+                noble_linalg::as_worker(|| paged_worker(core, key, rx, shard_stats, shard_gauges))
             })
             .map_err(|e| {
                 ServeError::Internal(format!("cannot spawn worker for shard {key}: {e}"))
@@ -657,7 +612,7 @@ impl PagedEngine {
     }
 }
 
-/// How a paged worker retires.
+/// How a shard worker retires.
 enum Retire {
     /// Write the model back through the store and free it. `requested`
     /// distinguishes a budget-pressure drain (counted in
@@ -668,11 +623,11 @@ enum Retire {
     Park,
 }
 
-/// A demand-paged shard worker: claim a budget slot (draining an LRU
+/// A shard worker: claim a budget slot (draining an LRU
 /// victim if the server is at capacity), lease the model, serve batches,
 /// retire. See the module docs for the state diagram.
 fn paged_worker(
-    engine: Arc<PagedEngine>,
+    core: Arc<ServerCore>,
     key: ShardKey,
     rx: Receiver<Job>,
     stats: Arc<Mutex<ShardStats>>,
@@ -680,49 +635,50 @@ fn paged_worker(
 ) {
     // ---- WARMING: claim an occupancy slot under the budget. ----
     {
-        let mut slots = relock(&engine.slots);
-        loop {
+        let mut slots = relock(&core.slots);
+        // Fixes parked before shutdown began are a backlog like any
+        // other: a worker the budget admits straight away (always, under
+        // an unbounded catalog) serves them before it parks. Only a
+        // worker that has to wait for budget room gives up on shutdown.
+        while !core.admit(&slots) {
+            // Ask for one victim at a time: while a drain is already in
+            // flight (its worker is writing the model back), re-polls
+            // must not keep retiring further hot shards.
+            if !core.room_already_coming(&slots) {
+                core.request_drain(&mut slots, key);
+            }
+            // Re-poll on a short timeout: the victim this round may still
+            // be WARMING (undrainable) — once it turns HOT a later pass
+            // drains it, so waiting must not be notification-only.
+            let (guard, _) = rewait_timeout(&core.room, slots, Duration::from_millis(5));
+            slots = guard;
             // A shutdown that lands while this worker is still waiting
             // for budget room must not fault a model in just to serve
             // the stragglers (a spec-only shard would *retrain* on the
             // shutdown path): reject everything parked behind the fault
             // with the typed error instead. The slot was already swept,
             // so nothing new can join the queue.
-            if engine.shutting_down.load(Ordering::Acquire) {
+            if core.shutting_down.load(Ordering::Acquire) {
                 drop(slots);
                 reject_parked(&rx, ServeError::ShuttingDown, &stats, &gauges);
                 return;
             }
-            if engine.admit(&slots) {
-                slots.occupancy += 1;
-                break;
-            }
-            // Ask for one victim at a time: while a drain is already in
-            // flight (its worker is writing the model back), re-polls
-            // must not keep retiring further hot shards.
-            if !engine.room_already_coming(&slots) {
-                engine.request_drain(&mut slots, key);
-            }
-            // Re-poll on a short timeout: the victim this round may still
-            // be WARMING (undrainable) — once it turns HOT a later pass
-            // drains it, so waiting must not be notification-only.
-            let (guard, _) = rewait_timeout(&engine.room, slots, Duration::from_millis(5));
-            slots = guard;
         }
+        slots.occupancy += 1;
     }
 
-    // ---- WARMING: fault the model in (no engine lock held). ----
-    let (model, cost, mut version) = match engine.catalog.lease(key) {
+    // ---- WARMING: fault the model in (no server lock held). ----
+    let (model, cost, mut version) = match core.catalog.lease(key) {
         Ok(leased) => leased,
         Err(e) => {
-            fail_cold(&engine, key, &rx, e, &stats, &gauges);
+            fail_cold(&core, key, &rx, e, &stats, &gauges);
             return;
         }
     };
     // Lowering happens here, once per fault, still off the hot path. The
     // lowered twin's snapshot is the progenitor's exact f64 state, so
     // drain write-through and shutdown parking stay full-precision.
-    let mut model = lower_for_serving(model, engine.cfg.precision);
+    let mut model = lower_for_serving(model, core.cfg.precision);
     // Budget accounting is pinned to the lease-time cost for the whole
     // worker lifetime (a mid-flight version swap of the same
     // architecture moves the estimate negligibly, and a stable figure
@@ -732,9 +688,9 @@ fn paged_worker(
     // The swap epoch this worker has observed; re-checked between
     // batches (one atomic load) so a version bump lands at a batch
     // boundary, never mid-batch.
-    let mut epoch = engine.catalog.epoch();
+    let mut epoch = core.catalog.epoch();
     {
-        let mut slots = relock(&engine.slots);
+        let mut slots = relock(&core.slots);
         slots.occupied_bytes += cost;
         slots.clock += 1;
         let now = slots.clock;
@@ -752,9 +708,9 @@ fn paged_worker(
         // least-recently-active peers if this one pushed past the bound —
         // counting the bytes already draining, so one oversized lease
         // retires only as many victims as the overshoot needs.
-        if let Some(bound) = engine.byte_budget {
+        if let Some(bound) = core.byte_budget {
             while slots.occupied_bytes.saturating_sub(slots.draining_bytes) > bound
-                && engine.request_drain(&mut slots, key)
+                && core.request_drain(&mut slots, key)
             {}
         }
     }
@@ -763,7 +719,7 @@ fn paged_worker(
     let mut feature_dim = model.info().feature_dim;
     let retire = 'serve: loop {
         // First job of a batch, honoring the idle TTL.
-        let job = match engine.cfg.idle_ttl {
+        let job = match core.cfg.idle_ttl {
             Some(ttl) => match rx.recv_timeout(ttl) {
                 Ok(job) => job,
                 Err(RecvTimeoutError::Timeout) => {
@@ -771,14 +727,14 @@ fn paged_worker(
                     // Submits send while holding the slots lock, so the
                     // emptiness check below is atomic with removing the
                     // slot.
-                    let mut slots = relock(&engine.slots);
+                    let mut slots = relock(&core.slots);
                     // noble-lint: allow(lock-discipline, "non-blocking try_recv, deliberately under the slots lock: the emptiness check must be atomic with removing the slot or a racing submit is dropped")
                     match rx.try_recv() {
                         Ok(job) => job,
                         Err(_) => {
                             slots.map.remove(&key);
                             drop(slots);
-                            relock(&engine.paged).idle_spin_downs += 1;
+                            relock(&core.paged).idle_spin_downs += 1;
                             break 'serve Retire::Cold { requested: false };
                         }
                     }
@@ -809,25 +765,25 @@ fn paged_worker(
         // this batch is served — every batch runs against exactly one
         // generation, and answers within a pinned version stay
         // bit-stable. An unchanged epoch is one atomic load.
-        let now_epoch = engine.catalog.epoch();
+        let now_epoch = core.catalog.epoch();
         if now_epoch != epoch {
             epoch = now_epoch;
             if let Some((fresh, fresh_cost, fresh_version)) =
-                engine.catalog.refresh_lease(key, version)
+                core.catalog.refresh_lease(key, version)
             {
-                model = lower_for_serving(fresh, engine.cfg.precision);
+                model = lower_for_serving(fresh, core.cfg.precision);
                 feature_dim = model.info().feature_dim;
                 cost = fresh_cost;
                 version = fresh_version;
-                relock(&engine.paged).refresh_swaps += 1;
+                relock(&core.paged).refresh_swaps += 1;
             }
         }
         let mut batch = vec![first];
         let mut retire_after = None;
-        if engine.cfg.max_batch > 1 {
+        if core.cfg.max_batch > 1 {
             // noble-lint: allow(wall-clock, "batching deadline only: batch boundaries never change answers (shape-invariant kernels)")
-            let deadline = Instant::now() + engine.cfg.latency_budget;
-            while batch.len() < engine.cfg.max_batch {
+            let deadline = Instant::now() + core.cfg.latency_budget;
+            while batch.len() < core.cfg.max_batch {
                 // noble-lint: allow(wall-clock, "remaining-budget poll for the coalescing wait; never feeds a result")
                 let wait = deadline.saturating_duration_since(Instant::now());
                 match rx.recv_timeout(wait) {
@@ -863,30 +819,30 @@ fn paged_worker(
 
     // ---- DRAINING: hand the model back, release the budget slot. ----
     match retire {
-        Retire::Cold { .. } => engine.catalog.release_cold(key, model, cost, version),
+        Retire::Cold { .. } => core.catalog.release_cold(key, model, cost, version),
         // A lowered twin never parks: parking would leave reduced-precision
         // state in the catalog's resident tier. Write it back through the
         // store instead (its snapshot is the progenitor's exact f64 state),
         // so the catalog only ever holds exact models.
-        Retire::Park if engine.cfg.precision != InferencePrecision::Exact => {
-            engine.catalog.release_cold(key, model, cost, version)
+        Retire::Park if core.cfg.precision != InferencePrecision::Exact => {
+            core.catalog.release_cold(key, model, cost, version)
         }
-        Retire::Park => engine.catalog.release_parked(key, model, cost, version),
+        Retire::Park => core.catalog.release_parked(key, model, cost, version),
     }
-    let mut slots = relock(&engine.slots);
+    let mut slots = relock(&core.slots);
     slots.occupancy -= 1;
     slots.occupied_bytes -= lease_cost;
     if let Retire::Cold { requested: true } = retire {
         slots.draining = slots.draining.saturating_sub(1);
         slots.draining_bytes = slots.draining_bytes.saturating_sub(lease_cost);
     }
-    engine.room.notify_all();
+    core.room.notify_all();
 }
 
 /// A warming worker whose lease failed: go cold and fail every request
 /// parked behind the fault with the lease error.
 fn fail_cold(
-    engine: &Arc<PagedEngine>,
+    core: &Arc<ServerCore>,
     key: ShardKey,
     rx: &Receiver<Job>,
     err: ServeError,
@@ -894,10 +850,10 @@ fn fail_cold(
     gauges: &ShardGauges,
 ) {
     {
-        let mut slots = relock(&engine.slots);
+        let mut slots = relock(&core.slots);
         slots.map.remove(&key);
         slots.occupancy -= 1;
-        engine.room.notify_all();
+        core.room.notify_all();
     }
     // Everything parked before the slot was removed is in the queue;
     // nothing new can arrive (the sender in the map was the last route).
@@ -938,111 +894,33 @@ fn reject_parked(
     }
 }
 
-/// The serving engine behind a [`BatchServer`].
-enum Engine {
-    Static {
-        routes: BTreeMap<ShardKey, StaticRoute>,
-        stats: BTreeMap<ShardKey, Arc<Mutex<ShardStats>>>,
-        workers: Vec<(ShardKey, JoinHandle<Box<dyn Localizer>>)>,
-        /// Exact progenitors of shards serving a lowered twin: held so
-        /// shutdown hands back full-precision models, not the twins.
-        exact: BTreeMap<ShardKey, Box<dyn Localizer>>,
-    },
-    Paged(Arc<PagedEngine>),
-}
-
 /// The running micro-batching server (see the module docs).
 pub struct BatchServer {
-    engine: Engine,
+    core: Arc<ServerCore>,
 }
 
 impl BatchServer {
-    /// Moves every shard of `registry` onto its own worker thread and
-    /// starts accepting requests (the fully-resident discipline — for
-    /// more shards than fit in memory, see [`BatchServer::start_paged`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::NoShards`] for an empty registry,
-    /// [`ServeError::InvalidConfig`] for a zero `max_batch`.
-    pub fn start(registry: ShardedRegistry, cfg: BatchConfig) -> Result<Self, ServeError> {
-        if registry.is_empty() {
-            return Err(ServeError::NoShards);
-        }
-        if cfg.max_batch == 0 {
-            return Err(ServeError::InvalidConfig("max_batch must be >= 1".into()));
-        }
-        let mut routes = BTreeMap::new();
-        let mut stats = BTreeMap::new();
-        let mut workers = Vec::new();
-        let mut exact = BTreeMap::new();
-        for (key, localizer) in registry.into_shards() {
-            // A lowered tier serves the twin but keeps the exact
-            // progenitor parked: shutdown_with_registry must hand back
-            // full-precision models (and a restart may pick a different
-            // tier). Models that cannot lower keep serving exact.
-            let localizer = if cfg.precision == InferencePrecision::Exact {
-                localizer
-            } else {
-                match localizer.try_lower(cfg.precision) {
-                    Some(twin) => {
-                        exact.insert(key, localizer);
-                        twin
-                    }
-                    None => localizer,
-                }
-            };
-            let (tx, rx) = mpsc::channel::<Job>();
-            let shard_stats = Arc::new(Mutex::new(ShardStats::default()));
-            let worker_stats = Arc::clone(&shard_stats);
-            let shard_gauges = Arc::new(ShardGauges::default());
-            let worker_gauges = Arc::clone(&shard_gauges);
-            // Workers spawned before a failure wind down on their own:
-            // dropping `routes` disconnects their channels.
-            let handle = std::thread::Builder::new()
-                .name(format!("noble-serve-{key}"))
-                .spawn(move || {
-                    noble_linalg::as_worker(|| {
-                        shard_worker(localizer, key, rx, cfg, &worker_stats, &worker_gauges)
-                    })
-                })
-                .map_err(|e| {
-                    ServeError::Internal(format!("cannot spawn worker for shard {key}: {e}"))
-                })?;
-            routes.insert(
-                key,
-                StaticRoute {
-                    tx,
-                    gauges: shard_gauges,
-                },
-            );
-            stats.insert(key, shard_stats);
-            workers.push((key, handle));
-        }
-        Ok(BatchServer {
-            engine: Engine::Static {
-                routes,
-                stats,
-                workers,
-                exact,
-            },
-        })
-    }
-
-    /// Starts a **demand-paged** server over every shard the catalog can
-    /// serve — resident models, stored snapshots, and registered
-    /// [`crate::TrainSpec`]s alike. Workers fault models in through the
+    /// Starts serving every shard the catalog can serve — resident
+    /// models, stored snapshots, and registered [`crate::TrainSpec`]s
+    /// alike. A trained [`crate::ShardedRegistry`] converts into an
+    /// unbounded catalog of parked models, so `start(registry, cfg)`
+    /// serves it fully resident. Workers fault models in through the
     /// shared catalog on a shard's first request and spin down under the
     /// idle TTL or budget pressure (see the module docs), so one process
     /// serves strictly more shards than the catalog's
     /// [`crate::CatalogBudget`] allows resident, with answers
-    /// bit-identical to the fully-resident server.
+    /// bit-identical to a fully-resident server.
+    ///
+    /// Start is lazy: a corrupt stored snapshot surfaces as a typed
+    /// [`ServeError::BadSnapshot`] reply to the fixes that fault it in,
+    /// not here.
     ///
     /// # Errors
     ///
     /// [`ServeError::NoShards`] for an empty catalog,
     /// [`ServeError::InvalidConfig`] for a zero `max_batch`.
-    pub fn start_paged(catalog: ModelCatalog, cfg: BatchConfig) -> Result<Self, ServeError> {
+    pub fn start(catalog: impl Into<ModelCatalog>, cfg: BatchConfig) -> Result<Self, ServeError> {
+        let catalog = catalog.into();
         if catalog.is_empty() {
             return Err(ServeError::NoShards);
         }
@@ -1065,7 +943,7 @@ impl BatchServer {
             .map(|k| (*k, Arc::new(ShardGauges::default())))
             .collect();
         Ok(BatchServer {
-            engine: Engine::Paged(Arc::new(PagedEngine {
+            core: Arc::new(ServerCore {
                 catalog: shared,
                 cfg,
                 keys,
@@ -1085,75 +963,46 @@ impl BatchServer {
                 stats,
                 gauges,
                 paged: Mutex::new(PagedStats::default()),
-            })),
+            }),
         })
     }
 
-    /// Warm restart: hydrates every snapshot in `store` back into a
-    /// servable model ([`noble::hydrate`] — bit-identical to the model
-    /// that was saved) and starts serving. A restarted process skips
-    /// retraining entirely; combined with
-    /// [`crate::ShardedRegistry::save_to`] /
-    /// [`crate::ModelCatalog::export_to`] this closes the
-    /// train → save → restart → serve loop.
+    /// The same as [`BatchServer::start`], kept so callers written
+    /// against the former demand-paged constructor compile unchanged.
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoShards`] for an empty store,
-    /// [`ServeError::BadSnapshot`] for a corrupt stored model, plus
-    /// whatever [`BatchServer::start`] rejects.
-    pub fn start_from_store(store: &dyn ModelStore, cfg: BatchConfig) -> Result<Self, ServeError> {
-        let keys = store.list()?;
-        if keys.is_empty() {
-            return Err(ServeError::NoShards);
-        }
-        let mut registry = ShardedRegistry::new();
-        for key in keys {
-            let snapshot = store.get(key)?.ok_or(ServeError::UnknownShard(key))?;
-            let model = noble::hydrate(&snapshot)?;
-            registry.insert(key, model);
-        }
-        BatchServer::start(registry, cfg)
+    /// As [`BatchServer::start`].
+    pub fn start_paged(catalog: ModelCatalog, cfg: BatchConfig) -> Result<Self, ServeError> {
+        Self::start(catalog, cfg)
     }
 
     /// A new submission handle (cheap to clone per client thread).
     pub fn client(&self) -> ServeClient {
         ServeClient {
-            router: match &self.engine {
-                Engine::Static { routes, .. } => Router::Static(routes.clone()),
-                Engine::Paged(engine) => Router::Paged(Arc::clone(engine)),
-            },
+            core: Arc::clone(&self.core),
         }
     }
 
     /// Shard keys being served.
     pub fn keys(&self) -> Vec<ShardKey> {
-        match &self.engine {
-            Engine::Static { routes, .. } => routes.keys().copied().collect(),
-            Engine::Paged(engine) => engine.keys.iter().copied().collect(),
-        }
+        self.core.keys.iter().copied().collect()
     }
 
     /// Live per-shard statistics snapshot, in key order, with the queue
     /// gauges overlaid as of the read.
     pub fn stats(&self) -> Vec<(ShardKey, ShardStats)> {
-        fn overlay(s: &Arc<Mutex<ShardStats>>, g: &ShardGauges) -> ShardStats {
-            let mut snap = relock(s).clone();
-            snap.queue_depth = g.queued.load(Ordering::Acquire);
-            snap.in_flight = g.in_flight.load(Ordering::Acquire);
-            snap
-        }
-        match &self.engine {
-            Engine::Static { routes, stats, .. } => stats
-                .iter()
-                .map(|(k, s)| (*k, overlay(s, &routes[k].gauges)))
-                .collect(),
-            Engine::Paged(engine) => engine
-                .stats
-                .iter()
-                .map(|(k, s)| (*k, overlay(s, &engine.gauges[k])))
-                .collect(),
-        }
+        self.core
+            .stats
+            .iter()
+            .map(|(k, s)| {
+                let g = &self.core.gauges[k];
+                let mut snap = relock(s).clone();
+                snap.queue_depth = g.queued.load(Ordering::Acquire);
+                snap.in_flight = g.in_flight.load(Ordering::Acquire);
+                (*k, snap)
+            })
+            .collect()
     }
 
     /// Whole-server queue gauge snapshot: how much work is waiting and in
@@ -1161,51 +1010,43 @@ impl BatchServer {
     /// [`ServeClient::server_stats`]) is what the `noble-net` admission
     /// layer reads for its shedding watermarks.
     pub fn server_stats(&self) -> ServerStats {
-        match &self.engine {
-            Engine::Static { routes, .. } => sum_gauges(routes.values().map(|r| r.gauges.as_ref())),
-            Engine::Paged(engine) => sum_gauges(engine.gauges.values().map(Arc::as_ref)),
-        }
+        self.core.server_stats()
     }
 
-    /// Demand-paging lifecycle counters; `None` on a fully-resident
-    /// server.
-    /// Builds the online-refresh companion of a demand-paged server: a
-    /// [`Refresher`] sharing this server's catalog, through which
-    /// buffered corrections become new model versions that workers pick
-    /// up at batch boundaries (see [`Refresher`]'s docs).
+    /// Builds the online-refresh companion of this server: a
+    /// [`Refresher`] sharing its catalog, through which buffered
+    /// corrections become new model versions that workers pick up at
+    /// batch boundaries (see [`Refresher`]'s docs).
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for fully-resident servers
-    /// ([`BatchServer::start`]) — live refresh needs the versioned
-    /// catalog underneath [`BatchServer::start_paged`].
+    /// None: every server runs over the versioned catalog, so this
+    /// succeeds on every server (the `Result` keeps existing `?` callers
+    /// compiling). Refreshing a shard that has no registered
+    /// [`crate::TrainSpec`] — e.g. one served from a trained registry —
+    /// is the typed [`ServeError::InvalidConfig`] of
+    /// [`Refresher::refresh`].
     pub fn refresher(&self, cfg: RefreshConfig) -> Result<Refresher, ServeError> {
-        match &self.engine {
-            Engine::Static { .. } => Err(ServeError::InvalidConfig(
-                "online refresh requires a demand-paged server (BatchServer::start_paged)".into(),
-            )),
-            Engine::Paged(engine) => Ok(Refresher::new(Arc::clone(engine), cfg)),
-        }
+        Ok(Refresher::new(Arc::clone(&self.core), cfg))
     }
 
+    /// Demand-paging lifecycle counters: faults, spin-downs, drains,
+    /// parked requests, hot workers and the catalog's counters. Always
+    /// `Some` — every server runs the paged engine (the `Option` keeps
+    /// existing `expect` / `ok_or` callers compiling).
     pub fn paged_stats(&self) -> Option<PagedStats> {
-        match &self.engine {
-            Engine::Static { .. } => None,
-            Engine::Paged(engine) => {
-                // Declared lock order: slots strictly before paged.
-                let hot_shards = {
-                    let slots = relock(&engine.slots);
-                    slots.occupancy
-                };
-                let mut paged = {
-                    let counters = relock(&engine.paged);
-                    *counters
-                };
-                paged.hot_shards = hot_shards;
-                paged.catalog = engine.catalog.stats();
-                Some(paged)
-            }
-        }
+        // Declared lock order: slots strictly before paged.
+        let hot_shards = {
+            let slots = relock(&self.core.slots);
+            slots.occupancy
+        };
+        let mut paged = {
+            let counters = relock(&self.core.paged);
+            *counters
+        };
+        paged.hot_shards = hot_shards;
+        paged.catalog = self.core.catalog.stats();
+        Some(paged)
     }
 
     /// Graceful shutdown: each worker finishes every request already
@@ -1214,115 +1055,52 @@ impl BatchServer {
     ///
     /// Clients still holding a [`ServeClient`] get
     /// [`ServeError::ShuttingDown`] on later submits.
-    pub fn shutdown(mut self) -> Vec<(ShardKey, ShardStats)> {
+    pub fn shutdown(self) -> Vec<(ShardKey, ShardStats)> {
         self.stop();
         self.stats()
     }
 
-    /// Like [`BatchServer::shutdown`], but also hands the shard models
-    /// back as a registry so a caller can restart serving under different
-    /// batching knobs without retraining (the benchmark sweep's pattern).
-    /// On a demand-paged server the registry holds the models that were
-    /// live (hot or parked) at shutdown — shards that existed only as
-    /// stored snapshots or train specs are dropped with the engine;
-    /// prefer [`BatchServer::shutdown_with_catalog`], which keeps every
-    /// tier.
-    pub fn shutdown_with_registry(mut self) -> (Vec<(ShardKey, ShardStats)>, ShardedRegistry) {
-        let mut shards = self.stop();
-        let stats = self.stats();
-        if let Engine::Paged(engine) = &self.engine {
-            // Paged workers parked their models in the shared catalog at
-            // shutdown rather than handing them through join handles.
-            shards = engine.catalog.take_parked();
-        }
-        (stats, ShardedRegistry::restore(shards))
-    }
-
     /// Shuts down and hands the whole model catalog back — resident
     /// models parked live, stored snapshots and train specs intact — so
-    /// the caller can restart paged serving (or inspect the store)
-    /// without losing a single tier.
+    /// the caller can pass it back to [`BatchServer::start`] (under
+    /// different batching knobs, say) without retraining or losing a
+    /// single tier. Models that served a lowered precision tier come
+    /// back through the store as their exact f64 snapshots.
     ///
     /// # Errors
     ///
     /// Propagates write-through failures while trimming the resident
     /// tier back under the catalog budget.
     pub fn shutdown_with_catalog(
-        mut self,
+        self,
     ) -> Result<(Vec<(ShardKey, ShardStats)>, ModelCatalog), ServeError> {
-        let shards = self.stop();
+        self.stop();
         let stats = self.stats();
-        let catalog = match &self.engine {
-            Engine::Static { .. } => {
-                let mut catalog = ModelCatalog::new(CatalogBudget::Unbounded)?;
-                for (key, model) in shards {
-                    catalog.insert_sited(key, model)?;
-                }
-                catalog
-            }
-            Engine::Paged(engine) => engine.catalog.drain_into_catalog()?,
-        };
+        let catalog = self.core.catalog.drain_into_catalog()?;
         Ok((stats, catalog))
     }
 
-    /// Sends the shutdown marker to every worker and joins them. Static
-    /// workers hand their localizers back; paged workers park theirs in
-    /// the shared catalog (and return an empty list here).
-    fn stop(&mut self) -> Vec<(ShardKey, Box<dyn Localizer>)> {
-        match &mut self.engine {
-            Engine::Static {
-                routes,
-                workers,
-                exact,
-                ..
-            } => {
-                for route in routes.values() {
-                    // A worker that already exited has dropped its
-                    // receiver; that is fine — nothing left to drain.
-                    let _ = route.tx.send(Job::Shutdown);
+    /// Sends the shutdown marker to every worker and joins them; workers
+    /// park their models in the shared catalog on the way out.
+    fn stop(&self) {
+        let core = &self.core;
+        core.shutting_down.store(true, Ordering::Release);
+        let handles = {
+            let mut slots = relock(&core.slots);
+            let keys: Vec<ShardKey> = slots.map.keys().copied().collect();
+            for key in keys {
+                if let Some(slot) = slots.map.remove(&key) {
+                    let tx = match slot {
+                        Slot::Warming { tx } | Slot::Hot { tx, .. } => tx,
+                    };
+                    // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks; sweeping the map and sending markers under one lock guarantees no fix lands behind a shutdown marker")
+                    let _ = tx.send(Job::Shutdown);
                 }
-                workers
-                    .drain(..)
-                    .filter_map(|(key, handle)| match handle.join() {
-                        // A shard serving a lowered twin hands back its
-                        // exact progenitor; the twin is dropped.
-                        Ok(localizer) => Some((key, exact.remove(&key).unwrap_or(localizer))),
-                        Err(panic) => {
-                            // A panicked worker's model is gone; surface
-                            // the cause instead of silently dropping the
-                            // shard.
-                            let msg = panic
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_string())
-                                .or_else(|| panic.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".into());
-                            eprintln!("noble-serve: shard {key} worker panicked: {msg}");
-                            None
-                        }
-                    })
-                    .collect()
             }
-            Engine::Paged(engine) => {
-                engine.shutting_down.store(true, Ordering::Release);
-                let handles = {
-                    let mut slots = relock(&engine.slots);
-                    let keys: Vec<ShardKey> = slots.map.keys().copied().collect();
-                    for key in keys {
-                        if let Some(slot) = slots.map.remove(&key) {
-                            let tx = match slot {
-                                Slot::Warming { tx } | Slot::Hot { tx, .. } => tx,
-                            };
-                            // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks; sweeping the map and sending markers under one lock guarantees no fix lands behind a shutdown marker")
-                            let _ = tx.send(Job::Shutdown);
-                        }
-                    }
-                    std::mem::take(&mut slots.workers)
-                };
-                for handle in handles {
-                    let _ = handle.join();
-                }
-                Vec::new()
-            }
+            std::mem::take(&mut slots.workers)
+        };
+        for handle in handles {
+            let _ = handle.join();
         }
     }
 }
@@ -1330,81 +1108,6 @@ impl BatchServer {
 impl Drop for BatchServer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// One fully-resident shard's serve loop: block for the first request,
-/// hold the batch open under the latency budget, run one stacked
-/// inference, reply.
-fn shard_worker(
-    mut localizer: Box<dyn Localizer>,
-    key: ShardKey,
-    rx: Receiver<Job>,
-    cfg: BatchConfig,
-    stats: &Mutex<ShardStats>,
-    gauges: &ShardGauges,
-) -> Box<dyn Localizer> {
-    let feature_dim = localizer.info().feature_dim;
-    loop {
-        let first = match rx.recv() {
-            Ok(Job::Fix {
-                fingerprint,
-                enqueued,
-                reply,
-            }) => {
-                ShardGauges::dec(&gauges.queued);
-                (fingerprint, enqueued, reply)
-            }
-            Ok(Job::Shutdown | Job::Drain) | Err(_) => {
-                // Static submits are not ordered against the shutdown
-                // marker (no lock on this path), so fixes can land behind
-                // it: answer them with the typed rejection instead of
-                // stranding their reply channels.
-                reject_parked(&rx, ServeError::ShuttingDown, stats, gauges);
-                return localizer;
-            }
-        };
-        let mut batch = vec![first];
-        let mut saw_shutdown = false;
-        if cfg.max_batch > 1 {
-            // noble-lint: allow(wall-clock, "batching deadline only: batch boundaries never change answers (shape-invariant kernels)")
-            let deadline = Instant::now() + cfg.latency_budget;
-            while batch.len() < cfg.max_batch {
-                // noble-lint: allow(wall-clock, "remaining-budget poll for the coalescing wait; never feeds a result")
-                let now = Instant::now();
-                let wait = deadline.saturating_duration_since(now);
-                // recv_timeout(ZERO) still drains already-queued jobs, so
-                // a zero budget coalesces exactly the backlog.
-                match rx.recv_timeout(wait) {
-                    Ok(Job::Fix {
-                        fingerprint,
-                        enqueued,
-                        reply,
-                    }) => {
-                        ShardGauges::dec(&gauges.queued);
-                        batch.push((fingerprint, enqueued, reply));
-                    }
-                    Ok(Job::Shutdown | Job::Drain) => {
-                        saw_shutdown = true;
-                        break;
-                    }
-                    // Queue empty and the budget is spent (a zero `wait`
-                    // still drains queued jobs, so past the deadline the
-                    // loop keeps absorbing backlog without waiting until
-                    // the queue runs dry or the batch fills).
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        saw_shutdown = true;
-                        break;
-                    }
-                }
-            }
-        }
-        serve_batch(localizer.as_mut(), key, feature_dim, batch, stats, gauges);
-        if saw_shutdown {
-            reject_parked(&rx, ServeError::ShuttingDown, stats, gauges);
-            return localizer;
-        }
     }
 }
 

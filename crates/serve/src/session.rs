@@ -99,7 +99,7 @@
 use crate::sync::relock;
 use crate::{
     BatchConfig, BatchServer, ModelCatalog, PagedStats, ServeClient, ServeError, ShardKey,
-    ShardStats, ShardedRegistry,
+    ShardStats,
 };
 use noble::wifi::tracking::{SmootherConfig, TrajectorySmoother, ZoneDetector};
 use noble_geo::{CampusMap, Point, ZoneSet};
@@ -153,7 +153,7 @@ pub struct TrackedFix {
     /// the smoothed point.
     pub zone: Option<usize>,
     /// Whether the underlying shard was cold and the fix parked while
-    /// its model faulted in (demand-paged servers only).
+    /// its model faulted in (see [`crate::PendingFix::cold`]).
     pub cold: bool,
 }
 
@@ -486,10 +486,14 @@ pub struct TrackingServer {
 }
 
 impl TrackingServer {
-    /// Starts tracking over a fully-resident [`BatchServer::start`].
-    /// Pass the campus map to snap smoothed tracks onto accessible
-    /// space ([`SmootherConfig::snap_to_map`]); zone membership is
-    /// tested against the smoothed (post-snap) position.
+    /// Starts tracking over a [`BatchServer::start`] fix tier: a trained
+    /// [`crate::ShardedRegistry`] serves fully resident, a budgeted
+    /// [`ModelCatalog`] pages localizer models under its budget while
+    /// the session tier holds every live device — sessions are hundreds
+    /// of bytes, models are not. Pass the campus map to snap smoothed
+    /// tracks onto accessible space ([`SmootherConfig::snap_to_map`]);
+    /// zone membership is tested against the smoothed (post-snap)
+    /// position.
     ///
     /// # Errors
     ///
@@ -497,35 +501,14 @@ impl TrackingServer {
     /// [`ServeError::InvalidConfig`] for zero
     /// [`BatchConfig::session_shards`] / [`BatchConfig::stability_k`].
     pub fn start(
-        registry: ShardedRegistry,
+        catalog: impl Into<ModelCatalog>,
         zones: ZoneSet,
         map: Option<CampusMap>,
         smoother: SmootherConfig,
         cfg: BatchConfig,
     ) -> Result<Self, ServeError> {
         let sessions = Arc::new(SessionTable::new(zones, map, smoother, &cfg)?);
-        let server = BatchServer::start(registry, cfg)?;
-        Ok(TrackingServer::assemble(server, sessions))
-    }
-
-    /// Starts tracking over a demand-paged [`BatchServer::start_paged`]:
-    /// the fix tier pages localizer models under the catalog budget
-    /// while the session tier holds every live device — sessions are
-    /// hundreds of bytes, models are not.
-    ///
-    /// # Errors
-    ///
-    /// As [`TrackingServer::start`], over
-    /// [`BatchServer::start_paged`]'s rejections.
-    pub fn start_paged(
-        catalog: ModelCatalog,
-        zones: ZoneSet,
-        map: Option<CampusMap>,
-        smoother: SmootherConfig,
-        cfg: BatchConfig,
-    ) -> Result<Self, ServeError> {
-        let sessions = Arc::new(SessionTable::new(zones, map, smoother, &cfg)?);
-        let server = BatchServer::start_paged(catalog, cfg)?;
+        let server = BatchServer::start(catalog, cfg)?;
         Ok(TrackingServer::assemble(server, sessions))
     }
 
@@ -580,8 +563,8 @@ impl TrackingServer {
         self.server.stats()
     }
 
-    /// Demand-paging lifecycle counters; `None` when the fix tier is
-    /// fully resident.
+    /// Demand-paging lifecycle counters of the fix tier (always `Some`;
+    /// see [`BatchServer::paged_stats`]).
     pub fn paged_stats(&self) -> Option<PagedStats> {
         self.server.paged_stats()
     }

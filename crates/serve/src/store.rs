@@ -14,7 +14,7 @@
 //!
 //! Stores take `&self` (interior mutability) and are `Send + Sync`, so a
 //! single store can back a catalog while shard workers fault models in
-//! and out concurrently ([`crate::BatchServer::start_paged`]) and an
+//! and out concurrently ([`crate::BatchServer::start`]) and an
 //! operator thread lists or evicts at the same time.
 //!
 //! # Examples

@@ -200,7 +200,8 @@ fn lazy_wifi_specs_retrain_bit_identically_to_eager_registry() {
     };
 
     // Eager reference: the registry trains everything up front.
-    let mut eager = ShardedRegistry::train_wifi(&campaign, &cfg, &reg_cfg).unwrap();
+    let mut eager =
+        ModelCatalog::from(ShardedRegistry::train_wifi(&campaign, &cfg, &reg_cfg).unwrap());
     let features = campaign.features(&campaign.test);
 
     // Lazy catalog: nothing trains until the first request.
@@ -316,17 +317,14 @@ fn catalog_over_fs_store_survives_process_restart() {
     let expected: Vec<(ShardKey, Vec<Point>)>;
 
     {
-        // "Process one": train shards eagerly, adopt into a catalog over
-        // the FsStore, touch every shard so write-through persists them.
+        // "Process one": train shards eagerly, answer from the live
+        // models, and persist every shard into the FsStore.
         let reg_cfg = RegistryConfig {
             parallel_training: false,
             ..RegistryConfig::default()
         };
         let registry = ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &reg_cfg).unwrap();
-        let store = Box::new(FsStore::open(&dir).unwrap());
-        let mut catalog = registry
-            .into_catalog(CatalogBudget::Count(1), store)
-            .unwrap();
+        let mut catalog = ModelCatalog::from(registry);
         expected = catalog
             .keys()
             .into_iter()
@@ -335,7 +333,6 @@ fn catalog_over_fs_store_survives_process_restart() {
                 (k, out)
             })
             .collect();
-        // Force the last resident shard out too, so the store holds all.
         catalog.export_to(&FsStore::open(&dir).unwrap()).unwrap();
     }
 
@@ -388,7 +385,7 @@ fn paged_spin_down_write_through_survives_process_restart() {
                 )
                 .unwrap();
         }
-        let server = BatchServer::start_paged(
+        let server = BatchServer::start(
             catalog,
             BatchConfig {
                 max_batch: 8,
@@ -441,6 +438,96 @@ fn paged_spin_down_write_through_survives_process_restart() {
     }
     assert_eq!(catalog.stats().retrains, 0);
     assert_eq!(catalog.stats().hydrations as usize, shard_count);
+}
+
+/// Start is lazy, so a corrupt stored snapshot surfaces at the first
+/// request that faults its shard in: the lease fails, and every fix
+/// parked behind the fault gets exactly one typed `BadSnapshot` reply.
+/// The failed shard goes cold again (a later fix re-faults and fails the
+/// same way), the other shards keep answering bit-identically, and the
+/// gauges settle to zero.
+#[test]
+fn corrupt_snapshot_fails_its_fixes_typed_and_spares_other_shards() {
+    let campaign = quick_campaign();
+    let dir = store_dir("lease-failure");
+    let features = campaign.features(&campaign.test[..6.min(campaign.test.len())]);
+    let rows: Vec<Vec<f64>> = (0..features.rows())
+        .map(|i| features.row(i).to_vec())
+        .collect();
+    let store = FsStore::open(&dir).unwrap();
+    let mut expected: Vec<(ShardKey, Vec<Point>)> = Vec::new();
+    for i in 0..3 {
+        let key = ShardKey::building(i);
+        let mut model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
+        store
+            .put(key, &SnapshotLocalizer::snapshot(&model))
+            .unwrap();
+        expected.push((
+            key,
+            Localizer::localize_batch(&mut model, &features).unwrap(),
+        ));
+    }
+    let bad = ShardKey::building(1);
+    let path = dir.join("b1.snap");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let catalog = ModelCatalog::with_store(CatalogBudget::Unbounded, Box::new(store)).unwrap();
+    let server = BatchServer::start(
+        catalog,
+        BatchConfig {
+            max_batch: 4,
+            latency_budget: Duration::from_micros(200),
+            ..BatchConfig::default()
+        },
+    )
+    .unwrap();
+    let client = server.client();
+    for round in 0..2 {
+        let pending: Vec<(ShardKey, Vec<_>)> = expected
+            .iter()
+            .map(|(key, _)| {
+                let fixes = rows
+                    .iter()
+                    .map(|row| client.submit(*key, row.clone()).unwrap())
+                    .collect();
+                (*key, fixes)
+            })
+            .collect();
+        for ((key, fixes), (_, reference)) in pending.into_iter().zip(&expected) {
+            for (i, fix) in fixes.into_iter().enumerate() {
+                let reply = fix.wait();
+                if key == bad {
+                    assert!(
+                        matches!(reply, Err(ServeError::BadSnapshot(_))),
+                        "round {round}: fix {i} to the corrupt shard got {reply:?}"
+                    );
+                } else {
+                    assert_eq!(
+                        reply.unwrap(),
+                        reference[i],
+                        "round {round}: {key} fix {i} diverged"
+                    );
+                }
+            }
+        }
+    }
+    let gauges = server.server_stats();
+    assert_eq!((gauges.queue_depth, gauges.in_flight), (0, 0));
+    let stats = server.shutdown();
+    let failed = &stats.iter().find(|(k, _)| *k == bad).unwrap().1;
+    assert_eq!(failed.requests, 2 * rows.len() as u64);
+    assert_eq!(
+        failed.errors, failed.requests,
+        "one reply per fix, all typed errors"
+    );
+    for (key, s) in &stats {
+        if *key != bad {
+            assert_eq!(s.errors, 0, "{key} answered with errors");
+        }
+    }
 }
 
 #[test]

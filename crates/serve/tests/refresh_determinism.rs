@@ -92,17 +92,35 @@ fn serve_all(client: &noble_serve::ServeClient, key: ShardKey, probes: &[Vec<f64
         .collect()
 }
 
+/// Every server hands out a refresher, but a shard served from a trained
+/// registry carries no training spec: refreshing it is a typed error,
+/// and the shard keeps serving the same bits afterwards.
 #[test]
-fn refresher_requires_a_paged_server() {
+fn refresh_without_a_train_spec_is_a_typed_error() {
     let campaign = quick_campaign();
     let registry =
         ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &RegistryConfig::default())
             .unwrap();
+    let key = registry.keys()[0];
     let server = BatchServer::start(registry, serving_cfg()).unwrap();
+    let refresher = server.refresher(RefreshConfig::default()).unwrap();
+    let client = server.client();
+    let probe = probes(&campaign, 6);
+
+    let before = serve_all(&client, key, &probe);
+    for (rssi, position) in corrections_for(&campaign, key, 4) {
+        refresher.observe_correction(key, rssi, position).unwrap();
+    }
     assert!(matches!(
-        server.refresher(RefreshConfig::default()),
+        refresher.refresh(key),
         Err(ServeError::InvalidConfig(_))
     ));
+    assert_eq!(refresher.active_version(key), 0);
+    assert_eq!(
+        serve_all(&client, key, &probe),
+        before,
+        "a refused refresh must leave the shard serving the same bits"
+    );
     server.shutdown();
 }
 
@@ -120,7 +138,7 @@ fn refresh_versions_swap_atomically_and_rollback_is_bit_parity() {
         .unwrap();
     assert!(keys.len() >= 2, "need a refreshed shard and a bystander");
     let (key, bystander) = (keys[0], keys[1]);
-    let server = BatchServer::start_paged(catalog, serving_cfg()).unwrap();
+    let server = BatchServer::start(catalog, serving_cfg()).unwrap();
     let refresher = server.refresher(RefreshConfig::default()).unwrap();
     let client = server.client();
     let probe = probes(&campaign, 6);
@@ -213,7 +231,7 @@ fn concurrent_refresh_cycles_never_tear_answers() {
         .register_wifi_campaign(&campaign, &fast_model_cfg(), &RegistryConfig::default())
         .unwrap();
     let key = keys[0];
-    let server = BatchServer::start_paged(catalog, serving_cfg()).unwrap();
+    let server = BatchServer::start(catalog, serving_cfg()).unwrap();
     let refresher = Arc::new(server.refresher(RefreshConfig::default()).unwrap());
     let client = server.client();
     let fingerprints: Vec<Vec<f64>> = probes(&campaign, CLIENTS);
@@ -309,7 +327,7 @@ fn versioned_snapshots_survive_restart() {
             .register_wifi_campaign(&campaign, &fast_model_cfg(), &RegistryConfig::default())
             .unwrap();
         key = keys[0];
-        let server = BatchServer::start_paged(catalog, serving_cfg()).unwrap();
+        let server = BatchServer::start(catalog, serving_cfg()).unwrap();
         let refresher = server.refresher(RefreshConfig::default()).unwrap();
         let client = server.client();
         v0 = serve_all(&client, key, &probe);
@@ -324,7 +342,7 @@ fn versioned_snapshots_survive_restart() {
     // A fresh process: the catalog is rebuilt from the store alone.
     let store = FsStore::open(&dir).unwrap();
     let catalog = ModelCatalog::with_store(CatalogBudget::Unbounded, Box::new(store)).unwrap();
-    let server = BatchServer::start_paged(catalog, serving_cfg()).unwrap();
+    let server = BatchServer::start(catalog, serving_cfg()).unwrap();
     let client = server.client();
     assert_eq!(
         serve_all(&client, key, &probe),

@@ -3,9 +3,10 @@
 //! A `GatedLocalizer` blocks inside `localize_batch` until the test
 //! releases it, which freezes the server mid-request: gauge values are
 //! then exact, not sampled. The same gate pins the two shutdown
-//! contracts: a request parked behind a `Shutdown` marker (static) or
-//! parked in a warming queue the shutdown strands (paged) is answered
-//! with the typed `ServeError::ShuttingDown`, never a dropped reply.
+//! contracts: a request submitted to a hot shard once shutdown has begun
+//! (a registry-started, fully resident server) or parked in a warming
+//! queue the shutdown strands (a budgeted catalog) is answered with the
+//! typed `ServeError::ShuttingDown`, never a dropped reply.
 
 use noble::wifi::KnnFingerprint;
 use noble::{Localizer, LocalizerInfo, NobleError};
@@ -124,9 +125,9 @@ fn gauges_track_queued_and_in_flight_exactly() {
     server.shutdown();
 }
 
-/// A fix that lands behind the `Shutdown` marker in a static worker's
-/// queue is answered with the typed shutting-down error, not a dropped
-/// reply channel.
+/// A fix submitted to a resident shard once shutdown has begun is
+/// answered with the typed shutting-down error, not a dropped reply
+/// channel.
 #[test]
 fn static_shutdown_answers_fixes_parked_behind_the_marker() {
     let (registry, gate, entered) = gated_registry();
@@ -193,7 +194,7 @@ fn paged_shutdown_answers_fixes_parked_on_a_warming_shard() {
         )
         .expect("insert gated");
 
-    let server = BatchServer::start_paged(catalog, one_by_one()).expect("paged server starts");
+    let server = BatchServer::start(catalog, one_by_one()).expect("paged server starts");
     let client = server.client();
 
     let p0 = client

@@ -12,7 +12,7 @@ use noble_geo::Point;
 use noble_linalg::Matrix;
 use noble_serve::{
     partition_campaign, shard_seed, BatchConfig, BatchServer, CatalogBudget, FsStore, MemStore,
-    ModelCatalog, RegistryConfig, ServeError, ShardKey, ShardPolicy, ShardedRegistry,
+    ModelCatalog, ModelStore, RegistryConfig, ServeError, ShardKey, ShardPolicy, ShardedRegistry,
 };
 use std::time::Duration;
 
@@ -66,13 +66,14 @@ fn served_results_bit_identical_to_direct() {
     // budget (drain-the-backlog mode), and wide batches under a real
     // budget — all with several client threads submitting concurrently.
     // The same trained shards serve every regime (handed back through
-    // `shutdown_with_registry`), so any cross-regime difference is the
+    // `shutdown_with_catalog`), so any cross-regime difference is the
     // server's fault, not training noise.
-    let mut registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+    let mut catalog = ModelCatalog::from(
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+    );
     for (max_batch, budget_us) in [(1usize, 0u64), (4, 0), (64, 300), (256, 1000)] {
         let server = BatchServer::start(
-            registry,
+            catalog,
             BatchConfig {
                 max_batch,
                 latency_budget: Duration::from_micros(budget_us),
@@ -103,8 +104,8 @@ fn served_results_bit_identical_to_direct() {
             }
         });
 
-        let (stats, recovered) = server.shutdown_with_registry();
-        registry = recovered;
+        let (stats, recovered) = server.shutdown_with_catalog().unwrap();
+        catalog = recovered;
         let total: u64 = stats.iter().map(|(_, s)| s.requests).sum();
         let expected_total: u64 = reference.iter().map(|(_, r, _)| r.len() as u64).sum();
         assert_eq!(total, expected_total);
@@ -114,7 +115,7 @@ fn served_results_bit_identical_to_direct() {
             assert_eq!(s.errors, 0);
         }
     }
-    assert_eq!(registry.len(), reference.len(), "shards survive restarts");
+    assert_eq!(catalog.len(), reference.len(), "shards survive restarts");
 }
 
 #[test]
@@ -124,21 +125,23 @@ fn warm_restart_from_store_bit_identical_to_fresh_registry() {
     // exact bits the freshly trained registry serves.
     let campaign = quick_campaign();
     let reference = direct_reference(&campaign);
-    let registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+    let trained = ModelCatalog::from(
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+    );
 
     // Through both store backends: in-memory and on-disk (checksummed
     // files under the cargo tmp dir).
     let fs_dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("warm-restart-store");
     let mem = MemStore::new();
     let fs = FsStore::open(&fs_dir).unwrap();
-    assert_eq!(registry.save_to(&mem).unwrap(), reference.len());
-    assert_eq!(registry.save_to(&fs).unwrap(), reference.len());
-    drop(registry); // the trained models are gone; only snapshots remain
+    assert_eq!(trained.export_to(&mem).unwrap(), reference.len());
+    assert_eq!(trained.export_to(&fs).unwrap(), reference.len());
+    drop(trained); // the trained models are gone; only snapshots remain
 
-    for store in [&mem as &dyn noble_serve::ModelStore, &fs] {
-        let server = BatchServer::start_from_store(
-            store,
+    let stores: [Box<dyn ModelStore>; 2] = [Box::new(mem), Box::new(fs)];
+    for store in stores {
+        let server = BatchServer::start(
+            ModelCatalog::with_store(CatalogBudget::Unbounded, store).unwrap(),
             BatchConfig {
                 max_batch: 64,
                 latency_budget: Duration::from_micros(300),
@@ -225,7 +228,7 @@ fn oversubscribed_paged_server_bit_identical_to_fully_resident() {
             )
             .unwrap();
     }
-    let paged_server = BatchServer::start_paged(
+    let paged_server = BatchServer::start(
         catalog,
         BatchConfig {
             max_batch: 16,
@@ -327,7 +330,7 @@ fn idle_shards_spin_down_and_rewarm_bit_identically() {
             )
             .unwrap();
     }
-    let server = BatchServer::start_paged(
+    let server = BatchServer::start(
         catalog,
         BatchConfig {
             max_batch: 8,
@@ -392,15 +395,16 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
     let reference = direct_reference(&campaign);
 
     // Resident sweep over the tiers, re-using the same trained shards.
-    let mut registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+    let mut resident = ModelCatalog::from(
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+    );
     for precision in [
         noble::InferencePrecision::Exact,
         noble::InferencePrecision::F32,
         noble::InferencePrecision::Int8,
     ] {
         let server = BatchServer::start(
-            registry,
+            resident,
             BatchConfig {
                 max_batch: 32,
                 latency_budget: Duration::from_micros(200),
@@ -437,8 +441,8 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
                 }
             }
         }
-        let (_, recovered) = server.shutdown_with_registry();
-        registry = recovered;
+        let (_, recovered) = server.shutdown_with_catalog().unwrap();
+        resident = recovered;
     }
 
     // Demand-paged under heavy eviction pressure while serving int8:
@@ -454,7 +458,7 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
         let model = WifiNoble::train(&shards[key], &cfg).unwrap();
         catalog.insert(*key, Box::new(model)).unwrap();
     }
-    let paged = BatchServer::start_paged(
+    let paged = BatchServer::start(
         catalog,
         BatchConfig {
             max_batch: 32,
@@ -504,21 +508,22 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
 #[test]
 fn unknown_shard_is_typed_error_not_panic() {
     let campaign = quick_campaign();
-    let mut registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+    let mut catalog = ModelCatalog::from(
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+    );
     let bogus = ShardKey::building_floor(99, 7);
     let features = campaign.features(&campaign.test[..1]);
 
     assert!(matches!(
-        registry.localize(bogus, &features),
+        catalog.localize(bogus, &features),
         Err(ServeError::UnknownShard(k)) if k == bogus
     ));
     assert!(matches!(
-        registry.get_mut(bogus),
+        catalog.get_mut(bogus),
         Err(ServeError::UnknownShard(_))
     ));
 
-    let server = BatchServer::start(registry, BatchConfig::default()).unwrap();
+    let server = BatchServer::start(catalog, BatchConfig::default()).unwrap();
     let client = server.client();
     assert!(matches!(
         client.submit(bogus, features.row(0).to_vec()),
@@ -594,24 +599,28 @@ fn concurrent_and_serial_shard_training_are_bit_identical() {
     // must produce the same models as training one-by-one: per-shard
     // seeds derive from the shard key, and nothing shares RNG state.
     let campaign = quick_campaign();
-    let mut parallel = ShardedRegistry::train_wifi(
-        &campaign,
-        &fast_model_cfg(),
-        &RegistryConfig {
-            parallel_training: true,
-            ..registry_cfg()
-        },
-    )
-    .unwrap();
-    let mut serial = ShardedRegistry::train_wifi(
-        &campaign,
-        &fast_model_cfg(),
-        &RegistryConfig {
-            parallel_training: false,
-            ..registry_cfg()
-        },
-    )
-    .unwrap();
+    let mut parallel = ModelCatalog::from(
+        ShardedRegistry::train_wifi(
+            &campaign,
+            &fast_model_cfg(),
+            &RegistryConfig {
+                parallel_training: true,
+                ..registry_cfg()
+            },
+        )
+        .unwrap(),
+    );
+    let mut serial = ModelCatalog::from(
+        ShardedRegistry::train_wifi(
+            &campaign,
+            &fast_model_cfg(),
+            &RegistryConfig {
+                parallel_training: false,
+                ..registry_cfg()
+            },
+        )
+        .unwrap(),
+    );
     assert_eq!(parallel.keys(), serial.keys());
     let features = campaign.features(&campaign.test);
     for key in parallel.keys() {
@@ -635,16 +644,18 @@ fn registry_bounds_per_shard_memory_and_labels_sites() {
         assert!(shard.train.len() <= cap);
     }
 
-    let registry = ShardedRegistry::train_wifi(
-        &campaign,
-        &fast_model_cfg(),
-        &RegistryConfig {
-            max_train_samples_per_shard: Some(64),
-            ..registry_cfg()
-        },
-    )
-    .unwrap();
-    for (info, key) in registry.info().iter().zip(registry.keys()) {
+    let catalog = ModelCatalog::from(
+        ShardedRegistry::train_wifi(
+            &campaign,
+            &fast_model_cfg(),
+            &RegistryConfig {
+                max_train_samples_per_shard: Some(64),
+                ..registry_cfg()
+            },
+        )
+        .unwrap(),
+    );
+    for (info, key) in catalog.info().iter().zip(catalog.keys()) {
         assert_eq!(info.site, key.to_string());
         assert_eq!(info.model, "wifi-noble");
         assert_eq!(info.feature_dim, campaign.num_waps());

@@ -229,8 +229,7 @@ fn tracked_fixes_bit_identical_across_session_shard_counts() {
     let registry =
         ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
     let store = MemStore::new();
-    registry.save_to(&store).unwrap();
-    drop(registry);
+    ModelCatalog::from(registry).export_to(&store).unwrap();
 
     let scripts = device_scripts(&campaign, &store);
     let zones = ZoneSet::building_grid(&campaign.map, 2, 1).unwrap();
@@ -308,8 +307,7 @@ fn tracking_over_paged_server_matches_resident_reference() {
     let registry =
         ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
     let store = MemStore::new();
-    registry.save_to(&store).unwrap();
-    drop(registry);
+    ModelCatalog::from(registry).export_to(&store).unwrap();
 
     let scripts = device_scripts(&campaign, &store);
     let zones = ZoneSet::building_grid(&campaign.map, 2, 1).unwrap();
@@ -323,7 +321,7 @@ fn tracking_over_paged_server_matches_resident_reference() {
     );
 
     let catalog = ModelCatalog::with_store(CatalogBudget::Count(1), Box::new(store)).unwrap();
-    let server = TrackingServer::start_paged(
+    let server = TrackingServer::start(
         catalog,
         zones,
         Some(campaign.map.clone()),

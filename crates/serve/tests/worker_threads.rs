@@ -81,7 +81,7 @@ fn shard_workers_run_kernels_serial_while_the_caller_keeps_its_override() {
     catalog
         .insert(ShardKey::building(0), model)
         .expect("insert");
-    let server = BatchServer::start_paged(catalog, cfg).expect("paged server starts");
+    let server = BatchServer::start(catalog, cfg).expect("paged server starts");
     let paged = serve_and_observe(&server, &seen);
     server.shutdown();
 
