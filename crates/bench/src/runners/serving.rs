@@ -637,7 +637,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         // Snapshot every trained shard into the store the paged catalog
         // will fault from (hydration is bit-identical, so the paged
         // server serves the *same models* the resident control serves).
-        let trained = ModelCatalog::from(registry);
+        let mut trained = ModelCatalog::from(registry);
         let store = MemStore::new();
         trained.export_to(&store)?;
         let mut catalog = Some(ModelCatalog::with_store(

@@ -90,7 +90,7 @@ impl ModelSnapshot {
     /// Model version: which generation of this shard's model produced
     /// the snapshot. `0` is the original offline-trained model (and what
     /// legacy v1 containers report); each online refresh activated
-    /// through `noble_serve::SharedCatalog` bumps it by one. Serving a
+    /// through `noble_serve::Refresher` bumps it by one. Serving a
     /// given version is bit-stable, so two snapshots with equal key and
     /// version hold byte-identical payloads.
     pub fn version(&self) -> u64 {

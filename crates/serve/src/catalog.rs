@@ -1,5 +1,6 @@
-//! The capacity-bounded model catalog: the resident tier of the serving
-//! model lifecycle.
+//! The capacity-bounded model catalog: the one type that owns a shard
+//! model's lifecycle, from training recipe through store to memory and
+//! back.
 //!
 //! A [`ModelCatalog`] answers every shard's requests while keeping only a
 //! budgeted subset of models in memory:
@@ -14,21 +15,29 @@
 //!   same order-free derived seed the eager registry path uses, so a
 //!   lazy retrain reproduces the eager model exactly.
 //!
-//! Eviction is write-through: a victim that is not yet in the store is
-//!   snapshotted into it before its memory is released, so no answer is
-//! ever lost — a later request hydrates the identical model back.
-//! Models that cannot snapshot (the research baselines) and have no
-//! spec are never evicted; they pin their budget share, and every time
-//! eviction has to walk past one the [`CatalogStats::pinned`] counter
-//! ticks so an un-honorable budget is observable.
+//! One fault path turns a key into a model: a *lease* takes the parked
+//! model if there is one, else hydrates the stored snapshot, else
+//! retrains from the spec. One write-through moves a model's only copy
+//! out of memory: it stores the model's snapshot stamped with the
+//! version it serves, whether the model leaves through LRU eviction, a
+//! server worker's spin-down, or [`ModelCatalog::export_to`]. So no
+//! answer is ever lost — a later request hydrates the identical model
+//! at the same version. Models that cannot snapshot (the research
+//! baselines) and have no spec are never evicted; they pin their budget
+//! share, and every time eviction has to walk past one the
+//! [`CatalogStats::pinned`] counter ticks so an un-honorable budget is
+//! observable.
 //!
-//! For serving, [`ModelCatalog::into_shared`] converts the catalog into
-//! a [`SharedCatalog`]: the thread-shared face that the server's shard
-//! workers lease models out of and release them back into
-//! ([`crate::BatchServer::start`]). Faulting — store reads,
-//! hydration, retraining — runs *outside* the shared state lock, so
-//! concurrently faulting shards overlap instead of queueing behind one
-//! another; only same-shard lease/release pairs are serialized.
+//! The same value serves both owners. Owned, [`ModelCatalog::localize`]
+//! leases, serves, parks and trims in the caller's thread, and the
+//! `&mut self` calls (inserts, trims, exports) reach the state without
+//! locking. Handed to
+//! [`crate::BatchServer::start`], it is shared by every shard worker:
+//! workers lease models out and release them back when they spin down.
+//! Faulting — store reads, hydration, retraining, write-through — runs
+//! *outside* the state lock, so concurrently faulting shards overlap
+//! instead of queueing behind one another; only same-shard
+//! lease/release pairs are serialized.
 //!
 //! # Examples
 //!
@@ -68,14 +77,14 @@ use crate::sync::{relock, rewait};
 use crate::{shard_seed, MemStore, ModelStore, RegistryConfig, ServeError, ShardKey};
 use noble::imu::{ImuNoble, ImuNobleConfig};
 use noble::wifi::{WifiNoble, WifiNobleConfig};
-use noble::{hydrate, Localizer, LocalizerInfo, ModelSnapshot, NobleError};
+use noble::{hydrate, Localizer, LocalizerInfo, ModelSnapshot};
 use noble_datasets::{ImuDataset, WifiCampaign, WifiSample};
 use noble_geo::Point;
 use noble_linalg::Matrix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Memory envelope of the resident tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +112,18 @@ impl CatalogBudget {
                 "catalog budget of 0 bytes cannot serve".into(),
             )),
             _ => Ok(()),
+        }
+    }
+
+    /// Whether the parked models exceed the budget. A byte budget
+    /// always admits one model, however large.
+    fn exceeded_by(self, parked: &BTreeMap<ShardKey, Resident>) -> bool {
+        match self {
+            CatalogBudget::Unbounded => false,
+            CatalogBudget::Count(n) => parked.len() > n,
+            CatalogBudget::Bytes(n) => {
+                parked.len() > 1 && parked.values().map(|r| r.cost).sum::<usize>() > n
+            }
         }
     }
 }
@@ -183,24 +204,28 @@ impl TrainSpec {
     }
 }
 
-/// Relabels a localizer's site metadata with its shard key.
-pub(crate) struct Sited<L> {
-    pub(crate) site: String,
-    pub(crate) inner: L,
+/// Writes `model`'s snapshot, stamped with `version`, to `store`'s
+/// active slot for `key` — the one write-through behind LRU eviction,
+/// worker spin-down, spec retrains, byte-budget inserts and
+/// [`ModelCatalog::export_to`]. Returns the encoded size, or `None` when
+/// the model cannot snapshot.
+fn write_through(
+    store: &dyn ModelStore,
+    key: ShardKey,
+    model: &dyn Localizer,
+    version: u64,
+) -> Result<Option<usize>, ServeError> {
+    let Some(snapshot) = model.try_snapshot() else {
+        return Ok(None);
+    };
+    let snapshot = snapshot.with_version(version);
+    store.put(key, &snapshot)?;
+    Ok(Some(snapshot.encoded_len()))
 }
 
-impl<L: Localizer> Localizer for Sited<L> {
-    fn info(&self) -> LocalizerInfo {
-        self.inner.info().with_site(self.site.clone())
-    }
-
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
-        self.inner.localize_batch(features)
-    }
-
-    fn try_snapshot(&self) -> Option<ModelSnapshot> {
-        self.inner.try_snapshot()
-    }
+/// The state of an owned catalog, reached without locking.
+fn unlocked(state: &mut Mutex<State>) -> &mut State {
+    state.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One resident model plus its LRU bookkeeping.
@@ -211,31 +236,77 @@ struct Resident {
     cost: usize,
     last_used: u64,
     /// Model version (online-refresh lineage; `0` is the offline-trained
-    /// generation). Carried so the shared catalog can tell a stale lease
-    /// from the active generation.
+    /// generation). Stamped onto the model's write-through, and lets a
+    /// worker tell a stale lease from the active generation.
     version: u64,
 }
 
-/// The capacity-bounded, store-backed shard model catalog (see the
-/// module docs for the three tiers).
-pub struct ModelCatalog {
-    budget: CatalogBudget,
-    store: Arc<dyn ModelStore>,
-    specs: BTreeMap<ShardKey, Arc<TrainSpec>>,
-    resident: BTreeMap<ShardKey, Resident>,
+/// What a leasing worker must do to materialize a cold model.
+enum LeaseSource {
+    Stored,
+    Spec(Arc<TrainSpec>),
+}
+
+/// Catalog state that changes under the lock. The store and spec tiers
+/// live *outside* it: they are `&self`-safe, so the expensive half of a
+/// fault (store reads, hydration, retraining) never holds this lock.
+#[derive(Default)]
+struct State {
+    /// Models checked into the catalog and not leased out (the resident
+    /// tier).
+    parked: BTreeMap<ShardKey, Resident>,
     /// Keys known to have a snapshot in the store tier (primed from
     /// `store.list()` at construction, maintained on every put).
     stored: BTreeSet<ShardKey>,
+    /// Keys whose model is currently leased out.
+    leased: BTreeSet<ShardKey>,
+    /// Freshly activated models for keys whose previous generation is
+    /// still leased out. The leasing worker picks its entry up at the
+    /// next batch boundary ([`ModelCatalog::refresh_lease`]); release
+    /// paths fold a leftover entry in so an activated model is never
+    /// lost.
+    pending: BTreeMap<ShardKey, Resident>,
+    /// Activated model version per key; absent means "whatever the
+    /// store's active slot says" (primed on first lease), which is `0`
+    /// for shards that never refreshed.
+    active: BTreeMap<ShardKey, u64>,
+    /// Keys with an activation (or rollback) in flight — version
+    /// allocation, archive and publish are serialized per key.
+    activating: BTreeSet<ShardKey>,
     clock: u64,
     stats: CatalogStats,
 }
 
+/// The capacity-bounded, store-backed shard model catalog (see the
+/// module docs for the three tiers and the lifecycle).
+///
+/// Owned, it is a single-threaded LRU cache of models. Passed to
+/// [`crate::BatchServer::start`], the same catalog is shared by the
+/// server's shard workers, and [`crate::BatchServer::shutdown_with_catalog`]
+/// hands it back with every tier intact.
+pub struct ModelCatalog {
+    budget: CatalogBudget,
+    store: Arc<dyn ModelStore>,
+    specs: BTreeMap<ShardKey, Arc<TrainSpec>>,
+    state: Mutex<State>,
+    /// Signals lease releases and activation completions (same-shard
+    /// waiters re-check here).
+    released: Condvar,
+    /// Bumped on every activation/rollback. Shard workers cache the value
+    /// and re-check it between batches — one atomic load per batch — so
+    /// a version bump is picked up at a batch boundary without ever
+    /// taking the state lock on the fast path.
+    epoch: AtomicU64,
+}
+
 impl fmt::Debug for ModelCatalog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = relock(&self.state);
         f.debug_struct("ModelCatalog")
             .field("budget", &self.budget)
-            .field("resident", &self.resident_keys())
-            .field("stored", &self.stored)
+            .field("parked", &state.parked.keys().collect::<Vec<_>>())
+            .field("leased", &state.leased)
+            .field("stored", &state.stored)
             .field("specs", &self.specs.keys().collect::<Vec<_>>())
             .finish()
     }
@@ -275,10 +346,12 @@ impl ModelCatalog {
             budget,
             store: Arc::from(store),
             specs: BTreeMap::new(),
-            resident: BTreeMap::new(),
-            stored,
-            clock: 0,
-            stats: CatalogStats::default(),
+            state: Mutex::new(State {
+                stored,
+                ..State::default()
+            }),
+            released: Condvar::new(),
+            epoch: AtomicU64::new(0),
         })
     }
 
@@ -289,11 +362,11 @@ impl ModelCatalog {
 
     /// Lifecycle counters so far.
     pub fn stats(&self) -> CatalogStats {
-        self.stats
+        relock(&self.state).stats
     }
 
-    /// Registers (or replaces) a live model for `key`, relabeling its
-    /// site metadata with the shard key.
+    /// Registers (or replaces) a live model for `key`;
+    /// [`ModelCatalog::info`] labels its site with the shard key.
     ///
     /// # Errors
     ///
@@ -304,36 +377,31 @@ impl ModelCatalog {
         key: ShardKey,
         localizer: Box<dyn Localizer>,
     ) -> Result<(), ServeError> {
-        let model: Box<dyn Localizer> = Box::new(Sited {
-            site: key.to_string(),
-            inner: localizer,
-        });
         // The byte budget needs each model's cost up front; the snapshot
         // is only built when that budget is active — and since it is in
         // hand, write it through now so a later eviction of this shard
         // never has to serialize the model a second time.
-        let cost = match self.budget {
-            CatalogBudget::Bytes(_) => match model.try_snapshot() {
-                Some(snapshot) => {
-                    self.store.put(key, &snapshot)?;
-                    self.stored.insert(key);
-                    snapshot.encoded_len()
-                }
-                None => 0,
-            },
-            _ => 0,
+        let written = match self.budget {
+            CatalogBudget::Bytes(_) => {
+                write_through(self.store.as_ref(), key, localizer.as_ref(), 0)?
+            }
+            _ => None,
         };
-        self.clock += 1;
-        self.resident.insert(
+        let state = unlocked(&mut self.state);
+        if written.is_some() {
+            state.stored.insert(key);
+        }
+        state.clock += 1;
+        state.parked.insert(
             key,
             Resident {
-                model,
-                cost,
-                last_used: self.clock,
+                model: localizer,
+                cost: written.unwrap_or(0),
+                last_used: state.clock,
                 version: 0,
             },
         );
-        self.enforce_budget(Some(key))
+        self.trim(Some(key))
     }
 
     /// Registers a training recipe for a cold shard: the first request
@@ -389,359 +457,7 @@ impl ModelCatalog {
         self.register_spec(key, TrainSpec::Imu { dataset, cfg });
     }
 
-    /// Every key the catalog can serve (resident ∪ stored ∪ specs),
-    /// sorted.
-    pub fn keys(&self) -> Vec<ShardKey> {
-        let mut keys: BTreeSet<ShardKey> = self.resident.keys().copied().collect();
-        keys.extend(self.stored.iter().copied());
-        keys.extend(self.specs.keys().copied());
-        keys.into_iter().collect()
-    }
-
-    /// Keys currently holding a live model, sorted.
-    pub fn resident_keys(&self) -> Vec<ShardKey> {
-        self.resident.keys().copied().collect()
-    }
-
-    /// Number of live models (what the budget bounds).
-    pub fn resident_len(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Number of servable shards across all tiers.
-    pub fn len(&self) -> usize {
-        self.keys().len()
-    }
-
-    /// Whether no shard is servable.
-    pub fn is_empty(&self) -> bool {
-        self.resident.is_empty() && self.stored.is_empty() && self.specs.is_empty()
-    }
-
-    /// Metadata of every *resident* model, in key order.
-    pub fn info(&self) -> Vec<LocalizerInfo> {
-        self.resident.values().map(|r| r.model.info()).collect()
-    }
-
-    /// Mutable access to `key`'s model, faulting it in from the store or
-    /// spec tier if cold (and evicting the least-recently-used resident
-    /// models past the budget).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownShard`] when no tier knows `key`; propagates
-    /// hydration, training and write-through failures.
-    pub fn get_mut(&mut self, key: ShardKey) -> Result<&mut (dyn Localizer + '_), ServeError> {
-        self.ensure_resident(key)?;
-        self.clock += 1;
-        let Some(entry) = self.resident.get_mut(&key) else {
-            return Err(ServeError::UnknownShard(key));
-        };
-        entry.last_used = self.clock;
-        Ok(entry.model.as_mut())
-    }
-
-    /// Routes a feature batch to its shard and localizes it, faulting
-    /// the model in if cold.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelCatalog::get_mut`]; propagates model failures.
-    pub fn localize(&mut self, key: ShardKey, features: &Matrix) -> Result<Vec<Point>, ServeError> {
-        let shard = self.get_mut(key)?;
-        shard.localize_batch(features).map_err(ServeError::from)
-    }
-
-    /// Snapshots every resident model into `store` (e.g. an
-    /// [`crate::FsStore`] for warm restarts). Returns how many snapshots
-    /// were written.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::NotSnapshotable`] when a resident model cannot
-    /// serialize itself; propagates store failures.
-    pub fn export_to(&self, store: &dyn ModelStore) -> Result<usize, ServeError> {
-        for (key, resident) in &self.resident {
-            let snapshot = resident
-                .model
-                .try_snapshot()
-                .ok_or(ServeError::NotSnapshotable(*key))?;
-            store.put(*key, &snapshot)?;
-        }
-        Ok(self.resident.len())
-    }
-
-    /// Converts the catalog into its thread-shared face for serving (see
-    /// [`SharedCatalog`]). All three tiers carry over: resident models
-    /// become the parked tier, the store and spec tiers serve cold
-    /// faults.
-    pub fn into_shared(self) -> SharedCatalog {
-        let active = self
-            .resident
-            .iter()
-            .filter(|(_, r)| r.version > 0)
-            .map(|(k, r)| (*k, r.version))
-            .collect();
-        SharedCatalog {
-            budget: self.budget,
-            store: self.store,
-            specs: self.specs,
-            state: Mutex::new(SharedState {
-                parked: self.resident,
-                stored: self.stored,
-                leased: BTreeSet::new(),
-                pending: BTreeMap::new(),
-                active,
-                activating: BTreeSet::new(),
-                clock: self.clock,
-                stats: self.stats,
-            }),
-            released: Condvar::new(),
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// Faults `key` into the resident tier.
-    fn ensure_resident(&mut self, key: ShardKey) -> Result<(), ServeError> {
-        if self.resident.contains_key(&key) {
-            self.stats.hits += 1;
-            return Ok(());
-        }
-        self.stats.misses += 1;
-        let (model, cost, version): (Box<dyn Localizer>, usize, u64) =
-            if let Some(snapshot) = self.store.get(key)? {
-                self.stats.hydrations += 1;
-                let model = hydrate(&snapshot)?;
-                (
-                    Box::new(Sited {
-                        site: key.to_string(),
-                        inner: model,
-                    }),
-                    snapshot.encoded_len(),
-                    snapshot.version(),
-                )
-            } else if let Some(spec) = self.specs.get(&key) {
-                self.stats.retrains += 1;
-                let model = spec.train(key)?;
-                // Write through immediately: the next cold miss hydrates
-                // from the store instead of paying the retrain again.
-                let cost = match model.try_snapshot() {
-                    Some(snapshot) => {
-                        self.store.put(key, &snapshot)?;
-                        self.stored.insert(key);
-                        snapshot.encoded_len()
-                    }
-                    None => 0,
-                };
-                (
-                    Box::new(Sited {
-                        site: key.to_string(),
-                        inner: model,
-                    }),
-                    cost,
-                    0,
-                )
-            } else {
-                return Err(ServeError::UnknownShard(key));
-            };
-        self.clock += 1;
-        self.resident.insert(
-            key,
-            Resident {
-                model,
-                cost,
-                last_used: self.clock,
-                version,
-            },
-        );
-        self.enforce_budget(Some(key))
-    }
-
-    fn over_budget(&self) -> bool {
-        match self.budget {
-            CatalogBudget::Unbounded => false,
-            CatalogBudget::Count(n) => self.resident.len() > n,
-            CatalogBudget::Bytes(n) => {
-                self.resident.values().map(|r| r.cost).sum::<usize>() > n && self.resident.len() > 1
-            }
-        }
-    }
-
-    /// Evicts least-recently-used resident models (never `protect`, the
-    /// shard being served) until the budget holds or only unevictable
-    /// models remain.
-    fn enforce_budget(&mut self, protect: Option<ShardKey>) -> Result<(), ServeError> {
-        while self.over_budget() {
-            let mut candidates: Vec<(u64, ShardKey)> = self
-                .resident
-                .iter()
-                .filter(|(k, _)| protect != Some(**k))
-                .map(|(k, r)| (r.last_used, *k))
-                .collect();
-            candidates.sort_unstable();
-            // Walk in strict LRU order. A victim whose model must be
-            // serialized for the write-through is serialized exactly once
-            // here — the snapshot is carried into the eviction rather
-            // than probed and rebuilt.
-            let mut victim: Option<(ShardKey, Option<ModelSnapshot>)> = None;
-            for (_, k) in candidates {
-                if self.stored.contains(&k) || self.specs.contains_key(&k) {
-                    victim = Some((k, None)); // recoverable without serializing
-                    break;
-                }
-                if let Some(snapshot) = self.resident[&k].model.try_snapshot() {
-                    victim = Some((k, Some(snapshot)));
-                    break;
-                }
-                // Pinned (unsnapshotable, no spec): the budget cannot be
-                // honored for this model — count the walk-past so
-                // oversubscribed-but-pinned budgets are observable, then
-                // try the next-oldest.
-                self.stats.pinned += 1;
-            }
-            let Some((victim, snapshot)) = victim else {
-                // Everything left is pinned; staying over budget beats
-                // losing a model.
-                return Ok(());
-            };
-            self.evict_resident(victim, snapshot)?;
-        }
-        Ok(())
-    }
-
-    /// Retires one resident model, writing it through to the store first
-    /// when it is not already there (`snapshot` carries a pre-built blob
-    /// so the model is never serialized twice).
-    fn evict_resident(
-        &mut self,
-        key: ShardKey,
-        snapshot: Option<ModelSnapshot>,
-    ) -> Result<(), ServeError> {
-        let Some(resident) = self.resident.remove(&key) else {
-            return Ok(());
-        };
-        if !self.stored.contains(&key) {
-            match snapshot {
-                Some(snapshot) => {
-                    self.store.put(key, &snapshot)?;
-                    self.stored.insert(key);
-                }
-                // A registered spec makes the shard retrainable; honoring
-                // the caller's choice not to serialize keeps eviction of
-                // spec-backed shards free (a later retrain writes through
-                // in ensure_resident, converting the miss after that one
-                // into a hydrate).
-                None if self.specs.contains_key(&key) => {}
-                None => match resident.model.try_snapshot() {
-                    Some(snapshot) => {
-                        self.store.put(key, &snapshot)?;
-                        self.stored.insert(key);
-                    }
-                    None => {
-                        // Unrecoverable: keep it resident and report.
-                        self.resident.insert(key, resident);
-                        return Err(ServeError::NotSnapshotable(key));
-                    }
-                },
-            }
-        }
-        self.stats.evictions += 1;
-        Ok(())
-    }
-}
-
-/// What a leasing worker must do to materialize a cold model.
-enum LeaseSource {
-    Stored,
-    Spec(Arc<TrainSpec>),
-}
-
-/// State of a [`SharedCatalog`] that changes under the lock. The store
-/// and spec tiers live *outside* it: they are `&self`-safe, so the
-/// expensive half of a fault (store reads, hydration, retraining) never
-/// holds this lock.
-struct SharedState {
-    /// Models checked into the catalog and not leased out (the resident
-    /// tier between serve cycles).
-    parked: BTreeMap<ShardKey, Resident>,
-    /// Keys known to have a snapshot in the store tier.
-    stored: BTreeSet<ShardKey>,
-    /// Keys whose model is currently leased to a shard worker.
-    leased: BTreeSet<ShardKey>,
-    /// Freshly activated models for keys whose previous generation is
-    /// still leased out. The leasing worker picks its entry up at the
-    /// next batch boundary ([`SharedCatalog::refresh_lease`]); release
-    /// paths fold a leftover entry in so an activated model is never
-    /// lost.
-    pending: BTreeMap<ShardKey, Resident>,
-    /// Activated model version per key; absent means "whatever the
-    /// store's active slot says" (primed on first lease), which is `0`
-    /// for shards that never refreshed.
-    active: BTreeMap<ShardKey, u64>,
-    /// Keys with an activation (or rollback) in flight — version
-    /// allocation, archive and publish are serialized per key.
-    activating: BTreeSet<ShardKey>,
-    clock: u64,
-    stats: CatalogStats,
-}
-
-/// The thread-shared face of a [`ModelCatalog`], built for serving
-/// ([`crate::BatchServer::start`]).
-///
-/// Shard workers *lease* a model out of the catalog on their first
-/// request (a parked-tier hit, a store-tier hydration, or a spec-tier
-/// retrain — all bit-identical to the eager model) and *release* it back
-/// when they spin down: either cold (write-through to the store, memory
-/// freed) or parked (kept live for the next lease, the shutdown path).
-///
-/// Concurrency contract: the state lock only guards bookkeeping. Two
-/// shards faulting at the same time hydrate or retrain concurrently;
-/// only lease/release pairs *for the same shard* serialize (a new lease
-/// waits until the previous worker has released the key, so a spinning-
-/// down worker's write-through always completes before a successor
-/// rehydrates).
-pub struct SharedCatalog {
-    budget: CatalogBudget,
-    store: Arc<dyn ModelStore>,
-    specs: BTreeMap<ShardKey, Arc<TrainSpec>>,
-    state: Mutex<SharedState>,
-    /// Signals lease releases and activation completions (same-shard
-    /// waiters re-check here).
-    released: Condvar,
-    /// Bumped on every activation/rollback. Shard workers cache the value
-    /// and re-check it between batches — one relaxed atomic load per
-    /// batch — so a version bump is picked up at a batch boundary without
-    /// ever taking the state lock on the fast path.
-    epoch: AtomicU64,
-}
-
-impl fmt::Debug for SharedCatalog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = relock(&self.state);
-        f.debug_struct("SharedCatalog")
-            .field("budget", &self.budget)
-            .field("parked", &state.parked.keys().collect::<Vec<_>>())
-            .field("leased", &state.leased)
-            .field("stored", &state.stored)
-            .field("specs", &self.specs.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl SharedCatalog {
-    /// The configured budget (enforced across *leased* models by the
-    /// server, and across parked models when converting back to a
-    /// [`ModelCatalog`]).
-    pub fn budget(&self) -> CatalogBudget {
-        self.budget
-    }
-
-    /// Lifecycle counters so far.
-    pub fn stats(&self) -> CatalogStats {
-        relock(&self.state).stats
-    }
-
-    /// Every key the catalog can serve (parked ∪ leased ∪ stored ∪
+    /// Every key the catalog can serve (resident ∪ leased ∪ stored ∪
     /// specs), sorted.
     pub fn keys(&self) -> Vec<ShardKey> {
         let state = relock(&self.state);
@@ -752,15 +468,148 @@ impl SharedCatalog {
         keys.into_iter().collect()
     }
 
-    /// Number of models currently leased to shard workers.
-    pub fn leased_len(&self) -> usize {
-        relock(&self.state).leased.len()
+    /// Keys currently holding a live model, sorted.
+    pub fn resident_keys(&self) -> Vec<ShardKey> {
+        relock(&self.state).parked.keys().copied().collect()
     }
 
-    /// Checks `key`'s model out of the catalog for exclusive use by one
-    /// shard worker, faulting it in (parked hit → store hydration → spec
-    /// retrain) if cold. Returns the model, its budget cost (encoded
-    /// snapshot bytes; `0` when unknown) and its model version.
+    /// Number of live models (what the budget bounds).
+    pub fn resident_len(&self) -> usize {
+        relock(&self.state).parked.len()
+    }
+
+    /// Number of servable shards across all tiers.
+    pub fn len(&self) -> usize {
+        self.keys().len()
+    }
+
+    /// Whether no shard is servable.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Metadata of every *resident* model, in key order, with each
+    /// model's site labeled by its shard key.
+    pub fn info(&self) -> Vec<LocalizerInfo> {
+        relock(&self.state)
+            .parked
+            .iter()
+            .map(|(key, r)| r.model.info().with_site(key.to_string()))
+            .collect()
+    }
+
+    /// Routes a feature batch to its shard and localizes it: the model is
+    /// leased (faulting it in if cold), serves, parks again, and the
+    /// least-recently-used models past the budget are written through
+    /// and evicted.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownShard`] when no tier knows `key`; propagates
+    /// hydration, training, model and write-through failures.
+    pub fn localize(&mut self, key: ShardKey, features: &Matrix) -> Result<Vec<Point>, ServeError> {
+        let (mut model, cost, version) = self.lease(key)?;
+        let points = model.localize_batch(features);
+        self.release_parked(key, model, cost, version);
+        self.trim(Some(key))?;
+        points.map_err(ServeError::from)
+    }
+
+    /// Snapshots every resident model into `store` (e.g. an
+    /// [`crate::FsStore`] for warm restarts), each stamped with the
+    /// version it serves, so a catalog restarted from `store` reports
+    /// the same active versions. Returns how many snapshots were
+    /// written.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::NotSnapshotable`] when a resident model cannot
+    /// serialize itself; propagates store failures.
+    pub fn export_to(&mut self, store: &dyn ModelStore) -> Result<usize, ServeError> {
+        let parked = &unlocked(&mut self.state).parked;
+        for (key, resident) in parked {
+            write_through(store, *key, resident.model.as_ref(), resident.version)?
+                .ok_or(ServeError::NotSnapshotable(*key))?;
+        }
+        Ok(parked.len())
+    }
+
+    /// Moves every tier out into a fresh catalog trimmed back under the
+    /// budget: the server's shutdown hand-back, run once every worker
+    /// has released its lease.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write-through failures while trimming.
+    pub(crate) fn take(&self) -> Result<ModelCatalog, ServeError> {
+        let mut state = std::mem::take(&mut *relock(&self.state));
+        debug_assert!(
+            state.leased.is_empty(),
+            "taking a catalog with live leases loses models"
+        );
+        let pending = std::mem::take(&mut state.pending);
+        state.parked.extend(pending);
+        let mut catalog = ModelCatalog {
+            budget: self.budget,
+            store: Arc::clone(&self.store),
+            specs: self.specs.clone(),
+            state: Mutex::new(state),
+            released: Condvar::new(),
+            epoch: AtomicU64::new(0),
+        };
+        catalog.trim(None)?;
+        Ok(catalog)
+    }
+
+    /// Evicts least-recently-used parked models (never `protect`, the
+    /// shard just served) until the budget holds or only pinned models
+    /// remain. A victim the store does not hold yet is written through
+    /// first.
+    fn trim(&mut self, protect: Option<ShardKey>) -> Result<(), ServeError> {
+        let ModelCatalog {
+            budget,
+            store,
+            specs,
+            state,
+            ..
+        } = self;
+        let state = unlocked(state);
+        let mut pinned = BTreeSet::new();
+        while budget.exceeded_by(&state.parked) {
+            let victim = state
+                .parked
+                .iter()
+                .filter(|(k, _)| protect != Some(**k) && !pinned.contains(*k))
+                .min_by_key(|(_, r)| r.last_used);
+            let Some((&key, victim)) = victim else {
+                // Everything left is pinned; staying over budget beats
+                // losing a model.
+                return Ok(());
+            };
+            let held = state.stored.contains(&key)
+                || write_through(store.as_ref(), key, victim.model.as_ref(), victim.version)?
+                    .is_some();
+            if held {
+                state.stored.insert(key);
+            } else if !specs.contains_key(&key) {
+                // Pinned (unsnapshotable, no spec): count the walk-past
+                // so oversubscribed-but-pinned budgets are observable,
+                // then try the next-oldest.
+                state.stats.pinned += 1;
+                pinned.insert(key);
+                continue;
+            }
+            state.parked.remove(&key);
+            state.stats.evictions += 1;
+        }
+        Ok(())
+    }
+
+    /// Checks `key`'s model out of the catalog for exclusive use,
+    /// faulting it in (parked hit → store hydration → spec retrain) if
+    /// cold — the only code that turns a key into a model. Returns the
+    /// model, its budget cost (encoded snapshot bytes; `0` when unknown)
+    /// and its model version.
     ///
     /// Blocks while a previous worker still holds `key`'s lease, so a
     /// spin-down's write-through always completes before the re-fault.
@@ -809,35 +658,13 @@ impl SharedCatalog {
                 })
                 .and_then(|snapshot| {
                     let model = hydrate(&snapshot)?;
-                    Ok((
-                        Box::new(Sited {
-                            site: key.to_string(),
-                            inner: model,
-                        }) as Box<dyn Localizer>,
-                        snapshot.encoded_len(),
-                        snapshot.version(),
-                        false,
-                    ))
+                    Ok((model, snapshot.encoded_len(), snapshot.version(), false))
                 }),
             LeaseSource::Spec(spec) => spec.train(key).and_then(|model| {
                 // Write through immediately: the next cold fault hydrates
                 // instead of paying the retrain again.
-                let cost = match model.try_snapshot() {
-                    Some(snapshot) => {
-                        self.store.put(key, &snapshot)?;
-                        snapshot.encoded_len()
-                    }
-                    None => 0,
-                };
-                Ok((
-                    Box::new(Sited {
-                        site: key.to_string(),
-                        inner: model,
-                    }) as Box<dyn Localizer>,
-                    cost,
-                    0,
-                    true,
-                ))
+                let cost = write_through(self.store.as_ref(), key, model.as_ref(), 0)?;
+                Ok((model, cost.unwrap_or(0), 0, true))
             }),
         };
         let mut state = relock(&self.state);
@@ -884,51 +711,38 @@ impl SharedCatalog {
         cost: usize,
         version: u64,
     ) {
-        let superseded = {
+        let (superseded, stored) = {
             let mut state = relock(&self.state);
-            state.pending.remove(&key)
+            (state.pending.remove(&key), state.stored.contains(&key))
         };
-        if let Some(fresh) = superseded {
-            // Activation already wrote the fresh generation's bytes to
-            // the active slot, so neither live copy needs a write-through.
-            drop(model);
-            drop(fresh);
-            let mut state = relock(&self.state);
-            state.stats.evictions += 1;
-            state.leased.remove(&key);
-            self.released.notify_all();
-            return;
-        }
-        let needs_write = {
-            let state = relock(&self.state);
-            !state.stored.contains(&key)
-        };
-        if needs_write {
-            // Serialization and the store write run outside the lock.
-            match model.try_snapshot() {
-                Some(snapshot) => match self.store.put(key, &snapshot.with_version(version)) {
-                    Ok(()) => {
-                        relock(&self.state).stored.insert(key);
-                    }
-                    Err(e) => {
-                        // Failing the write-through must not lose the
-                        // model: park it and keep serving from memory.
-                        eprintln!(
-                            "noble-serve: spin-down write-through for shard {key} failed ({e}); \
-                             keeping the model resident"
-                        );
-                        return self.release_parked(key, model, cost, version);
-                    }
-                },
+        // Activation already wrote a superseding generation's bytes to
+        // the active slot, so neither live copy needs a write-through.
+        // Otherwise serialization and the store write run outside the
+        // lock.
+        if superseded.is_none() && !stored {
+            match write_through(self.store.as_ref(), key, model.as_ref(), version) {
+                Ok(Some(_)) => {
+                    relock(&self.state).stored.insert(key);
+                }
                 // Retrainable from its spec: dropping is safe.
-                None if self.specs.contains_key(&key) => {}
-                None => {
+                Ok(None) if self.specs.contains_key(&key) => {}
+                Ok(None) => {
                     relock(&self.state).stats.pinned += 1;
+                    return self.release_parked(key, model, cost, version);
+                }
+                Err(e) => {
+                    // Failing the write-through must not lose the
+                    // model: park it and keep serving from memory.
+                    eprintln!(
+                        "noble-serve: spin-down write-through for shard {key} failed ({e}); \
+                         keeping the model resident"
+                    );
                     return self.release_parked(key, model, cost, version);
                 }
             }
         }
         drop(model);
+        drop(superseded);
         let mut state = relock(&self.state);
         state.stats.evictions += 1;
         state.leased.remove(&key);
@@ -936,10 +750,10 @@ impl SharedCatalog {
     }
 
     /// Checks a leased model back in *live*: it stays parked in the
-    /// resident tier for the next lease (the server-shutdown path, so
-    /// converting back to a [`ModelCatalog`] hands warm models back).
-    /// A pending activation supersedes the returned model — the fresh
-    /// generation parks, the stale one drops.
+    /// resident tier for the next lease (the owned `localize` path and
+    /// the server-shutdown path, so the handed-back catalog keeps warm
+    /// models). A pending activation supersedes the returned model — the
+    /// fresh generation parks, the stale one drops.
     pub(crate) fn release_parked(
         &self,
         key: ShardKey,
@@ -975,52 +789,19 @@ impl SharedCatalog {
         drop(stale);
     }
 
-    /// Drains the shared state back into a single-threaded
-    /// [`ModelCatalog`] (parked models become the resident tier, trimmed
-    /// back under the budget with write-through evictions). Any model
-    /// still leased when this runs stays with its worker and is simply
-    /// absent — the server only calls this after joining every
-    /// worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write-through failures while trimming to the budget.
-    pub(crate) fn drain_into_catalog(&self) -> Result<ModelCatalog, ServeError> {
-        let mut state = relock(&self.state);
-        debug_assert!(
-            state.leased.is_empty(),
-            "draining a SharedCatalog with live leases loses models"
-        );
-        let pending = std::mem::take(&mut state.pending);
-        let mut resident = std::mem::take(&mut state.parked);
-        resident.extend(pending);
-        let mut catalog = ModelCatalog {
-            budget: self.budget,
-            store: Arc::clone(&self.store),
-            specs: self.specs.clone(),
-            resident,
-            stored: state.stored.clone(),
-            clock: state.clock,
-            stats: state.stats,
-        };
-        drop(state);
-        catalog.enforce_budget(None)?;
-        Ok(catalog)
-    }
-
     // -----------------------------------------------------------------
     // Online refresh: versioned activation, rollback, batch-boundary
     // pickup. See ARCHITECTURE.md, "Online refresh".
     // -----------------------------------------------------------------
 
     /// The activated model version of `key`: `0` until the first
-    /// [`SharedCatalog::activate`] (or after a rollback to the offline
+    /// [`ModelCatalog::activate`] (or after a rollback to the offline
     /// generation). Absent keys report `0`.
     ///
     /// Note the map is primed lazily: after a restart the authoritative
     /// version lives in the store's active slot and is learned on the
     /// first lease or activation of the key.
-    pub fn active_version(&self, key: ShardKey) -> u64 {
+    pub(crate) fn active_version(&self, key: ShardKey) -> u64 {
         relock(&self.state).active.get(&key).copied().unwrap_or(0)
     }
 
@@ -1030,13 +811,13 @@ impl SharedCatalog {
     /// # Errors
     ///
     /// Propagates store failures.
-    pub fn archived_versions(&self, key: ShardKey) -> Result<Vec<u64>, ServeError> {
+    pub(crate) fn archived_versions(&self, key: ShardKey) -> Result<Vec<u64>, ServeError> {
         self.store.versions(key)
     }
 
     /// The swap epoch: bumped on every activation and rollback. Workers
     /// cache it and compare between batches; an unchanged epoch is one
-    /// relaxed load, so the serving fast path never touches the state
+    /// atomic load, so the serving fast path never touches the state
     /// lock for version checks.
     pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
@@ -1075,7 +856,7 @@ impl SharedCatalog {
     /// [`ServeError::NotSnapshotable`] when the built model cannot
     /// serialize itself (nothing is activated); propagates store and
     /// build failures.
-    pub fn activate<F>(&self, key: ShardKey, build: F) -> Result<u64, ServeError>
+    pub(crate) fn activate<F>(&self, key: ShardKey, build: F) -> Result<u64, ServeError>
     where
         F: FnOnce(u64) -> Result<Box<dyn Localizer>, ServeError>,
     {
@@ -1101,10 +882,6 @@ impl SharedCatalog {
                 .max(current)
                 + 1;
             let model = build(version)?;
-            let model: Box<dyn Localizer> = Box::new(Sited {
-                site: key.to_string(),
-                inner: model,
-            });
             let snapshot = model
                 .try_snapshot()
                 .ok_or(ServeError::NotSnapshotable(key))?
@@ -1121,7 +898,7 @@ impl SharedCatalog {
     /// Rewinds `key` to an archived `version`: rehydrates its bytes,
     /// republishes them as the store's active slot, and flips serving to
     /// the restored model with the same batch-boundary discipline as
-    /// [`SharedCatalog::activate`]. The restored model is bit-identical
+    /// [`ModelCatalog::activate`]. The restored model is bit-identical
     /// to the one that was archived (snapshot hydration is exact).
     ///
     /// # Errors
@@ -1129,7 +906,7 @@ impl SharedCatalog {
     /// [`ServeError::UnknownVersion`] when `version` was never archived
     /// for `key`; propagates store and hydration failures (serving is
     /// untouched on error).
-    pub fn rollback(&self, key: ShardKey, version: u64) -> Result<(), ServeError> {
+    pub(crate) fn rollback(&self, key: ShardKey, version: u64) -> Result<(), ServeError> {
         self.begin_activation(key);
         let outcome = (|| {
             let snapshot = self
@@ -1137,10 +914,6 @@ impl SharedCatalog {
                 .get_version(key, version)?
                 .ok_or(ServeError::UnknownVersion { key, version })?;
             let model = hydrate(&snapshot)?;
-            let model: Box<dyn Localizer> = Box::new(Sited {
-                site: key.to_string(),
-                inner: model,
-            });
             // Republish the archived bytes as the active slot so a
             // restart rehydrates to the rolled-back version.
             self.store.put(key, &snapshot)?;
@@ -1201,14 +974,13 @@ impl SharedCatalog {
         result
     }
 
-    /// A paged worker's between-batches version check: given the version
-    /// it is serving, returns the fresh `(model, cost, version)` to swap
-    /// to at this batch boundary, or `None` to keep serving. Never
-    /// blocks on training — the fresh model was built off-path and is
-    /// waiting in the pending slot (the rare fallback rehydrates the
-    /// store's active slot). On any store/hydration hiccup the worker
-    /// keeps its current generation: refresh machinery must never
-    /// degrade serving.
+    /// A worker's between-batches version check: given the version it is
+    /// serving, returns the fresh `(model, cost, version)` to swap to at
+    /// this batch boundary, or `None` to keep serving. Never blocks on
+    /// training — the fresh model was built off-path and is waiting in
+    /// the pending slot (the rare fallback rehydrates the store's active
+    /// slot). On any store/hydration hiccup the worker keeps its current
+    /// generation: refresh machinery must never degrade serving.
     pub(crate) fn refresh_lease(
         &self,
         key: ShardKey,
@@ -1230,16 +1002,7 @@ impl SharedCatalog {
         if snapshot.version() == serving {
             return None;
         }
-        let cost = snapshot.encoded_len();
-        let version = snapshot.version();
         let model = hydrate(&snapshot).ok()?;
-        Some((
-            Box::new(Sited {
-                site: key.to_string(),
-                inner: model,
-            }),
-            cost,
-            version,
-        ))
+        Some((model, snapshot.encoded_len(), snapshot.version()))
     }
 }

@@ -5,13 +5,15 @@
 //! This crate is the serving seam between the trained models (anything
 //! implementing [`noble::Localizer`]) and that traffic:
 //!
-//! - [`ModelCatalog`] is the model-lifecycle tier: a capacity-bounded
-//!   (count or byte [`CatalogBudget`]) LRU of resident models over a
-//!   pluggable [`ModelStore`] ([`MemStore`] / checksummed atomic-file
-//!   [`FsStore`]). Cold shards hydrate from stored snapshots
-//!   ([`noble::hydrate`], bit-identical) or retrain on demand from a
-//!   registered [`TrainSpec`]; eviction writes through to the store so
-//!   a model is never lost.
+//! - [`ModelCatalog`] is the model-lifecycle tier and the only catalog
+//!   type: a capacity-bounded (count or byte [`CatalogBudget`]) LRU of
+//!   resident models over a pluggable [`ModelStore`] ([`MemStore`] /
+//!   checksummed atomic-file [`FsStore`]). Cold shards hydrate from
+//!   stored snapshots ([`noble::hydrate`], bit-identical) or retrain on
+//!   demand from a registered [`TrainSpec`]; eviction, spin-down and
+//!   export write through to the store, stamped with the model's
+//!   version, so a model is never lost. The same catalog serves a
+//!   caller's thread directly or every worker of a server.
 //! - [`ShardedRegistry`] is the eager-training hand-off: it partitions a
 //!   campaign by building/floor [`ShardKey`] and trains (or accepts) one
 //!   model per shard with order-free derived seeds and bounded per-shard
@@ -99,7 +101,7 @@ mod store;
 mod sync;
 
 pub use buffer::{BufferLimits, Observation, ObservationBuffer, ObservationKind, PushOutcome};
-pub use catalog::{CatalogBudget, CatalogStats, ModelCatalog, SharedCatalog, TrainSpec};
+pub use catalog::{CatalogBudget, CatalogStats, ModelCatalog, TrainSpec};
 pub use error::ServeError;
 pub use refresh::{BufferStats, RefreshConfig, RefreshOutcome, Refresher};
 pub use registry::{

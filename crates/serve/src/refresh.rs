@@ -265,9 +265,10 @@ impl Refresher {
         })
     }
 
-    /// Restores an archived version bit-identically (see
-    /// [`crate::SharedCatalog::rollback`]). Workers pick the restored
-    /// model up at their next batch boundary, exactly like a refresh.
+    /// Restores an archived version bit-identically: its archived bytes
+    /// are rehydrated and republished as the store's active slot.
+    /// Workers pick the restored model up at their next batch boundary,
+    /// exactly like a refresh.
     ///
     /// # Errors
     ///

@@ -258,8 +258,7 @@ impl ShardedRegistry {
         Ok(registry)
     }
 
-    /// Registers (or replaces) the localizer serving `key`, relabeling its
-    /// site metadata with the shard key.
+    /// Registers (or replaces) the localizer serving `key`.
     pub fn insert(&mut self, key: ShardKey, localizer: Box<dyn Localizer>) {
         self.catalog
             .insert(key, localizer)

@@ -31,7 +31,7 @@
 //!
 //! - **COLD → WARMING**: the first request to a cold shard spawns its
 //!   worker and *parks* in the worker's queue; the worker leases the
-//!   model from the shared [`crate::SharedCatalog`] (a parked model
+//!   model from the server's [`crate::ModelCatalog`] (a parked model
 //!   as-is, else a hydrate or retrain outside any global lock, so
 //!   concurrently warming shards overlap).
 //! - **HOT → DRAINING**: a worker retires when it has been idle for
@@ -95,7 +95,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::catalog::SharedCatalog;
 use crate::refresh::{RefreshConfig, Refresher};
 use crate::sync::{relock, rewait_timeout};
 use crate::{CatalogBudget, CatalogStats, ModelCatalog, ServeError, ShardKey};
@@ -290,7 +289,7 @@ pub struct PagedStats {
     /// Model-version swaps picked up by hot workers at a batch boundary
     /// (an activation or rollback landed while the shard was serving).
     pub refresh_swaps: u64,
-    /// The shared catalog's lifecycle counters (hits / hydrations /
+    /// The catalog's lifecycle counters (hits / hydrations /
     /// retrains / evictions / pinned).
     pub catalog: CatalogStats,
 }
@@ -421,7 +420,7 @@ struct Slots {
 /// Shared state of a running server: its catalog, routing slots and
 /// counters, held by the server, every client and every shard worker.
 pub(crate) struct ServerCore {
-    pub(crate) catalog: SharedCatalog,
+    pub(crate) catalog: ModelCatalog,
     cfg: BatchConfig,
     /// Routable keys, fixed at start (the catalog's keys).
     pub(crate) keys: BTreeSet<ShardKey>,
@@ -619,7 +618,7 @@ enum Retire {
     /// `Slots::draining` until the release lands) from an idle-TTL or
     /// vanished-slot spin-down.
     Cold { requested: bool },
-    /// Park the model live in the shared catalog (server shutdown).
+    /// Park the model live in the catalog (server shutdown).
     Park,
 }
 
@@ -932,8 +931,7 @@ impl BatchServer {
             CatalogBudget::Count(n) => (n, None),
             CatalogBudget::Bytes(b) => (usize::MAX, Some(b)),
         };
-        let shared = catalog.into_shared();
-        let keys: BTreeSet<ShardKey> = shared.keys().into_iter().collect();
+        let keys: BTreeSet<ShardKey> = catalog.keys().into_iter().collect();
         let stats = keys
             .iter()
             .map(|k| (*k, Arc::new(Mutex::new(ShardStats::default()))))
@@ -944,7 +942,7 @@ impl BatchServer {
             .collect();
         Ok(BatchServer {
             core: Arc::new(ServerCore {
-                catalog: shared,
+                catalog,
                 cfg,
                 keys,
                 max_hot,
@@ -1076,7 +1074,7 @@ impl BatchServer {
     ) -> Result<(Vec<(ShardKey, ShardStats)>, ModelCatalog), ServeError> {
         self.stop();
         let stats = self.stats();
-        let catalog = self.core.catalog.drain_into_catalog()?;
+        let catalog = self.core.catalog.take()?;
         Ok((stats, catalog))
     }
 

@@ -580,6 +580,32 @@ fn unsnapshotable_models_are_pinned_not_lost() {
         catalog.stats().pinned > 0,
         "eviction walked past a pinned model without counting it"
     );
+
+    // Served under a budget of one, every switch between the shards
+    // drains the hot worker. The opaque model cannot write through, so
+    // its spin-down must park it (pinned) instead of dropping it.
+    let pinned_before = catalog.stats().pinned;
+    let server = BatchServer::start(catalog, BatchConfig::default()).unwrap();
+    let client = server.client();
+    for _ in 0..3 {
+        assert_eq!(
+            client
+                .localize(ShardKey::building(0), vec![0.0; 2])
+                .unwrap(),
+            Point::new(1.0, 2.0),
+            "pinned model was lost across a drain"
+        );
+        client
+            .localize(ShardKey::building(1), vec![0.0; campaign.num_waps()])
+            .unwrap();
+    }
+    let paged = server.paged_stats().expect("paged server");
+    assert!(paged.drains > 0, "budget 1 over two shards must drain");
+    assert!(
+        paged.catalog.pinned > pinned_before,
+        "a spin-down parked a pinned model without counting it"
+    );
+    server.shutdown();
 }
 
 #[test]

@@ -310,11 +310,13 @@ fn concurrent_refresh_cycles_never_tear_answers() {
 
 /// Restart clause: every version survives the process. The active slot
 /// rehydrates to the last activated version bit-identically, the
-/// archive is intact, and rollback works across the restart.
+/// archive is intact, and rollback works across the restart. An export
+/// of the handed-back catalog keeps the version stamp too.
 #[test]
 fn versioned_snapshots_survive_restart() {
     let campaign = quick_campaign();
     let dir = store_dir("restart");
+    let export_dir = store_dir("export");
     let probe = probes(&campaign, 5);
     let key;
     let v0;
@@ -336,7 +338,10 @@ fn versioned_snapshots_survive_restart() {
         }
         assert_eq!(refresher.refresh(key).unwrap().version, 1);
         v1 = serve_all(&client, key, &probe);
-        server.shutdown();
+        let (_, mut catalog) = server.shutdown_with_catalog().unwrap();
+        catalog
+            .export_to(&FsStore::open(&export_dir).unwrap())
+            .unwrap();
     }
 
     // A fresh process: the catalog is rebuilt from the store alone.
@@ -361,6 +366,25 @@ fn versioned_snapshots_survive_restart() {
         serve_all(&client, key, &probe),
         v0,
         "rollback across a restart is bit-parity with the old archive"
+    );
+    server.shutdown();
+
+    // A restart from the export serves v1 and knows it is v1.
+    let store = FsStore::open(&export_dir).unwrap();
+    let catalog = ModelCatalog::with_store(CatalogBudget::Unbounded, Box::new(store)).unwrap();
+    let server = BatchServer::start(catalog, serving_cfg()).unwrap();
+    assert_eq!(
+        serve_all(&server.client(), key, &probe),
+        v1,
+        "a restart from the export serves the exported version"
+    );
+    assert_eq!(
+        server
+            .refresher(RefreshConfig::default())
+            .unwrap()
+            .active_version(key),
+        1,
+        "export_to keeps the version stamp"
     );
     server.shutdown();
 }
