@@ -1,5 +1,5 @@
-//! Runs every experiment in sequence (the full reproduction pass used to
-//! fill EXPERIMENTS.md). Set `NOBLE_QUICK=1` for a fast smoke pass.
+//! Runs every experiment in sequence (the full reproduction pass behind
+//! the README's results). Set `NOBLE_QUICK=1` for a fast smoke pass.
 
 type Experiment = (
     &'static str,
@@ -18,11 +18,6 @@ fn main() {
         ("fig5", noble_bench::runners::fig5::run),
         ("energy", noble_bench::runners::energy::run),
         ("throughput", noble_bench::runners::throughput::run),
-        ("serving", noble_bench::runners::serving::run),
-        ("model_store", noble_bench::runners::model_store::run),
-        ("tracking", noble_bench::runners::tracking::run),
-        ("net", noble_bench::runners::net::run),
-        ("refresh", noble_bench::runners::refresh::run),
         (
             "ablation_tau",
             noble_bench::runners::ablation::run_tau_sweep,

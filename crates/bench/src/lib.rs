@@ -1,7 +1,7 @@
 //! Benchmark harness for the NObLe reproduction.
 //!
-//! One runner per table/figure of the paper (see DESIGN.md §5 for the
-//! experiment index):
+//! One runner per table/figure of the paper (the README's experiment
+//! index lists the matching `exp_*` binaries):
 //!
 //! | runner | paper artifact |
 //! |---|---|
@@ -13,12 +13,11 @@
 //! | [`runners::fig4`] | Fig. 4 — prediction scatter + structure metrics |
 //! | [`runners::fig5`] | Fig. 5 — IMU scatter + structure metrics |
 //! | [`runners::energy`] | §IV-C and §V-D — energy measurements |
-//! | [`runners::ablation`] | DESIGN.md §6 — τ sweep, labels, aux heads |
-//! | [`runners::throughput`] | serving throughput — single vs batched vs threaded fixes/sec |
-//! | [`runners::serving`] | sharded serving — micro-batching pipeline over 1/2/4 shards |
-//! | [`runners::model_store`] | model lifecycle — cold-train vs hydrate vs resident-hit, eviction thrash |
-//! | [`runners::tracking`] | tracking sessions — concurrent per-device session capacity and zone-event latency |
-//! | [`runners::net`] | network edge — open-loop overload sweep, goodput/shed curves, fairness (SLO-gated) |
+//! | [`runners::ablation`] | design ablations — τ sweep, labels, aux heads, decode |
+//! | [`runners::throughput`] | serving throughput — single vs batched vs threaded fixes/sec, per precision tier |
+//!
+//! The serving stack above the kernels is measured by `e2ebench/` and
+//! gated by the `noble-serve` and `noble-net` integration tests.
 //!
 //! Each runner honors [`Scale`]: `Scale::Quick` (set `NOBLE_QUICK=1`)
 //! shrinks datasets and epochs so the whole suite runs in seconds; the
@@ -26,7 +25,6 @@
 //! Artifact CSVs are written under `results/`.
 
 pub mod config;
-mod latency;
 pub mod runners;
 
 pub use config::Scale;

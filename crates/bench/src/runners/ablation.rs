@@ -1,4 +1,4 @@
-//! Ablations of NObLe's design choices (DESIGN.md §6).
+//! Ablations of NObLe's design choices.
 //!
 //! - `tau sweep` — the §III-B granularity trade-off: finer grids mean more
 //!   classes, lower class accuracy, but lower decode error; position error
@@ -78,7 +78,7 @@ pub fn run_labels(scale: Scale) -> RunnerResult {
     let campaign = uji_campaign(&uji_config(scale))?;
     let base = wifi_noble_config(scale);
 
-    // The default config keeps adjacency off (DESIGN.md §2 decision 1);
+    // The default config keeps adjacency off (`adjacency_weight: None`);
     // this ablation exercises the paper's multi-hot variant explicitly.
     let variants: Vec<(&str, WifiNobleConfig)> = vec![
         ("multi-res + adjacency (paper §III-B)", {

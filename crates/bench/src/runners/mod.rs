@@ -8,15 +8,10 @@ pub mod fig1;
 pub mod fig4;
 pub mod fig5;
 pub mod ipin;
-pub mod model_store;
-pub mod net;
-pub mod refresh;
-pub mod serving;
 pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod throughput;
-pub mod tracking;
 
 /// Shared error type of the runners.
 pub type RunnerResult = Result<String, Box<dyn std::error::Error>>;

@@ -65,7 +65,7 @@ impl ImuRegressionConfig {
 /// space — the behaviour of a model that must infer absolute position from
 /// relative motion alone — and only NObLe's location network is described
 /// as receiving the starting class (§V-B). Giving regression the start
-/// anchor collapses the paper's 10.41 m gap to ~4 m; see DESIGN.md §2.
+/// anchor collapses the paper's 10.41 m gap to ~4 m.
 #[derive(Debug, Clone)]
 pub struct ImuDeepRegression {
     mlp: Mlp,

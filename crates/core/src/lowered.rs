@@ -12,8 +12,8 @@
 //! - **Accuracy is gated, not assumed.** A lowered twin tracks its f64
 //!   progenitor within the tier's tolerance (f32: ≤ 1e-4 position
 //!   error; int8: a calibrated quantization bound). The precision-parity
-//!   suite and the accuracy-delta checks in `exp_throughput` /
-//!   `exp_serving` pin this.
+//!   suite, the accuracy-delta checks in `exp_throughput` and
+//!   `noble-serve`'s `serving_parity` suite pin this.
 //! - **Persistence never loses precision.** [`crate::Localizer::try_snapshot`]
 //!   on a lowered twin returns the progenitor's *exact f64 snapshot*
 //!   captured at lowering time, so catalog eviction write-through and

@@ -192,8 +192,8 @@ pub trait SnapshotLocalizer: Localizer {
     /// encoding: [`ParamEncoding::F64`] is exact,
     /// [`ParamEncoding::F32`] produces a ~2x smaller *compact* snapshot
     /// whose hydrated twin reproduces inference to f32 accuracy instead
-    /// of bit-identically (the accuracy-delta gate in `exp_model_store`
-    /// pins the drift). Models without network parameters ignore the
+    /// of bit-identically (the compact-snapshot gate in the
+    /// `precision_parity` suite pins the drift). Models without network parameters ignore the
     /// flag — the default forwards to the exact writer.
     fn snapshot_with(&self, _encoding: ParamEncoding) -> ModelSnapshot {
         self.snapshot()
@@ -458,7 +458,7 @@ fn activation_from_tag(tag: u8) -> Result<Activation, NobleError> {
 /// `ParamEncoding::F64` is the exact default (byte-identical to
 /// historical snapshots); `F32` narrows every parameter scalar for ~2x
 /// smaller edge stores at f32-accuracy round trips (the compact-snapshot
-/// gate in `exp_model_store` pins the accuracy delta).
+/// gate in the `precision_parity` suite pins the accuracy delta).
 pub(crate) fn write_mlp_with(w: &mut SnapWriter, mlp: &Mlp, encoding: ParamEncoding) {
     w.u64(mlp.in_dim() as u64);
     let specs = mlp.layer_specs();

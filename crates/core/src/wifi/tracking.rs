@@ -7,8 +7,8 @@
 //! constant-velocity smoother with optional map projection — turning
 //! independent fixes into a coherent trajectory.
 //!
-//! This is an extension beyond the paper's evaluation (documented in
-//! DESIGN.md §6); it reuses only public NObLe outputs and the map
+//! This is an extension beyond the paper's evaluation; it reuses only
+//! public NObLe outputs and the map
 //! substrate, so it works with any per-fix localizer.
 //!
 //! [`ZoneDetector`] is the second tracking primitive: it debounces a

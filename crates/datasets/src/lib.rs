@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on three datasets we cannot ship: UJIIndoorLoc
 //! (external download), the IPIN 2016 Tutorial dataset (external download),
-//! and the authors' never-released campus IMU walks. Per the reproduction
-//! plan (DESIGN.md §2) this crate builds synthetic equivalents that
+//! and the authors' never-released campus IMU walks. So this crate
+//! builds synthetic equivalents that
 //! exercise the same code paths:
 //!
 //! - [`uji_campaign`] — a three-building, four-floor campus in the spirit

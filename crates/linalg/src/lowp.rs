@@ -10,7 +10,7 @@
 //! - **vs f64**: approximate. f32 products agree with the f64 reference
 //!   to f32 rounding; int8 products agree to the quantization grid. The
 //!   gates live upstream (parity-at-tolerance suites, the accuracy-delta
-//!   checks in `exp_throughput`/`exp_serving`).
+//!   checks in `exp_throughput`).
 //! - **vs itself**: exact. Every kernel here is bit-stable across thread
 //!   counts and batch shapes, by the same construction the f64 family
 //!   uses — the parallel variants deal *whole output rows* to workers

@@ -26,8 +26,9 @@
 //!   cannot starve the rest (pinned by `overload_behavior`).
 //! - [`loadgen`]: an **open-loop** Poisson load generator (arrivals on
 //!   a schedule, never gated on replies — no coordinated omission) for
-//!   multi-tenant overload experiments; `exp_net` in `noble-bench`
-//!   drives it to produce goodput-vs-offered-load curves.
+//!   multi-tenant overload experiments; `overload_behavior` drives it
+//!   through an offered-load sweep that gates goodput and accepted p99
+//!   past saturation.
 //!
 //! ```no_run
 //! use noble_net::{Backend, Body, NetClient, NetConfig, NetServer, WireShard};

@@ -85,14 +85,17 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    /// Opens a blocking stream to this endpoint.
+    /// Opens a blocking stream to this endpoint. TCP streams disable
+    /// Nagle's algorithm: a request frame is small and its reply is
+    /// awaited, so batching it behind the peer's delayed ACK would stall
+    /// every fix for tens of milliseconds.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] when the connect fails.
     pub fn connect(&self) -> Result<Stream, NetError> {
         match self {
-            Endpoint::Tcp(addr) => Ok(Stream::Tcp(TcpStream::connect(addr)?)),
+            Endpoint::Tcp(addr) => Ok(Stream::Tcp(nodelay(TcpStream::connect(addr)?)?)),
             Endpoint::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
         }
     }
@@ -171,12 +174,20 @@ enum Listener {
 }
 
 impl Listener {
+    /// Accepts one connection; TCP streams disable Nagle's algorithm, as
+    /// on the connecting side ([`Endpoint::connect`]).
     fn accept(&self) -> std::io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| nodelay(s)).map(Stream::Tcp),
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
     }
+}
+
+/// Sets `TCP_NODELAY`: frames go out as soon as they are written.
+fn nodelay(stream: TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// The serving tier a [`NetServer`] fronts. Cheap to clone (client
@@ -599,4 +610,29 @@ fn dispatch(
         }
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both ends of a TCP connection send each frame at once: the
+    /// connecting stream and the accepted one have Nagle disabled.
+    #[test]
+    fn tcp_streams_set_nodelay_on_both_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let endpoint = Endpoint::Tcp(listener.local_addr().expect("bound address"));
+        let listener = Listener::Tcp(listener);
+        let client = endpoint.connect().expect("connect");
+        let server = listener.accept().expect("accept");
+        for (side, stream) in [("connect", client), ("accept", server)] {
+            let Stream::Tcp(tcp) = stream else {
+                panic!("{side}: TCP endpoint produced a non-TCP stream");
+            };
+            assert!(
+                tcp.nodelay().expect("read TCP_NODELAY"),
+                "{side}: Nagle still on"
+            );
+        }
+    }
 }

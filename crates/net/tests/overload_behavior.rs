@@ -16,7 +16,7 @@ use noble_linalg::Matrix;
 use noble_net::frame::read_frame;
 use noble_net::{
     run_open_loop, Backend, Body, LoadConfig, NetClient, NetConfig, NetError, NetServer,
-    RejectReason, TenantLoad, TrackedSubmitRequest, WireShard,
+    RejectReason, TenantLoad, TenantOutcome, TrackedSubmitRequest, WireShard,
 };
 use noble_serve::{BatchConfig, BatchServer, ShardKey, ShardedRegistry, TrackingServer};
 use std::io::Write;
@@ -48,16 +48,19 @@ impl Localizer for TestLocalizer {
     }
 }
 
-fn fix_backend(delay: Duration) -> BatchServer {
+/// Buildings `0..shards`, each serving one fix per `delay`.
+fn fix_backend(shards: usize, delay: Duration) -> BatchServer {
     let mut registry = ShardedRegistry::new();
-    registry.insert(
-        ShardKey::building(0),
-        Box::new(TestLocalizer {
-            dim: 4,
-            delay,
-            out: Point::new(5.0, 5.0),
-        }),
-    );
+    for building in 0..shards {
+        registry.insert(
+            ShardKey::building(building),
+            Box::new(TestLocalizer {
+                dim: 4,
+                delay,
+                out: Point::new(5.0, 5.0),
+            }),
+        );
+    }
     let cfg = BatchConfig {
         max_batch: 1,
         latency_budget: Duration::ZERO,
@@ -77,7 +80,7 @@ const SHARD: WireShard = WireShard {
 /// the watermark (not by the offered load).
 #[test]
 fn overload_sheds_typed_and_bounds_accepted_latency() {
-    let serve = fix_backend(Duration::from_millis(2)); // ~500 req/s capacity
+    let serve = fix_backend(1, Duration::from_millis(2)); // ~500 req/s capacity
     let edge = NetServer::bind_tcp(
         "127.0.0.1:0".parse().unwrap(),
         Backend::Fix(serve.client()),
@@ -156,13 +159,107 @@ fn overload_sheds_typed_and_bounds_accepted_latency() {
     serve.shutdown();
 }
 
+/// The SLO sweep: one tenant offers 0.25x to 3x of a capacity-pinned
+/// backend, each point against a fresh edge. Two shards cost 2 ms per
+/// fix behind two service threads, so capacity is 1 000 fixes/s. Every
+/// point answers each offered request exactly once, with no serve
+/// errors. Past saturation (2x and up) the edge sheds with typed
+/// rejections, keeps goodput at 80% or more of the sweep's peak, and
+/// holds accepted p99 under the admission-queue drain bound. CI greps
+/// for this test by name — do not rename it casually.
+#[test]
+fn goodput_holds_and_p99_stays_bounded_past_saturation() {
+    const SERVICE_THREADS: usize = 2;
+    const MAX_QUEUE: usize = 32;
+    const POINT: Duration = Duration::from_millis(400);
+    let busy = Duration::from_millis(2);
+    let capacity = SERVICE_THREADS as f64 / busy.as_secs_f64();
+    // Worst admission-queue drain (`MAX_QUEUE` requests across the
+    // service threads, plus the one in service), 5x, plus 100 ms of
+    // socket and scheduler slack.
+    let drain_us = busy.as_micros() as u64 * (MAX_QUEUE / SERVICE_THREADS + 1) as u64;
+    let p99_bound_us = 5 * drain_us + 100_000;
+    // One shard per service thread, so every thread can be busy at once.
+    let shards: Vec<WireShard> = (0..SERVICE_THREADS as u32)
+        .map(|building| WireShard {
+            building,
+            floor: None,
+        })
+        .collect();
+
+    let mut sweep = Vec::new();
+    for (i, multiplier) in [0.25, 0.5, 1.0, 2.0, 3.0].into_iter().enumerate() {
+        let serve = fix_backend(SERVICE_THREADS, busy);
+        let edge = NetServer::bind_tcp(
+            "127.0.0.1:0".parse().unwrap(),
+            Backend::Fix(serve.client()),
+            NetConfig {
+                max_queue: MAX_QUEUE,
+                tenant_queue: MAX_QUEUE,
+                quantum: 8,
+                service_threads: SERVICE_THREADS,
+            },
+        )
+        .expect("edge starts");
+        let load = LoadConfig {
+            duration: POINT,
+            tenants: vec![TenantLoad {
+                tenant: "sweep".into(),
+                rate: capacity * multiplier,
+                seed: 0x5EED_0000 + i as u64,
+            }],
+            shards: shards.clone(),
+            fingerprint: vec![0.5; 4],
+        };
+        let o = run_open_loop(edge.endpoint(), &load)
+            .expect("load run succeeds")
+            .remove(0);
+        let stats = edge.shutdown();
+        serve.shutdown();
+        assert_eq!(o.errors, 0, "{multiplier}x: no serve errors expected");
+        assert_eq!(
+            o.served + o.shed_overload + o.shed_quota + o.errors,
+            o.offered,
+            "{multiplier}x: every offered request must be answered exactly once"
+        );
+        assert_eq!(
+            stats.accepted, stats.completed,
+            "{multiplier}x: edge leaked admitted requests"
+        );
+        sweep.push((multiplier, o));
+    }
+
+    let served_rps = |o: &TenantOutcome| o.served as f64 / POINT.as_secs_f64();
+    let peak_rps = sweep.iter().map(|(_, o)| served_rps(o)).fold(0.0, f64::max);
+    for (multiplier, o) in sweep.iter().filter(|(m, _)| *m >= 2.0) {
+        assert!(
+            o.shed_overload + o.shed_quota > 0,
+            "{multiplier}x: no typed sheds under overload"
+        );
+        assert!(
+            served_rps(o) >= 0.8 * peak_rps,
+            "{multiplier}x: goodput {:.1}/s fell below 80% of peak {peak_rps:.1}/s",
+            served_rps(o)
+        );
+        // Nearest-rank p99 of accepted-request latency.
+        let mut latencies = o.latencies_us.clone();
+        latencies.sort_unstable();
+        let rank = ((latencies.len().saturating_sub(1)) as f64 * 0.99).round() as usize;
+        let p99_us = latencies.get(rank).copied().unwrap_or(0);
+        assert!(
+            p99_us <= p99_bound_us,
+            "{multiplier}x: accepted p99 {p99_us}us exceeds bound {p99_bound_us}us"
+        );
+    }
+}
+
 /// A 10x-hot tenant cannot push a quiet tenant below its fair share:
 /// the quiet tenant's demand is well under capacity, so DRR plus the
 /// per-tenant quota must serve essentially all of it while the hot
 /// tenant sheds.
 #[test]
 fn hot_tenant_cannot_starve_quiet_tenant() {
-    let serve = fix_backend(Duration::from_millis(2)); // ~500 req/s capacity
+    let serve = fix_backend(1, Duration::from_millis(2)); // ~500 req/s capacity
     let edge = NetServer::bind_tcp(
         "127.0.0.1:0".parse().unwrap(),
         Backend::Fix(serve.client()),
@@ -224,7 +321,7 @@ fn hot_tenant_cannot_starve_quiet_tenant() {
 /// edge counts it.
 #[test]
 fn bad_frame_gets_typed_rejection_then_close() {
-    let serve = fix_backend(Duration::ZERO);
+    let serve = fix_backend(1, Duration::ZERO);
     let edge = NetServer::bind_tcp(
         "127.0.0.1:0".parse().unwrap(),
         Backend::Fix(serve.client()),
@@ -363,7 +460,7 @@ fn tracked_submit_round_trips_over_unix_socket() {
 /// one reply per request, never a silently dropped one.
 #[test]
 fn shutdown_answers_parked_requests_with_typed_errors() {
-    let serve = fix_backend(Duration::from_millis(40));
+    let serve = fix_backend(1, Duration::from_millis(40));
     let edge = NetServer::bind_tcp(
         "127.0.0.1:0".parse().unwrap(),
         Backend::Fix(serve.client()),

@@ -19,8 +19,8 @@
 //! (4 bytes), halving edge-store footprints. Narrowing is lossy, so a
 //! v3 round trip reproduces inference only to f32 accuracy — the same
 //! accuracy-gated contract as the lowered serving tier, checked by the
-//! round-trip tests here and the accuracy-delta gate in
-//! `exp_model_store`. [`load_parameters`] reads both versions; the
+//! round-trip tests here and the compact-snapshot gate in `noble`'s
+//! `precision_parity` suite. [`load_parameters`] reads both versions; the
 //! default writer [`save_parameters`] still emits byte-identical v2.
 
 use crate::{Mlp, NnError};

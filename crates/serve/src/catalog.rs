@@ -22,9 +22,10 @@
 //! version it serves, whether the model leaves through LRU eviction, a
 //! server worker's spin-down, or [`ModelCatalog::export_to`]. So no
 //! answer is ever lost — a later request hydrates the identical model
-//! at the same version. Models that cannot snapshot (the research
-//! baselines) and have no spec are never evicted; they pin their budget
-//! share, and every time eviction has to walk past one the
+//! at the same version. Models that cannot leave memory safely — they
+//! cannot snapshot (the research baselines) and have no spec, or the
+//! store refused their write-through — are never evicted; they pin their
+//! budget share, and every time eviction has to walk past one the
 //! [`CatalogStats::pinned`] counter ticks so an un-honorable budget is
 //! observable.
 //!
@@ -141,11 +142,13 @@ pub struct CatalogStats {
     pub retrains: u64,
     /// Resident models retired to the store tier.
     pub evictions: u64,
-    /// Times eviction needed room but had to walk past a model that can
-    /// neither snapshot nor retrain. The model stays resident (pinned),
-    /// which means the budget could not be fully honored — a nonzero
-    /// count is the observable warning that an oversubscribed budget is
-    /// being exceeded by unsnapshotable baselines.
+    /// Times eviction needed room but had to keep a model that cannot
+    /// leave memory safely: it can neither snapshot nor retrain, or the
+    /// store refused its write-through. The model stays resident
+    /// (pinned), which means the budget could not be fully honored — a
+    /// nonzero count is the observable warning that an oversubscribed
+    /// budget is being exceeded by unsnapshotable baselines or a failing
+    /// store.
     pub pinned: u64,
 }
 
@@ -370,8 +373,10 @@ impl ModelCatalog {
     ///
     /// # Errors
     ///
-    /// Propagates write-through failures when the insert pushes the
-    /// resident tier over budget and a victim must be stored first.
+    /// Under a [`CatalogBudget::Bytes`] budget, propagates the failure to
+    /// write the new model through (the model is then not inserted). A
+    /// victim the insert pushes out that cannot be stored stays resident
+    /// instead (see [`CatalogStats::pinned`]).
     pub fn insert(
         &mut self,
         key: ShardKey,
@@ -401,7 +406,8 @@ impl ModelCatalog {
                 version: 0,
             },
         );
-        self.trim(Some(key))
+        self.trim(Some(key));
+        Ok(())
     }
 
     /// Registers a training recipe for a cold shard: the first request
@@ -511,7 +517,7 @@ impl ModelCatalog {
         let (mut model, cost, version) = self.lease(key)?;
         let points = model.localize_batch(features);
         self.release_parked(key, model, cost, version);
-        self.trim(Some(key))?;
+        self.trim(Some(key));
         points.map_err(ServeError::from)
     }
 
@@ -537,11 +543,7 @@ impl ModelCatalog {
     /// Moves every tier out into a fresh catalog trimmed back under the
     /// budget: the server's shutdown hand-back, run once every worker
     /// has released its lease.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write-through failures while trimming.
-    pub(crate) fn take(&self) -> Result<ModelCatalog, ServeError> {
+    pub(crate) fn take(&self) -> ModelCatalog {
         let mut state = std::mem::take(&mut *relock(&self.state));
         debug_assert!(
             state.leased.is_empty(),
@@ -557,15 +559,16 @@ impl ModelCatalog {
             released: Condvar::new(),
             epoch: AtomicU64::new(0),
         };
-        catalog.trim(None)?;
-        Ok(catalog)
+        catalog.trim(None);
+        catalog
     }
 
     /// Evicts least-recently-used parked models (never `protect`, the
     /// shard just served) until the budget holds or only pinned models
     /// remain. A victim the store does not hold yet is written through
-    /// first.
-    fn trim(&mut self, protect: Option<ShardKey>) -> Result<(), ServeError> {
+    /// first; one that can neither be stored nor retrained stays
+    /// resident, pinned.
+    fn trim(&mut self, protect: Option<ShardKey>) {
         let ModelCatalog {
             budget,
             store,
@@ -584,17 +587,27 @@ impl ModelCatalog {
             let Some((&key, victim)) = victim else {
                 // Everything left is pinned; staying over budget beats
                 // losing a model.
-                return Ok(());
+                return;
             };
-            let held = state.stored.contains(&key)
-                || write_through(store.as_ref(), key, victim.model.as_ref(), victim.version)?
-                    .is_some();
-            if held {
-                state.stored.insert(key);
-            } else if !specs.contains_key(&key) {
-                // Pinned (unsnapshotable, no spec): count the walk-past
-                // so oversubscribed-but-pinned budgets are observable,
-                // then try the next-oldest.
+            let evictable = state.stored.contains(&key)
+                || match write_through(store.as_ref(), key, victim.model.as_ref(), victim.version) {
+                    Ok(Some(_)) => {
+                        state.stored.insert(key);
+                        true
+                    }
+                    // Unsnapshotable: dropping is safe only with a spec.
+                    Ok(None) => specs.contains_key(&key),
+                    Err(e) => {
+                        eprintln!(
+                            "noble-serve: eviction write-through for shard {key} failed ({e}); \
+                             keeping the model resident"
+                        );
+                        false
+                    }
+                };
+            if !evictable {
+                // Pinned: count the walk-past so oversubscribed-but-
+                // pinned budgets are observable, then try the next-oldest.
                 state.stats.pinned += 1;
                 pinned.insert(key);
                 continue;
@@ -602,7 +615,6 @@ impl ModelCatalog {
             state.parked.remove(&key);
             state.stats.evictions += 1;
         }
-        Ok(())
     }
 
     /// Checks `key`'s model out of the catalog for exclusive use,
@@ -720,25 +732,26 @@ impl ModelCatalog {
         // Otherwise serialization and the store write run outside the
         // lock.
         if superseded.is_none() && !stored {
-            match write_through(self.store.as_ref(), key, model.as_ref(), version) {
+            let droppable = match write_through(self.store.as_ref(), key, model.as_ref(), version) {
                 Ok(Some(_)) => {
                     relock(&self.state).stored.insert(key);
+                    true
                 }
-                // Retrainable from its spec: dropping is safe.
-                Ok(None) if self.specs.contains_key(&key) => {}
-                Ok(None) => {
-                    relock(&self.state).stats.pinned += 1;
-                    return self.release_parked(key, model, cost, version);
-                }
+                // Unsnapshotable: dropping is safe only with a spec.
+                Ok(None) => self.specs.contains_key(&key),
                 Err(e) => {
-                    // Failing the write-through must not lose the
-                    // model: park it and keep serving from memory.
                     eprintln!(
                         "noble-serve: spin-down write-through for shard {key} failed ({e}); \
                          keeping the model resident"
                     );
-                    return self.release_parked(key, model, cost, version);
+                    false
                 }
+            };
+            if !droppable {
+                // Dropping would lose the only copy: park it (pinned)
+                // and keep serving from memory.
+                relock(&self.state).stats.pinned += 1;
+                return self.release_parked(key, model, cost, version);
             }
         }
         drop(model);

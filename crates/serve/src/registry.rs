@@ -209,25 +209,13 @@ impl ShardedRegistry {
         cfg: &WifiNobleConfig,
         reg: &RegistryConfig,
     ) -> Result<Self, ServeError> {
-        Self::train_wifi_with(campaign, |s| reg.policy.key_of(s), cfg, reg)
-    }
-
-    /// Like [`ShardedRegistry::train_wifi`] with a custom partitioning
-    /// function (e.g. grouping buildings onto a fixed shard count).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedRegistry::train_wifi`].
-    pub fn train_wifi_with(
-        campaign: &WifiCampaign,
-        keyer: impl Fn(&WifiSample) -> ShardKey,
-        cfg: &WifiNobleConfig,
-        reg: &RegistryConfig,
-    ) -> Result<Self, ServeError> {
-        let parts: Vec<(ShardKey, WifiCampaign)> =
-            partition_campaign(campaign, keyer, reg.max_train_samples_per_shard)
-                .into_iter()
-                .collect();
+        let parts: Vec<(ShardKey, WifiCampaign)> = partition_campaign(
+            campaign,
+            |s| reg.policy.key_of(s),
+            reg.max_train_samples_per_shard,
+        )
+        .into_iter()
+        .collect();
         if parts.is_empty() {
             return Err(ServeError::NoShards);
         }
@@ -262,7 +250,7 @@ impl ShardedRegistry {
     pub fn insert(&mut self, key: ShardKey, localizer: Box<dyn Localizer>) {
         self.catalog
             .insert(key, localizer)
-            // noble-lint: allow(panic-path, "insert only fails on write-through eviction, which an unbounded catalog never performs; the facade's public signature predates ServeError")
+            // noble-lint: allow(panic-path, "insert only fails on a byte budget's write-through, and this catalog is unbounded; the facade's public signature predates ServeError")
             .expect("an unbounded catalog never evicts, so insert cannot fail");
     }
 

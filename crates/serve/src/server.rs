@@ -1063,19 +1063,15 @@ impl BatchServer {
     /// the caller can pass it back to [`BatchServer::start`] (under
     /// different batching knobs, say) without retraining or losing a
     /// single tier. Models that served a lowered precision tier come
-    /// back through the store as their exact f64 snapshots.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write-through failures while trimming the resident
-    /// tier back under the catalog budget.
-    pub fn shutdown_with_catalog(
-        self,
-    ) -> Result<(Vec<(ShardKey, ShardStats)>, ModelCatalog), ServeError> {
+    /// back through the store as their exact f64 snapshots. Trimming the
+    /// resident tier back under the catalog budget never drops a model
+    /// the store refuses: it stays resident (see
+    /// [`crate::CatalogStats::pinned`]).
+    pub fn shutdown_with_catalog(self) -> (Vec<(ShardKey, ShardStats)>, ModelCatalog) {
         self.stop();
         let stats = self.stats();
-        let catalog = self.core.catalog.take()?;
-        Ok((stats, catalog))
+        let catalog = self.core.catalog.take();
+        (stats, catalog)
     }
 
     /// Sends the shutdown marker to every worker and joins them; workers

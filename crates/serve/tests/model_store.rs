@@ -530,6 +530,120 @@ fn corrupt_snapshot_fails_its_fixes_typed_and_spares_other_shards() {
     }
 }
 
+/// A store that refuses every write, under two spec-less shards that
+/// alternate within a budget of one: every switch drains a worker whose
+/// write-through fails, and the spin-down must keep that only copy
+/// resident. Every fix gets one reply, bit-identical to direct serving,
+/// gauges settle to zero and no model is lost. CI greps for this test
+/// by name — do not rename it casually.
+#[test]
+fn failed_spin_down_write_through_keeps_the_model() {
+    use noble::ModelSnapshot;
+
+    struct FailingStore;
+    impl ModelStore for FailingStore {
+        fn put(&self, key: ShardKey, _: &ModelSnapshot) -> Result<(), ServeError> {
+            Err(ServeError::Store(format!("write of {key} refused")))
+        }
+        fn get(&self, _: ShardKey) -> Result<Option<ModelSnapshot>, ServeError> {
+            Ok(None)
+        }
+        fn list(&self) -> Result<Vec<ShardKey>, ServeError> {
+            Ok(Vec::new())
+        }
+        fn evict(&self, _: ShardKey) -> Result<bool, ServeError> {
+            Ok(false)
+        }
+        fn put_version(&self, key: ShardKey, _: u64, _: &ModelSnapshot) -> Result<(), ServeError> {
+            Err(ServeError::Store(format!("archive of {key} refused")))
+        }
+        fn get_version(&self, _: ShardKey, _: u64) -> Result<Option<ModelSnapshot>, ServeError> {
+            Ok(None)
+        }
+        fn versions(&self, _: ShardKey) -> Result<Vec<u64>, ServeError> {
+            Ok(Vec::new())
+        }
+    }
+
+    let campaign = quick_campaign();
+    let features = campaign.features(&campaign.test[..6.min(campaign.test.len())]);
+    let rows: Vec<Vec<f64>> = (0..features.rows())
+        .map(|i| features.row(i).to_vec())
+        .collect();
+    let mut catalog =
+        ModelCatalog::with_store(CatalogBudget::Count(1), Box::new(FailingStore)).unwrap();
+    let mut expected: Vec<(ShardKey, Vec<Point>)> = Vec::new();
+    for i in 0..2 {
+        let key = ShardKey::building(i);
+        let mut model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
+        expected.push((
+            key,
+            Localizer::localize_batch(&mut model, &features).unwrap(),
+        ));
+        // The second insert pushes the catalog over budget, and its
+        // victim cannot be written through: it stays resident.
+        catalog.insert(key, Box::new(model)).unwrap();
+    }
+    assert_eq!(
+        catalog.resident_len(),
+        2,
+        "an unstorable victim was dropped"
+    );
+    let pinned_before = catalog.stats().pinned;
+
+    let server = BatchServer::start(
+        catalog,
+        BatchConfig {
+            max_batch: 4,
+            latency_budget: Duration::from_micros(200),
+            ..BatchConfig::default()
+        },
+    )
+    .unwrap();
+    let client = server.client();
+    const ROUNDS: usize = 3;
+    for round in 0..ROUNDS {
+        for (key, reference) in &expected {
+            let pending: Vec<_> = rows
+                .iter()
+                .map(|row| client.submit(*key, row.clone()).unwrap())
+                .collect();
+            for (i, fix) in pending.into_iter().enumerate() {
+                assert_eq!(
+                    fix.wait().unwrap(),
+                    reference[i],
+                    "round {round}: {key} fix {i} diverged"
+                );
+            }
+        }
+    }
+    let gauges = server.server_stats();
+    assert_eq!((gauges.queue_depth, gauges.in_flight), (0, 0));
+    let paged = server.paged_stats().expect("paged server");
+    assert!(paged.drains > 0, "budget 1 over two shards must drain");
+    assert_eq!(
+        paged.catalog.evictions, 0,
+        "a model left memory although the store refused its bytes"
+    );
+    assert!(
+        paged.catalog.pinned > pinned_before,
+        "a failed spin-down write-through kept a model without counting it"
+    );
+
+    let (stats, mut catalog) = server.shutdown_with_catalog();
+    for (key, s) in &stats {
+        assert_eq!(
+            (s.requests, s.errors),
+            ((ROUNDS * rows.len()) as u64, 0),
+            "{key}: one error-free reply per fix"
+        );
+    }
+    assert_eq!(catalog.resident_len(), 2, "shutdown dropped a model");
+    for (key, reference) in &expected {
+        assert_eq!(&catalog.localize(*key, &features).unwrap(), reference);
+    }
+}
+
 #[test]
 fn unsnapshotable_models_are_pinned_not_lost() {
     use noble::{LocalizerInfo, NobleError};

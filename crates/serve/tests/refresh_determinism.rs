@@ -22,16 +22,16 @@
 //! time, and never drops a correction while capacity remains.
 
 use noble::wifi::WifiNobleConfig;
-use noble_datasets::{uji_campaign, UjiConfig, WifiCampaign};
+use noble_datasets::{uji_campaign, CampusConfig, UjiConfig, WifiCampaign, WifiSample};
 use noble_geo::Point;
 use noble_serve::{
-    BatchConfig, BatchServer, BufferLimits, CatalogBudget, FsStore, ModelCatalog, Observation,
-    ObservationBuffer, ObservationKind, PushOutcome, RefreshConfig, RegistryConfig, ServeError,
-    ShardKey, ShardedRegistry,
+    partition_campaign, BatchConfig, BatchServer, BufferLimits, CatalogBudget, FsStore,
+    ModelCatalog, Observation, ObservationBuffer, ObservationKind, PushOutcome, RefreshConfig,
+    RegistryConfig, ServeError, ShardKey, ShardedRegistry,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn quick_campaign() -> WifiCampaign {
     let mut cfg = UjiConfig::small();
@@ -338,7 +338,7 @@ fn versioned_snapshots_survive_restart() {
         }
         assert_eq!(refresher.refresh(key).unwrap().version, 1);
         v1 = serve_all(&client, key, &probe);
-        let (_, mut catalog) = server.shutdown_with_catalog().unwrap();
+        let (_, mut catalog) = server.shutdown_with_catalog();
         catalog
             .export_to(&FsStore::open(&export_dir).unwrap())
             .unwrap();
@@ -385,6 +385,161 @@ fn versioned_snapshots_survive_restart() {
             .active_version(key),
         1,
         "export_to keeps the version stamp"
+    );
+    server.shutdown();
+}
+
+/// `sample` under a deterministic per-WAP RSSI drift in
+/// `[-drift_db, drift_db)` dB: a SplitMix64 finalizer over the WAP
+/// index, so the same WAP always drifts the same way and every phase
+/// sees the identical world.
+fn drifted(sample: &WifiSample, drift_db: f64) -> WifiSample {
+    let mut s = sample.clone();
+    for (wap, v) in s.rssi.iter_mut().enumerate() {
+        let mut z = (wap as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
+        *v += (unit * 2.0 - 1.0) * drift_db;
+    }
+    s
+}
+
+/// Refresh pays off under drift without stalling the serving path: 120
+/// corrections under a 5 dB per-WAP drift feed a retrain while two
+/// clients hammer the shard. Gates: the refreshed model beats the
+/// frozen one's mean error on drifted probes, serving p99 during the
+/// retrain stays under 250 ms, and the swap is picked up within 5 s.
+/// CI greps for this test by name — do not rename it casually.
+#[test]
+fn refresh_recovers_drift_accuracy_with_bounded_serving_p99() {
+    const DRIFT_DB: f64 = 5.0;
+    const CLIENTS: usize = 2;
+    let campaign = uji_campaign(&UjiConfig {
+        references_per_floor: 25,
+        samples_per_reference: 4,
+        test_samples_per_floor: 30,
+        waps_per_building_floor: 6,
+        campus: CampusConfig {
+            floors: 2,
+            ..CampusConfig::default()
+        },
+        ..UjiConfig::default()
+    })
+    .unwrap();
+    let model_cfg = WifiNobleConfig {
+        epochs: 2,
+        patience: None,
+        ..WifiNobleConfig::small()
+    };
+    let reg_cfg = RegistryConfig::default();
+    let parts = partition_campaign(
+        &campaign,
+        |s| reg_cfg.policy.key_of(s),
+        reg_cfg.max_train_samples_per_shard,
+    );
+    let (&key, shard) = parts.iter().next().expect("campaign has shards");
+    let drifted_eval: Vec<WifiSample> = shard
+        .test
+        .iter()
+        .take(40)
+        .map(|s| drifted(s, DRIFT_DB))
+        .collect();
+    // A surveyor re-walking the reference points in the drifted world.
+    let corrections: Vec<WifiSample> = shard
+        .train
+        .iter()
+        .take(120)
+        .map(|s| drifted(s, DRIFT_DB))
+        .collect();
+
+    let mut catalog = ModelCatalog::new(CatalogBudget::Unbounded).unwrap();
+    catalog
+        .register_wifi_campaign(&campaign, &model_cfg, &reg_cfg)
+        .unwrap();
+    let server = BatchServer::start(
+        catalog,
+        BatchConfig {
+            max_batch: 16,
+            latency_budget: Duration::from_micros(200),
+            ..BatchConfig::default()
+        },
+    )
+    .unwrap();
+    let refresher = server.refresher(RefreshConfig::default()).unwrap();
+    let client = server.client();
+    let features = campaign.features(&drifted_eval);
+    let probes: Vec<Vec<f64>> = (0..features.rows())
+        .map(|i| features.row(i).to_vec())
+        .collect();
+    let mean_error = || {
+        let fixes = serve_all(&client, key, &probes);
+        let total: f64 = fixes
+            .iter()
+            .zip(&drifted_eval)
+            .map(|(fix, s)| fix.distance(s.position))
+            .sum();
+        total / fixes.len() as f64
+    };
+    let frozen = mean_error();
+    let canary_v0 = serve_all(&client, key, &probes[..1])[0];
+
+    for s in &corrections {
+        refresher
+            .observe_correction(key, s.rssi.clone(), s.position)
+            .unwrap();
+    }
+    let stop = AtomicBool::new(false);
+    let (outcome, picked_up, mut latencies) = std::thread::scope(|scope| {
+        let hammers: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let (client, probes, stop) = (server.client(), &probes, &stop);
+                scope.spawn(move || {
+                    let mut latencies = Vec::new();
+                    for probe in probes.iter().cycle() {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let t0 = Instant::now();
+                        client.localize(key, probe.clone()).unwrap();
+                        latencies.push(t0.elapsed().as_micros());
+                    }
+                    latencies
+                })
+            })
+            .collect();
+        let outcome = refresher.refresh(key);
+        // Pickup: the hot worker swaps at a batch boundary, so the
+        // canary's answer flips once it serves version 1. Nothing in
+        // here may panic before `stop` is set, or the scope never ends.
+        let t0 = Instant::now();
+        let mut picked_up = false;
+        while outcome.is_ok() && !picked_up && t0.elapsed() < Duration::from_secs(5) {
+            picked_up = serve_all(&client, key, &probes[..1])[0] != canary_v0;
+        }
+        stop.store(true, Ordering::Relaxed);
+        let latencies: Vec<u128> = hammers
+            .into_iter()
+            .flat_map(|h| h.join().expect("hammer thread"))
+            .collect();
+        (outcome, picked_up, latencies)
+    });
+    assert_eq!(outcome.unwrap().version, 1);
+    assert!(picked_up, "swap not picked up within 5 s");
+    let refreshed = mean_error();
+
+    assert!(
+        refreshed < frozen,
+        "refresh did not recover drift accuracy: refreshed {refreshed:.2} m >= frozen {frozen:.2} m"
+    );
+    // Nearest-rank p99 of the latencies served while the retrain ran.
+    latencies.sort_unstable();
+    let rank = (latencies.len().saturating_sub(1) as f64 * 0.99).round() as usize;
+    let p99_us = latencies.get(rank).copied().unwrap_or(0);
+    assert!(
+        p99_us < 250_000,
+        "serving p99 during refresh {p99_us} us exceeds the 250 ms gate"
     );
     server.shutdown();
 }
