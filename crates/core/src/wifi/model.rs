@@ -207,6 +207,18 @@ impl WifiNoble {
         let head_floor = head_of("floor")?;
         let head_fine = head_of("fine")?;
 
+        // Built before the training matrices, so the weights that outlive
+        // training sit below that scratch and do not pin it in the heap.
+        let mut mlp = Mlp::builder(campaign.num_waps(), cfg.seed)
+            .dense(cfg.hidden_dim)
+            .batch_norm()
+            .activation(Activation::Tanh)
+            .dense(cfg.hidden_dim)
+            .batch_norm()
+            .activation(Activation::Tanh)
+            .dense(layout.total_width())
+            .build();
+
         let x = campaign.features(&campaign.train);
         let y = Self::targets(
             campaign,
@@ -232,15 +244,6 @@ impl WifiNoble {
             Some((&x_val, &y_val))
         };
 
-        let mut mlp = Mlp::builder(campaign.num_waps(), cfg.seed)
-            .dense(cfg.hidden_dim)
-            .batch_norm()
-            .activation(Activation::Tanh)
-            .dense(cfg.hidden_dim)
-            .batch_norm()
-            .activation(Activation::Tanh)
-            .dense(layout.total_width())
-            .build();
         let loss = MultiHeadLoss::new(layout.clone());
         let train_cfg = TrainConfig {
             epochs: cfg.epochs,

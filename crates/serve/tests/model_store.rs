@@ -7,24 +7,20 @@
 //! hydrate/retrain paths — including the IMU serving path through
 //! `ModelCatalog` and `BatchServer`.
 
+mod common;
+
+use common::{fast_model_cfg, quick_campaign, store_dir};
 use noble::imu::{ImuNoble, ImuNobleConfig};
-use noble::wifi::{KnnFingerprint, WifiNoble, WifiNobleConfig};
+use noble::wifi::{KnnFingerprint, WifiNoble};
 use noble::{Localizer, SnapshotLocalizer};
-use noble_datasets::{uji_campaign, ImuConfig, ImuDataset, ImuPathSample, UjiConfig, WifiCampaign};
+use noble_datasets::{ImuConfig, ImuDataset, ImuPathSample};
 use noble_geo::Point;
 use noble_linalg::Matrix;
 use noble_serve::{
     partition_campaign, shard_seed, BatchConfig, BatchServer, CatalogBudget, FsStore, MemStore,
     ModelCatalog, ModelStore, RegistryConfig, ServeError, ShardKey, ShardPolicy, ShardedRegistry,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-
-fn quick_campaign() -> WifiCampaign {
-    let mut cfg = UjiConfig::small();
-    cfg.seed = 42;
-    uji_campaign(&cfg).unwrap()
-}
 
 fn quick_imu_dataset() -> ImuDataset {
     let mut cfg = ImuConfig::small();
@@ -32,25 +28,11 @@ fn quick_imu_dataset() -> ImuDataset {
     ImuDataset::generate(&cfg).unwrap()
 }
 
-fn fast_model_cfg() -> WifiNobleConfig {
-    WifiNobleConfig {
-        epochs: 3,
-        ..WifiNobleConfig::small()
-    }
-}
-
 fn fast_imu_cfg() -> ImuNobleConfig {
     ImuNobleConfig {
         epochs: 8,
         ..ImuNobleConfig::small()
     }
-}
-
-/// A fresh store directory per test, under the cargo-managed tmp dir.
-fn store_dir(tag: &str) -> std::path::PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::SeqCst);
-    std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("store-{tag}-{n}"))
 }
 
 #[test]
@@ -192,7 +174,7 @@ fn byte_budget_is_enforced() {
 #[test]
 fn lazy_wifi_specs_retrain_bit_identically_to_eager_registry() {
     let campaign = quick_campaign();
-    let cfg = fast_model_cfg();
+    let cfg = fast_model_cfg(3);
     let reg_cfg = RegistryConfig {
         policy: ShardPolicy::PerBuilding,
         max_train_samples_per_shard: None,
@@ -271,7 +253,7 @@ fn imu_campaign_serves_through_catalog_and_batch_server() {
     let wifi_key = ShardKey::building(0);
     registry.insert(
         wifi_key,
-        Box::new(WifiNoble::train(&campaign, &fast_model_cfg()).unwrap()),
+        Box::new(WifiNoble::train(&campaign, &fast_model_cfg(3)).unwrap()),
     );
     let server = BatchServer::start(
         registry,
@@ -323,7 +305,8 @@ fn catalog_over_fs_store_survives_process_restart() {
             parallel_training: false,
             ..RegistryConfig::default()
         };
-        let registry = ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &reg_cfg).unwrap();
+        let registry =
+            ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(3), &reg_cfg).unwrap();
         let mut catalog = ModelCatalog::from(registry);
         expected = catalog
             .keys()
@@ -758,7 +741,7 @@ fn partitioned_specs_match_partition_campaign() {
     );
     let mut catalog = ModelCatalog::new(CatalogBudget::Unbounded).unwrap();
     let keys = catalog
-        .register_wifi_campaign(&campaign, &fast_model_cfg(), &reg_cfg)
+        .register_wifi_campaign(&campaign, &fast_model_cfg(3), &reg_cfg)
         .unwrap();
     assert_eq!(keys, parts.keys().copied().collect::<Vec<_>>());
     assert_eq!(catalog.len(), parts.len());

@@ -21,6 +21,9 @@
 //! never exceeds its bounds, evicts strictly oldest-first by logical
 //! time, and never drops a correction while capacity remains.
 
+mod common;
+
+use common::{fast_model_cfg, quick_campaign, store_dir};
 use noble::wifi::WifiNobleConfig;
 use noble_datasets::{uji_campaign, CampusConfig, UjiConfig, WifiCampaign, WifiSample};
 use noble_geo::Point;
@@ -29,22 +32,9 @@ use noble_serve::{
     ModelCatalog, Observation, ObservationBuffer, ObservationKind, PushOutcome, RefreshConfig,
     RegistryConfig, ServeError, ShardKey, ShardedRegistry,
 };
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn quick_campaign() -> WifiCampaign {
-    let mut cfg = UjiConfig::small();
-    cfg.seed = 42;
-    uji_campaign(&cfg).unwrap()
-}
-
-fn fast_model_cfg() -> WifiNobleConfig {
-    WifiNobleConfig {
-        epochs: 3,
-        ..WifiNobleConfig::small()
-    }
-}
 
 fn serving_cfg() -> BatchConfig {
     BatchConfig {
@@ -52,17 +42,6 @@ fn serving_cfg() -> BatchConfig {
         latency_budget: Duration::from_micros(100),
         ..BatchConfig::default()
     }
-}
-
-/// A fresh store directory per test, under the cargo-managed tmp dir.
-/// Wiped on handout: version lineage persists in an `FsStore`, so
-/// archives left by a previous run would shift version allocation.
-fn store_dir(tag: &str) -> std::path::PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::SeqCst);
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("refresh-{tag}-{n}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// A few held-out fingerprints to probe serving answers with.
@@ -99,7 +78,7 @@ fn serve_all(client: &noble_serve::ServeClient, key: ShardKey, probes: &[Vec<f64
 fn refresh_without_a_train_spec_is_a_typed_error() {
     let campaign = quick_campaign();
     let registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &RegistryConfig::default())
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(3), &RegistryConfig::default())
             .unwrap();
     let key = registry.keys()[0];
     let server = BatchServer::start(registry, serving_cfg()).unwrap();
@@ -134,7 +113,7 @@ fn refresh_versions_swap_atomically_and_rollback_is_bit_parity() {
     let campaign = quick_campaign();
     let mut catalog = ModelCatalog::new(CatalogBudget::Unbounded).unwrap();
     let keys = catalog
-        .register_wifi_campaign(&campaign, &fast_model_cfg(), &RegistryConfig::default())
+        .register_wifi_campaign(&campaign, &fast_model_cfg(3), &RegistryConfig::default())
         .unwrap();
     assert!(keys.len() >= 2, "need a refreshed shard and a bystander");
     let (key, bystander) = (keys[0], keys[1]);
@@ -228,7 +207,7 @@ fn concurrent_refresh_cycles_never_tear_answers() {
     let campaign = quick_campaign();
     let mut catalog = ModelCatalog::new(CatalogBudget::Unbounded).unwrap();
     let keys = catalog
-        .register_wifi_campaign(&campaign, &fast_model_cfg(), &RegistryConfig::default())
+        .register_wifi_campaign(&campaign, &fast_model_cfg(3), &RegistryConfig::default())
         .unwrap();
     let key = keys[0];
     let server = BatchServer::start(catalog, serving_cfg()).unwrap();
@@ -326,7 +305,7 @@ fn versioned_snapshots_survive_restart() {
         let mut catalog =
             ModelCatalog::with_store(CatalogBudget::Unbounded, Box::new(store)).unwrap();
         let keys = catalog
-            .register_wifi_campaign(&campaign, &fast_model_cfg(), &RegistryConfig::default())
+            .register_wifi_campaign(&campaign, &fast_model_cfg(3), &RegistryConfig::default())
             .unwrap();
         key = keys[0];
         let server = BatchServer::start(catalog, serving_cfg()).unwrap();

@@ -5,6 +5,9 @@
 //! exact bits a direct `Localizer::localize_batch` call produces. CI
 //! greps for this suite by name — do not rename it casually.
 
+mod common;
+
+use common::{fast_model_cfg, quick_campaign, registry_cfg};
 use noble::wifi::{KnnFingerprint, WifiNoble, WifiNobleConfig};
 use noble::Localizer;
 use noble_datasets::{uji_campaign, CampusConfig, UjiConfig, WifiCampaign};
@@ -16,30 +19,9 @@ use noble_serve::{
 };
 use std::time::Duration;
 
-fn quick_campaign() -> WifiCampaign {
-    let mut cfg = UjiConfig::small();
-    cfg.seed = 42;
-    uji_campaign(&cfg).unwrap()
-}
-
-fn fast_model_cfg() -> WifiNobleConfig {
-    WifiNobleConfig {
-        epochs: 4,
-        ..WifiNobleConfig::small()
-    }
-}
-
-fn registry_cfg() -> RegistryConfig {
-    RegistryConfig {
-        policy: ShardPolicy::PerBuilding,
-        max_train_samples_per_shard: None,
-        parallel_training: true,
-    }
-}
-
 /// Per-shard reference answers computed by the direct (serverless) path.
 fn direct_reference(campaign: &WifiCampaign) -> Vec<(ShardKey, Vec<Vec<f64>>, Vec<Point>)> {
-    let model_cfg = fast_model_cfg();
+    let model_cfg = fast_model_cfg(4);
     partition_campaign(campaign, |s| ShardPolicy::PerBuilding.key_of(s), None)
         .into_iter()
         .map(|(key, shard)| {
@@ -75,7 +57,7 @@ fn served_results_bit_identical_to_direct() {
     // `shutdown_with_catalog`), so any cross-regime difference is the
     // server's fault, not training noise.
     let mut catalog = ModelCatalog::from(
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap(),
     );
     for (max_batch, budget_us) in [(1usize, 0u64), (4, 0), (64, 300), (256, 1000)] {
         let server = BatchServer::start(
@@ -132,7 +114,7 @@ fn warm_restart_from_store_bit_identical_to_fresh_registry() {
     let campaign = quick_campaign();
     let reference = direct_reference(&campaign);
     let mut trained = ModelCatalog::from(
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap(),
     );
 
     // Through both store backends: in-memory and on-disk (checksummed
@@ -404,7 +386,7 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
 
     // Resident sweep over the tiers, re-using the same trained shards.
     let mut resident = ModelCatalog::from(
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap(),
     );
     for precision in [
         noble::InferencePrecision::Exact,
@@ -457,7 +439,7 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
     // drains write models back through the store, and that write-through
     // must carry the exact f64 state (the lowered twin's snapshot is its
     // progenitor's), so a later exact hydrate is bit-identical.
-    let model_cfg = fast_model_cfg();
+    let model_cfg = fast_model_cfg(4);
     let shards = partition_campaign(&campaign, |s| ShardPolicy::PerBuilding.key_of(s), None);
     let mut catalog = ModelCatalog::new(CatalogBudget::Count(1)).unwrap();
     for (key, _, _) in &reference {
@@ -657,7 +639,7 @@ fn server_serves_the_lowered_twin_under_a_reduced_tier() {
 fn unknown_shard_is_typed_error_not_panic() {
     let campaign = quick_campaign();
     let mut catalog = ModelCatalog::from(
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap(),
     );
     let bogus = ShardKey::building_floor(99, 7);
     let features = campaign.features(&campaign.test[..1]);
@@ -680,7 +662,7 @@ fn unknown_shard_is_typed_error_not_panic() {
 fn width_mismatch_is_a_per_request_error() {
     let campaign = quick_campaign();
     let registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap();
     let key = registry.keys()[0];
     let server = BatchServer::start(registry, BatchConfig::default()).unwrap();
     let client = server.client();
@@ -705,7 +687,7 @@ fn width_mismatch_is_a_per_request_error() {
 fn graceful_shutdown_drains_queued_fixes_then_rejects() {
     let campaign = quick_campaign();
     let registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap();
     let key = registry.keys()[0];
     let server = BatchServer::start(
         registry,
@@ -746,7 +728,7 @@ fn concurrent_and_serial_shard_training_are_bit_identical() {
     let mut parallel = ModelCatalog::from(
         ShardedRegistry::train_wifi(
             &campaign,
-            &fast_model_cfg(),
+            &fast_model_cfg(4),
             &RegistryConfig {
                 parallel_training: true,
                 ..registry_cfg()
@@ -757,7 +739,7 @@ fn concurrent_and_serial_shard_training_are_bit_identical() {
     let mut serial = ModelCatalog::from(
         ShardedRegistry::train_wifi(
             &campaign,
-            &fast_model_cfg(),
+            &fast_model_cfg(4),
             &RegistryConfig {
                 parallel_training: false,
                 ..registry_cfg()
@@ -791,7 +773,7 @@ fn registry_bounds_per_shard_memory_and_labels_sites() {
     let catalog = ModelCatalog::from(
         ShardedRegistry::train_wifi(
             &campaign,
-            &fast_model_cfg(),
+            &fast_model_cfg(4),
             &RegistryConfig {
                 max_train_samples_per_shard: Some(64),
                 ..registry_cfg()
@@ -812,7 +794,7 @@ fn empty_campaign_yields_no_shards() {
     let mut campaign = quick_campaign();
     campaign.train.clear();
     assert!(matches!(
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()),
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()),
         Err(ServeError::NoShards)
     ));
     assert!(matches!(

@@ -9,15 +9,16 @@
 //! this suite and its hysteresis property tests by name — do not rename
 //! them casually.
 
+mod common;
+
+use common::{fast_model_cfg, quick_campaign, registry_cfg};
 use noble::wifi::tracking::{SmootherConfig, TrajectorySmoother, ZoneDetector};
-use noble::wifi::WifiNobleConfig;
 use noble::Localizer;
-use noble_datasets::{uji_campaign, UjiConfig, WifiCampaign};
+use noble_datasets::WifiCampaign;
 use noble_geo::{Point, ZoneSet};
 use noble_serve::{
     partition_campaign, BatchConfig, CatalogBudget, DeviceId, MemStore, ModelCatalog, ModelStore,
-    RegistryConfig, SessionTable, ShardKey, ShardPolicy, ShardedRegistry, TrackingServer,
-    ZoneEvent, ZoneEventKind,
+    SessionTable, ShardKey, ShardPolicy, ShardedRegistry, TrackingServer, ZoneEvent, ZoneEventKind,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -28,27 +29,6 @@ const PHASE_A: u64 = 8; // observations every device makes
 const PHASE_B: u64 = 8; // further observations only live devices make
 const STABILITY_K: u32 = 2;
 const AWAY_TIMEOUT: u64 = 3;
-
-fn quick_campaign() -> WifiCampaign {
-    let mut cfg = UjiConfig::small();
-    cfg.seed = 42;
-    uji_campaign(&cfg).unwrap()
-}
-
-fn fast_model_cfg() -> WifiNobleConfig {
-    WifiNobleConfig {
-        epochs: 4,
-        ..WifiNobleConfig::small()
-    }
-}
-
-fn registry_cfg() -> RegistryConfig {
-    RegistryConfig {
-        policy: ShardPolicy::PerBuilding,
-        max_train_samples_per_shard: None,
-        parallel_training: true,
-    }
-}
 
 /// Dropout devices observe only in phase A, go silent, and are retired
 /// by the away-timeout sweeps.
@@ -227,7 +207,7 @@ fn drive(
 fn tracked_fixes_bit_identical_across_session_shard_counts() {
     let campaign = quick_campaign();
     let registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap();
     let store = MemStore::new();
     ModelCatalog::from(registry).export_to(&store).unwrap();
 
@@ -305,7 +285,7 @@ fn tracking_over_paged_server_matches_resident_reference() {
     // every shard revisit through an evict-and-refault cycle.
     let campaign = quick_campaign();
     let registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap();
     let store = MemStore::new();
     ModelCatalog::from(registry).export_to(&store).unwrap();
 
@@ -352,7 +332,7 @@ fn revived_session_does_not_inherit_stale_velocity() {
     // accumulated before the eviction.
     let campaign = quick_campaign();
     let registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap();
     let server = TrackingServer::start(
         registry,
         ZoneSet::from_buildings(&campaign.map),
