@@ -6,6 +6,24 @@
 //! the thresholds); the free functions are public so benchmarks and
 //! property tests can pin a specific kernel.
 //!
+//! The blocked kernel (under [`matmul_blocked`] and [`matmul_parallel`])
+//! has two implementations, selected at run time:
+//!
+//! - on x86-64 with AVX2 (`is_x86_feature_detected!("avx2")`), complete
+//!   4-row tiles run a 4 × 4 register tile (one 4-lane accumulator per
+//!   row) and the 1–3 rows left over run a 4-lane streaming loop;
+//! - everywhere else, the portable kernel runs. It is also the reference
+//!   the AVX2 kernel is tested against.
+//!
+//! Both give every output the same operation sequence: the output starts
+//! at `+0.0`, depth blocks of `BLOCK_K` run in order, each group of four
+//! depth terms is applied as `acc + (((a0*b0 + a1*b1) + a2*b2) + a3*b3)`,
+//! and the block's leftover terms as `acc + a*b`. Multiplies and adds are
+//! separate operations; nothing is fused (FMA rounds once, the reference
+//! twice), and `noble-lint`'s `float-determinism` rejects FMA here. So a
+//! row's bits do not depend on the host's SIMD width, on whether it lands
+//! in a tile or in the leftovers, or on the thread that computes it.
+//!
 //! All kernels follow IEEE-754 semantics: no term of the inner product is
 //! skipped, so non-finite values (`NaN`, `±inf`) in either operand
 //! propagate into the product exactly as a textbook triple loop would
@@ -125,7 +143,25 @@ pub fn matmul_transposed(a: &Matrix, b_t: &Matrix) -> Result<Matrix, LinalgError
 }
 
 /// Computes output rows `first_row..` of `a * b` into `out_chunk` (a slab
-/// of whole output rows), blocked over depth and output columns.
+/// of whole output rows) with the fastest kernel this CPU supports.
+///
+/// On x86-64 hosts with AVX2 (detected at run time, once per process by
+/// `std`) this runs [`avx2::gemm_rows`]; everywhere else it runs
+/// [`gemm_rows_portable`]. Both give every output the same operation
+/// sequence, so the choice never changes a bit.
+fn gemm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host supports AVX2, the only target feature the
+        // kernel enables (checked just above).
+        unsafe { avx2::gemm_rows(a, b, first_row, out_chunk) };
+        return;
+    }
+    gemm_rows_portable(a, b, first_row, out_chunk);
+}
+
+/// Portable blocked kernel: the fallback for hosts without AVX2 and the
+/// reference the SIMD kernel is tested against, bit for bit.
 ///
 /// The micro-kernel is a k-unrolled axpy: four LHS scalars per pass
 /// stream four RHS rows into the output segment, quartering the output
@@ -133,7 +169,7 @@ pub fn matmul_transposed(a: &Matrix, b_t: &Matrix) -> Result<Matrix, LinalgError
 /// streaming access pattern that auto-vectorizes. Blocking bounds the
 /// working set (output segment + four RHS row segments) for wide
 /// products.
-fn gemm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
+fn gemm_rows_portable(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
     let (k, n) = (b.rows(), b.cols());
     if n == 0 || out_chunk.is_empty() {
         return;
@@ -172,13 +208,223 @@ fn gemm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
     }
 }
 
-/// Cache-blocked product `a * b` (see the module notes on the kernel).
+/// The AVX2 twin of [`gemm_rows_portable`]: every output gets the
+/// portable kernel's operation sequence (see the module notes), so four
+/// lanes compute four outputs exactly as four scalar loops would.
+///
+/// All `unsafe` here is unaligned 4-lane loads and stores; each
+/// micro-kernel asserts its slice bounds before its loops, and every
+/// pointer offset below is bounded by those asserts.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{BLOCK_COLS, BLOCK_K};
+    use crate::Matrix;
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
+    };
+    use std::ops::Range;
+
+    /// Output rows per register tile.
+    const TILE_ROWS: usize = 4;
+
+    /// One `BLOCK_K` depth block: `lo..groups` is applied in groups of
+    /// four, `groups..hi` one term at a time.
+    #[derive(Clone, Copy)]
+    struct Depth {
+        lo: usize,
+        groups: usize,
+        hi: usize,
+    }
+
+    /// Computes output rows `first_row..` of `a * b` into `out_chunk`:
+    /// complete 4-row tiles run [`tile_rows`], the rows left over run
+    /// [`stream_row`].
+    ///
+    /// Outside AVX2 code, calling this is `unsafe`: the caller must have
+    /// checked that the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gemm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
+        let (k, n) = (b.rows(), b.cols());
+        if n == 0 || out_chunk.is_empty() {
+            return;
+        }
+        let rows = out_chunk.len() / n;
+        let a_rows = &a.as_slice()[first_row * k..(first_row + rows) * k];
+        let bs = b.as_slice();
+        let tiled = rows - rows % TILE_ROWS;
+        for lo in (0..k).step_by(BLOCK_K) {
+            let hi = (lo + BLOCK_K).min(k);
+            let depth = Depth {
+                lo,
+                groups: lo + (hi - lo) / 4 * 4,
+                hi,
+            };
+            for j0 in (0..n).step_by(BLOCK_COLS) {
+                let cols = j0..(j0 + BLOCK_COLS).min(n);
+                for i in (0..tiled).step_by(TILE_ROWS) {
+                    tile_rows(
+                        &a_rows[i * k..(i + TILE_ROWS) * k],
+                        bs,
+                        &mut out_chunk[i * n..(i + TILE_ROWS) * n],
+                        depth,
+                        cols.clone(),
+                    );
+                }
+                for i in tiled..rows {
+                    stream_row(
+                        &a_rows[i * k..(i + 1) * k],
+                        bs,
+                        &mut out_chunk[i * n..(i + 1) * n],
+                        depth,
+                        cols.clone(),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Register tile: 4 rows × 4 columns, one accumulator per row, held
+    /// in registers across the whole depth block. `a` holds the tile's 4
+    /// LHS rows and `out` its 4 output rows.
+    #[target_feature(enable = "avx2")]
+    fn tile_rows(a: &[f64], bs: &[f64], out: &mut [f64], d: Depth, cols: Range<usize>) {
+        let n = out.len() / TILE_ROWS;
+        let k = a.len() / TILE_ROWS;
+        assert!(
+            a.len() == TILE_ROWS * k
+                && out.len() == TILE_ROWS * n
+                && bs.len() == k * n
+                && d.hi <= k
+                && cols.end <= n
+        );
+        let (ap, bp, op) = (a.as_ptr(), bs.as_ptr(), out.as_mut_ptr());
+        let j4 = cols.start + cols.len() / 4 * 4;
+        for j in (cols.start..j4).step_by(4) {
+            // SAFETY: r < 4 and j + 3 < j4 <= n, so r * n + j + 3 <
+            // 4 * n == out.len() (asserted above).
+            let mut acc: [__m256d; TILE_ROWS] =
+                std::array::from_fn(|r| unsafe { _mm256_loadu_pd(op.add(r * n + j)) });
+            let mut kk = d.lo;
+            while kk < d.groups {
+                // SAFETY: kk + 3 < d.groups <= d.hi <= k and j + 3 < n,
+                // so each B offset is below k * n == bs.len(), and each A
+                // offset r * k + kk + 3 is below 4 * k == a.len().
+                unsafe {
+                    let b0 = _mm256_loadu_pd(bp.add(kk * n + j));
+                    let b1 = _mm256_loadu_pd(bp.add((kk + 1) * n + j));
+                    let b2 = _mm256_loadu_pd(bp.add((kk + 2) * n + j));
+                    let b3 = _mm256_loadu_pd(bp.add((kk + 3) * n + j));
+                    for (r, acc_r) in acc.iter_mut().enumerate() {
+                        let ar = ap.add(r * k + kk);
+                        let mut t = _mm256_mul_pd(_mm256_set1_pd(*ar), b0);
+                        t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(*ar.add(1)), b1));
+                        t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(*ar.add(2)), b2));
+                        t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(*ar.add(3)), b3));
+                        *acc_r = _mm256_add_pd(*acc_r, t);
+                    }
+                }
+                kk += 4;
+            }
+            for kr in d.groups..d.hi {
+                // SAFETY: kr < d.hi <= k and j + 3 < n, as above.
+                unsafe {
+                    let bv = _mm256_loadu_pd(bp.add(kr * n + j));
+                    for (r, acc_r) in acc.iter_mut().enumerate() {
+                        let t = _mm256_mul_pd(_mm256_set1_pd(*ap.add(r * k + kr)), bv);
+                        *acc_r = _mm256_add_pd(*acc_r, t);
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                // SAFETY: the same offsets the loads above read.
+                unsafe { _mm256_storeu_pd(op.add(r * n + j), *acc_r) };
+            }
+        }
+        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            for (j, o) in (j4..).zip(&mut out_row[j4..cols.end]) {
+                *o = scalar_block(a_row, bs, n, j, d, *o);
+            }
+        }
+    }
+
+    /// Streaming kernel for a single row: the portable kernel's loop, 4
+    /// lanes wide. Each group of four LHS scalars streams four RHS row
+    /// segments through the output segment.
+    #[target_feature(enable = "avx2")]
+    fn stream_row(a: &[f64], bs: &[f64], out: &mut [f64], d: Depth, cols: Range<usize>) {
+        let (k, n) = (a.len(), out.len());
+        assert!(bs.len() == k * n && d.hi <= k && cols.end <= n);
+        let (bp, op) = (bs.as_ptr(), out.as_mut_ptr());
+        let j4 = cols.start + cols.len() / 4 * 4;
+        let mut kk = d.lo;
+        while kk < d.groups {
+            let a0 = _mm256_set1_pd(a[kk]);
+            let a1 = _mm256_set1_pd(a[kk + 1]);
+            let a2 = _mm256_set1_pd(a[kk + 2]);
+            let a3 = _mm256_set1_pd(a[kk + 3]);
+            for j in (cols.start..j4).step_by(4) {
+                // SAFETY: kk + 3 < d.groups <= k and j + 3 < j4 <= n, so
+                // each B offset is below k * n == bs.len() and j + 3 <
+                // out.len() (asserted above).
+                unsafe {
+                    let mut t = _mm256_mul_pd(a0, _mm256_loadu_pd(bp.add(kk * n + j)));
+                    t = _mm256_add_pd(
+                        t,
+                        _mm256_mul_pd(a1, _mm256_loadu_pd(bp.add((kk + 1) * n + j))),
+                    );
+                    t = _mm256_add_pd(
+                        t,
+                        _mm256_mul_pd(a2, _mm256_loadu_pd(bp.add((kk + 2) * n + j))),
+                    );
+                    t = _mm256_add_pd(
+                        t,
+                        _mm256_mul_pd(a3, _mm256_loadu_pd(bp.add((kk + 3) * n + j))),
+                    );
+                    _mm256_storeu_pd(op.add(j), _mm256_add_pd(_mm256_loadu_pd(op.add(j)), t));
+                }
+            }
+            kk += 4;
+        }
+        for (kr, &a_k) in (d.groups..).zip(&a[d.groups..d.hi]) {
+            let ak = _mm256_set1_pd(a_k);
+            for j in (cols.start..j4).step_by(4) {
+                // SAFETY: kr < d.hi <= k and j + 3 < n, as above.
+                unsafe {
+                    let t = _mm256_mul_pd(ak, _mm256_loadu_pd(bp.add(kr * n + j)));
+                    _mm256_storeu_pd(op.add(j), _mm256_add_pd(_mm256_loadu_pd(op.add(j)), t));
+                }
+            }
+        }
+        for (j, o) in (j4..).zip(&mut out[j4..cols.end]) {
+            *o = scalar_block(a, bs, n, j, d, *o);
+        }
+    }
+
+    /// Output `j` of one row over one depth block, in the portable
+    /// kernel's order: the column tail (`n % 4`) of both micro-kernels.
+    fn scalar_block(a_row: &[f64], bs: &[f64], n: usize, j: usize, d: Depth, mut acc: f64) -> f64 {
+        let mut kk = d.lo;
+        while kk < d.groups {
+            acc += a_row[kk] * bs[kk * n + j]
+                + a_row[kk + 1] * bs[(kk + 1) * n + j]
+                + a_row[kk + 2] * bs[(kk + 2) * n + j]
+                + a_row[kk + 3] * bs[(kk + 3) * n + j];
+            kk += 4;
+        }
+        for kr in d.groups..d.hi {
+            acc += a_row[kr] * bs[kr * n + j];
+        }
+        acc
+    }
+}
+
+/// Cache-blocked product `a * b` (see the module notes on the kernel and
+/// its run-time selected AVX2 implementation).
 ///
 /// Matches [`matmul_naive`] to floating-point reassociation (≲ 1e-12
 /// relative; the unrolled micro-kernel groups the depth sum in fours) and
-/// propagates non-finite values identically. Measured on the suite's
-/// serving shapes (batch 256, width 128) it runs ~1.4x faster than the
-/// reference loop.
+/// propagates non-finite values identically. Its bits are the same on
+/// every host, with or without AVX2.
 ///
 /// # Errors
 ///
@@ -247,6 +493,8 @@ pub(crate) fn matmul_dispatch(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn deterministic(rows: usize, cols: usize, salt: u64) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| {
@@ -257,6 +505,70 @@ mod tests {
                 .wrapping_add(salt);
             ((h % 2000) as f64 - 1000.0) / 257.0
         })
+    }
+
+    /// Random entries in roughly ±8, with `specials` entries replaced
+    /// by NaN or ±inf at random positions.
+    fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, specials: usize) -> Matrix {
+        let mut m = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-8.0..8.0));
+        for s in 0..specials {
+            let (i, j) = (rng.gen_range(0..rows), rng.gen_range(0..cols));
+            m[(i, j)] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][s % 3];
+        }
+        m
+    }
+
+    #[test]
+    fn avx2_gemm_is_bit_identical_to_portable() {
+        // `gemm_rows` picks the AVX2 kernel wherever the host has it.
+        #[cfg(target_arch = "x86_64")]
+        let simd = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let simd = false;
+        if !simd {
+            eprintln!("no AVX2 on this host: only the portable kernel runs");
+        }
+        let mut rng = StdRng::seed_from_u64(0x5EED_A7C2);
+        // m covers 1..=9 (every tile/leftover split up to two tiles) and
+        // some larger batches; k and n cross BLOCK_K and BLOCK_COLS and
+        // are mostly not multiples of 4.
+        let mut shapes = vec![
+            (4, 128, 256),
+            (5, 129, 257),
+            (9, 131, 130),
+            (1, 3, 5),
+            (64, 192, 128),
+        ];
+        for case in 0..36 {
+            let m = if case < 27 {
+                1 + case % 9
+            } else {
+                rng.gen_range(10..70)
+            };
+            shapes.push((m, rng.gen_range(1..300), rng.gen_range(1..600)));
+        }
+        for (case, &(m, k, n)) in shapes.iter().enumerate() {
+            let specials = if case % 3 == 2 { 3 } else { 0 };
+            let a = random_matrix(&mut rng, m, k, specials);
+            let b = random_matrix(&mut rng, k, n, specials);
+            let mut reference = Matrix::zeros(m, n);
+            gemm_rows_portable(&a, &b, 0, reference.as_mut_slice());
+            let mut got = Matrix::zeros(m, n);
+            gemm_rows(&a, &b, 0, got.as_mut_slice());
+            for (idx, (r, g)) in reference.as_slice().iter().zip(got.as_slice()).enumerate() {
+                let same = if r.is_nan() {
+                    g.is_nan()
+                } else {
+                    r.to_bits() == g.to_bits()
+                };
+                assert!(
+                    same,
+                    "{m}x{k}x{n} (specials {specials}): ({}, {}) portable {r:e} vs simd {g:e}",
+                    idx / n,
+                    idx % n
+                );
+            }
+        }
     }
 
     #[test]

@@ -208,6 +208,16 @@ impl Matrix {
     /// all follow IEEE semantics — non-finite values propagate, nothing is
     /// skipped as "sparse".
     ///
+    /// The blocked kernel is chosen at run time: an AVX2 implementation
+    /// (4 × 4 register tiles for complete 4-row tiles, a 4-lane streaming
+    /// loop for the rows left over) when the CPU has AVX2, the portable
+    /// one otherwise. Both apply each output's depth terms in the same
+    /// order — in blocks of 128, groups of four summed left to right and
+    /// then added to the output, the block's leftover terms one at a time —
+    /// with separate multiplies and adds and no FMA, so the two give the
+    /// same bits, and a row's bits do not depend on where in a batch it
+    /// lands.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.rows()`.
@@ -400,6 +410,12 @@ impl Matrix {
 
     /// Maximum absolute difference against another matrix of the same shape.
     ///
+    /// Non-finite entries count: a position where both sides are NaN, or
+    /// both are the same infinity, differs by 0; any other position with a
+    /// non-finite difference (NaN against a number, `inf` against a
+    /// number or against `-inf`) differs by `f64::INFINITY`, so a tolerance
+    /// gate can never pass over a NaN on one side only.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if shapes differ.
@@ -415,7 +431,18 @@ impl Matrix {
             .data
             .iter()
             .zip(&rhs.data)
-            .map(|(a, b)| (a - b).abs())
+            .map(|(&a, &b)| {
+                if a == b || (a.is_nan() && b.is_nan()) {
+                    0.0
+                } else {
+                    let d = (a - b).abs();
+                    if d.is_nan() {
+                        f64::INFINITY
+                    } else {
+                        d
+                    }
+                }
+            })
             .fold(0.0, f64::max))
     }
 
@@ -650,5 +677,22 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
         let b = Matrix::from_rows(&[vec![1.5, 1.0]]).unwrap();
         assert_eq!(a.max_abs_diff(&b).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn max_abs_diff_counts_one_sided_non_finite_as_infinite() {
+        let one = |v: f64| Matrix::from_rows(&[vec![v]]).unwrap();
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        assert_eq!(one(1.0).max_abs_diff(&one(nan)).unwrap(), inf);
+        assert_eq!(one(nan).max_abs_diff(&one(1.0)).unwrap(), inf);
+        assert_eq!(one(inf).max_abs_diff(&one(nan)).unwrap(), inf);
+        assert_eq!(one(inf).max_abs_diff(&one(-inf)).unwrap(), inf);
+        assert_eq!(one(inf).max_abs_diff(&one(1.0)).unwrap(), inf);
+        // Matching non-finite entries agree.
+        assert_eq!(one(nan).max_abs_diff(&one(nan)).unwrap(), 0.0);
+        assert_eq!(one(-inf).max_abs_diff(&one(-inf)).unwrap(), 0.0);
+        let a = Matrix::from_rows(&[vec![nan, 1.0, inf]]).unwrap();
+        let b = Matrix::from_rows(&[vec![nan, 1.25, inf]]).unwrap();
+        assert_eq!(a.max_abs_diff(&b).unwrap(), 0.25);
     }
 }

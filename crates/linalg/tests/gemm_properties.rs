@@ -7,8 +7,8 @@
 
 use noble_linalg::{
     matmul_blocked, matmul_f32, matmul_f32_blocked, matmul_f32_naive, matmul_f32_parallel,
-    matmul_i8, matmul_i8_parallel, matmul_naive, matmul_parallel, matmul_transposed, Matrix,
-    MatrixF32, QuantizedMatrixI8,
+    matmul_i8, matmul_i8_parallel, matmul_naive, matmul_parallel, matmul_transposed,
+    set_num_threads, Matrix, MatrixF32, QuantizedMatrixI8,
 };
 use proptest::prelude::*;
 
@@ -169,6 +169,43 @@ proptest! {
                     batched[(i, j)],
                     single[(0, j)]
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every row of a dispatched product is bit-identical to the 1-row
+    /// product of that row, at 1, 2 and 4 threads, on shapes that cross
+    /// the blocked kernel's depth block (128) and column block (256) and
+    /// split rows into whole 4-row tiles plus leftovers. The property
+    /// tests above never reach 48 in any dimension.
+    #[test]
+    fn dispatch_rows_bit_identical_past_block_edges(
+        dims in (1usize..=12, 120usize..=300, 250usize..=600, 0u64..1 << 16),
+    ) {
+        let (m, k, n, salt) = dims;
+        let a = matrix_strategy(m..m + 1, k..k + 1)
+            .generate(&mut proptest::test_runner::TestRng::new(salt));
+        let b = matrix_strategy(k..k + 1, n..n + 1)
+            .generate(&mut proptest::test_runner::TestRng::new(salt ^ 0xABCD));
+        let singles: Vec<Matrix> = (0..m)
+            .map(|i| a.select_rows(&[i]).matmul(&b).unwrap())
+            .collect();
+        for threads in [1usize, 2, 4] {
+            set_num_threads(threads);
+            let batched = a.matmul(&b);
+            set_num_threads(0);
+            let batched = batched.unwrap();
+            for (i, single) in singles.iter().enumerate() {
+                let same = batched
+                    .row(i)
+                    .iter()
+                    .zip(single.row(0))
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                prop_assert!(same, "row {i} of {m}x{k}x{n} at {threads} threads differs from its 1-row product");
             }
         }
     }

@@ -1,5 +1,6 @@
-//! float-determinism bad fixture: an f32 truncation and a hash-ordered
-//! float reduction in kernel-style code.
+//! float-determinism bad fixture: an f32 truncation, a hash-ordered
+//! float reduction, and three ways to fuse a multiply into an add in
+//! kernel-style code.
 use std::collections::HashMap;
 
 pub fn truncate(x: f64) -> f32 {
@@ -8,4 +9,18 @@ pub fn truncate(x: f64) -> f32 {
 
 pub fn reduce(weights: &HashMap<u64, f64>) -> f64 {
     weights.values().sum()
+}
+
+pub fn fused(a: f64, b: f64, c: f64) -> f64 {
+    a.mul_add(b, c)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub fn fused_lanes(
+    a: std::arch::x86_64::__m256d,
+    b: std::arch::x86_64::__m256d,
+    c: std::arch::x86_64::__m256d,
+) -> std::arch::x86_64::__m256d {
+    std::arch::x86_64::_mm256_fmadd_pd(a, b, c)
 }

@@ -14,3 +14,12 @@ pub fn gated_fast_path(x: f64) -> f32 {
     // noble-lint: allow(float-determinism, "fixture: explicit accuracy-gated fast path that documents the bits it trades")
     x as f32
 }
+
+pub fn separate_multiply_and_add(a: f64, b: f64, c: f64) -> f64 {
+    a * b + c
+}
+
+pub fn fused_outside_the_reference(a: f64, b: f64, c: f64) -> f64 {
+    // noble-lint: allow(float-determinism, "fixture: a reduced-precision helper whose single rounding is covered by its tier's tolerance gate, never compared bitwise")
+    a.mul_add(b, c)
+}

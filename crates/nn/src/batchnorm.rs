@@ -115,12 +115,19 @@ impl BatchNorm {
             self.cache = Some(BnCache { x_hat, inv_std });
             Ok(y)
         } else {
+            // One square root per column; each element keeps its division
+            // (not a multiply by the reciprocal), so the bits are unchanged.
+            let sd: Vec<f64> = self
+                .running_var
+                .iter()
+                .map(|&v| (v + self.eps).sqrt())
+                .collect();
+            let (gamma, beta) = (self.gamma.value.row(0), self.beta.value.row(0));
             let mut y = Matrix::zeros(n, self.dim());
             for i in 0..n {
-                for j in 0..self.dim() {
-                    let x_hat = (x[(i, j)] - self.running_mean[j])
-                        / (self.running_var[j] + self.eps).sqrt();
-                    y[(i, j)] = self.gamma.value[(0, j)] * x_hat + self.beta.value[(0, j)];
+                for (j, (yv, &xv)) in y.row_mut(i).iter_mut().zip(x.row(i)).enumerate() {
+                    let x_hat = (xv - self.running_mean[j]) / sd[j];
+                    *yv = gamma[j] * x_hat + beta[j];
                 }
             }
             Ok(y)

@@ -3,6 +3,7 @@
 
 use crate::{Activation, BatchNorm, Dense, NnError, Optimizer, Param};
 use noble_linalg::Matrix;
+use std::borrow::Cow;
 
 /// One stage of an [`Mlp`].
 #[derive(Debug, Clone)]
@@ -172,9 +173,9 @@ impl Mlp {
     ///
     /// Propagates shape errors from the constituent layers.
     pub fn forward(&mut self, x: &Matrix, training: bool) -> Result<Matrix, NnError> {
-        let mut h = x.clone();
+        let mut h = Cow::Borrowed(x);
         for layer in &mut self.layers {
-            h = match layer {
+            h = Cow::Owned(match layer {
                 Layer::Dense(d) => d.forward(&h, training)?,
                 Layer::BatchNorm(b) => b.forward(&h, training)?,
                 Layer::Activation(a, cache) => {
@@ -184,9 +185,9 @@ impl Mlp {
                     }
                     y
                 }
-            };
+            });
         }
-        Ok(h)
+        Ok(h.into_owned())
     }
 
     /// Convenience inference pass (no caching, running batch-norm stats).
