@@ -100,7 +100,7 @@ impl Policy {
         scopes.insert(
             "lock-discipline".into(),
             Scope {
-                include: vec!["crates/serve/src".into()],
+                include: vec!["crates/serve/src".into(), "crates/net/src".into()],
                 exclude: Vec::new(),
             },
         );

@@ -1,5 +1,5 @@
 //! Admission control: bounded per-tenant queues, a global overload
-//! watermark, and deficit-round-robin dispatch.
+//! watermark, deficit-round-robin dispatch, and the in-flight window.
 //!
 //! The state machine per request:
 //!
@@ -7,20 +7,20 @@
 //!                       offer()
 //!   decoded frame ───────────────► per-tenant bounded queue
 //!        │    │                          │
-//!        │    │ tenant queue full        │ DRR dispatch
-//!        │    ▼                          ▼
-//!        │  Rejected{TenantQuota}     service worker ──► reply frame
-//!        │
-//!        │ global watermark exceeded
-//!        ▼
+//!        │    │ tenant queue full        │ claim(): DRR, while the
+//!        │    ▼                          ▼ window has room
+//!        │  Rejected{TenantQuota}     in service ──► completion ──► reply frame
+//!        │                                              │ release()
+//!        │ global watermark exceeded                    ▼
+//!        ▼                                      window slot freed
 //!      Rejected{Overloaded}
 //! ```
 //!
 //! **Watermark.** `offer` admits while `queued + serve_in_flight <
 //! max_queue`, where `serve_in_flight` is the serving tier's live gauge
 //! ([`noble_serve::ServeClient::server_stats`]) — so the shed decision
-//! sees work the workers have already pushed into the batch server, not
-//! just what is still waiting here. Past the watermark every request is
+//! sees work already submitted into the batch server, not just what is
+//! still waiting here. Past the watermark every request is
 //! shed with a typed [`RejectReason::Overloaded`] *before* any queue
 //! grows, which is what keeps accepted-request latency bounded under
 //! open-loop overload: the queues cannot build beyond the watermark, so
@@ -40,6 +40,12 @@
 //! gets its own `quantum` — service is near-equal across backlogged
 //! tenants regardless of arrival ratios (pinned by the
 //! `overload_behavior` fairness test).
+//!
+//! **Window.** `claim` hands out the next request only while fewer than
+//! `window` are in service; `release` frees a slot once a request's
+//! reply is in its outbox. Both run under the same lock as the queues,
+//! so a request offered while the window is full is claimed by whichever
+//! release comes next.
 
 use crate::frame::{Frame, RejectReason, Rejection};
 use crate::sync::{relock, rewait};
@@ -47,9 +53,9 @@ use noble_serve::ShardKey;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
-/// One admitted request, parked until a service worker picks it up.
+/// One admitted request, parked until the edge claims it for service.
 pub(crate) struct WorkItem {
     /// Request id, echoed on the reply frame.
     pub id: u64,
@@ -94,8 +100,9 @@ pub(crate) struct Counters {
 }
 
 /// One tenant's bounded queue plus its DRR turn state.
-#[derive(Default)]
 struct TenantQueue {
+    /// The tenant's name, shared with the DRR ring (no copy per turn).
+    name: Arc<str>,
     queue: VecDeque<WorkItem>,
     /// Requests left in the tenant's current turn; `0` = not mid-turn.
     deficit: u32,
@@ -103,22 +110,25 @@ struct TenantQueue {
 
 /// Scheduler state under one short-held lock.
 struct Sched {
-    tenants: BTreeMap<String, TenantQueue>,
+    tenants: BTreeMap<Arc<str>, TenantQueue>,
     /// Round-robin ring of tenants with non-empty queues.
-    order: VecDeque<String>,
+    order: VecDeque<Arc<str>>,
     /// Total requests parked across all tenant queues.
     queued: usize,
+    /// Requests claimed and not yet released.
+    in_service: usize,
     stopped: bool,
 }
 
-/// The admission gate + DRR dispatcher between connection readers and
-/// service workers.
+/// The admission gate, DRR dispatcher and in-flight window between
+/// connection readers and the serving tier.
 pub(crate) struct Admission {
     max_queue: usize,
     tenant_queue: usize,
     quantum: u32,
     state: Mutex<Sched>,
-    available: Condvar,
+    /// Signalled when the last in-service request is released.
+    idle: Condvar,
     pub(crate) counters: Counters,
 }
 
@@ -132,9 +142,10 @@ impl Admission {
                 tenants: BTreeMap::new(),
                 order: VecDeque::new(),
                 queued: 0,
+                in_service: 0,
                 stopped: false,
             }),
-            available: Condvar::new(),
+            idle: Condvar::new(),
             counters: Counters::default(),
         }
     }
@@ -178,30 +189,61 @@ impl Admission {
                 ),
             }));
         }
-        let tq = s.tenants.entry(tenant.to_string()).or_default();
-        let newly_active = tq.queue.is_empty();
-        tq.queue.push_back(item);
-        if newly_active {
-            s.order.push_back(tenant.to_string());
+        // The name is allocated once, on the tenant's first request; an
+        // activation shares it with the ring.
+        let activated = match s.tenants.get_mut(tenant) {
+            Some(tq) => {
+                tq.queue.push_back(item);
+                (tq.queue.len() == 1).then(|| Arc::clone(&tq.name))
+            }
+            None => {
+                let name: Arc<str> = Arc::from(tenant);
+                let tq = TenantQueue {
+                    name: Arc::clone(&name),
+                    queue: VecDeque::from([item]),
+                    deficit: 0,
+                };
+                s.tenants.insert(Arc::clone(&name), tq);
+                Some(name)
+            }
+        };
+        if let Some(name) = activated {
+            s.order.push_back(name);
         }
         s.queued += 1;
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        self.available.notify_one();
         Ok(())
     }
 
-    /// Blocks for the next request under DRR order; `None` once the
-    /// dispatcher is stopped and drained.
-    pub(crate) fn next(&self) -> Option<WorkItem> {
+    /// The next request under DRR order, if one is parked and fewer than
+    /// `window` are in service; the caller must [`Admission::release`] it
+    /// once its reply is in the outbox.
+    pub(crate) fn claim(&self, window: usize) -> Option<WorkItem> {
         let mut s = relock(&self.state);
-        loop {
-            if let Some(item) = Self::pop(&mut s, self.quantum) {
-                return Some(item);
-            }
-            if s.stopped {
-                return None;
-            }
-            s = rewait(&self.available, s);
+        if s.in_service >= window {
+            return None;
+        }
+        let item = Self::pop(&mut s, self.quantum)?;
+        s.in_service += 1;
+        Some(item)
+    }
+
+    /// Frees the window slot of one claimed request whose reply is in its
+    /// outbox, and counts it completed.
+    pub(crate) fn release(&self) {
+        let mut s = relock(&self.state);
+        s.in_service = s.in_service.saturating_sub(1);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        if s.in_service == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Blocks until no claimed request is in service.
+    pub(crate) fn wait_idle(&self) {
+        let mut s = relock(&self.state);
+        while s.in_service > 0 {
+            s = rewait(&self.idle, s);
         }
     }
 
@@ -209,7 +251,7 @@ impl Admission {
     /// or queue runs out, then rotate the ring.
     fn pop(s: &mut Sched, quantum: u32) -> Option<WorkItem> {
         while let Some(tenant) = s.order.front().cloned() {
-            let Some(tq) = s.tenants.get_mut(&tenant) else {
+            let Some(tq) = s.tenants.get_mut(&*tenant) else {
                 s.order.pop_front();
                 continue;
             };
@@ -239,10 +281,10 @@ impl Admission {
         None
     }
 
-    /// Stops the dispatcher: wakes every waiting worker (they exit once
-    /// the queues are dry) and hands back everything still parked so the
-    /// caller can answer each with a typed shutting-down reply instead
-    /// of dropping it.
+    /// Stops admitting and hands back everything still parked so the
+    /// caller can answer each with a typed shutting-down reply instead of
+    /// dropping it; those count as completed. Requests already in service
+    /// keep their window slots until released.
     pub(crate) fn stop(&self) -> Vec<WorkItem> {
         let mut s = relock(&self.state);
         s.stopped = true;
@@ -253,7 +295,9 @@ impl Admission {
         }
         s.order.clear();
         s.queued = 0;
-        self.available.notify_all();
+        self.counters
+            .completed
+            .fetch_add(leftover.len() as u64, Ordering::Relaxed);
         leftover
     }
 }
@@ -293,7 +337,7 @@ mod tests {
             rxs.push(rx);
         }
         // quantum=2: hot gets 2, quiet gets 2, hot gets the rest.
-        let order: Vec<u64> = (0..8).map(|_| adm.next().unwrap().id).collect();
+        let order: Vec<u64> = (0..8).map(|_| adm.claim(8).unwrap().id).collect();
         assert_eq!(order, vec![0, 1, 6, 7, 2, 3, 4, 5]);
     }
 
@@ -334,10 +378,30 @@ mod tests {
         let leftover = adm.stop();
         assert_eq!(leftover.len(), 1);
         assert_eq!(leftover[0].id, 7);
-        assert!(adm.next().is_none());
+        assert!(adm.claim(1).is_none());
         assert!(matches!(
             adm.offer("t", 0, item(8).0),
             Err(Refusal::ShuttingDown)
         ));
+    }
+
+    #[test]
+    fn claim_holds_the_window_until_release() {
+        let adm = Admission::new(100, 100, 8);
+        let mut rxs = Vec::new();
+        for i in 0..3 {
+            let (it, rx) = item(i);
+            adm.offer("t", 0, it).ok().unwrap();
+            rxs.push(rx);
+        }
+        assert_eq!(adm.claim(2).unwrap().id, 0);
+        assert_eq!(adm.claim(2).unwrap().id, 1);
+        assert!(adm.claim(2).is_none(), "window of 2 is full");
+        adm.release();
+        assert_eq!(adm.claim(2).unwrap().id, 2);
+        adm.release();
+        adm.release();
+        adm.wait_idle();
+        assert_eq!(adm.counters.completed.load(Ordering::Relaxed), 3);
     }
 }

@@ -315,6 +315,23 @@ fn put_f64_vec(out: &mut Vec<u8>, values: &[f64]) -> Result<(), NetError> {
 }
 
 impl Body {
+    /// An upper bound on the encoded payload size, so that
+    /// [`Frame::encode`] allocates its buffer once.
+    fn payload_capacity(&self) -> usize {
+        // Strings carry a u16 length, shards up to 9 bytes, vectors a
+        // u32 count.
+        match self {
+            Body::Localize(r) => 2 + r.tenant.len() + 9 + 4 + 8 * r.fingerprint.len(),
+            Body::TrackedSubmit(r) => 2 + r.tenant.len() + 8 + 9 + 8 + 4 + 8 * r.fingerprint.len(),
+            Body::StatsRequest => 0,
+            Body::Fix(_) => 17,
+            Body::Tracked(t) => 40 + 21 * t.events.len(),
+            Body::Stats(_) => 64,
+            Body::Rejected(r) => 1 + 2 + r.detail.len(),
+            Body::ServerError(e) => 2 + e.detail.len(),
+        }
+    }
+
     /// Serializes the payload into `out` and returns the kind byte.
     fn encode_payload(&self, out: &mut Vec<u8>) -> Result<u8, NetError> {
         match self {
@@ -397,21 +414,24 @@ impl Frame {
     /// [`NetError::Oversized`] when a field exceeds its width or the
     /// payload exceeds [`MAX_PAYLOAD`].
     pub fn encode(&self) -> Result<Vec<u8>, NetError> {
-        let mut payload = Vec::new();
-        let kind = self.body.encode_payload(&mut payload)?;
-        if payload.len() > MAX_PAYLOAD as usize {
+        let mut out = Vec::with_capacity(HEADER_LEN + self.body.payload_capacity());
+        out.extend_from_slice(&MAGIC);
+        out.push(VERSION);
+        // Kind and payload length are patched in once the payload is
+        // written.
+        out.push(0);
+        put_u64(&mut out, self.id);
+        put_u32(&mut out, 0);
+        let kind = self.body.encode_payload(&mut out)?;
+        let len = out.len() - HEADER_LEN;
+        if len > MAX_PAYLOAD as usize {
             return Err(NetError::Oversized {
-                len: payload.len() as u32,
+                len: len as u32,
                 cap: MAX_PAYLOAD,
             });
         }
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(kind);
-        put_u64(&mut out, self.id);
-        put_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(&payload);
+        out[3] = kind;
+        out[12..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
         Ok(out)
     }
 
@@ -725,4 +745,70 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, NetError> {
         id: header.id,
         body,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The capacity hint covers the largest encoding of every kind, so
+    /// `encode` never grows its buffer.
+    #[test]
+    fn payload_capacity_bounds_every_kind() {
+        let shard = WireShard {
+            building: u32::MAX,
+            floor: Some(u32::MAX),
+        };
+        let event = WireZoneEvent {
+            device: 1,
+            zone: 2,
+            entered: true,
+            at: 3,
+        };
+        let bodies = [
+            Body::Localize(LocalizeRequest {
+                tenant: "tenant-é".into(),
+                shard,
+                fingerprint: vec![0.5; 520],
+            }),
+            Body::TrackedSubmit(TrackedSubmitRequest {
+                tenant: "tenant".into(),
+                device: 7,
+                shard,
+                at: 9,
+                fingerprint: vec![0.5; 3],
+            }),
+            Body::StatsRequest,
+            Body::Fix(FixResponse {
+                x: 1.0,
+                y: 2.0,
+                cold: true,
+            }),
+            Body::Tracked(TrackedResponse {
+                raw: FixResponse {
+                    x: 1.0,
+                    y: 2.0,
+                    cold: false,
+                },
+                smoothed_x: 1.0,
+                smoothed_y: 2.0,
+                zone: Some(5),
+                events: vec![event; 3],
+            }),
+            Body::Stats(StatsResponse::default()),
+            Body::Rejected(Rejection {
+                reason: RejectReason::Overloaded,
+                detail: "busy".into(),
+            }),
+            Body::ServerError(ServerErrorResponse {
+                detail: "shutting down".into(),
+            }),
+        ];
+        for body in bodies {
+            let capacity = body.payload_capacity();
+            let frame = Frame { id: 1, body };
+            let len = frame.encode().unwrap().len() - HEADER_LEN;
+            assert!(len <= capacity, "{:?}: {len} > {capacity}", frame.body);
+        }
+    }
 }

@@ -15,7 +15,9 @@
 //!   [`Backend`] ([`noble_serve::BatchServer`] client for stateless
 //!   fixes, [`noble_serve::TrackingServer`] client for per-device
 //!   tracking). Std-only threading: one reader + one writer thread per
-//!   connection, a fixed service-worker pool behind the admission gate.
+//!   connection and no edge thread pool — admitted requests are
+//!   submitted without blocking, and the serving tier's shard workers
+//!   push each reply into its connection's outbox.
 //! - Admission control: bounded per-tenant queues and a global
 //!   watermark that folds in the serving tier's live in-flight gauge
 //!   ([`noble_serve::ServeClient::server_stats`]). Load past the

@@ -1,23 +1,36 @@
 //! The socket front end: listener, per-connection reader/writer
-//! threads, and the service worker pool behind the admission gate.
+//! threads, and the admission gate with its in-flight window.
 //!
-//! Threading model (std-only, no async runtime):
+//! Threading model (std-only, no async runtime, no edge thread pool):
 //!
 //! ```text
 //!  accept thread ──► per-connection reader thread
 //!                        │ decode + admission                outbox
 //!                        ├── Stats ────────────────────────► writer ──► socket
 //!                        ├── shed ──► Rejected frame ──────►
-//!                        └── admit ─► tenant queue
-//!                                        │ DRR
-//!                              service workers (N) ─ reply ─►
-//!                                        │
-//!                                   BatchServer / TrackingServer
+//!                        └── admit ─► tenant queue             ▲
+//!                                        │ pump: DRR, while    │
+//!                                        │ window has room     │
+//!                                        ▼                     │
+//!                               BatchServer / TrackingServer   │
+//!                                        │ shard worker runs   │
+//!                                        │ the completion      │
+//!                                        └─ session update ─ reply
+//!                                           release slot, pump again
 //! ```
 //!
-//! Each connection gets one reader and one writer thread; replies flow
-//! through an unbounded outbox channel, so a service worker never blocks
-//! on a slow peer's socket. `Stats` requests are answered on the reader
+//! Each connection gets one reader and one writer thread. The reader
+//! offers each request to admission and then *pumps*: it submits parked
+//! requests in DRR order, without blocking, while fewer than
+//! [`NetConfig::service_threads`] are in service. Each submit carries a
+//! completion that the serving tier's shard worker calls right after
+//! the fix's batch: it runs the session update for tracked fixes, pushes
+//! the reply frame into the connection's outbox, frees the window slot
+//! and pumps again. Replies flow through an unbounded outbox channel, so
+//! a shard worker never blocks on a slow peer's socket. A completion
+//! dropped uncalled (a worker that unwinds) still answers a typed serve
+//! error, so every admitted request gets exactly one reply and the
+//! window never wedges. `Stats` requests are answered on the reader
 //! thread, **outside** admission — observability keeps working while the
 //! server sheds. After a malformed frame the reader answers one typed
 //! [`RejectReason::BadFrame`] rejection and closes (length-prefixed
@@ -31,7 +44,8 @@ use crate::frame::{
     ServerErrorResponse, StatsResponse, TrackedResponse, WireZoneEvent,
 };
 use crate::NetError;
-use noble_serve::{ServeClient, ServeError, TrackingClient, ZoneEventKind};
+use noble_geo::Point;
+use noble_serve::{ServeClient, ServeError, TrackedFix, TrackingClient, ZoneEvent, ZoneEventKind};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -41,7 +55,7 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Admission and pool knobs for a [`NetServer`].
+/// Admission and in-flight window knobs for a [`NetServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Global overload watermark: requests admitted while
@@ -57,9 +71,11 @@ pub struct NetConfig {
     pub tenant_queue: usize,
     /// Deficit-round-robin grant per tenant turn (unit request cost).
     pub quantum: u32,
-    /// Service worker threads executing admitted requests against the
-    /// serving tier (this is the edge's concurrency into the batch
-    /// server, i.e. the in-flight window).
+    /// The in-flight window: how many admitted requests may be in
+    /// service in the serving tier at once (at least 1). The edge runs no
+    /// threads for it; past the window, admitted requests wait in their
+    /// tenant queues and are dispatched in DRR order as replies come
+    /// back.
     pub service_threads: usize,
 }
 
@@ -217,63 +233,6 @@ impl Backend {
     fn serve_in_flight(&self) -> u64 {
         self.fix_client().server_stats().in_flight
     }
-
-    /// Executes one admitted request, blocking until the serving tier
-    /// replies; every outcome is a typed response body.
-    fn execute(&self, request: Request) -> Body {
-        match request {
-            Request::Localize { key, fingerprint } => {
-                match self.fix_client().submit(key, fingerprint) {
-                    Ok(pending) => {
-                        let cold = pending.cold();
-                        match pending.wait() {
-                            Ok(point) => Body::Fix(FixResponse {
-                                x: point.x,
-                                y: point.y,
-                                cold,
-                            }),
-                            Err(e) => serve_error(&e),
-                        }
-                    }
-                    Err(e) => serve_error(&e),
-                }
-            }
-            Request::Tracked {
-                device,
-                key,
-                at,
-                fingerprint,
-            } => match self {
-                Backend::Fix(_) => Body::ServerError(ServerErrorResponse {
-                    detail: "tracking is not enabled on this endpoint".into(),
-                }),
-                Backend::Tracking(tracking) => {
-                    match tracking.submit(device, key, at, fingerprint) {
-                        Ok((fix, events)) => Body::Tracked(TrackedResponse {
-                            raw: FixResponse {
-                                x: fix.raw.x,
-                                y: fix.raw.y,
-                                cold: fix.cold,
-                            },
-                            smoothed_x: fix.smoothed.x,
-                            smoothed_y: fix.smoothed.y,
-                            zone: fix.zone.map(|z| z as u32),
-                            events: events
-                                .iter()
-                                .map(|ev| WireZoneEvent {
-                                    device: ev.device,
-                                    zone: ev.zone as u32,
-                                    entered: ev.kind == ZoneEventKind::Entered,
-                                    at: ev.at,
-                                })
-                                .collect(),
-                        }),
-                        Err(e) => serve_error(&e),
-                    }
-                }
-            },
-        }
-    }
 }
 
 fn serve_error(e: &ServeError) -> Body {
@@ -282,16 +241,136 @@ fn serve_error(e: &ServeError) -> Body {
     })
 }
 
-/// The running network front end. Owns the accept loop, the service
-/// worker pool, and the admission gate; the serving tier behind the
+fn fix_body(outcome: Result<Point, ServeError>, cold: bool) -> Body {
+    match outcome {
+        Ok(point) => Body::Fix(FixResponse {
+            x: point.x,
+            y: point.y,
+            cold,
+        }),
+        Err(e) => serve_error(&e),
+    }
+}
+
+fn tracked_body(outcome: Result<(TrackedFix, Vec<ZoneEvent>), ServeError>) -> Body {
+    match outcome {
+        Ok((fix, events)) => Body::Tracked(TrackedResponse {
+            raw: FixResponse {
+                x: fix.raw.x,
+                y: fix.raw.y,
+                cold: fix.cold,
+            },
+            smoothed_x: fix.smoothed.x,
+            smoothed_y: fix.smoothed.y,
+            zone: fix.zone.map(|z| z as u32),
+            events: events
+                .iter()
+                .map(|ev| WireZoneEvent {
+                    device: ev.device,
+                    zone: ev.zone as u32,
+                    entered: ev.kind == ZoneEventKind::Entered,
+                    at: ev.at,
+                })
+                .collect(),
+        }),
+        Err(e) => serve_error(&e),
+    }
+}
+
+/// The dispatch side of the edge, shared by every connection reader and
+/// every in-service request's completion.
+struct Edge {
+    admission: Admission,
+    backend: Backend,
+    /// [`NetConfig::service_threads`], at least 1.
+    window: usize,
+}
+
+impl Edge {
+    /// Submits parked requests in DRR order while the window has room.
+    /// Runs on a reader after each admitted offer and in every
+    /// completion after its release, so a parked request is claimed by
+    /// whichever of them frees room first. A submit the serving tier
+    /// refuses outright is answered here, in the loop.
+    fn pump(self: &Arc<Self>) {
+        while let Some(item) = self.admission.claim(self.window) {
+            let WorkItem { id, reply, request } = item;
+            let outbox = reply.clone();
+            let edge = Arc::clone(self);
+            if let Err(body) = self.submit(request, move |body| {
+                // A dropped outbox just means the peer went away before
+                // its reply; not an error.
+                let _ = outbox.send(Frame { id, body });
+                edge.admission.release();
+                edge.pump();
+            }) {
+                let _ = reply.send(Frame { id, body });
+                self.admission.release();
+            }
+        }
+    }
+
+    /// Hands one claimed request to the serving tier; its reply goes to
+    /// `reply` on the shard worker. `Err` carries the reply body of a
+    /// request the tier refused synchronously (`reply` never runs then).
+    fn submit(
+        &self,
+        request: Request,
+        reply: impl FnOnce(Body) + Send + 'static,
+    ) -> Result<(), Body> {
+        let submitted = match request {
+            Request::Localize { key, fingerprint } => {
+                self.backend
+                    .fix_client()
+                    .submit_then(key, fingerprint, move |outcome, cold| {
+                        reply(fix_body(outcome, cold))
+                    })
+            }
+            Request::Tracked {
+                device,
+                key,
+                at,
+                fingerprint,
+            } => match &self.backend {
+                Backend::Fix(_) => {
+                    return Err(Body::ServerError(ServerErrorResponse {
+                        detail: "tracking is not enabled on this endpoint".into(),
+                    }))
+                }
+                Backend::Tracking(tracking) => {
+                    tracking.submit_then(device, key, at, fingerprint, move |outcome| {
+                        reply(tracked_body(outcome))
+                    })
+                }
+            },
+        };
+        submitted.map_err(|e| serve_error(&e))
+    }
+
+    fn stats(&self) -> StatsResponse {
+        let serve = self.backend.fix_client().server_stats();
+        let c = &self.admission.counters;
+        StatsResponse {
+            queue_depth: self.admission.depth() as u64 + serve.queue_depth,
+            in_flight: serve.in_flight,
+            shards: serve.shards as u64,
+            accepted: c.accepted.load(Ordering::Relaxed),
+            completed: c.completed.load(Ordering::Relaxed),
+            shed_overload: c.shed_overload.load(Ordering::Relaxed),
+            shed_quota: c.shed_quota.load(Ordering::Relaxed),
+            bad_frames: c.bad_frames.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// The running network front end. Owns the accept loop and the
+/// admission gate with its in-flight window; the serving tier behind the
 /// [`Backend`] stays owned by the caller.
 pub struct NetServer {
     endpoint: Endpoint,
-    backend: Backend,
-    admission: Arc<Admission>,
+    edge: Arc<Edge>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl NetServer {
@@ -329,36 +408,15 @@ impl NetServer {
         backend: Backend,
         cfg: NetConfig,
     ) -> Result<Self, NetError> {
-        let admission = Arc::new(Admission::new(cfg.max_queue, cfg.tenant_queue, cfg.quantum));
+        let edge = Arc::new(Edge {
+            admission: Admission::new(cfg.max_queue, cfg.tenant_queue, cfg.quantum),
+            backend,
+            window: cfg.service_threads.max(1),
+        });
         let stop = Arc::new(AtomicBool::new(false));
 
-        let mut workers = Vec::new();
-        for i in 0..cfg.service_threads.max(1) {
-            let admission = Arc::clone(&admission);
-            let backend = backend.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("noble-net-svc-{i}"))
-                    .spawn(move || {
-                        while let Some(item) = admission.next() {
-                            let body = backend.execute(item.request);
-                            // A dropped outbox just means the peer went
-                            // away before its reply; not an error.
-                            let _ = item.reply.send(Frame { id: item.id, body });
-                            admission.counters.completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    })
-                    .map_err(|e| {
-                        NetError::Io(std::io::Error::other(format!(
-                            "cannot spawn service worker: {e}"
-                        )))
-                    })?,
-            );
-        }
-
         let accept = {
-            let admission = Arc::clone(&admission);
-            let backend = backend.clone();
+            let edge = Arc::clone(&edge);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("noble-net-accept".into())
@@ -375,14 +433,13 @@ impl NetServer {
                     if stop.load(Ordering::Acquire) {
                         return;
                     }
-                    let admission = Arc::clone(&admission);
-                    let backend = backend.clone();
+                    let edge = Arc::clone(&edge);
                     // Connection threads are detached: they exit when
                     // the peer closes (or on write failure after the
                     // server shuts the socket down).
                     let _ = std::thread::Builder::new()
                         .name("noble-net-conn".into())
-                        .spawn(move || handle_connection(stream, &admission, &backend));
+                        .spawn(move || handle_connection(stream, &edge));
                 })
                 .map_err(|e| {
                     NetError::Io(std::io::Error::other(format!(
@@ -393,11 +450,9 @@ impl NetServer {
 
         Ok(NetServer {
             endpoint,
-            backend,
-            admission,
+            edge,
             stop,
             accept: Some(accept),
-            workers,
         })
     }
 
@@ -409,13 +464,15 @@ impl NetServer {
     /// Live edge counters plus the serving tier's gauges — the same
     /// snapshot a `Stats` frame answers with.
     pub fn stats(&self) -> StatsResponse {
-        stats_snapshot(&self.admission, &self.backend)
+        self.edge.stats()
     }
 
     /// Stops accepting and dispatching: everything parked in admission
     /// queues is answered with a typed shutting-down error (never a
-    /// dropped reply channel), workers finish their in-service requests
-    /// and exit. Returns the final edge counters. The serving tier
+    /// dropped reply), then this waits until every request already in
+    /// service in the serving tier has had its reply pushed to its
+    /// outbox. So on return every admitted request is answered and the
+    /// returned counters have `accepted == completed`. The serving tier
     /// behind the backend is untouched — shut it down separately.
     pub fn shutdown(mut self) -> StatsResponse {
         self.halt();
@@ -426,14 +483,13 @@ impl NetServer {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        for item in self.admission.stop() {
+        for item in self.edge.admission.stop() {
             let _ = item.reply.send(Frame {
                 id: item.id,
-                body: Body::ServerError(ServerErrorResponse {
-                    detail: ServeError::ShuttingDown.to_string(),
-                }),
+                body: serve_error(&ServeError::ShuttingDown),
             });
         }
+        self.edge.admission.wait_idle();
         // The blocking accept loop only observes `stop` after an
         // accept returns: poke it with one throwaway connection.
         if let Ok(stream) = self.endpoint.connect() {
@@ -441,9 +497,6 @@ impl NetServer {
         }
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
         if let Endpoint::Unix(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
@@ -457,24 +510,9 @@ impl Drop for NetServer {
     }
 }
 
-fn stats_snapshot(admission: &Admission, backend: &Backend) -> StatsResponse {
-    let serve = backend.fix_client().server_stats();
-    let c = &admission.counters;
-    StatsResponse {
-        queue_depth: admission.depth() as u64 + serve.queue_depth,
-        in_flight: serve.in_flight,
-        shards: serve.shards as u64,
-        accepted: c.accepted.load(Ordering::Relaxed),
-        completed: c.completed.load(Ordering::Relaxed),
-        shed_overload: c.shed_overload.load(Ordering::Relaxed),
-        shed_quota: c.shed_quota.load(Ordering::Relaxed),
-        bad_frames: c.bad_frames.load(Ordering::Relaxed),
-    }
-}
-
 /// One connection's reader loop (runs on the connection thread; the
 /// writer half runs on a sibling thread draining the outbox).
-fn handle_connection(stream: Stream, admission: &Arc<Admission>, backend: &Backend) {
+fn handle_connection(stream: Stream, edge: &Arc<Edge>) {
     let Ok(write_half) = stream.try_clone() else {
         stream.shutdown();
         return;
@@ -485,8 +523,9 @@ fn handle_connection(stream: Stream, admission: &Arc<Admission>, backend: &Backe
         .spawn(move || {
             let mut write_half = write_half;
             // Exits when every outbox sender is gone: the reader plus
-            // any WorkItems still queued or in service — so a reply
-            // already earned is never dropped by a racing close.
+            // any WorkItems still queued or in service (their completions
+            // hold one) — so a reply already earned is never dropped by a
+            // racing close.
             while let Ok(frame) = replies.recv() {
                 if write_frame(&mut write_half, &frame).is_err() {
                     break;
@@ -503,7 +542,7 @@ fn handle_connection(stream: Stream, admission: &Arc<Admission>, backend: &Backe
     loop {
         match read_frame(&mut reader) {
             Ok(frame) => {
-                if !dispatch(frame, &outbox, admission, backend) {
+                if !dispatch(frame, &outbox, edge) {
                     break;
                 }
             }
@@ -511,7 +550,7 @@ fn handle_connection(stream: Stream, admission: &Arc<Admission>, backend: &Backe
                 // One typed rejection, then close: framing cannot
                 // resynchronize after a malformed frame. id 0 marks
                 // "no trustworthy request id".
-                admission
+                edge.admission
                     .counters
                     .bad_frames
                     .fetch_add(1, Ordering::Relaxed);
@@ -538,19 +577,14 @@ fn handle_connection(stream: Stream, admission: &Arc<Admission>, backend: &Backe
 
 /// Routes one decoded request; returns `false` when the connection must
 /// close (protocol violation).
-fn dispatch(
-    frame: Frame,
-    outbox: &Sender<Frame>,
-    admission: &Arc<Admission>,
-    backend: &Backend,
-) -> bool {
+fn dispatch(frame: Frame, outbox: &Sender<Frame>, edge: &Arc<Edge>) -> bool {
     let (tenant, request) = match frame.body {
         Body::StatsRequest => {
             // Observability bypasses admission: stats must answer even
             // while the server sheds everything else.
             let _ = outbox.send(Frame {
                 id: frame.id,
-                body: Body::Stats(stats_snapshot(admission, backend)),
+                body: Body::Stats(edge.stats()),
             });
             return true;
         }
@@ -573,7 +607,7 @@ fn dispatch(
         // A response kind arriving at the server is a protocol
         // violation: reject and close.
         _ => {
-            admission
+            edge.admission
                 .counters
                 .bad_frames
                 .fetch_add(1, Ordering::Relaxed);
@@ -592,8 +626,11 @@ fn dispatch(
         reply: outbox.clone(),
         request,
     };
-    match admission.offer(&tenant, backend.serve_in_flight(), item) {
-        Ok(()) => {}
+    match edge
+        .admission
+        .offer(&tenant, edge.backend.serve_in_flight(), item)
+    {
+        Ok(()) => edge.pump(),
         Err(Refusal::Reject(rejection)) => {
             let _ = outbox.send(Frame {
                 id: frame.id,
@@ -603,9 +640,7 @@ fn dispatch(
         Err(Refusal::ShuttingDown) => {
             let _ = outbox.send(Frame {
                 id: frame.id,
-                body: Body::ServerError(ServerErrorResponse {
-                    detail: ServeError::ShuttingDown.to_string(),
-                }),
+                body: serve_error(&ServeError::ShuttingDown),
             });
         }
     }

@@ -507,3 +507,82 @@ fn truncated_stream_reads_are_io_errors() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Golden bytes
+// ---------------------------------------------------------------------
+
+/// One `Localize` and one `Tracked` frame encode to exactly these bytes:
+/// the layout in the `frame` module docs, pinned byte for byte so that
+/// an encoder change cannot move a field unnoticed.
+#[test]
+fn localize_and_tracked_frames_encode_to_golden_bytes() {
+    let localize = Frame {
+        id: 7,
+        body: Body::Localize(LocalizeRequest {
+            tenant: "t1".into(),
+            shard: WireShard {
+                building: 2,
+                floor: Some(3),
+            },
+            fingerprint: vec![1.0, -0.5, 100.0],
+        }),
+    };
+    #[rustfmt::skip]
+    let localize_bytes: &[u8] = &[
+        // magic, version, kind, id, payload length 41
+        0x4e, 0x42, 0x01, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x29, 0x00, 0x00, 0x00,
+        // tenant "t1"
+        0x02, 0x00, 0x74, 0x31,
+        // building 2, floor Some(3)
+        0x02, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x00, 0x00,
+        // 3 values: 1.0, -0.5, 100.0
+        0x03, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0xbf,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x59, 0x40,
+    ];
+    let tracked = Frame {
+        id: 42,
+        body: Body::Tracked(TrackedResponse {
+            raw: FixResponse {
+                x: 1.5,
+                y: -2.25,
+                cold: true,
+            },
+            smoothed_x: 1.0,
+            smoothed_y: 2.0,
+            zone: Some(4),
+            events: vec![WireZoneEvent {
+                device: 9,
+                zone: 4,
+                entered: true,
+                at: 11,
+            }],
+        }),
+    };
+    #[rustfmt::skip]
+    let tracked_bytes: &[u8] = &[
+        // magic, version, kind, id, payload length 61
+        0x4e, 0x42, 0x01, 0x82, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3d, 0x00, 0x00, 0x00,
+        // raw 1.5, -2.25, cold
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0xc0,
+        0x01,
+        // smoothed 1.0, 2.0
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,
+        // zone Some(4)
+        0x01, 0x04, 0x00, 0x00, 0x00,
+        // 1 event: device 9, zone 4, entered, at 11
+        0x01, 0x00,
+        0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x04, 0x00, 0x00, 0x00,
+        0x01,
+        0x0b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    ];
+    for (frame, golden) in [(localize, localize_bytes), (tracked, tracked_bytes)] {
+        assert_eq!(frame.encode().unwrap(), golden, "{:?}", frame.body);
+        assert_eq!(Frame::decode(golden).unwrap(), (frame, golden.len()));
+    }
+}

@@ -513,3 +513,123 @@ fn shutdown_answers_parked_requests_with_typed_errors() {
     );
     serve.shutdown();
 }
+
+/// A model that panics in every `localize_batch`: the shard worker
+/// unwinds with fixes in hand.
+struct PanickingLocalizer;
+
+impl Localizer for PanickingLocalizer {
+    fn info(&self) -> LocalizerInfo {
+        LocalizerInfo {
+            model: "net-test-panic",
+            site: "default".into(),
+            feature_dim: 4,
+            class_count: 0,
+        }
+    }
+
+    fn localize_batch(&mut self, _features: &Matrix) -> Result<Vec<Point>, NobleError> {
+        panic!("model fault injected by the test");
+    }
+}
+
+/// A panicking model behind the edge still gets every request exactly
+/// one typed reply: the fixes its worker drops answer a serve error, so
+/// the in-flight window is released rather than wedged. Afterwards the
+/// edge still answers on the same connection and on a fresh one, and
+/// shutdown finds every admitted request completed once. The scenario,
+/// reply collection included, runs on its own thread behind a bounded
+/// wait (a wedged window would also hang the edge's shutdown), so a
+/// wedge fails this test instead of hanging it. CI greps for this test
+/// by name.
+#[test]
+fn panicking_model_behind_the_edge_answers_every_request_once() {
+    let (finished_tx, finished) = std::sync::mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        panicking_model_scenario();
+        let _ = finished_tx.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => scenario.join().expect("scenario thread"),
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("no outcome within 60 s: the in-flight window wedged")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            panic!("the scenario failed (its panic is printed above)")
+        }
+    }
+}
+
+fn panicking_model_scenario() {
+    let mut registry = ShardedRegistry::new();
+    registry.insert(ShardKey::building(0), Box::new(PanickingLocalizer));
+    let serve = BatchServer::start(
+        registry,
+        BatchConfig {
+            max_batch: 1,
+            latency_budget: Duration::ZERO,
+            ..BatchConfig::default()
+        },
+    )
+    .expect("batch server starts");
+    let edge = NetServer::bind_tcp(
+        "127.0.0.1:0".parse().unwrap(),
+        Backend::Fix(serve.client()),
+        NetConfig {
+            max_queue: 64,
+            tenant_queue: 64,
+            quantum: 8,
+            service_threads: 2,
+        },
+    )
+    .expect("edge starts");
+
+    let (mut sender, mut receiver) = NetClient::connect(edge.endpoint())
+        .expect("connect")
+        .split();
+    const N: usize = 12;
+    let localize = || {
+        Body::Localize(noble_net::LocalizeRequest {
+            tenant: "t".into(),
+            shard: SHARD,
+            fingerprint: vec![0.5; 4],
+        })
+    };
+    let mut ids = Vec::new();
+    for _ in 0..N {
+        ids.push(sender.send(localize()).expect("pipelined send"));
+    }
+    let mut reply = || {
+        let frame = receiver.recv().expect("every request gets a reply");
+        assert!(
+            matches!(frame.body, Body::ServerError(_)),
+            "a panicking model must answer a typed serve error, got {:?}",
+            frame.body
+        );
+        frame.id
+    };
+    let mut answered: Vec<u64> = (0..N).map(|_| reply()).collect();
+    answered.sort_unstable();
+    assert_eq!(answered, ids, "every request answered exactly once");
+
+    // The window is free again: a later request on the same connection
+    // gets its own reply.
+    let late = sender.send(localize()).expect("send after the fault");
+    assert_eq!(reply(), late);
+
+    let mut observer = NetClient::connect(edge.endpoint()).expect("observer connects");
+    match observer.stats().expect("stats answers after the fault") {
+        Body::Stats(s) => assert_eq!(s.accepted, N as u64 + 1),
+        other => panic!("stats request answered with {other:?}"),
+    }
+
+    // One release per reply: a request answered twice would push
+    // `completed` past `accepted`.
+    let stats = edge.shutdown();
+    assert_eq!(stats.accepted, N as u64 + 1);
+    assert_eq!(
+        stats.accepted, stats.completed,
+        "every admitted request completed once"
+    );
+    serve.shutdown();
+}

@@ -27,7 +27,7 @@
 //!   hydrate or retrain) and micro-batches concurrently arriving fixes
 //!   under a configurable latency budget / max batch size
 //!   ([`BatchConfig`]) into one stacked `localize_batch` call;
-//!   per-request reply channels carry results back. Workers spin down
+//!   per-request completions carry results back. Workers spin down
 //!   when idle or when a colder shard needs their budget slot, so one
 //!   process serves strictly more shards than fit under the
 //!   [`CatalogBudget`] — and over an unbounded catalog (a trained

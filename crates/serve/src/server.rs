@@ -6,8 +6,10 @@
 //! threads) alive. Clients submit fingerprints tagged with a
 //! [`ShardKey`]; the shard's worker coalesces whatever arrives within a
 //! **latency budget** (or up to a **max batch size**) into one stacked
-//! [`Localizer::localize_batch`] call and fans the results back through
-//! per-request reply channels.
+//! [`Localizer::localize_batch`] call and hands each result to its
+//! request's completion, on the worker thread: a [`PendingFix`] to block
+//! on ([`ServeClient::submit`]) or the caller's own callback
+//! ([`ServeClient::submit_then`]).
 //!
 //! A fully-resident server is the same engine over an unbounded catalog
 //! whose models are already parked — which is what a trained
@@ -96,7 +98,7 @@
 //! ```
 
 use crate::refresh::{RefreshConfig, Refresher};
-use crate::sync::{relock, rewait_timeout};
+use crate::sync::{relock, rewait, rewait_timeout};
 use crate::{CatalogBudget, CatalogStats, ModelCatalog, ServeError, ShardKey};
 use noble::{InferencePrecision, Localizer};
 use noble_geo::Point;
@@ -299,7 +301,7 @@ enum Job {
     Fix {
         fingerprint: Vec<f64>,
         enqueued: Instant,
-        reply: Sender<Result<Point, ServeError>>,
+        reply: Completion,
     },
     /// Retire after serving everything queued ahead of this marker;
     /// write the model back through the store and free it.
@@ -309,10 +311,92 @@ enum Job {
     Shutdown,
 }
 
+/// The caller's reply callback: the fix's outcome plus its cold flag
+/// (see [`PendingFix::cold`]).
+type Done = Box<dyn FnOnce(Result<Point, ServeError>, bool) + Send>;
+
+/// A queued fix's reply. The worker calls it once with the outcome; if it
+/// is dropped uncalled instead — a worker that unwinds drops its batch
+/// and its queue — the drop answers [`ServeError::ShuttingDown`], so every
+/// accepted fix gets exactly one reply.
+struct Completion {
+    done: Option<Done>,
+    cold: bool,
+}
+
+impl Completion {
+    fn new(done: Done, cold: bool) -> Self {
+        Completion {
+            done: Some(done),
+            cold,
+        }
+    }
+
+    fn complete(mut self, outcome: Result<Point, ServeError>) {
+        if let Some(done) = self.done.take() {
+            done(outcome, self.cold);
+        }
+    }
+
+    /// Drops the callback uncalled: the submit that built it failed
+    /// synchronously and reports the error to its caller instead.
+    fn disarm(mut self) {
+        self.done = None;
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        if let Some(done) = self.done.take() {
+            done(Err(ServeError::ShuttingDown), self.cold);
+        }
+    }
+}
+
+/// A one-shot reply slot: the blocking side of a completion.
+#[derive(Debug)]
+pub(crate) struct OneShot<T> {
+    value: Mutex<Option<T>>,
+    filled: Condvar,
+}
+
+impl<T> OneShot<T> {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(OneShot {
+            value: Mutex::new(None),
+            filled: Condvar::new(),
+        })
+    }
+
+    pub(crate) fn put(&self, value: T) {
+        *relock(&self.value) = Some(value);
+        self.filled.notify_one();
+    }
+
+    /// Blocks until [`OneShot::put`] has run, then takes the value.
+    pub(crate) fn take(&self) -> T {
+        let mut value = relock(&self.value);
+        loop {
+            if let Some(v) = value.take() {
+                return v;
+            }
+            value = rewait(&self.filled, value);
+        }
+    }
+}
+
+/// The slot a [`PendingFix`] waits on, and the completion callback that
+/// fills it.
+fn reply_slot() -> (Arc<OneShot<Result<Point, ServeError>>>, Done) {
+    let slot = OneShot::new();
+    let filled = Arc::clone(&slot);
+    (slot, Box::new(move |outcome, _| filled.put(outcome)))
+}
+
 /// An in-flight fix: redeem with [`PendingFix::wait`].
 #[derive(Debug)]
 pub struct PendingFix {
-    rx: Receiver<Result<Point, ServeError>>,
+    slot: Arc<OneShot<Result<Point, ServeError>>>,
     cold: bool,
 }
 
@@ -324,7 +408,7 @@ impl PendingFix {
     /// The serving error the worker sent, or [`ServeError::ShuttingDown`]
     /// when the worker exited without replying.
     pub fn wait(self) -> Result<Point, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+        self.slot.take()
     }
 
     /// Whether this fix found its shard cold (or still warming) and had
@@ -356,7 +440,33 @@ impl ServeClient {
     /// [`ServeError::UnknownShard`] for an unroutable key,
     /// [`ServeError::ShuttingDown`] when the server is stopping.
     pub fn submit(&self, key: ShardKey, fingerprint: Vec<f64>) -> Result<PendingFix, ServeError> {
-        self.core.submit(key, fingerprint)
+        let (slot, done) = reply_slot();
+        let cold = self.core.submit(key, fingerprint, done)?;
+        Ok(PendingFix { slot, cold })
+    }
+
+    /// Enqueues one fingerprint like [`ServeClient::submit`], but hands
+    /// the reply to `done` instead of a [`PendingFix`]: the shard worker
+    /// calls it with the outcome and the cold flag (see
+    /// [`PendingFix::cold`]) right after the fix's batch, never under a
+    /// server lock. On `Ok`, `done` runs exactly once — if the worker
+    /// unwinds before replying, it runs with
+    /// [`ServeError::ShuttingDown`] on the thread that drops the fix. On
+    /// `Err`, it never runs. Keep it short: later riders of the batch
+    /// wait for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeClient::submit`].
+    pub fn submit_then(
+        &self,
+        key: ShardKey,
+        fingerprint: Vec<f64>,
+        done: impl FnOnce(Result<Point, ServeError>, bool) + Send + 'static,
+    ) -> Result<(), ServeError> {
+        self.core
+            .submit(key, fingerprint, Box::new(done))
+            .map(|_| ())
     }
 
     /// Submits and blocks for the result (the per-fix convenience path).
@@ -449,15 +559,17 @@ impl ServerCore {
         out
     }
 
+    /// Enqueues one fix whose reply goes to `done`; returns whether it
+    /// found its shard cold. On `Err`, `done` is dropped uncalled.
     fn submit(
         self: &Arc<Self>,
         key: ShardKey,
         fingerprint: Vec<f64>,
-    ) -> Result<PendingFix, ServeError> {
+        done: Done,
+    ) -> Result<bool, ServeError> {
         if !self.keys.contains(&key) {
             return Err(ServeError::UnknownShard(key));
         }
-        let (reply_tx, reply_rx) = mpsc::channel();
         let mut slots = relock(&self.slots);
         // Checked under the lock: shutdown sets the flag and sweeps the
         // slot map while holding it, so a submit that sees the flag clear
@@ -492,9 +604,14 @@ impl ServerCore {
             fingerprint,
             // noble-lint: allow(wall-clock, "enqueue stamp feeds latency metrics only; results never read it")
             enqueued: Instant::now(),
-            reply: reply_tx,
+            reply: Completion::new(done, cold),
         })
-        .map_err(|_| {
+        .map_err(|mpsc::SendError(job)| {
+            // The caller answers this error itself: the fix's reply must
+            // not also run.
+            if let Job::Fix { reply, .. } = job {
+                reply.disarm();
+            }
             ShardGauges::dec(&gauges.queued);
             ShardGauges::dec(&gauges.in_flight);
             ServeError::ShuttingDown
@@ -502,7 +619,7 @@ impl ServerCore {
         if cold {
             relock(&self.paged).parked_requests += 1;
         }
-        Ok(PendingFix { rx: reply_rx, cold })
+        Ok(cold)
     }
 
     /// Spawns a shard worker in the WARMING state and returns its sender.
@@ -860,7 +977,7 @@ fn fail_cold(
 }
 
 /// Replies to every request still parked in `rx` with the typed error —
-/// a retiring worker must never just drop reply channels — tallying the
+/// a retiring worker must never just drop replies — tallying the
 /// failures and settling the queue gauges. Lifecycle markers in the
 /// queue are ignored. Drains and replies lock-free, then folds the
 /// tallies in at the end.
@@ -880,7 +997,7 @@ fn reject_parked(
             // Gauge before reply, same as the served path: the reply
             // must never be observable while the gauges still count it.
             ShardGauges::dec(&gauges.in_flight);
-            let _ = reply.send(Err(err.clone()));
+            reply.complete(Err(err.clone()));
             failed.push(enqueued.elapsed().as_micros());
         }
     }
@@ -1125,7 +1242,7 @@ impl Drop for BatchServer {
     }
 }
 
-type QueuedFix = (Vec<f64>, Instant, Sender<Result<Point, ServeError>>);
+type QueuedFix = (Vec<f64>, Instant, Completion);
 
 /// Runs one coalesced batch through the shard's model and replies to every
 /// rider. Width-mismatched fingerprints are rejected individually; the
@@ -1187,8 +1304,9 @@ fn serve_batch(
         }
     }
 
-    // Reply first, without the stats lock: a slow reply send must never
-    // extend a critical section that stats readers also take.
+    // Reply first, without the stats lock: a completion may take locks
+    // of its own and must never extend a critical section that stats
+    // readers also take.
     let batch_len = batch.len();
     let mut requests: u64 = 0;
     let mut errors: u64 = 0;
@@ -1209,8 +1327,7 @@ fn serve_batch(
         // (briefly undercounting is fine for the admission watermark;
         // lingering after the reply would make settled gauges racy).
         ShardGauges::dec(&gauges.in_flight);
-        // A dropped PendingFix just means nobody is waiting; not an error.
-        let _ = reply.send(outcome);
+        reply.complete(outcome);
         let waited = enqueued.elapsed().as_micros();
         total_latency_us += waited;
         max_latency_us = max_latency_us.max(waited);
@@ -1223,4 +1340,50 @@ fn serve_batch(
     tally.errors += errors;
     tally.total_latency_us += total_latency_us;
     tally.max_latency_us = tally.max_latency_us.max(max_latency_us);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pending(cold: bool) -> (PendingFix, Completion) {
+        let (slot, done) = reply_slot();
+        (PendingFix { slot, cold }, Completion::new(done, cold))
+    }
+
+    #[test]
+    fn pending_fix_returns_the_worker_answer_once() {
+        let (pending, completion) = pending(true);
+        let point = Point::new(1.5, -2.25);
+        let worker = std::thread::spawn(move || completion.complete(Ok(point)));
+        assert!(pending.cold());
+        assert_eq!(pending.wait(), Ok(point));
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn pending_fix_answers_shutting_down_when_the_completion_is_dropped() {
+        let (pending, completion) = pending(false);
+        drop(completion);
+        assert_eq!(pending.wait(), Err(ServeError::ShuttingDown));
+    }
+
+    /// A completed, a dropped and a disarmed completion: the callback
+    /// runs exactly once for the first two, never for the third.
+    #[test]
+    fn completion_calls_back_exactly_once_or_not_at_all_when_disarmed() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let recorder = |calls: &Arc<Mutex<Vec<_>>>| -> Done {
+            let calls = Arc::clone(calls);
+            Box::new(move |outcome, cold| relock(&calls).push((outcome, cold)))
+        };
+        let point = Point::new(3.0, 4.0);
+        Completion::new(recorder(&calls), false).complete(Ok(point));
+        drop(Completion::new(recorder(&calls), true));
+        Completion::new(recorder(&calls), false).disarm();
+        assert_eq!(
+            *relock(&calls),
+            vec![(Ok(point), false), (Err(ServeError::ShuttingDown), true)]
+        );
+    }
 }

@@ -96,6 +96,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use crate::server::OneShot;
 use crate::sync::relock;
 use crate::{
     BatchConfig, BatchServer, ModelCatalog, PagedStats, ServeClient, ServeError, ShardKey,
@@ -436,19 +437,47 @@ impl TrackingClient {
         at: u64,
         fingerprint: Vec<f64>,
     ) -> Result<(TrackedFix, Vec<ZoneEvent>), ServeError> {
-        let pending = self.client.submit(key, fingerprint)?;
-        let cold = pending.cold();
-        let raw = pending.wait()?;
-        let (smoothed, zone, events) = self.sessions.observe(device, at, raw);
-        Ok((
-            TrackedFix {
-                raw,
-                smoothed,
-                zone,
-                cold,
-            },
-            events,
-        ))
+        let slot = OneShot::new();
+        let filled = Arc::clone(&slot);
+        self.submit_then(device, key, at, fingerprint, move |outcome| {
+            filled.put(outcome)
+        })?;
+        slot.take()
+    }
+
+    /// Enqueues one tracked fix without blocking; the reply goes to
+    /// `done` (see [`ServeClient::submit_then`] for when and where it
+    /// runs). The session update runs in the fix's completion on the
+    /// shard worker, so a device's fixes to one shard update its session
+    /// in submission order.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeClient::submit`]; `done` never runs on `Err`.
+    pub fn submit_then(
+        &self,
+        device: DeviceId,
+        key: ShardKey,
+        at: u64,
+        fingerprint: Vec<f64>,
+        done: impl FnOnce(Result<(TrackedFix, Vec<ZoneEvent>), ServeError>) + Send + 'static,
+    ) -> Result<(), ServeError> {
+        let sessions = Arc::clone(&self.sessions);
+        self.client
+            .submit_then(key, fingerprint, move |outcome, cold| {
+                done(outcome.map(|raw| {
+                    let (smoothed, zone, events) = sessions.observe(device, at, raw);
+                    (
+                        TrackedFix {
+                            raw,
+                            smoothed,
+                            zone,
+                            cold,
+                        },
+                        events,
+                    )
+                }))
+            })
     }
 
     /// Runs a session sweep at logical time `now` (see
