@@ -34,6 +34,26 @@ impl WifiNoble {
         Ok(out)
     }
 
+    /// The serving pass: positions only, bit-identical to the positions
+    /// [`WifiNoble::predict`] returns. It computes the fine head's logits
+    /// and nothing else — neither the building, floor and coarse heads
+    /// nor their weights are read — and skips the first layer's
+    /// all-zero input groups once its weights are known finite (see
+    /// [`noble_nn::Mlp`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates network and decode failures.
+    pub(crate) fn fine_positions(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+        let range = self.layout.range(self.head_fine);
+        let logits = self.mlp.predict_columns(features, range)?;
+        self.layout
+            .head_classes(&logits, self.head_fine)?
+            .into_iter()
+            .map(|class| Ok(self.fine.decode(class)?))
+            .collect()
+    }
+
     /// Localizes a single fingerprint (serving-style per-fix path).
     ///
     /// For throughput-sensitive callers, collect fingerprints and use

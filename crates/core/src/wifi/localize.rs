@@ -22,11 +22,7 @@ impl Localizer for WifiNoble {
 
     fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         check_feature_dim(WIFI_NOBLE_KIND, self.feature_dim(), features)?;
-        Ok(self
-            .predict(features)?
-            .into_iter()
-            .map(|p| p.position)
-            .collect())
+        self.fine_positions(features)
     }
 
     fn try_snapshot(&self) -> Option<ModelSnapshot> {

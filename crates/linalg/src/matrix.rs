@@ -225,6 +225,39 @@ impl Matrix {
         crate::gemm::matmul_dispatch(self, rhs)
     }
 
+    /// Output columns `cols` of `self * rhs`, as a
+    /// `self.rows() × cols.len()` matrix whose entries carry the same bits
+    /// as the matching entries of [`Matrix::matmul`].
+    ///
+    /// It runs the kernels [`Matrix::matmul`] runs, chosen from the shape
+    /// of the *whole* product (`self.cols() × rhs.cols()` per row), not
+    /// from the width of `cols`, and it reads the columns in place from
+    /// the row-major `rhs`; nothing is copied or packed.
+    ///
+    /// `rhs_finite` is the caller's promise that every entry of `rhs` is
+    /// finite. With it, the blocked kernels skip each group of four depth
+    /// terms whose entries in a row of `self` are all zero, so the `rhs`
+    /// rows behind them are never read. The result is still bit-identical:
+    /// an accumulator that starts at `+0.0` never becomes `-0.0`, and
+    /// adding `±0.0` to it changes no bit (the argument is spelled out in
+    /// the `gemm` module notes). It rests on the promise: with a `NaN` or
+    /// `±inf` in `rhs`, pass `false`, and `0.0 * inf` propagates as IEEE
+    /// says.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.rows()`
+    /// and [`LinalgError::InvalidArgument`] when `cols` is not a range
+    /// inside `0..rhs.cols()`.
+    pub fn matmul_columns(
+        &self,
+        rhs: &Matrix,
+        cols: std::ops::Range<usize>,
+        rhs_finite: bool,
+    ) -> Result<Matrix, LinalgError> {
+        crate::gemm::matmul_columns(self, rhs, cols, rhs_finite)
+    }
+
     /// Matrix-vector product `self * v`.
     ///
     /// # Errors

@@ -63,9 +63,7 @@ impl Policy {
                     v.push("crates/net/src".into());
                     v
                 },
-                // The open-loop load generator's whole job is pacing
-                // arrivals and stamping latencies off the wall clock.
-                exclude: vec!["crates/net/src/loadgen.rs".into()],
+                exclude: Vec::new(),
             },
         );
         scopes.insert(

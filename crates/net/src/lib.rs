@@ -26,11 +26,12 @@
 //!   bound — that is what keeps accepted-request tail latency flat past
 //!   saturation. Dispatch is deficit round robin, so one hot tenant
 //!   cannot starve the rest (pinned by `overload_behavior`).
-//! - [`loadgen`]: an **open-loop** Poisson load generator (arrivals on
-//!   a schedule, never gated on replies — no coordinated omission) for
-//!   multi-tenant overload experiments; `overload_behavior` drives it
-//!   through an offered-load sweep that gates goodput and accepted p99
-//!   past saturation.
+//!
+//! The `overload_behavior` suite drives the edge with an **open-loop**
+//! Poisson load generator (arrivals on a schedule, never gated on
+//! replies — no coordinated omission) that lives with the tests, through
+//! an offered-load sweep that gates goodput and accepted p99 past
+//! saturation.
 //!
 //! ```no_run
 //! use noble_net::{Backend, Body, NetClient, NetConfig, NetServer, WireShard};
@@ -66,7 +67,6 @@ mod admission;
 mod client;
 mod error;
 pub mod frame;
-pub mod loadgen;
 mod server;
 mod sync;
 
@@ -77,5 +77,4 @@ pub use frame::{
     ServerErrorResponse, StatsResponse, TrackedResponse, TrackedSubmitRequest, WireShard,
     WireZoneEvent, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
-pub use loadgen::{run_open_loop, LoadConfig, TenantLoad, TenantOutcome};
 pub use server::{Backend, Endpoint, NetConfig, NetServer, Stream};

@@ -1,4 +1,5 @@
-//! Open-loop, multi-tenant load generation.
+//! Open-loop, multi-tenant load generation for the edge's overload
+//! tests, built on the crate's public client.
 //!
 //! **Open loop** means arrivals follow a schedule, not the server:
 //! each tenant's sender thread draws Poisson inter-arrival gaps
@@ -18,10 +19,7 @@
 //! or typed serve error — so the receiver knows precisely when it is
 //! done.
 
-use crate::client::NetClient;
-use crate::frame::{Body, LocalizeRequest, WireShard};
-use crate::server::Endpoint;
-use crate::NetError;
+use noble_net::{Body, Endpoint, LocalizeRequest, NetClient, NetError, RejectReason, WireShard};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{self, TryRecvError};
 use std::time::{Duration, Instant};
@@ -162,9 +160,9 @@ fn settle(outcome: &mut TenantOutcome, stamp: Instant, recv_at: Instant, body: B
             );
         }
         Body::Rejected(r) => match r.reason {
-            crate::frame::RejectReason::Overloaded => outcome.shed_overload += 1,
-            crate::frame::RejectReason::TenantQuota => outcome.shed_quota += 1,
-            crate::frame::RejectReason::BadFrame => outcome.errors += 1,
+            RejectReason::Overloaded => outcome.shed_overload += 1,
+            RejectReason::TenantQuota => outcome.shed_quota += 1,
+            RejectReason::BadFrame => outcome.errors += 1,
         },
         _ => outcome.errors += 1,
     }

@@ -14,9 +14,12 @@ use noble::{Localizer, LocalizerInfo, NobleError};
 use noble_geo::{Point, Polygon, Zone, ZoneSet};
 use noble_linalg::Matrix;
 use noble_net::frame::read_frame;
+mod common;
+
+use common::{run_open_loop, LoadConfig, TenantLoad, TenantOutcome};
 use noble_net::{
-    run_open_loop, Backend, Body, LoadConfig, NetClient, NetConfig, NetError, NetServer,
-    RejectReason, TenantLoad, TenantOutcome, TrackedSubmitRequest, WireShard,
+    Backend, Body, NetClient, NetConfig, NetError, NetServer, RejectReason, TrackedSubmitRequest,
+    WireShard,
 };
 use noble_serve::{BatchConfig, BatchServer, ShardKey, ShardedRegistry, TrackingServer};
 use std::io::Write;
@@ -292,6 +295,11 @@ fn hot_tenant_cannot_starve_quiet_tenant() {
     let outcomes = run_open_loop(edge.endpoint(), &load).expect("load run succeeds");
     let quiet = &outcomes[0];
     let hot = &outcomes[1];
+    assert_eq!(
+        (quiet.tenant.as_str(), hot.tenant.as_str()),
+        ("quiet", "hot"),
+        "outcomes come back in the configured tenant order"
+    );
 
     assert!(quiet.offered > 10, "quiet schedule too small");
     assert!(
@@ -534,8 +542,9 @@ impl Localizer for PanickingLocalizer {
 }
 
 /// A panicking model behind the edge still gets every request exactly
-/// one typed reply: the fixes its worker drops answer a serve error, so
-/// the in-flight window is released rather than wedged. Afterwards the
+/// one typed reply: the serving tier supervises the panic and answers
+/// each rider a serve error, so the in-flight window is released rather
+/// than wedged, and a `Stats` frame reads no fix queued or in flight. Afterwards the
 /// edge still answers on the same connection and on a fresh one, and
 /// shutdown finds every admitted request completed once. The scenario,
 /// reply collection included, runs on its own thread behind a bounded
@@ -619,7 +628,16 @@ fn panicking_model_scenario() {
 
     let mut observer = NetClient::connect(edge.endpoint()).expect("observer connects");
     match observer.stats().expect("stats answers after the fault") {
-        Body::Stats(s) => assert_eq!(s.accepted, N as u64 + 1),
+        Body::Stats(s) => {
+            assert_eq!(s.accepted, N as u64 + 1);
+            // The serving tier supervised the panics: with every reply in
+            // hand, nothing is left queued or in flight.
+            assert_eq!(
+                (s.queue_depth, s.in_flight),
+                (0, 0),
+                "the serving gauges settle after the replies"
+            );
+        }
         other => panic!("stats request answered with {other:?}"),
     }
 

@@ -31,6 +31,17 @@ impl Activation {
         }
     }
 
+    /// Applies the activation element-wise, in place: the same function
+    /// on each element as [`Activation::forward`], without a new matrix.
+    pub(crate) fn apply_in_place(&self, y: &mut Matrix) {
+        match self {
+            Activation::Tanh => y.map_in_place(f64::tanh),
+            Activation::Relu => y.map_in_place(|v| v.max(0.0)),
+            Activation::Sigmoid => y.map_in_place(sigmoid),
+            Activation::Identity => {}
+        }
+    }
+
     /// Derivative expressed in terms of the *output* `y = f(x)`.
     ///
     /// All four supported activations admit this form, which lets the

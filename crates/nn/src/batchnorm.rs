@@ -115,23 +115,49 @@ impl BatchNorm {
             self.cache = Some(BnCache { x_hat, inv_std });
             Ok(y)
         } else {
-            // One square root per column; each element keeps its division
-            // (not a multiply by the reciprocal), so the bits are unchanged.
-            let sd: Vec<f64> = self
-                .running_var
-                .iter()
-                .map(|&v| (v + self.eps).sqrt())
-                .collect();
-            let (gamma, beta) = (self.gamma.value.row(0), self.beta.value.row(0));
-            let mut y = Matrix::zeros(n, self.dim());
-            for i in 0..n {
-                for (j, (yv, &xv)) in y.row_mut(i).iter_mut().zip(x.row(i)).enumerate() {
-                    let x_hat = (xv - self.running_mean[j]) / sd[j];
-                    *yv = gamma[j] * x_hat + beta[j];
-                }
-            }
+            let mut y = x.clone();
+            self.infer_in_place(&mut y, 0)?;
             Ok(y)
         }
+    }
+
+    /// Inference-mode normalization of `y` in place, with the running
+    /// statistics. Column `j` of `y` is feature `col0 + j`, so a caller
+    /// that computed only some of the features normalizes just those.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when `col0 + y.cols()` exceeds
+    /// the feature dimension.
+    pub(crate) fn infer_in_place(&self, y: &mut Matrix, col0: usize) -> Result<(), NnError> {
+        let w = y.cols();
+        if col0 + w > self.dim() {
+            return Err(NnError::ShapeMismatch {
+                context: "batchnorm forward",
+                expected: self.dim(),
+                found: col0 + w,
+            });
+        }
+        if w == 0 {
+            return Ok(());
+        }
+        let cols = col0..col0 + w;
+        // One square root per column; each element keeps its division
+        // (not a multiply by the reciprocal), so the bits are unchanged.
+        let sd: Vec<f64> = self.running_var[cols.clone()]
+            .iter()
+            .map(|&v| (v + self.eps).sqrt())
+            .collect();
+        let mean = &self.running_mean[cols.clone()];
+        let gamma = &self.gamma.value.row(0)[cols.clone()];
+        let beta = &self.beta.value.row(0)[cols];
+        for row in y.as_mut_slice().chunks_exact_mut(w) {
+            for (j, v) in row.iter_mut().enumerate() {
+                let x_hat = (*v - mean[j]) / sd[j];
+                *v = gamma[j] * x_hat + beta[j];
+            }
+        }
+        Ok(())
     }
 
     /// Backward pass through the batch-norm transform.

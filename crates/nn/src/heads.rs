@@ -146,12 +146,34 @@ impl OutputLayout {
             });
         }
         let range = self.range(head_index);
-        Ok((0..logits.rows())
-            .map(|i| {
-                let row = &logits.row(i)[range.clone()];
-                noble_linalg::argmax(row).unwrap_or(0)
-            })
+        Ok(logits
+            .iter_rows()
+            .map(|row| class_of(&row[range.clone()]))
             .collect())
+    }
+
+    /// The arg-max class of every row of one head's own logits (only the
+    /// columns [`OutputLayout::range`] gives for `head_index`), picked as
+    /// [`OutputLayout::predict_classes`] picks it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when `head_logits` is not as wide
+    /// as the head.
+    pub fn head_classes(
+        &self,
+        head_logits: &Matrix,
+        head_index: usize,
+    ) -> Result<Vec<usize>, NnError> {
+        let width = self.heads[head_index].width;
+        if head_logits.cols() != width {
+            return Err(NnError::ShapeMismatch {
+                context: "head_classes",
+                expected: width,
+                found: head_logits.cols(),
+            });
+        }
+        Ok(head_logits.iter_rows().map(class_of).collect())
     }
 
     /// Per-class probabilities of head `head_index` for every row.
@@ -193,6 +215,12 @@ impl OutputLayout {
         }
         Ok(out)
     }
+}
+
+/// A head's class for one row of its logits: the first arg-max, NaNs
+/// ignored, class 0 when every logit is NaN.
+fn class_of(head_row: &[f64]) -> usize {
+    noble_linalg::argmax(head_row).unwrap_or(0)
 }
 
 /// The combined multi-head loss: a weighted sum of per-head losses over a

@@ -2,6 +2,7 @@
 
 use crate::{xavier_uniform, NnError, Param};
 use noble_linalg::Matrix;
+use std::ops::Range;
 
 /// A fully connected layer computing `Y = X W + b` on row-major batches.
 ///
@@ -80,6 +81,30 @@ impl Dense {
     ///
     /// Returns [`NnError::ShapeMismatch`] when `x.cols() != in_dim`.
     pub fn forward(&mut self, x: &Matrix, training: bool) -> Result<Matrix, NnError> {
+        let y = self.infer(x, 0..self.out_dim(), false)?;
+        if training {
+            self.cached_input = Some(x.clone());
+        }
+        Ok(y)
+    }
+
+    /// Output columns `cols` of the affine map `x W + b`: the product is
+    /// read in place from the columns of `W`, and the bias is added in
+    /// place. The bits equal the same columns of [`Dense::forward`].
+    /// `weights_finite` is the caller's knowledge that every weight is
+    /// finite, which lets the product skip all-zero groups of inputs (see
+    /// [`Matrix::matmul_columns`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when `x.cols() != in_dim`, and
+    /// propagates a range outside `0..out_dim`.
+    pub(crate) fn infer(
+        &self,
+        x: &Matrix,
+        cols: Range<usize>,
+        weights_finite: bool,
+    ) -> Result<Matrix, NnError> {
         if x.cols() != self.in_dim() {
             return Err(NnError::ShapeMismatch {
                 context: "dense forward",
@@ -87,17 +112,19 @@ impl Dense {
                 found: x.cols(),
             });
         }
-        let mut y = x.matmul(&self.weights.value)?;
-        let b = self.bias.value.row(0);
+        let mut y = x.matmul_columns(&self.weights.value, cols.clone(), weights_finite)?;
+        let b = &self.bias.value.row(0)[cols];
         for i in 0..y.rows() {
             for (yv, &bv) in y.row_mut(i).iter_mut().zip(b) {
                 *yv += bv;
             }
         }
-        if training {
-            self.cached_input = Some(x.clone());
-        }
         Ok(y)
+    }
+
+    /// Whether every weight is finite (one read of the weights).
+    pub(crate) fn weights_all_finite(&self) -> bool {
+        self.weights.value.as_slice().iter().all(|v| v.is_finite())
     }
 
     /// Backward pass: accumulates parameter gradients and returns the

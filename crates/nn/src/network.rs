@@ -4,6 +4,7 @@
 use crate::{Activation, BatchNorm, Dense, NnError, Optimizer, Param};
 use noble_linalg::Matrix;
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// One stage of an [`Mlp`].
 #[derive(Debug, Clone)]
@@ -31,11 +32,24 @@ enum Layer {
 /// assert_eq!(mlp.in_dim(), 32);
 /// assert_eq!(mlp.out_dim(), 10);
 /// ```
+///
+/// The network also carries one fact: whether every weight of its first
+/// dense layer is known to be finite. While it holds, inference lets that
+/// layer's product skip all-zero groups of inputs, with the same bits
+/// (see [`Matrix::matmul_columns`]). Only the first layer gains from it:
+/// a fingerprint hears few access points, so its input is mostly zeros,
+/// while a hidden activation is almost never exactly zero. Decoding a
+/// parameter blob and the end of training learn the fact (see
+/// [`crate::load_parameters`] and [`crate::Trainer::fit`]); every `&mut`
+/// path to the parameters clears it — [`Mlp::params_mut`] (and so
+/// [`Mlp::apply_gradients`]), [`Mlp::set_running_stats`] and a
+/// training-mode [`Mlp::forward`].
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Layer>,
     in_dim: usize,
     out_dim: usize,
+    input_weights_finite: bool,
 }
 
 /// Architecture description of one [`Mlp`] stage, introspectable via
@@ -106,6 +120,7 @@ impl MlpBuilder {
             out_dim: self.current_dim,
             in_dim: self.in_dim,
             layers: self.layers,
+            input_weights_finite: false,
         }
     }
 }
@@ -166,23 +181,25 @@ impl Mlp {
     /// Forward pass over a `(batch, in_dim)` matrix.
     ///
     /// In training mode intermediate values are cached for
-    /// [`Mlp::backward`]; in inference mode batch-norm uses its running
-    /// statistics.
+    /// [`Mlp::backward`]; in inference mode this is [`Mlp::predict`].
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the constituent layers.
     pub fn forward(&mut self, x: &Matrix, training: bool) -> Result<Matrix, NnError> {
+        if !training {
+            return self.infer(x, self.layers.len(), None);
+        }
+        // The optimizer step that follows rewrites the weights.
+        self.input_weights_finite = false;
         let mut h = Cow::Borrowed(x);
         for layer in &mut self.layers {
             h = Cow::Owned(match layer {
-                Layer::Dense(d) => d.forward(&h, training)?,
-                Layer::BatchNorm(b) => b.forward(&h, training)?,
+                Layer::Dense(d) => d.forward(&h, true)?,
+                Layer::BatchNorm(b) => b.forward(&h, true)?,
                 Layer::Activation(a, cache) => {
                     let y = a.forward(&h);
-                    if training {
-                        *cache = Some(y.clone());
-                    }
+                    *cache = Some(y.clone());
                     y
                 }
             });
@@ -190,13 +207,63 @@ impl Mlp {
         Ok(h.into_owned())
     }
 
-    /// Convenience inference pass (no caching, running batch-norm stats).
+    /// Inference pass: no caching, running batch-norm statistics.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the constituent layers.
     pub fn predict(&mut self, x: &Matrix) -> Result<Matrix, NnError> {
-        self.forward(x, false)
+        self.infer(x, self.layers.len(), None)
+    }
+
+    /// Inference over output columns `cols` only: a `(batch, cols.len())`
+    /// matrix whose bits equal those columns of [`Mlp::predict`]. The
+    /// final dense layer reads just those columns of its weights, so a
+    /// caller that needs one head of a multi-head output pays for that
+    /// head alone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the constituent layers, and rejects a
+    /// range outside `0..out_dim`.
+    pub fn predict_columns(&self, x: &Matrix, cols: Range<usize>) -> Result<Matrix, NnError> {
+        self.infer(x, self.layers.len(), Some(cols))
+    }
+
+    /// The one inference routine: layers `..stop` in order. The first
+    /// dense product skips all-zero input groups while its weights are
+    /// known finite (same bits; see [`Mlp`]); bias, batch-norm (running
+    /// statistics) and activations run in place. With `cols`, the last
+    /// dense layer computes only those output columns, and the stages
+    /// after it work on those columns alone.
+    fn infer(
+        &self,
+        x: &Matrix,
+        stop: usize,
+        cols: Option<Range<usize>>,
+    ) -> Result<Matrix, NnError> {
+        let layers = &self.layers[..stop];
+        let last_dense = layers.iter().rposition(|l| matches!(l, Layer::Dense(_)));
+        let mut skip_zero_groups = self.input_weights_finite;
+        let mut h = Cow::Borrowed(x);
+        // The feature index of column 0 of `h`.
+        let mut col0 = 0;
+        for (i, layer) in layers.iter().enumerate() {
+            match layer {
+                Layer::Dense(d) => {
+                    let range = match &cols {
+                        Some(range) if Some(i) == last_dense => range.clone(),
+                        _ => 0..d.out_dim(),
+                    };
+                    col0 = range.start;
+                    h = Cow::Owned(d.infer(&h, range, skip_zero_groups)?);
+                    skip_zero_groups = false;
+                }
+                Layer::BatchNorm(b) => b.infer_in_place(h.to_mut(), col0)?,
+                Layer::Activation(a, _) => a.apply_in_place(h.to_mut()),
+            }
+        }
+        Ok(h.into_owned())
     }
 
     /// Single-sample inference: one feature row in, one output row out.
@@ -265,15 +332,7 @@ impl Mlp {
             .iter()
             .rposition(|l| matches!(l, Layer::Dense(_)))
             .ok_or_else(|| NnError::InvalidConfig("network has no dense layer".to_string()))?;
-        let mut h = x.clone();
-        for layer in &mut self.layers[..last_dense] {
-            h = match layer {
-                Layer::Dense(d) => d.forward(&h, false)?,
-                Layer::BatchNorm(b) => b.forward(&h, false)?,
-                Layer::Activation(a, _) => a.forward(&h),
-            };
-        }
-        Ok(h)
+        self.infer(x, last_dense, None)
     }
 
     /// Backward pass: consumes `dL/d_output` and accumulates parameter
@@ -324,8 +383,10 @@ impl Mlp {
         }
     }
 
-    /// Mutable access to every trainable parameter tensor.
+    /// Mutable access to every trainable parameter tensor. The first
+    /// layer's weights no longer count as known finite (see [`Mlp`]).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.input_weights_finite = false;
         let mut out = Vec::new();
         for layer in &mut self.layers {
             match layer {
@@ -366,7 +427,9 @@ impl Mlp {
     }
 
     /// Overwrites the running batch-norm statistics (deserialization);
-    /// `stats` pairs up with [`Mlp::running_stats`] order.
+    /// `stats` pairs up with [`Mlp::running_stats`] order. Like every
+    /// `&mut` path to the model's state, it clears the finite-weights fact
+    /// (see [`Mlp`]).
     ///
     /// # Errors
     ///
@@ -374,6 +437,7 @@ impl Mlp {
     /// the network's batch-norm stage count, and propagates length
     /// mismatches from the stages.
     pub fn set_running_stats(&mut self, stats: &[(Vec<f64>, Vec<f64>)]) -> Result<(), NnError> {
+        self.input_weights_finite = false;
         let bn_layers: Vec<&mut BatchNorm> = self
             .layers
             .iter_mut()
@@ -393,6 +457,36 @@ impl Mlp {
             b.set_running_stats(mean, var)?;
         }
         Ok(())
+    }
+
+    /// Index, in [`Mlp::params`] order, of the first dense layer's
+    /// weight tensor: the tensor whose finiteness [`Mlp`] tracks. Each
+    /// dense layer and each batch-norm stage holds two tensors.
+    pub(crate) fn input_weights_tensor(&self) -> Option<usize> {
+        let first = self
+            .layers
+            .iter()
+            .position(|l| matches!(l, Layer::Dense(_)))?;
+        let norms = self.layers[..first]
+            .iter()
+            .filter(|l| matches!(l, Layer::BatchNorm(_)))
+            .count();
+        Some(2 * norms)
+    }
+
+    /// Records whether the first dense layer's weights are all finite, as
+    /// learned by a caller that has just read every one of them.
+    pub(crate) fn set_input_weights_finite(&mut self, finite: bool) {
+        self.input_weights_finite = finite;
+    }
+
+    /// Reads the first dense layer's weights once and records whether
+    /// they are all finite (the end of training).
+    pub(crate) fn scan_input_weights_finite(&mut self) {
+        self.input_weights_finite = self.layers.iter().find_map(|l| match l {
+            Layer::Dense(d) => Some(d.weights_all_finite()),
+            _ => None,
+        }) == Some(true);
     }
 
     /// The architecture as a replayable spec sequence (see
@@ -457,6 +551,7 @@ impl Mlp {
             layers,
             in_dim,
             out_dim: width,
+            input_weights_finite: false,
         })
     }
 
@@ -477,7 +572,7 @@ impl Mlp {
     /// Gradient L2 norm across all parameters (diagnostics, divergence
     /// detection).
     pub fn grad_norm(&mut self) -> f64 {
-        self.params_mut()
+        self.params()
             .iter()
             .map(|p| p.grad.as_slice().iter().map(|g| g * g).sum::<f64>())
             .sum::<f64>()
@@ -657,6 +752,136 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The serving shape in miniature: a wide sparse input, two hidden
+    /// layers of 128 (so the blocked kernel runs) and a 3-head output.
+    fn trained_sparse_net() -> (Mlp, Matrix) {
+        let mut mlp = Mlp::builder(40, 17)
+            .dense(128)
+            .batch_norm()
+            .activation(Activation::Tanh)
+            .dense(128)
+            .batch_norm()
+            .activation(Activation::Tanh)
+            .dense(70)
+            .build();
+        // Rows that are mostly whole zero groups, like fingerprints.
+        let x = Matrix::from_fn(24, 40, |i, j| {
+            if (j / 4 + i) % 5 == 0 {
+                ((i * 3 + j) % 7) as f64 / 7.0 - 0.2
+            } else {
+                0.0
+            }
+        });
+        let y = Matrix::from_fn(24, 70, |i, j| ((i + j) % 3) as f64 - 1.0);
+        let cfg = crate::TrainConfig {
+            epochs: 3,
+            batch_size: 8,
+            ..crate::TrainConfig::default()
+        };
+        crate::Trainer::new(cfg)
+            .fit(&mut mlp, &x, &y, &MseLoss, None)
+            .unwrap();
+        (mlp, x)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn predict_columns_carries_the_bits_of_predict() {
+        let (mut mlp, x) = trained_sparse_net();
+        let mut restored = Mlp::from_specs(40, &mlp.layer_specs()).unwrap();
+        crate::load_parameters(&mut restored, &crate::save_parameters(&mlp)).unwrap();
+        let full = mlp.predict(&x).unwrap();
+        assert_eq!(bits(&restored.predict(&x).unwrap()), bits(&full));
+        for cols in [0..70, 5..9, 3..40, 41..70, 69..70] {
+            let want = Matrix::from_fn(x.rows(), cols.len(), |i, j| full[(i, cols.start + j)]);
+            for net in [&mlp, &restored] {
+                let got = net.predict_columns(&x, cols.clone()).unwrap();
+                assert_eq!(bits(&got), bits(&want), "columns {cols:?}");
+            }
+        }
+        assert!(mlp.predict_columns(&x, 60..71).is_err());
+    }
+
+    #[test]
+    fn a_non_finite_weight_behind_zero_inputs_still_propagates() {
+        let (trained, x) = trained_sparse_net();
+        // Rows whose inputs 0..4 (a whole zero group) are all zero; three
+        // rows, so each streams alone and no 4-row tile shares the group.
+        let x = x.select_rows(&[1, 2, 3]);
+        assert!(x.as_slice().chunks(40).all(|r| r[0..4] == [0.0; 4]));
+        for poison in [f64::NAN, f64::INFINITY] {
+            // Through a `&mut` path to the parameters...
+            let mut edited = trained.clone();
+            edited.params_mut()[0].value[(1, 5)] = poison;
+            // ...and through a blob that carries the non-finite weight.
+            let mut restored = Mlp::from_specs(40, &edited.layer_specs()).unwrap();
+            crate::load_parameters(&mut restored, &crate::save_parameters(&edited)).unwrap();
+            for mut net in [edited, restored] {
+                let out = net.predict(&x).unwrap();
+                // 0 * NaN and 0 * inf are NaN: hidden unit 5 of every row
+                // is NaN, and so is every output after it.
+                assert!(
+                    out.as_slice().iter().all(|v| v.is_nan()),
+                    "{poison}: {out:?}"
+                );
+                let head = net.predict_columns(&x, 10..20).unwrap();
+                assert!(head.as_slice().iter().all(|v| v.is_nan()));
+            }
+        }
+    }
+
+    #[test]
+    fn every_mut_path_clears_the_finite_weights_fact() {
+        let (trained, x) = trained_sparse_net();
+        let poisoned = |net: &mut Mlp| {
+            // Writes behind the network's back, as a stale fact would
+            // allow.
+            if let Layer::Dense(d) = &mut net.layers[0] {
+                d.params_mut()[0].value[(1, 5)] = f64::NAN;
+            }
+        };
+        // One row, so no tile shares its zero group with a nonzero row.
+        let row = x.select_rows(&[1]);
+        let probe = |net: &mut Mlp| net.predict(&row).unwrap()[(0, 0)].is_nan();
+        // The fact holds after training and after a blob decode, so a
+        // silent edit is skipped over.
+        let mut net = trained.clone();
+        poisoned(&mut net);
+        assert!(!probe(&mut net), "trained weights should count as finite");
+        let mut net = Mlp::from_specs(40, &trained.layer_specs()).unwrap();
+        crate::load_parameters(&mut net, &crate::save_parameters(&trained)).unwrap();
+        poisoned(&mut net);
+        assert!(!probe(&mut net), "decoded weights should count as finite");
+
+        let mut net = trained.clone();
+        let _ = net.params_mut();
+        poisoned(&mut net);
+        assert!(probe(&mut net), "params_mut");
+
+        let mut net = trained.clone();
+        net.apply_gradients(&mut Optimizer::sgd(0.0));
+        poisoned(&mut net);
+        assert!(probe(&mut net), "apply_gradients");
+
+        let mut net = trained.clone();
+        let stats: Vec<(Vec<f64>, Vec<f64>)> = net
+            .running_stats()
+            .into_iter()
+            .map(|(m, v)| (m.to_vec(), v.to_vec()))
+            .collect();
+        net.set_running_stats(&stats).unwrap();
+        poisoned(&mut net);
+        assert!(probe(&mut net), "set_running_stats");
+
+        let mut net = trained;
+        net.forward(&x, true).unwrap();
+        poisoned(&mut net);
+        assert!(probe(&mut net), "training-mode forward");
     }
 
     #[test]

@@ -142,6 +142,8 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
     let encoding = blob_encoding(bytes)?;
     let mut cursor = Cursor { bytes, pos: 8 };
     let count = cursor.u32()? as usize;
+    let checked = mlp.input_weights_tensor();
+    let mut input_weights_finite = false;
     {
         let mut params = mlp.params_mut();
         if count != params.len() {
@@ -150,7 +152,7 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
                 params.len()
             )));
         }
-        for p in params.iter_mut() {
+        for (i, p) in params.iter_mut().enumerate() {
             let rows = cursor.u32()? as usize;
             let cols = cursor.u32()? as usize;
             if (rows, cols) != p.value.shape() {
@@ -160,7 +162,16 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
                     p.value.shape().1
                 )));
             }
-            cursor.scalars_into(encoding, p.value.as_mut_slice())?;
+            if Some(i) == checked {
+                // Learned in the decode loop itself: no second pass.
+                let mut finite = true;
+                cursor.decode(encoding, p.value.as_mut_slice(), |v| {
+                    finite &= v.is_finite();
+                })?;
+                input_weights_finite = finite;
+            } else {
+                cursor.scalars_into(encoding, p.value.as_mut_slice())?;
+            }
         }
     }
     // Every vector needs at least a 4-byte length prefix; bounding the
@@ -185,6 +196,7 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
             bytes.len() - cursor.pos
         )));
     }
+    mlp.set_input_weights_finite(input_weights_finite);
     Ok(())
 }
 
@@ -225,16 +237,30 @@ impl<'a> Cursor<'a> {
     /// encoding, widened to f64: one bounds check for the whole run,
     /// then a straight decode.
     fn scalars_into(&mut self, encoding: ParamEncoding, out: &mut [f64]) -> Result<(), NnError> {
+        self.decode(encoding, out, |_| {})
+    }
+
+    /// [`Cursor::scalars_into`] that shows each decoded scalar to `seen`
+    /// inside the decode loop. Anything `seen` does costs the loop its
+    /// straight-copy speed, so only the tensor that needs it pays.
+    fn decode(
+        &mut self,
+        encoding: ParamEncoding,
+        out: &mut [f64],
+        mut seen: impl FnMut(f64),
+    ) -> Result<(), NnError> {
         let bytes = self.take(out.len() * encoding.unit())?;
         match encoding {
             ParamEncoding::F64 => {
                 for (v, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
                     *v = f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+                    seen(*v);
                 }
             }
             ParamEncoding::F32 => {
                 for (v, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
                     *v = f64::from(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+                    seen(*v);
                 }
             }
         }

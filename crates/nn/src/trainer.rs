@@ -192,6 +192,9 @@ impl Trainer {
                 optimizer.set_learning_rate(lr);
             }
         }
+        // One read of the first layer's trained weights lets inference
+        // skip its zero input groups (see `Mlp`).
+        model.scan_input_weights_finite();
         Ok(report)
     }
 }

@@ -103,7 +103,9 @@ use crate::{CatalogBudget, CatalogStats, ModelCatalog, ServeError, ShardKey};
 use noble::{InferencePrecision, Localizer};
 use noble_geo::Point;
 use noble_linalg::Matrix;
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -1247,7 +1249,19 @@ type QueuedFix = (Vec<f64>, Instant, Completion);
 /// Runs one coalesced batch through the shard's model and replies to every
 /// rider. Width-mismatched fingerprints are rejected individually; the
 /// rest still ride the stacked call (row independence makes the mixture
-/// safe).
+/// safe). The model call is supervised: a panic inside `localize_batch`
+/// answers every rider of the batch with [`ServeError::Internal`], and the
+/// worker carries on with its slot, lease and occupancy, so its gauges
+/// settle and a later drain still reaches it.
+/// The text of a panic payload, when it carries one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)")
+}
+
 fn serve_batch(
     localizer: &mut dyn Localizer,
     key: ShardKey,
@@ -1284,9 +1298,14 @@ fn serve_batch(
             .map_err(|e| ServeError::from(noble::NobleError::from(e)))
             .and_then(|features| {
                 let started = Instant::now(); // noble-lint: allow(wall-clock, "busy-time metric only; never feeds a result")
-                let result = localizer
-                    .localize_batch(&features)
-                    .map_err(ServeError::from);
+                let result =
+                    match catch_unwind(AssertUnwindSafe(|| localizer.localize_batch(&features))) {
+                        Ok(answer) => answer.map_err(ServeError::from),
+                        Err(payload) => Err(ServeError::Internal(format!(
+                            "shard {key}: the model panicked in localize_batch: {}",
+                            panic_message(payload.as_ref())
+                        ))),
+                    };
                 busy = started.elapsed();
                 result
             });

@@ -7,6 +7,10 @@
 //! (a registry-started, fully resident server) or parked in a warming
 //! queue the shutdown strands (a budgeted catalog) is answered with the
 //! typed `ServeError::ShuttingDown`, never a dropped reply.
+//!
+//! A model that panics inside `localize_batch` is supervised at the batch
+//! boundary: its riders get `ServeError::Internal`, its shard keeps
+//! answering, the other shards keep theirs, and the gauges settle.
 
 use noble::wifi::KnnFingerprint;
 use noble::{Localizer, LocalizerInfo, NobleError};
@@ -222,4 +226,106 @@ fn paged_shutdown_answers_fixes_parked_on_a_warming_shard() {
         "fix stranded on a warming shard must get the typed rejection"
     );
     stopper.join().expect("shutdown thread");
+}
+
+/// Answers every fix with the same point.
+struct FixedLocalizer {
+    dim: usize,
+    out: Point,
+}
+
+impl Localizer for FixedLocalizer {
+    fn info(&self) -> LocalizerInfo {
+        LocalizerInfo {
+            model: "fixed-test",
+            site: "default".into(),
+            feature_dim: self.dim,
+            class_count: 0,
+        }
+    }
+
+    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+        Ok(vec![self.out; features.rows()])
+    }
+}
+
+/// Panics on every batch.
+struct PanickingLocalizer {
+    dim: usize,
+}
+
+impl Localizer for PanickingLocalizer {
+    fn info(&self) -> LocalizerInfo {
+        LocalizerInfo {
+            model: "panicking-test",
+            site: "default".into(),
+            feature_dim: self.dim,
+            class_count: 0,
+        }
+    }
+
+    fn localize_batch(&mut self, _features: &Matrix) -> Result<Vec<Point>, NobleError> {
+        panic!("model defect under test");
+    }
+}
+
+/// One healthy and one panicking shard, neither snapshotable nor
+/// retrainable, under a one-slot budget and unbounded. Fixes to the
+/// panicking shard get `Internal` (not `ShuttingDown`: the server is up),
+/// the healthy shard keeps answering — under `Count(1)` it needs the
+/// panicked worker to drain and free the slot — the gauges read 0/0
+/// afterwards, and shutdown returns. The scenario runs on its own thread
+/// behind a bounded wait, because a wedged worker hangs the test.
+#[test]
+fn a_panicking_model_gets_typed_errors_and_never_wedges_the_server() {
+    for budget in [CatalogBudget::Count(1), CatalogBudget::Unbounded] {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut catalog = ModelCatalog::new(budget).expect("catalog");
+            catalog
+                .insert(
+                    ShardKey::building(0),
+                    Box::new(FixedLocalizer {
+                        dim: 4,
+                        out: Point::new(3.0, 4.0),
+                    }),
+                )
+                .expect("insert the healthy model");
+            catalog
+                .insert(
+                    ShardKey::building(1),
+                    Box::new(PanickingLocalizer { dim: 4 }),
+                )
+                .expect("insert the panicking model");
+            let server = BatchServer::start(catalog, one_by_one()).expect("server starts");
+            let client = server.client();
+            for round in 0..3 {
+                let failed = client
+                    .submit(ShardKey::building(1), vec![0.5; 4])
+                    .expect("submit to the panicking shard")
+                    .wait();
+                assert!(
+                    matches!(failed, Err(ServeError::Internal(_))),
+                    "{budget:?} round {round}: {failed:?}"
+                );
+                let point = client
+                    .submit(ShardKey::building(0), vec![0.5; 4])
+                    .expect("submit to the healthy shard")
+                    .wait()
+                    .expect("the healthy shard answers");
+                assert_eq!((point.x, point.y), (3.0, 4.0));
+            }
+            let stats = server.server_stats();
+            assert_eq!(
+                (stats.queue_depth, stats.in_flight),
+                (0, 0),
+                "{budget:?}: gauges settle"
+            );
+            server.shutdown();
+            done_tx.send(()).expect("report");
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{budget:?}: the server wedged or a check failed"));
+    }
 }
