@@ -32,7 +32,7 @@ const CHANNEL_OPS: [&str; 4] = ["send", "recv", "try_recv", "recv_timeout"];
 pub struct LockDiscipline;
 
 struct GuardState {
-    /// Receiver field name (`slots`, `paged`, …).
+    /// Receiver field name (`slots`, `state`, …).
     name: String,
     /// `let` binding holding the guard, when one exists.
     binding: Option<String>,

@@ -129,7 +129,6 @@ impl Policy {
                 "slots".into(),
                 "state".into(),
                 "shards".into(),
-                "paged".into(),
                 "stats".into(),
             ],
         }

@@ -651,3 +651,150 @@ fn panicking_model_scenario() {
     );
     serve.shutdown();
 }
+
+/// Blocks every batch on its gate until the test drops the gate's
+/// sender; announces each entry.
+struct GatedLocalizer {
+    entered: std::sync::mpsc::Sender<()>,
+    gate: std::sync::mpsc::Receiver<()>,
+}
+
+impl Localizer for GatedLocalizer {
+    fn info(&self) -> LocalizerInfo {
+        LocalizerInfo {
+            model: "net-test-gated",
+            site: "default".into(),
+            feature_dim: 4,
+            class_count: 0,
+        }
+    }
+
+    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+        let _ = self.entered.send(());
+        let _ = self.gate.recv();
+        Ok(vec![Point::new(5.0, 5.0); features.rows()])
+    }
+}
+
+/// A client that pipelines past the in-flight window and then drops its
+/// connection while its replies are still owed frees its window: the
+/// replies that can no longer be written are still completed, the
+/// requests parked behind the window are still pumped, a new connection
+/// is served, a `Stats` frame reads nothing queued or in flight, and
+/// after shutdown `accepted == completed`. The scenario runs behind a
+/// bounded wait, because a leaked window slot would hang it.
+#[test]
+fn a_client_that_disconnects_mid_reply_frees_its_window() {
+    let (finished_tx, finished) = std::sync::mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        disconnect_scenario();
+        let _ = finished_tx.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => scenario.join().expect("scenario thread"),
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("no outcome within 60 s: the in-flight window wedged")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            panic!("the scenario failed (its panic is printed above)")
+        }
+    }
+}
+
+fn disconnect_scenario() {
+    let (gate_tx, gate_rx) = std::sync::mpsc::channel();
+    let (entered_tx, entered) = std::sync::mpsc::channel();
+    let mut registry = ShardedRegistry::new();
+    registry.insert(
+        ShardKey::building(0),
+        Box::new(GatedLocalizer {
+            entered: entered_tx,
+            gate: gate_rx,
+        }),
+    );
+    let serve = BatchServer::start(
+        registry,
+        BatchConfig {
+            max_batch: 1,
+            latency_budget: Duration::ZERO,
+            ..BatchConfig::default()
+        },
+    )
+    .expect("batch server starts");
+    let edge = NetServer::bind_tcp(
+        "127.0.0.1:0".parse().unwrap(),
+        Backend::Fix(serve.client()),
+        NetConfig {
+            max_queue: 64,
+            tenant_queue: 64,
+            quantum: 8,
+            service_threads: 2,
+        },
+    )
+    .expect("edge starts");
+    let localize = || {
+        Body::Localize(noble_net::LocalizeRequest {
+            tenant: "t".into(),
+            shard: SHARD,
+            fingerprint: vec![0.5; 4],
+        })
+    };
+
+    // Pipeline four times the window, with the model frozen on the
+    // first, and wait until the edge has admitted every request.
+    const N: u64 = 8;
+    let (mut sender, receiver) = NetClient::connect(edge.endpoint())
+        .expect("connect")
+        .split();
+    for _ in 0..N {
+        sender.send(localize()).expect("pipelined send");
+    }
+    entered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the first request reaches the model");
+    let mut observer = NetClient::connect(edge.endpoint()).expect("observer connects");
+    let mut admitted = 0;
+    for _ in 0..1000 {
+        match observer.stats().expect("stats answers") {
+            Body::Stats(s) => admitted = s.accepted,
+            other => panic!("stats request answered with {other:?}"),
+        }
+        if admitted == N {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(admitted, N, "the edge admits every pipelined request");
+
+    // The client goes away owing all its replies; then the model runs.
+    drop(sender);
+    drop(receiver);
+    drop(gate_tx);
+
+    let mut fresh = NetClient::connect(edge.endpoint()).expect("a new client connects");
+    match fresh
+        .call(localize())
+        .expect("the new connection is served")
+    {
+        Body::Fix(fix) => assert_eq!((fix.x, fix.y), (5.0, 5.0)),
+        other => panic!("expected a fix, got {other:?}"),
+    }
+    // Same tenant, one shard, one fix per batch: the new request ran
+    // after every request of the dropped connection, so all of them
+    // have completed.
+    match observer.stats().expect("stats answers") {
+        Body::Stats(s) => assert_eq!(
+            (s.queue_depth, s.in_flight),
+            (0, 0),
+            "nothing is left queued or in flight"
+        ),
+        other => panic!("stats request answered with {other:?}"),
+    }
+    let stats = edge.shutdown();
+    assert_eq!(stats.accepted, N + 1);
+    assert_eq!(
+        stats.accepted, stats.completed,
+        "every admitted request completed once"
+    );
+    serve.shutdown();
+}

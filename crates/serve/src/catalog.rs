@@ -802,6 +802,17 @@ impl ModelCatalog {
         drop(stale);
     }
 
+    /// Ends a lease whose model was lost to an unwinding worker. A pending
+    /// activation parks in its place, so an activated model is never lost.
+    pub(crate) fn abandon_lease(&self, key: ShardKey) {
+        let mut state = relock(&self.state);
+        if let Some(fresh) = state.pending.remove(&key) {
+            state.parked.insert(key, fresh);
+        }
+        state.leased.remove(&key);
+        self.released.notify_all();
+    }
+
     // -----------------------------------------------------------------
     // Online refresh: versioned activation, rollback, batch-boundary
     // pickup. See ARCHITECTURE.md, "Online refresh".

@@ -93,6 +93,7 @@
 mod buffer;
 mod catalog;
 mod error;
+mod lifecycle;
 mod refresh;
 mod registry;
 mod server;

@@ -151,7 +151,7 @@ impl Refresher {
         rssi: Vec<f64>,
         position: Point,
     ) -> Result<PushOutcome, ServeError> {
-        if !self.core.keys.contains(&key) {
+        if !self.core.shards.contains_key(&key) {
             return Err(ServeError::UnknownShard(key));
         }
         // The spec tier is immutable after start, so width validation
@@ -207,7 +207,7 @@ impl Refresher {
     /// or is not a WiFi shard; propagates training and store failures
     /// (the current version keeps serving on any error).
     pub fn refresh(&self, key: ShardKey) -> Result<RefreshOutcome, ServeError> {
-        if !self.core.keys.contains(&key) {
+        if !self.core.shards.contains_key(&key) {
             return Err(ServeError::UnknownShard(key));
         }
         let spec = self.core.catalog.spec_of(key).ok_or_else(|| {

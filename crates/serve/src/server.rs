@@ -16,35 +16,14 @@
 //! [`crate::ShardedRegistry`] converts into. Start is lazy for every
 //! shard: a resident shard's first request spawns its worker and leases
 //! the parked model (no hydration), and without budget pressure or an
-//! idle TTL the worker then stays hot for the server's lifetime. Each
-//! shard walks a four-state lifecycle:
+//! idle TTL the worker then stays hot for the server's lifetime.
 //!
-//! ```text
-//!          submit() to a cold shard              lease() done
-//!   COLD ───────────────────────────► WARMING ───────────────► HOT
-//!    ▲         (worker spawned;        (model faulting in:      │
-//!    │          requests park in        store hydration or      │ Drain /
-//!    │          its queue)              spec retrain)           │ idle TTL
-//!    │                                                          ▼
-//!    └───────────────────────────────────────────────────── DRAINING
-//!              (serves its parked backlog, writes the model
-//!               back through the store, worker thread exits)
-//! ```
-//!
-//! - **COLD → WARMING**: the first request to a cold shard spawns its
-//!   worker and *parks* in the worker's queue; the worker leases the
-//!   model from the server's [`crate::ModelCatalog`] (a parked model
-//!   as-is, else a hydrate or retrain outside any global lock, so
-//!   concurrently warming shards overlap).
-//! - **HOT → DRAINING**: a worker retires when it has been idle for
-//!   [`BatchConfig::idle_ttl`], or when a *colder* shard needs its
-//!   budget slot (the least-recently-active hot worker is drained — the
-//!   LRU spin-down policy). Draining writes the model back through the
-//!   store first, so nothing is ever lost and a later re-fault hydrates
-//!   the identical bits.
-//! - Requests racing a spin-down are never dropped: the retiring worker
-//!   serves everything already queued, and anything newer re-warms the
-//!   shard through a fresh worker.
+//! Each shard walks a COLD → WARMING → HOT → DRAINING lifecycle, decided
+//! by the pure type in `lifecycle.rs` (the state table is there); this
+//! module drives it with threads, channels, catalog calls and batching.
+//! A worker faults its model in outside any server lock, so warming
+//! shards overlap, and writes it back through the store before its slot
+//! is released, so a later re-fault hydrates the identical bits.
 //!
 //! Because model snapshot round-trips and key-derived retrains are
 //! bit-identical (pinned by the `snapshot_roundtrip` and `model_store`
@@ -97,16 +76,17 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use crate::lifecycle::{Lifecycle, Room, Submit, WorkerId};
 use crate::refresh::{RefreshConfig, Refresher};
 use crate::sync::{relock, rewait, rewait_timeout};
-use crate::{CatalogBudget, CatalogStats, ModelCatalog, ServeError, ShardKey};
+use crate::{CatalogStats, ModelCatalog, ServeError, ShardKey};
 use noble::{InferencePrecision, Localizer};
 use noble_geo::Point;
 use noble_linalg::Matrix;
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -169,11 +149,9 @@ impl Default for BatchConfig {
 }
 
 /// Lowers a leased model into `precision` when requested and possible,
-/// *discarding* the exact progenitor; models that cannot lower (or an
-/// `Exact` config) serve unchanged. Workers use this right after the
-/// lease — dropping the f64 model is the point (only the lowered twin
-/// stays resident), and persistence is safe because the twin's snapshot
-/// is the progenitor's exact state.
+/// *discarding* the exact progenitor (only the lowered twin stays
+/// resident; its snapshot is the progenitor's exact state); models that
+/// cannot lower (or an `Exact` config) serve unchanged.
 fn lower_for_serving(
     model: Box<dyn Localizer>,
     precision: InferencePrecision,
@@ -181,26 +159,23 @@ fn lower_for_serving(
     if precision == InferencePrecision::Exact {
         return model;
     }
-    match model.try_lower(precision) {
-        Some(lowered) => lowered,
-        None => model,
-    }
+    model.try_lower(precision).unwrap_or(model)
 }
 
-/// Live per-shard queue gauges, shared between the submit paths and the
-/// shard worker. Unlike the cumulative [`ShardStats`] counters these go
-/// *down* again — they are the admission-control watermark inputs the
-/// network front end (`noble-net`) reads on its shedding path, so they
-/// are plain atomics rather than another mutex.
+/// One shard's counters and live queue gauges. Unlike the cumulative
+/// [`ShardStats`], the gauges go *down* again: they are the admission
+/// watermarks `noble-net` reads on its shedding path, so they are plain
+/// atomics rather than another mutex.
 #[derive(Debug, Default)]
-struct ShardGauges {
+pub(crate) struct Shard {
+    stats: Mutex<ShardStats>,
     /// Requests submitted but not yet picked into an inference batch.
     queued: AtomicU64,
     /// Requests submitted but not yet replied to (queued + in service).
     in_flight: AtomicU64,
 }
 
-impl ShardGauges {
+impl Shard {
     /// Balanced decrement: every submit's increment is matched by exactly
     /// one decrement on the dequeue/reply path, but a server tearing down
     /// mid-submit can retire a job the worker never saw — saturate rather
@@ -288,7 +263,7 @@ pub struct PagedStats {
     /// and parked in the worker's queue until the model was resident.
     pub parked_requests: u64,
     /// Workers currently holding (or faulting in) a model — never more
-    /// than a [`CatalogBudget::Count`] allows.
+    /// than a [`crate::CatalogBudget::Count`] allows.
     pub hot_shards: usize,
     /// Model-version swaps picked up by hot workers at a batch boundary
     /// (an activation or rollback landed while the shard was serving).
@@ -298,13 +273,12 @@ pub struct PagedStats {
     pub catalog: CatalogStats,
 }
 
+/// A queued fix: its fingerprint, its enqueue stamp and its reply.
+type QueuedFix = (Vec<f64>, Instant, Completion);
+
 /// One queued request or lifecycle marker.
 enum Job {
-    Fix {
-        fingerprint: Vec<f64>,
-        enqueued: Instant,
-        reply: Completion,
-    },
+    Fix(QueuedFix),
     /// Retire after serving everything queued ahead of this marker;
     /// write the model back through the store and free it.
     Drain,
@@ -313,44 +287,67 @@ enum Job {
     Shutdown,
 }
 
+impl Job {
+    /// A fix, taken off the queue gauge, or the marker to retire by.
+    fn into_fix(self, shard: &Shard) -> Result<QueuedFix, Job> {
+        match self {
+            Job::Fix(fix) => {
+                Shard::dec(&shard.queued);
+                Ok(fix)
+            }
+            marker => Err(marker),
+        }
+    }
+}
+
 /// The caller's reply callback: the fix's outcome plus its cold flag
 /// (see [`PendingFix::cold`]).
 type Done = Box<dyn FnOnce(Result<Point, ServeError>, bool) + Send>;
 
 /// A queued fix's reply. The worker calls it once with the outcome; if it
-/// is dropped uncalled instead — a worker that unwinds drops its batch
-/// and its queue — the drop answers [`ServeError::ShuttingDown`], so every
-/// accepted fix gets exactly one reply.
+/// is dropped uncalled instead, the drop answers
+/// [`ServeError::ShuttingDown`] — or [`ServeError::Internal`] when a
+/// worker unwinds with the fix in hand — so every accepted fix gets
+/// exactly one reply. Spending the callback, either way, first releases
+/// the fix's in-flight gauge.
 struct Completion {
     done: Option<Done>,
     cold: bool,
+    shard: Arc<Shard>,
 }
 
 impl Completion {
-    fn new(done: Done, cold: bool) -> Self {
+    fn new(done: Done, cold: bool, shard: Arc<Shard>) -> Self {
         Completion {
             done: Some(done),
             cold,
+            shard,
         }
     }
 
-    fn complete(mut self, outcome: Result<Point, ServeError>) {
+    /// Spends the callback, once: releases the in-flight gauge *before*
+    /// replying, so whoever observes the reply observes the gauge settled.
+    /// `None` drops the callback uncalled (a failed submit reports the
+    /// error to its caller instead).
+    fn spend(&mut self, outcome: Option<Result<Point, ServeError>>) {
         if let Some(done) = self.done.take() {
-            done(outcome, self.cold);
+            Shard::dec(&self.shard.in_flight);
+            if let Some(outcome) = outcome {
+                done(outcome, self.cold);
+            }
         }
-    }
-
-    /// Drops the callback uncalled: the submit that built it failed
-    /// synchronously and reports the error to its caller instead.
-    fn disarm(mut self) {
-        self.done = None;
     }
 }
 
 impl Drop for Completion {
     fn drop(&mut self) {
-        if let Some(done) = self.done.take() {
-            done(Err(ServeError::ShuttingDown), self.cold);
+        if self.done.is_some() {
+            let err = if std::thread::panicking() {
+                ServeError::Internal("the shard worker panicked before replying".into())
+            } else {
+                ServeError::ShuttingDown
+            };
+            self.spend(Some(Err(err)));
         }
     }
 }
@@ -452,10 +449,9 @@ impl ServeClient {
     /// calls it with the outcome and the cold flag (see
     /// [`PendingFix::cold`]) right after the fix's batch, never under a
     /// server lock. On `Ok`, `done` runs exactly once — if the worker
-    /// unwinds before replying, it runs with
-    /// [`ServeError::ShuttingDown`] on the thread that drops the fix. On
-    /// `Err`, it never runs. Keep it short: later riders of the batch
-    /// wait for it.
+    /// unwinds before replying, it runs with [`ServeError::Internal`] on
+    /// the unwinding thread. On `Err`, it never runs. Keep it short: later
+    /// riders of the batch wait for it.
     ///
     /// # Errors
     ///
@@ -482,7 +478,7 @@ impl ServeClient {
 
     /// Keys this client can route to.
     pub fn keys(&self) -> Vec<ShardKey> {
-        self.core.keys.iter().copied().collect()
+        self.core.shards.keys().copied().collect()
     }
 
     /// Whole-server queue gauge snapshot (see
@@ -494,66 +490,36 @@ impl ServeClient {
     }
 }
 
-/// A shard's routing slot. Absent from the map = COLD (no worker).
-enum Slot {
-    /// Worker spawned, model still faulting in; requests park in `tx`.
-    Warming { tx: Sender<Job> },
-    /// Worker serving; `last_active` orders LRU drain victims, `cost`
-    /// is the model's budget cost (for drain-in-flight accounting).
-    Hot {
-        tx: Sender<Job>,
-        last_active: u64,
-        cost: usize,
-    },
-}
+/// How often a warming worker with no room re-polls the budget: the
+/// victim it needs may still be warming (undrainable) and turn hot
+/// without a release to signal, so waiting must not be notification-only.
+const ROOM_POLL: Duration = Duration::from_millis(5);
 
-/// Slot map plus occupancy accounting (all under one short-held lock;
-/// lock order where both are taken: `slots` before `paged`).
+/// The lifecycle plus the worker handles, under one short-held lock.
 struct Slots {
-    map: BTreeMap<ShardKey, Slot>,
-    /// Workers currently holding (or faulting in) a model.
-    occupancy: usize,
-    /// Budget cost (encoded-snapshot bytes) of those models.
-    occupied_bytes: usize,
-    /// Drain markers sent whose workers have not yet released their
-    /// occupancy — counted so budget decisions see the room already on
-    /// its way instead of cascading drains while a victim is still
-    /// writing its model back.
-    draining: usize,
-    /// Budget cost of those draining models.
-    draining_bytes: usize,
-    /// Logical activity clock for LRU victim selection.
-    clock: u64,
+    lifecycle: Lifecycle<Sender<Job>>,
     /// Handles of live (and recently finished) workers; reaped on spawn,
     /// joined at shutdown.
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Shared state of a running server: its catalog, routing slots and
+/// Shared state of a running server: its catalog, the lifecycle and the
 /// counters, held by the server, every client and every shard worker.
 pub(crate) struct ServerCore {
     pub(crate) catalog: ModelCatalog,
     cfg: BatchConfig,
-    /// Routable keys, fixed at start (the catalog's keys).
-    pub(crate) keys: BTreeSet<ShardKey>,
-    /// Max workers holding a model at once ([`CatalogBudget::Count`]).
-    max_hot: usize,
-    /// Byte bound on held models ([`CatalogBudget::Bytes`]).
-    byte_budget: Option<usize>,
     slots: Mutex<Slots>,
-    /// Signals occupancy releases to warming workers waiting for room.
+    /// Signals slot releases to warming workers waiting for room.
     room: Condvar,
-    shutting_down: AtomicBool,
-    stats: BTreeMap<ShardKey, Arc<Mutex<ShardStats>>>,
-    gauges: BTreeMap<ShardKey, Arc<ShardGauges>>,
-    paged: Mutex<PagedStats>,
+    /// Every routable shard, fixed at start (the catalog's keys).
+    pub(crate) shards: BTreeMap<ShardKey, Arc<Shard>>,
 }
 
 impl ServerCore {
     /// Sums the per-shard gauges into a [`ServerStats`] snapshot.
     fn server_stats(&self) -> ServerStats {
         let mut out = ServerStats::default();
-        for g in self.gauges.values() {
+        for g in self.shards.values() {
             out.queue_depth += g.queued.load(Ordering::Acquire);
             out.in_flight += g.in_flight.load(Ordering::Acquire);
             out.shards += 1;
@@ -569,446 +535,248 @@ impl ServerCore {
         fingerprint: Vec<f64>,
         done: Done,
     ) -> Result<bool, ServeError> {
-        if !self.keys.contains(&key) {
-            return Err(ServeError::UnknownShard(key));
-        }
+        let shard = self.shards.get(&key).ok_or(ServeError::UnknownShard(key))?;
         let mut slots = relock(&self.slots);
-        // Checked under the lock: shutdown sets the flag and sweeps the
-        // slot map while holding it, so a submit that sees the flag clear
-        // here cannot enqueue onto a swept shard.
-        if self.shutting_down.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        slots.clock += 1;
-        let now = slots.clock;
-        let (tx, cold) = match slots.map.get_mut(&key) {
-            Some(Slot::Hot {
-                tx, last_active, ..
-            }) => {
-                *last_active = now;
-                (tx.clone(), false)
-            }
-            Some(Slot::Warming { tx }) => (tx.clone(), true),
-            None => {
-                let tx = self.spawn_worker(&mut slots, key)?;
+        let (tx, cold) = match slots.lifecycle.submit(key)? {
+            Submit::Send { route, cold } => (route, cold),
+            Submit::Spawn(id) => {
+                let tx = self.spawn_worker(&mut slots.workers, id, key)?;
+                slots.lifecycle.spawned(id, key, tx.clone());
                 (tx, true)
             }
         };
-        let gauges = &self.gauges[&key];
-        gauges.queued.fetch_add(1, Ordering::AcqRel);
-        gauges.in_flight.fetch_add(1, Ordering::AcqRel);
-        // Sending under the lock orders every fix against the lifecycle
-        // markers (Drain/Shutdown are also sent under it): a fix is
-        // either ahead of the marker — served by the retiring worker —
-        // or routed to a fresh successor. Never dropped.
-        // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks, and sending under the slots lock is the fix-vs-marker ordering argument above")
-        tx.send(Job::Fix {
+        shard.queued.fetch_add(1, Ordering::AcqRel);
+        shard.in_flight.fetch_add(1, Ordering::AcqRel);
+        // noble-lint: allow(wall-clock, "enqueue stamp feeds latency metrics only; results never read it")
+        let enqueued = Instant::now();
+        let fix = Job::Fix((
             fingerprint,
-            // noble-lint: allow(wall-clock, "enqueue stamp feeds latency metrics only; results never read it")
-            enqueued: Instant::now(),
-            reply: Completion::new(done, cold),
-        })
-        .map_err(|mpsc::SendError(job)| {
-            // The caller answers this error itself: the fix's reply must
-            // not also run.
-            if let Job::Fix { reply, .. } = job {
-                reply.disarm();
+            enqueued,
+            Completion::new(done, cold, Arc::clone(shard)),
+        ));
+        // Sending under the lock orders every fix against the lifecycle
+        // markers: a route is removed, and its marker sent, under the
+        // same lock, so a fix is either ahead of the marker — served by
+        // the retiring worker — or routed to a fresh successor. Never
+        // dropped.
+        // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks, and sending under the slots lock is the fix-vs-marker ordering argument above")
+        tx.send(fix).map_err(|mpsc::SendError(job)| {
+            if let Job::Fix((_, _, mut reply)) = job {
+                reply.spend(None);
             }
-            ShardGauges::dec(&gauges.queued);
-            ShardGauges::dec(&gauges.in_flight);
+            Shard::dec(&shard.queued);
             ServeError::ShuttingDown
         })?;
-        if cold {
-            relock(&self.paged).parked_requests += 1;
-        }
         Ok(cold)
     }
 
-    /// Spawns a shard worker in the WARMING state and returns its sender.
-    /// Caller holds the slots lock.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Internal`] when the OS refuses the thread — the slot
-    /// map is untouched on failure, so a later submit simply retries.
+    /// Spawns worker `id` for `key` and returns its sender, or
+    /// [`ServeError::Internal`] when the OS refuses the thread (nothing is
+    /// registered then, so a later submit simply retries).
     fn spawn_worker(
         self: &Arc<Self>,
-        slots: &mut Slots,
+        workers: &mut Vec<JoinHandle<()>>,
+        id: WorkerId,
         key: ShardKey,
     ) -> Result<Sender<Job>, ServeError> {
         // Reap handles of workers that already spun down so a long-lived
         // server does not accumulate one handle per spin cycle.
-        let mut i = 0;
-        while i < slots.workers.len() {
-            if slots.workers[i].is_finished() {
-                let _ = slots.workers.swap_remove(i).join();
-            } else {
-                i += 1;
-            }
+        let (done, live) = std::mem::take(workers)
+            .into_iter()
+            .partition(JoinHandle::is_finished);
+        *workers = live;
+        for handle in done {
+            let _ = handle.join();
         }
         let (tx, rx) = mpsc::channel::<Job>();
         let core = Arc::clone(self);
-        let shard_stats = Arc::clone(&self.stats[&key]);
-        let shard_gauges = Arc::clone(&self.gauges[&key]);
-        // Spawn before publishing the slot: a spawn failure must not
-        // leave a WARMING entry whose worker never existed.
+        let shard = Arc::clone(&self.shards[&key]);
         let handle = std::thread::Builder::new()
             .name(format!("noble-page-{key}"))
             .spawn(move || {
-                noble_linalg::as_worker(|| paged_worker(core, key, rx, shard_stats, shard_gauges))
+                // Built first, so its drop is the exit of every path.
+                let worker = ShardWorker {
+                    core,
+                    id,
+                    key,
+                    rx,
+                    shard,
+                    leased: false,
+                    exit_error: ServeError::ShuttingDown,
+                };
+                noble_linalg::as_worker(|| worker.run())
             })
             .map_err(|e| {
                 ServeError::Internal(format!("cannot spawn worker for shard {key}: {e}"))
             })?;
-        slots.map.insert(key, Slot::Warming { tx: tx.clone() });
-        slots.workers.push(handle);
-        relock(&self.paged).faults += 1;
+        workers.push(handle);
         Ok(tx)
     }
-
-    /// Whether a warming worker may claim an occupancy slot now.
-    fn admit(&self, slots: &Slots) -> bool {
-        if slots.occupancy == 0 {
-            // A single model always serves, however large (mirrors the
-            // catalog's byte-budget semantics).
-            return true;
-        }
-        if slots.occupancy >= self.max_hot {
-            return false;
-        }
-        match self.byte_budget {
-            Some(bound) => slots.occupied_bytes < bound,
-            None => true,
-        }
-    }
-
-    /// Asks the least-recently-active HOT worker (never `except`) to
-    /// drain: its slot goes cold immediately — newer requests re-warm
-    /// through a successor — while the retiring worker serves everything
-    /// already queued, writes its model back, and releases its occupancy
-    /// slot. Returns whether a victim was found. Caller holds the slots
-    /// lock.
-    fn request_drain(&self, slots: &mut Slots, except: ShardKey) -> bool {
-        let victim = slots
-            .map
-            .iter()
-            .filter_map(|(k, slot)| match slot {
-                Slot::Hot { last_active, .. } if *k != except => Some((*last_active, *k)),
-                _ => None,
-            })
-            .min()
-            .map(|(_, k)| k);
-        let Some(victim) = victim else { return false };
-        if let Some(Slot::Hot { tx, cost, .. }) = slots.map.remove(&victim) {
-            let _ = tx.send(Job::Drain);
-            slots.draining += 1;
-            slots.draining_bytes += cost;
-            relock(&self.paged).drains += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the budget will hold once the drains already in flight
-    /// release — if so, a waiting warming worker should *not* request
-    /// another victim (one cold fault must not cascade into retiring
-    /// every hot shard while the first victim is still writing its model
-    /// back through the store).
-    fn room_already_coming(&self, slots: &Slots) -> bool {
-        let occupancy = slots.occupancy.saturating_sub(slots.draining);
-        if occupancy == 0 {
-            return true;
-        }
-        if occupancy >= self.max_hot {
-            return false;
-        }
-        match self.byte_budget {
-            Some(bound) => slots.occupied_bytes.saturating_sub(slots.draining_bytes) < bound,
-            None => true,
-        }
-    }
 }
 
-/// How a shard worker retires.
-enum Retire {
-    /// Write the model back through the store and free it. `requested`
-    /// distinguishes a budget-pressure drain (counted in
-    /// `Slots::draining` until the release lands) from an idle-TTL or
-    /// vanished-slot spin-down.
-    Cold { requested: bool },
-    /// Park the model live in the catalog (server shutdown).
-    Park,
-}
-
-/// A shard worker: claim a budget slot (draining an LRU
-/// victim if the server is at capacity), lease the model, serve batches,
-/// retire. See the module docs for the state diagram.
-fn paged_worker(
+/// One shard worker: claims a budget slot, leases the model, serves
+/// batches and hands the model back (the state table is in
+/// `lifecycle.rs`). Dropping it is its one exit, on return or unwind.
+struct ShardWorker {
     core: Arc<ServerCore>,
+    id: WorkerId,
     key: ShardKey,
     rx: Receiver<Job>,
-    stats: Arc<Mutex<ShardStats>>,
-    gauges: Arc<ShardGauges>,
-) {
-    // ---- WARMING: claim an occupancy slot under the budget. ----
-    {
+    shard: Arc<Shard>,
+    /// Whether it holds the catalog's lease on `key`.
+    leased: bool,
+    /// The answer for fixes still queued when it exits.
+    exit_error: ServeError,
+}
+
+impl ShardWorker {
+    fn run(mut self) {
+        let core = Arc::clone(&self.core);
         let mut slots = relock(&core.slots);
-        // Fixes parked before shutdown began are a backlog like any
-        // other: a worker the budget admits straight away (always, under
-        // an unbounded catalog) serves them before it parks. Only a
-        // worker that has to wait for budget room gives up on shutdown.
-        while !core.admit(&slots) {
-            // Ask for one victim at a time: while a drain is already in
-            // flight (its worker is writing the model back), re-polls
-            // must not keep retiring further hot shards.
-            if !core.room_already_coming(&slots) {
-                core.request_drain(&mut slots, key);
+        loop {
+            match slots.lifecycle.claim_room(self.id) {
+                Room::Claimed => break,
+                // Shutdown landed while this worker waited for room: it
+                // must not fault a model in (a spec-only shard would
+                // *retrain*) just to serve the stragglers.
+                Room::GiveUp => return,
+                Room::Wait(victim) => {
+                    if let Some(victim) = victim {
+                        // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks; a marker is sent under the lock that removed its route, so no fix lands behind it")
+                        let _ = victim.send(Job::Drain);
+                    }
+                    slots = rewait_timeout(&core.room, slots, ROOM_POLL).0;
+                }
             }
-            // Re-poll on a short timeout: the victim this round may still
-            // be WARMING (undrainable) — once it turns HOT a later pass
-            // drains it, so waiting must not be notification-only.
-            let (guard, _) = rewait_timeout(&core.room, slots, Duration::from_millis(5));
-            slots = guard;
-            // A shutdown that lands while this worker is still waiting
-            // for budget room must not fault a model in just to serve
-            // the stragglers (a spec-only shard would *retrain* on the
-            // shutdown path): reject everything parked behind the fault
-            // with the typed error instead. The slot was already swept,
-            // so nothing new can join the queue.
-            if core.shutting_down.load(Ordering::Acquire) {
-                drop(slots);
-                reject_parked(&rx, ServeError::ShuttingDown, &stats, &gauges);
+        }
+        drop(slots);
+        let (model, mut cost, mut version) = match core.catalog.lease(self.key) {
+            Ok(leased) => leased,
+            Err(e) => {
+                self.exit_error = e;
                 return;
             }
-        }
-        slots.occupancy += 1;
-    }
-
-    // ---- WARMING: fault the model in (no server lock held). ----
-    let (model, cost, mut version) = match core.catalog.lease(key) {
-        Ok(leased) => leased,
-        Err(e) => {
-            fail_cold(&core, key, &rx, e, &stats, &gauges);
-            return;
-        }
-    };
-    // Lowering happens here, once per fault, still off the hot path. The
-    // lowered twin's snapshot is the progenitor's exact f64 state, so
-    // drain write-through and shutdown parking stay full-precision.
-    let mut model = lower_for_serving(model, core.cfg.precision);
-    // Budget accounting is pinned to the lease-time cost for the whole
-    // worker lifetime (a mid-flight version swap of the same
-    // architecture moves the estimate negligibly, and a stable figure
-    // keeps the slots/draining books exact).
-    let lease_cost = cost;
-    let mut cost = cost;
-    // The swap epoch this worker has observed; re-checked between
-    // batches (one atomic load) so a version bump lands at a batch
-    // boundary, never mid-batch.
-    let mut epoch = core.catalog.epoch();
-    {
-        let mut slots = relock(&core.slots);
-        slots.occupied_bytes += cost;
-        slots.clock += 1;
-        let now = slots.clock;
-        if let Some(slot) = slots.map.get_mut(&key) {
-            if let Slot::Warming { tx } = slot {
-                let tx = tx.clone();
-                *slot = Slot::Hot {
-                    tx,
-                    last_active: now,
-                    cost,
-                };
+        };
+        self.leased = true;
+        // Lowering happens here, once per fault, off the hot path.
+        let mut model = lower_for_serving(model, core.cfg.precision);
+        // The swap epoch this worker has observed, re-checked per batch.
+        let mut epoch = core.catalog.epoch();
+        {
+            let mut slots = relock(&core.slots);
+            for victim in slots.lifecycle.leased(self.id, cost) {
+                // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks; a marker is sent under the lock that removed its route, so no fix lands behind it")
+                let _ = victim.send(Job::Drain);
             }
         }
-        // Byte budgets learn a model's cost only after the lease; shed
-        // least-recently-active peers if this one pushed past the bound —
-        // counting the bytes already draining, so one oversized lease
-        // retires only as many victims as the overshoot needs.
-        if let Some(bound) = core.byte_budget {
-            while slots.occupied_bytes.saturating_sub(slots.draining_bytes) > bound
-                && core.request_drain(&mut slots, key)
-            {}
-        }
-    }
 
-    // ---- HOT: the serve loop. ----
-    let mut feature_dim = model.info().feature_dim;
-    let retire = 'serve: loop {
-        // First job of a batch, honoring the idle TTL.
-        let job = match core.cfg.idle_ttl {
-            Some(ttl) => match rx.recv_timeout(ttl) {
+        // Serve until a marker; idle or orphaned, retire as if drained.
+        let mut feature_dim = model.info().feature_dim;
+        let marker = loop {
+            // Without an idle TTL this waits for good (a timeout too large
+            // for the clock is a plain `recv`).
+            let job = match self
+                .rx
+                .recv_timeout(core.cfg.idle_ttl.unwrap_or(Duration::MAX))
+            {
                 Ok(job) => job,
                 Err(RecvTimeoutError::Timeout) => {
                     // Idle: go cold — unless a submit raced the timeout.
                     // Submits send while holding the slots lock, so the
                     // emptiness check below is atomic with removing the
-                    // slot.
+                    // route.
                     let mut slots = relock(&core.slots);
-                    // noble-lint: allow(lock-discipline, "non-blocking try_recv, deliberately under the slots lock: the emptiness check must be atomic with removing the slot or a racing submit is dropped")
-                    match rx.try_recv() {
+                    // noble-lint: allow(lock-discipline, "non-blocking try_recv, deliberately under the slots lock: the emptiness check must be atomic with removing the route or a racing submit is dropped")
+                    match self.rx.try_recv() {
                         Ok(job) => job,
                         Err(_) => {
-                            slots.map.remove(&key);
-                            drop(slots);
-                            relock(&core.paged).idle_spin_downs += 1;
-                            break 'serve Retire::Cold { requested: false };
+                            slots.lifecycle.idle(self.id);
+                            break Job::Drain;
                         }
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    break 'serve Retire::Cold { requested: false }
+                Err(RecvTimeoutError::Disconnected) => break Job::Drain,
+            };
+            let first = match job.into_fix(&self.shard) {
+                Ok(fix) => fix,
+                Err(marker) => break marker,
+            };
+            // Version check at the batch boundary: an activation or
+            // rollback since the last batch swaps the model *here*, before
+            // anything of this batch is served — every batch runs against
+            // exactly one generation, and answers within a pinned version
+            // stay bit-stable. An unchanged epoch is one atomic load.
+            let now_epoch = core.catalog.epoch();
+            if now_epoch != epoch {
+                epoch = now_epoch;
+                if let Some((fresh, fresh_cost, fresh_version)) =
+                    core.catalog.refresh_lease(self.key, version)
+                {
+                    model = lower_for_serving(fresh, core.cfg.precision);
+                    feature_dim = model.info().feature_dim;
+                    cost = fresh_cost;
+                    version = fresh_version;
+                    relock(&core.slots).lifecycle.swapped();
                 }
-            },
-            None => match rx.recv() {
-                Ok(job) => job,
-                Err(_) => break 'serve Retire::Cold { requested: false },
-            },
-        };
-        let first = match job {
-            Job::Fix {
-                fingerprint,
-                enqueued,
-                reply,
-            } => {
-                ShardGauges::dec(&gauges.queued);
-                (fingerprint, enqueued, reply)
             }
-            Job::Drain => break 'serve Retire::Cold { requested: true },
-            Job::Shutdown => break 'serve Retire::Park,
-        };
-        // Version check at the batch boundary: an activation or rollback
-        // since the last batch swaps the model *here*, before anything of
-        // this batch is served — every batch runs against exactly one
-        // generation, and answers within a pinned version stay
-        // bit-stable. An unchanged epoch is one atomic load.
-        let now_epoch = core.catalog.epoch();
-        if now_epoch != epoch {
-            epoch = now_epoch;
-            if let Some((fresh, fresh_cost, fresh_version)) =
-                core.catalog.refresh_lease(key, version)
-            {
-                model = lower_for_serving(fresh, core.cfg.precision);
-                feature_dim = model.info().feature_dim;
-                cost = fresh_cost;
-                version = fresh_version;
-                relock(&core.paged).refresh_swaps += 1;
-            }
-        }
-        let mut batch = vec![first];
-        let mut retire_after = None;
-        if core.cfg.max_batch > 1 {
+            let mut batch = vec![first];
+            let mut retire_after = None;
             // noble-lint: allow(wall-clock, "batching deadline only: batch boundaries never change answers (shape-invariant kernels)")
             let deadline = Instant::now() + core.cfg.latency_budget;
-            while batch.len() < core.cfg.max_batch {
+            while batch.len() < core.cfg.max_batch && retire_after.is_none() {
                 // noble-lint: allow(wall-clock, "remaining-budget poll for the coalescing wait; never feeds a result")
                 let wait = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(wait) {
-                    Ok(Job::Fix {
-                        fingerprint,
-                        enqueued,
-                        reply,
-                    }) => {
-                        ShardGauges::dec(&gauges.queued);
-                        batch.push((fingerprint, enqueued, reply));
-                    }
-                    Ok(Job::Drain) => {
-                        retire_after = Some(Retire::Cold { requested: true });
-                        break;
-                    }
-                    Ok(Job::Shutdown) => {
-                        retire_after = Some(Retire::Park);
-                        break;
-                    }
+                match self
+                    .rx
+                    .recv_timeout(wait)
+                    .map(|job| job.into_fix(&self.shard))
+                {
+                    Ok(Ok(fix)) => batch.push(fix),
+                    Ok(Err(marker)) => retire_after = Some(marker),
                     Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        retire_after = Some(Retire::Cold { requested: false });
-                        break;
-                    }
+                    Err(RecvTimeoutError::Disconnected) => retire_after = Some(Job::Drain),
                 }
             }
-        }
-        serve_batch(model.as_mut(), key, feature_dim, batch, &stats, &gauges);
-        if let Some(retire) = retire_after {
-            break 'serve retire;
-        }
-    };
+            serve_batch(model.as_mut(), self.key, feature_dim, batch, &self.shard);
+            if let Some(marker) = retire_after {
+                break marker;
+            }
+        };
 
-    // ---- DRAINING: hand the model back, release the budget slot. ----
-    match retire {
-        Retire::Cold { .. } => core.catalog.release_cold(key, model, cost, version),
-        // A lowered twin never parks: parking would leave reduced-precision
-        // state in the catalog's resident tier. Write it back through the
-        // store instead (its snapshot is the progenitor's exact f64 state),
-        // so the catalog only ever holds exact models.
-        Retire::Park if core.cfg.precision != InferencePrecision::Exact => {
-            core.catalog.release_cold(key, model, cost, version)
+        // Hand the model back; the drop then releases the slot. Shutdown
+        // parks it, except a lowered twin, which is written back through
+        // the store (as its progenitor's exact f64 snapshot) so the
+        // catalog only ever holds exact models.
+        if matches!(marker, Job::Shutdown) && core.cfg.precision == InferencePrecision::Exact {
+            core.catalog.release_parked(self.key, model, cost, version);
+        } else {
+            core.catalog.release_cold(self.key, model, cost, version);
         }
-        Retire::Park => core.catalog.release_parked(key, model, cost, version),
+        self.leased = false;
     }
-    let mut slots = relock(&core.slots);
-    slots.occupancy -= 1;
-    slots.occupied_bytes -= lease_cost;
-    if let Retire::Cold { requested: true } = retire {
-        slots.draining = slots.draining.saturating_sub(1);
-        slots.draining_bytes = slots.draining_bytes.saturating_sub(lease_cost);
-    }
-    core.room.notify_all();
 }
 
-/// A warming worker whose lease failed: go cold and fail every request
-/// parked behind the fault with the lease error.
-fn fail_cold(
-    core: &Arc<ServerCore>,
-    key: ShardKey,
-    rx: &Receiver<Job>,
-    err: ServeError,
-    stats: &Mutex<ShardStats>,
-    gauges: &ShardGauges,
-) {
-    {
-        let mut slots = relock(&core.slots);
-        slots.map.remove(&key);
-        slots.occupancy -= 1;
-        core.room.notify_all();
-    }
-    // Everything parked before the slot was removed is in the queue;
-    // nothing new can arrive (the sender in the map was the last route).
-    reject_parked(rx, err, stats, gauges);
-}
-
-/// Replies to every request still parked in `rx` with the typed error —
-/// a retiring worker must never just drop replies — tallying the
-/// failures and settling the queue gauges. Lifecycle markers in the
-/// queue are ignored. Drains and replies lock-free, then folds the
-/// tallies in at the end.
-fn reject_parked(
-    rx: &Receiver<Job>,
-    err: ServeError,
-    stats: &Mutex<ShardStats>,
-    gauges: &ShardGauges,
-) {
-    let mut failed: Vec<u128> = Vec::new();
-    while let Ok(job) = rx.try_recv() {
-        if let Job::Fix {
-            enqueued, reply, ..
-        } = job
-        {
-            ShardGauges::dec(&gauges.queued);
-            // Gauge before reply, same as the served path: the reply
-            // must never be observable while the gauges still count it.
-            ShardGauges::dec(&gauges.in_flight);
-            reply.complete(Err(err.clone()));
-            failed.push(enqueued.elapsed().as_micros());
+impl Drop for ShardWorker {
+    /// The one exit: release the slot (waking workers that wait for room),
+    /// answer every fix still queued (none on a normal retirement), and
+    /// hand back a lease whose model was lost to an unwind.
+    fn drop(&mut self) {
+        relock(&self.core.slots).lifecycle.exited(self.id);
+        self.core.room.notify_all();
+        let err = if std::thread::panicking() {
+            ServeError::Internal(format!("shard {}: the worker panicked", self.key))
+        } else {
+            self.exit_error.clone()
+        };
+        let shard = &self.shard;
+        let queued = self
+            .rx
+            .try_iter()
+            .filter_map(|job| job.into_fix(shard).ok());
+        answer(queued.map(|fix| (fix, Err(err.clone()))), None, shard);
+        if self.leased {
+            self.core.catalog.abandon_lease(self.key);
         }
-    }
-    let mut tally = relock(stats);
-    for waited in failed {
-        tally.requests += 1;
-        tally.errors += 1;
-        tally.total_latency_us += waited;
-        tally.max_latency_us = tally.max_latency_us.max(waited);
     }
 }
 
@@ -1049,41 +817,22 @@ impl BatchServer {
             return Err(ServeError::InvalidConfig("max_batch must be >= 1".into()));
         }
         release_free_heap();
-        let (max_hot, byte_budget) = match catalog.budget() {
-            CatalogBudget::Unbounded => (usize::MAX, None),
-            CatalogBudget::Count(n) => (n, None),
-            CatalogBudget::Bytes(b) => (usize::MAX, Some(b)),
-        };
-        let keys: BTreeSet<ShardKey> = catalog.keys().into_iter().collect();
-        let stats = keys
-            .iter()
-            .map(|k| (*k, Arc::new(Mutex::new(ShardStats::default()))))
+        let shards = catalog
+            .keys()
+            .into_iter()
+            .map(|k| (k, Arc::default()))
             .collect();
-        let gauges = keys
-            .iter()
-            .map(|k| (*k, Arc::new(ShardGauges::default())))
-            .collect();
+        let lifecycle = Lifecycle::new(catalog.budget());
         Ok(BatchServer {
             core: Arc::new(ServerCore {
                 catalog,
                 cfg,
-                keys,
-                max_hot,
-                byte_budget,
                 slots: Mutex::new(Slots {
-                    map: BTreeMap::new(),
-                    occupancy: 0,
-                    occupied_bytes: 0,
-                    draining: 0,
-                    draining_bytes: 0,
-                    clock: 0,
+                    lifecycle,
                     workers: Vec::new(),
                 }),
                 room: Condvar::new(),
-                shutting_down: AtomicBool::new(false),
-                stats,
-                gauges,
-                paged: Mutex::new(PagedStats::default()),
+                shards,
             }),
         })
     }
@@ -1107,20 +856,19 @@ impl BatchServer {
 
     /// Shard keys being served.
     pub fn keys(&self) -> Vec<ShardKey> {
-        self.core.keys.iter().copied().collect()
+        self.core.shards.keys().copied().collect()
     }
 
     /// Live per-shard statistics snapshot, in key order, with the queue
     /// gauges overlaid as of the read.
     pub fn stats(&self) -> Vec<(ShardKey, ShardStats)> {
         self.core
-            .stats
+            .shards
             .iter()
-            .map(|(k, s)| {
-                let g = &self.core.gauges[k];
-                let mut snap = relock(s).clone();
-                snap.queue_depth = g.queued.load(Ordering::Acquire);
-                snap.in_flight = g.in_flight.load(Ordering::Acquire);
+            .map(|(k, shard)| {
+                let mut snap = relock(&shard.stats).clone();
+                snap.queue_depth = shard.queued.load(Ordering::Acquire);
+                snap.in_flight = shard.in_flight.load(Ordering::Acquire);
                 (*k, snap)
             })
             .collect()
@@ -1156,16 +904,7 @@ impl BatchServer {
     /// `Some` — every server runs the paged engine (the `Option` keeps
     /// existing `expect` / `ok_or` callers compiling).
     pub fn paged_stats(&self) -> Option<PagedStats> {
-        // Declared lock order: slots strictly before paged.
-        let hot_shards = {
-            let slots = relock(&self.core.slots);
-            slots.occupancy
-        };
-        let mut paged = {
-            let counters = relock(&self.core.paged);
-            *counters
-        };
-        paged.hot_shards = hot_shards;
+        let mut paged = relock(&self.core.slots).lifecycle.stats();
         paged.catalog = self.core.catalog.stats();
         Some(paged)
     }
@@ -1200,19 +939,11 @@ impl BatchServer {
     /// Sends the shutdown marker to every worker and joins them; workers
     /// park their models in the shared catalog on the way out.
     fn stop(&self) {
-        let core = &self.core;
-        core.shutting_down.store(true, Ordering::Release);
         let handles = {
-            let mut slots = relock(&core.slots);
-            let keys: Vec<ShardKey> = slots.map.keys().copied().collect();
-            for key in keys {
-                if let Some(slot) = slots.map.remove(&key) {
-                    let tx = match slot {
-                        Slot::Warming { tx } | Slot::Hot { tx, .. } => tx,
-                    };
-                    // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks; sweeping the map and sending markers under one lock guarantees no fix lands behind a shutdown marker")
-                    let _ = tx.send(Job::Shutdown);
-                }
+            let mut slots = relock(&self.core.slots);
+            for route in slots.lifecycle.shutdown() {
+                // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks; removing every route and sending the markers under one lock guarantees no fix lands behind a shutdown marker")
+                let _ = route.send(Job::Shutdown);
             }
             std::mem::take(&mut slots.workers)
         };
@@ -1244,15 +975,6 @@ impl Drop for BatchServer {
     }
 }
 
-type QueuedFix = (Vec<f64>, Instant, Completion);
-
-/// Runs one coalesced batch through the shard's model and replies to every
-/// rider. Width-mismatched fingerprints are rejected individually; the
-/// rest still ride the stacked call (row independence makes the mixture
-/// safe). The model call is supervised: a panic inside `localize_batch`
-/// answers every rider of the batch with [`ServeError::Internal`], and the
-/// worker carries on with its slot, lease and occupancy, so its gauges
-/// settle and a later drain still reaches it.
 /// The text of a panic payload, when it carries one.
 fn panic_message(payload: &(dyn Any + Send)) -> &str {
     payload
@@ -1262,39 +984,34 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("(no message)")
 }
 
+/// Runs one coalesced batch through the shard's model and replies to every
+/// rider. Width-mismatched fingerprints are rejected individually; the
+/// rest still ride the stacked call (row independence makes the mixture
+/// safe). The model call is supervised: a panic inside `localize_batch`
+/// answers every rider of the batch with [`ServeError::Internal`], and the
+/// worker carries on with its slot, lease and occupancy, so its gauges
+/// settle and a later drain still reaches it.
 fn serve_batch(
     localizer: &mut dyn Localizer,
     key: ShardKey,
     feature_dim: usize,
     batch: Vec<QueuedFix>,
-    stats: &Mutex<ShardStats>,
-    gauges: &ShardGauges,
+    shard: &Shard,
 ) {
-    let mut valid: Vec<usize> = Vec::with_capacity(batch.len());
-    let mut replies: Vec<Option<Result<Point, ServeError>>> = Vec::with_capacity(batch.len());
-    for (i, (fingerprint, _, _)) in batch.iter().enumerate() {
-        if fingerprint.len() == feature_dim {
-            valid.push(i);
-            replies.push(None);
-        } else {
-            replies.push(Some(Err(ServeError::FeatureDim {
-                key,
-                expected: feature_dim,
-                found: fingerprint.len(),
-            })));
-        }
-    }
-
+    let fits = |fix: &&QueuedFix| fix.0.len() == feature_dim;
+    let valid = batch.iter().filter(fits).count();
     let mut busy = Duration::ZERO;
-    if !valid.is_empty() {
-        let mut data = Vec::with_capacity(valid.len() * feature_dim);
-        for &i in &valid {
-            data.extend_from_slice(&batch[i].0);
+    let mut points = if valid == 0 {
+        Ok(Vec::new().into_iter())
+    } else {
+        let mut data = Vec::with_capacity(valid * feature_dim);
+        for (fingerprint, _, _) in batch.iter().filter(fits) {
+            data.extend_from_slice(fingerprint);
         }
         // Every width was checked above, so a length mismatch here (or a
         // model answering with the wrong row count below) is an internal
         // invariant failure — fail the riders, not the worker.
-        let result = Matrix::from_vec(valid.len(), feature_dim, data)
+        Matrix::from_vec(valid, feature_dim, data)
             .map_err(|e| ServeError::from(noble::NobleError::from(e)))
             .and_then(|features| {
                 let started = Instant::now(); // noble-lint: allow(wall-clock, "busy-time metric only; never feeds a result")
@@ -1307,74 +1024,80 @@ fn serve_batch(
                         ))),
                     };
                 busy = started.elapsed();
-                result
-            });
-        match result {
-            Ok(points) => {
-                for (&i, point) in valid.iter().zip(points) {
-                    replies[i] = Some(Ok(point));
-                }
-            }
-            Err(e) => {
-                for &i in &valid {
-                    replies[i] = Some(Err(e.clone()));
-                }
-            }
-        }
-    }
+                result.map(Vec::into_iter)
+            })
+    };
+    let outcomes: Vec<Result<Point, ServeError>> = batch
+        .iter()
+        .map(|(fingerprint, _, _)| match &mut points {
+            _ if fingerprint.len() != feature_dim => Err(ServeError::FeatureDim {
+                key,
+                expected: feature_dim,
+                found: fingerprint.len(),
+            }),
+            Ok(points) => points.next().ok_or_else(|| {
+                ServeError::Internal(format!(
+                    "shard {key} answered with too few predictions for its batch"
+                ))
+            }),
+            Err(e) => Err(e.clone()),
+        })
+        .collect();
+    let len = batch.len();
+    answer(batch.into_iter().zip(outcomes), Some((len, busy)), shard);
+}
 
-    // Reply first, without the stats lock: a completion may take locks
-    // of its own and must never extend a critical section that stats
-    // readers also take.
-    let batch_len = batch.len();
-    let mut requests: u64 = 0;
-    let mut errors: u64 = 0;
-    let mut total_latency_us: u128 = 0;
-    let mut max_latency_us: u128 = 0;
-    for ((_, enqueued, reply), outcome) in batch.into_iter().zip(replies) {
-        let outcome = outcome.unwrap_or_else(|| {
-            Err(ServeError::Internal(format!(
-                "shard {key} answered with too few predictions for its batch"
-            )))
-        });
-        requests += 1;
-        if outcome.is_err() {
-            errors += 1;
-        }
-        // Release the gauge *before* the reply: whoever observes the
-        // reply must observe the in-flight contribution already gone
-        // (briefly undercounting is fine for the admission watermark;
-        // lingering after the reply would make settled gauges racy).
-        ShardGauges::dec(&gauges.in_flight);
-        reply.complete(outcome);
+/// Hands each fix its outcome, then folds the tallies into `stats` (plus
+/// the batch's size and busy time for a served batch). The replies run
+/// without the stats lock: a completion may take locks of its own and
+/// must never extend a critical section that stats readers also take.
+fn answer(
+    replies: impl Iterator<Item = (QueuedFix, Result<Point, ServeError>)>,
+    batch: Option<(usize, Duration)>,
+    shard: &Shard,
+) {
+    let mut sum = ShardStats::default();
+    for ((_, enqueued, mut reply), outcome) in replies {
+        sum.requests += 1;
+        sum.errors += u64::from(outcome.is_err());
+        reply.spend(Some(outcome));
         let waited = enqueued.elapsed().as_micros();
-        total_latency_us += waited;
-        max_latency_us = max_latency_us.max(waited);
+        sum.total_latency_us += waited;
+        sum.max_latency_us = sum.max_latency_us.max(waited);
     }
-    let mut tally = relock(stats);
-    tally.batches += 1;
-    tally.max_batch = tally.max_batch.max(batch_len);
-    tally.busy_us += busy.as_micros();
-    tally.requests += requests;
-    tally.errors += errors;
-    tally.total_latency_us += total_latency_us;
-    tally.max_latency_us = tally.max_latency_us.max(max_latency_us);
+    let mut tally = relock(&shard.stats);
+    if let Some((len, busy)) = batch {
+        tally.batches += 1;
+        tally.max_batch = tally.max_batch.max(len);
+        tally.busy_us += busy.as_micros();
+    }
+    tally.requests += sum.requests;
+    tally.errors += sum.errors;
+    tally.total_latency_us += sum.total_latency_us;
+    tally.max_latency_us = tally.max_latency_us.max(sum.max_latency_us);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn completion(done: Done, cold: bool) -> Completion {
+        Completion::new(done, cold, Arc::default())
+    }
+
     fn pending(cold: bool) -> (PendingFix, Completion) {
         let (slot, done) = reply_slot();
-        (PendingFix { slot, cold }, Completion::new(done, cold))
+        (PendingFix { slot, cold }, completion(done, cold))
     }
 
     #[test]
     fn pending_fix_returns_the_worker_answer_once() {
         let (pending, completion) = pending(true);
         let point = Point::new(1.5, -2.25);
-        let worker = std::thread::spawn(move || completion.complete(Ok(point)));
+        let worker = std::thread::spawn(move || {
+            let mut completion = completion;
+            completion.spend(Some(Ok(point)))
+        });
         assert!(pending.cold());
         assert_eq!(pending.wait(), Ok(point));
         worker.join().unwrap();
@@ -1397,9 +1120,9 @@ mod tests {
             Box::new(move |outcome, cold| relock(&calls).push((outcome, cold)))
         };
         let point = Point::new(3.0, 4.0);
-        Completion::new(recorder(&calls), false).complete(Ok(point));
-        drop(Completion::new(recorder(&calls), true));
-        Completion::new(recorder(&calls), false).disarm();
+        completion(recorder(&calls), false).spend(Some(Ok(point)));
+        drop(completion(recorder(&calls), true));
+        completion(recorder(&calls), false).spend(None);
         assert_eq!(
             *relock(&calls),
             vec![(Ok(point), false), (Err(ServeError::ShuttingDown), true)]

@@ -10,7 +10,10 @@
 //!
 //! A model that panics inside `localize_batch` is supervised at the batch
 //! boundary: its riders get `ServeError::Internal`, its shard keeps
-//! answering, the other shards keep theirs, and the gauges settle.
+//! answering, the other shards keep theirs, and the gauges settle. One
+//! that panics elsewhere (in a drain's write-through, or in lowering)
+//! loses its worker, whose exit releases its slot, its drain and its
+//! lease, so the server never wedges.
 
 use noble::wifi::KnnFingerprint;
 use noble::{Localizer, LocalizerInfo, NobleError};
@@ -21,7 +24,9 @@ use noble_serve::{
     BatchConfig, BatchServer, CatalogBudget, ModelCatalog, ServeError, ServerStats, ShardKey,
     ShardedRegistry,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Blocks in `localize_batch` until the test sends a token; announces
@@ -327,5 +332,204 @@ fn a_panicking_model_gets_typed_errors_and_never_wedges_the_server() {
         done_rx
             .recv_timeout(Duration::from_secs(60))
             .unwrap_or_else(|_| panic!("{budget:?}: the server wedged or a check failed"));
+    }
+}
+
+/// Where a [`FragileLocalizer`] panics: model code a worker runs outside
+/// `localize_batch`.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// In `try_snapshot`, which a drain's write-through calls.
+    Snapshot,
+    /// In `try_lower`, which a worker calls right after its lease under a
+    /// reduced precision tier.
+    Lower,
+}
+
+/// Serves `out`, but panics in the model code `fault` names.
+struct FragileLocalizer {
+    dim: usize,
+    out: Point,
+    fault: Fault,
+}
+
+impl Localizer for FragileLocalizer {
+    fn info(&self) -> LocalizerInfo {
+        LocalizerInfo {
+            model: "fragile-test",
+            site: "default".into(),
+            feature_dim: self.dim,
+            class_count: 0,
+        }
+    }
+
+    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+        Ok(vec![self.out; features.rows()])
+    }
+
+    fn try_snapshot(&self) -> Option<noble::ModelSnapshot> {
+        match self.fault {
+            Fault::Snapshot => panic!("snapshot defect under test"),
+            Fault::Lower => None,
+        }
+    }
+
+    fn try_lower(&self, _precision: noble::InferencePrecision) -> Option<Box<dyn Localizer>> {
+        match self.fault {
+            Fault::Lower => panic!("lowering defect under test"),
+            Fault::Snapshot => None,
+        }
+    }
+}
+
+/// A model that panics in model code outside `localize_batch` (the
+/// write-through of a drain, or lowering after a lease) takes down only
+/// its own worker, and that worker's exit releases everything it held:
+/// its budget slot, its drain in flight and its catalog lease. So under a
+/// one-slot budget the healthy shard still gets the slot and answers with
+/// its bits, every fix gets exactly one reply, the panicked shard's fixes
+/// get a typed error (its model is gone: it had no spec and no snapshot),
+/// the gauges read 0/0, and the catalog comes back at shutdown. Each
+/// scenario runs on its own thread behind a bounded wait, because a
+/// wedged worker hangs the test.
+#[test]
+fn a_model_that_panics_outside_localize_batch_never_wedges_the_server() {
+    let scenarios = [
+        (
+            Fault::Snapshot,
+            CatalogBudget::Count(1),
+            noble::InferencePrecision::Exact,
+        ),
+        (
+            Fault::Lower,
+            CatalogBudget::Count(1),
+            noble::InferencePrecision::F32,
+        ),
+        (
+            Fault::Lower,
+            CatalogBudget::Unbounded,
+            noble::InferencePrecision::F32,
+        ),
+    ];
+    for (fault, budget, precision) in scenarios {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            fragile_model_scenario(fault, budget, precision);
+            done_tx.send(()).expect("report");
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| {
+                panic!("{fault:?} under {budget:?}: the server wedged or a check failed")
+            });
+    }
+}
+
+fn fragile_model_scenario(
+    fault: Fault,
+    budget: CatalogBudget,
+    precision: noble::InferencePrecision,
+) {
+    let healthy = Point::new(3.0, 4.0);
+    let mut catalog = ModelCatalog::new(budget).expect("catalog");
+    // The healthy model goes in first: neither model can be stored, so
+    // both stay resident (pinned), and inserting the fragile one second
+    // never asks it for a snapshot.
+    catalog
+        .insert(
+            ShardKey::building(1),
+            Box::new(FixedLocalizer {
+                dim: 4,
+                out: healthy,
+            }),
+        )
+        .expect("insert the healthy model");
+    catalog
+        .insert(
+            ShardKey::building(0),
+            Box::new(FragileLocalizer {
+                dim: 4,
+                out: Point::new(1.0, 2.0),
+                fault,
+            }),
+        )
+        .expect("insert the fragile model");
+    let server = BatchServer::start(
+        catalog,
+        BatchConfig {
+            precision,
+            ..one_by_one()
+        },
+    )
+    .expect("server starts");
+    let client = server.client();
+
+    // Each fix counts its replies and reports its outcome.
+    let replies: Vec<Arc<AtomicUsize>> = (0..5).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+    let ask = |fix: usize, building: usize| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let count = Arc::clone(&replies[fix]);
+        client
+            .submit_then(
+                ShardKey::building(building),
+                vec![0.5; 4],
+                move |outcome, _| {
+                    count.fetch_add(1, Ordering::SeqCst);
+                    let _ = tx.send(outcome);
+                },
+            )
+            .expect("submit");
+        rx.recv().expect("the fix gets a reply")
+    };
+    let healthy_bits = |outcome: Result<Point, ServeError>, round: &str| {
+        let point = outcome.unwrap_or_else(|e| panic!("{round}: the healthy shard failed: {e}"));
+        assert_eq!(
+            (point.x.to_bits(), point.y.to_bits()),
+            (healthy.x.to_bits(), healthy.y.to_bits()),
+            "{round}"
+        );
+    };
+    let typed_error = |outcome: Result<Point, ServeError>, round: &str| {
+        assert!(
+            matches!(
+                outcome,
+                Err(ServeError::Internal(_)) | Err(ServeError::UnknownShard(_))
+            ),
+            "{round}: the panicked shard must get a typed error, got {outcome:?}"
+        );
+    };
+
+    match fault {
+        // The fragile shard serves; draining it for the healthy shard
+        // panics in its write-through.
+        Fault::Snapshot => {
+            let first = ask(0, 0).expect("the fragile shard serves before its drain");
+            assert_eq!((first.x, first.y), (1.0, 2.0));
+        }
+        // Lowering panics right after the lease, with the fix queued.
+        Fault::Lower => typed_error(ask(0, 0), "first fix"),
+    }
+    healthy_bits(ask(1, 1), "healthy shard after the panic");
+    typed_error(ask(2, 0), "the panicked shard again");
+    healthy_bits(ask(3, 1), "healthy shard again");
+    typed_error(ask(4, 0), "the panicked shard a third time");
+
+    assert_eq!(
+        server.server_stats(),
+        ServerStats {
+            queue_depth: 0,
+            in_flight: 0,
+            shards: 2,
+        },
+        "{fault:?} under {budget:?}: gauges settle"
+    );
+    let (_, catalog) = server.shutdown_with_catalog();
+    assert_eq!(catalog.resident_keys(), vec![ShardKey::building(1)]);
+    for (fix, count) in replies.iter().enumerate() {
+        assert_eq!(
+            count.load(Ordering::SeqCst),
+            1,
+            "fix {fix}: exactly one reply"
+        );
     }
 }
