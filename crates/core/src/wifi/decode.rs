@@ -35,20 +35,20 @@ impl WifiNoble {
     }
 
     /// The serving pass: positions only, bit-identical to the positions
-    /// [`WifiNoble::predict`] returns. It computes the fine head's logits
-    /// and nothing else — neither the building, floor and coarse heads
-    /// nor their weights are read — and skips the first layer's
-    /// all-zero input groups once its weights are known finite (see
-    /// [`noble_nn::Mlp`]).
+    /// [`WifiNoble::predict`] returns. It picks the fine head's class
+    /// through [`noble_nn::Mlp::predict_argmax`] and reads nothing else —
+    /// neither the building, floor and coarse heads nor their weights —,
+    /// skips the first layer's all-zero input groups once its weights are
+    /// known finite, and on a full-scale head scores the classes with the
+    /// certified f32 screen (see [`noble_nn::Mlp`]).
     ///
     /// # Errors
     ///
     /// Propagates network and decode failures.
     pub(crate) fn fine_positions(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         let range = self.layout.range(self.head_fine);
-        let logits = self.mlp.predict_columns(features, range)?;
-        self.layout
-            .head_classes(&logits, self.head_fine)?
+        self.mlp
+            .predict_argmax(features, range)?
             .into_iter()
             .map(|class| Ok(self.fine.decode(class)?))
             .collect()

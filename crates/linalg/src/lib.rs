@@ -45,8 +45,8 @@ pub use eigen::{
 pub use error::LinalgError;
 pub use gemm::{matmul_blocked, matmul_naive, matmul_parallel, matmul_transposed};
 pub use lowp::{
-    matmul_f32, matmul_f32_blocked, matmul_f32_naive, matmul_f32_parallel, matmul_i8,
-    matmul_i8_parallel, tanh_f32_fast, MatrixF32, QuantizedMatrixI8,
+    matmul_f32, matmul_f32_blocked, matmul_f32_columns, matmul_f32_naive, matmul_f32_parallel,
+    matmul_i8, matmul_i8_parallel, tanh_f32_fast, MatrixF32, QuantizedMatrixI8,
 };
 pub use matrix::Matrix;
 pub use qr::{least_squares, qr_decompose, QrFactors};

@@ -152,30 +152,6 @@ impl OutputLayout {
             .collect())
     }
 
-    /// The arg-max class of every row of one head's own logits (only the
-    /// columns [`OutputLayout::range`] gives for `head_index`), picked as
-    /// [`OutputLayout::predict_classes`] picks it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when `head_logits` is not as wide
-    /// as the head.
-    pub fn head_classes(
-        &self,
-        head_logits: &Matrix,
-        head_index: usize,
-    ) -> Result<Vec<usize>, NnError> {
-        let width = self.heads[head_index].width;
-        if head_logits.cols() != width {
-            return Err(NnError::ShapeMismatch {
-                context: "head_classes",
-                expected: width,
-                found: head_logits.cols(),
-            });
-        }
-        Ok(head_logits.iter_rows().map(class_of).collect())
-    }
-
     /// Per-class probabilities of head `head_index` for every row.
     ///
     /// Softmax heads produce a distribution; sigmoid heads produce

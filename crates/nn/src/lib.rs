@@ -52,6 +52,7 @@ mod metrics;
 mod network;
 mod optimizer;
 mod param;
+mod screen;
 mod seed;
 mod serialize;
 mod trainer;
@@ -69,6 +70,7 @@ pub use metrics::{accuracy, confusion_counts, one_hot, softmax_row};
 pub use network::{Mlp, MlpBuilder, MlpLayerSpec};
 pub use optimizer::Optimizer;
 pub use param::Param;
+pub use screen::SCREEN_MIN_ROW_FLOPS;
 pub use seed::derive_seed;
 pub use serialize::{
     blob_encoding, load_parameters, save_parameters, save_parameters_with, ParamEncoding,

@@ -1,10 +1,12 @@
 //! The multilayer perceptron: a sequential stack of dense, batch-norm and
 //! activation layers.
 
+use crate::screen::Screen;
 use crate::{Activation, BatchNorm, Dense, NnError, Optimizer, Param};
 use noble_linalg::Matrix;
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// One stage of an [`Mlp`].
 #[derive(Debug, Clone)]
@@ -44,12 +46,23 @@ enum Layer {
 /// path to the parameters clears it — [`Mlp::params_mut`] (and so
 /// [`Mlp::apply_gradients`]), [`Mlp::set_running_stats`] and a
 /// training-mode [`Mlp::forward`].
+///
+/// When the network ends in a wide dense layer, it also keeps that layer's
+/// *certified f32 screen* (an f32 copy of its weights and a per-column
+/// error bound), with which [`Mlp::predict_argmax`] picks classes with the
+/// exact answer while scoring most logits in f32. Decoding a blob builds
+/// it, in a separate pass after the decode loop; a network that was
+/// trained instead builds it on its first `predict_argmax` call. The same
+/// `&mut` paths drop it.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Layer>,
     in_dim: usize,
     out_dim: usize,
     input_weights_finite: bool,
+    /// The screen of the last dense layer once built; `None` inside when
+    /// the layer does not qualify.
+    screen: OnceLock<Option<Screen>>,
 }
 
 /// Architecture description of one [`Mlp`] stage, introspectable via
@@ -120,6 +133,7 @@ impl MlpBuilder {
             out_dim: self.current_dim,
             in_dim: self.in_dim,
             layers: self.layers,
+            screen: OnceLock::new(),
             input_weights_finite: false,
         }
     }
@@ -191,7 +205,7 @@ impl Mlp {
             return self.infer(x, self.layers.len(), None);
         }
         // The optimizer step that follows rewrites the weights.
-        self.input_weights_finite = false;
+        self.forget_weight_facts();
         let mut h = Cow::Borrowed(x);
         for layer in &mut self.layers {
             h = Cow::Owned(match layer {
@@ -228,6 +242,43 @@ impl Mlp {
     /// range outside `0..out_dim`.
     pub fn predict_columns(&self, x: &Matrix, cols: Range<usize>) -> Result<Matrix, NnError> {
         self.infer(x, self.layers.len(), Some(cols))
+    }
+
+    /// The arg-max class of output columns `cols` for every row of `x`:
+    /// an index into `cols`, the first of the largest outputs, NaNs
+    /// skipped, `0` when every output is NaN — the class
+    /// [`noble_linalg::argmax`] picks from [`Mlp::predict_columns`].
+    ///
+    /// A final dense layer of at least [`crate::SCREEN_MIN_ROW_FLOPS`]
+    /// multiply-adds per row whose parameters are finite and within f32
+    /// range gets a certified f32 screen, built when the parameters were
+    /// decoded or else by the first call, and kept until a `&mut` path
+    /// drops it (see [`Mlp`]). With it, the last layer
+    /// scores `cols` in f32, bounds each score's distance from the exact
+    /// output, and recomputes in f64 only the columns whose bound reaches
+    /// the best score's. The class is the same, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the constituent layers, and rejects an
+    /// empty range or one outside `0..out_dim`.
+    pub fn predict_argmax(&self, x: &Matrix, cols: Range<usize>) -> Result<Vec<usize>, NnError> {
+        if cols.is_empty() {
+            return Err(NnError::InvalidConfig(
+                "an arg-max needs at least one column".into(),
+            ));
+        }
+        if let Some(Layer::Dense(last)) = self.layers.last() {
+            if let Some(screen) = self.screen.get_or_init(|| Screen::build(last)) {
+                let h = self.infer(x, self.layers.len() - 1, None)?;
+                return screen.classes(last, &h, cols);
+            }
+        }
+        Ok(self
+            .predict_columns(x, cols)?
+            .iter_rows()
+            .map(|row| noble_linalg::argmax(row).unwrap_or(0))
+            .collect())
     }
 
     /// The one inference routine: layers `..stop` in order. The first
@@ -384,9 +435,10 @@ impl Mlp {
     }
 
     /// Mutable access to every trainable parameter tensor. The first
-    /// layer's weights no longer count as known finite (see [`Mlp`]).
+    /// layer's weights no longer count as known finite, and the screen is
+    /// dropped (see [`Mlp`]).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.input_weights_finite = false;
+        self.forget_weight_facts();
         let mut out = Vec::new();
         for layer in &mut self.layers {
             match layer {
@@ -429,7 +481,7 @@ impl Mlp {
     /// Overwrites the running batch-norm statistics (deserialization);
     /// `stats` pairs up with [`Mlp::running_stats`] order. Like every
     /// `&mut` path to the model's state, it clears the finite-weights fact
-    /// (see [`Mlp`]).
+    /// and drops the screen (see [`Mlp`]).
     ///
     /// # Errors
     ///
@@ -437,7 +489,7 @@ impl Mlp {
     /// the network's batch-norm stage count, and propagates length
     /// mismatches from the stages.
     pub fn set_running_stats(&mut self, stats: &[(Vec<f64>, Vec<f64>)]) -> Result<(), NnError> {
-        self.input_weights_finite = false;
+        self.forget_weight_facts();
         let bn_layers: Vec<&mut BatchNorm> = self
             .layers
             .iter_mut()
@@ -487,6 +539,22 @@ impl Mlp {
             Layer::Dense(d) => Some(d.weights_all_finite()),
             _ => None,
         }) == Some(true);
+    }
+
+    /// Builds the screen of the last layer now (the end of
+    /// [`crate::load_parameters`]), so the first served batch does not.
+    pub(crate) fn build_screen(&mut self) {
+        self.screen = OnceLock::from(match self.layers.last() {
+            Some(Layer::Dense(last)) => Screen::build(last),
+            _ => None,
+        });
+    }
+
+    /// Clears every fact learned from the weights: the parameters are
+    /// about to change.
+    fn forget_weight_facts(&mut self) {
+        self.input_weights_finite = false;
+        self.screen = OnceLock::new();
     }
 
     /// The architecture as a replayable spec sequence (see
@@ -552,6 +620,7 @@ impl Mlp {
             in_dim,
             out_dim: width,
             input_weights_finite: false,
+            screen: OnceLock::new(),
         })
     }
 
@@ -882,6 +951,113 @@ mod tests {
         net.forward(&x, true).unwrap();
         poisoned(&mut net);
         assert!(probe(&mut net), "training-mode forward");
+    }
+
+    /// A trained net whose 400-wide head (`128 × 400` multiply-adds per
+    /// row) gets a screen, and probe rows with NaN, inf and all-zero
+    /// inputs mixed in.
+    fn trained_wide_head_net() -> (Mlp, Matrix) {
+        let mut mlp = Mlp::builder(12, 23)
+            .dense(128)
+            .batch_norm()
+            .activation(Activation::Tanh)
+            .dense(128)
+            .batch_norm()
+            .activation(Activation::Tanh)
+            .dense(400)
+            .build();
+        let x = Matrix::from_fn(32, 12, |i, j| ((i * 5 + j * 3) % 11) as f64 / 5.0 - 1.0);
+        let y = Matrix::from_fn(32, 400, |i, j| f64::from(u8::from((i * 7 + 3) % 400 == j)));
+        let cfg = crate::TrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            ..crate::TrainConfig::default()
+        };
+        crate::Trainer::new(cfg)
+            .fit(&mut mlp, &x, &y, &MseLoss, None)
+            .unwrap();
+        let mut probes = Matrix::zeros(3, 12);
+        probes[(0, 3)] = f64::NAN;
+        probes[(1, 0)] = f64::INFINITY;
+        (mlp, probes.vstack(&x).unwrap())
+    }
+
+    /// Whether `net` holds a built screen.
+    fn screened(net: &Mlp) -> bool {
+        matches!(net.screen.get(), Some(Some(_)))
+    }
+
+    #[test]
+    fn predict_argmax_carries_the_classes_of_predict_columns() {
+        let (mlp, x) = trained_wide_head_net();
+        let mut restored = Mlp::from_specs(12, &mlp.layer_specs()).unwrap();
+        crate::load_parameters(&mut restored, &crate::save_parameters(&mlp)).unwrap();
+        assert!(screened(&restored), "decoding builds the screen");
+        assert!(!screened(&mlp), "a trained net builds it on first use");
+        for net in [&mlp, &restored] {
+            for cols in [0..400, 5..9, 3..300, 399..400] {
+                let want: Vec<usize> = net
+                    .predict_columns(&x, cols.clone())
+                    .unwrap()
+                    .iter_rows()
+                    .map(|row| noble_linalg::argmax(row).unwrap_or(0))
+                    .collect();
+                assert_eq!(
+                    net.predict_argmax(&x, cols.clone()).unwrap(),
+                    want,
+                    "{cols:?}"
+                );
+                assert!(screened(net));
+            }
+        }
+        assert!(mlp.predict_argmax(&x, 390..401).is_err());
+        assert!(mlp.predict_argmax(&x, 7..7).is_err());
+        // The narrow net of the other tests gets no screen and answers
+        // through `predict_columns`.
+        let (narrow, x) = trained_sparse_net();
+        let want: Vec<usize> = narrow
+            .predict_columns(&x, 10..40)
+            .unwrap()
+            .iter_rows()
+            .map(|row| noble_linalg::argmax(row).unwrap_or(0))
+            .collect();
+        assert_eq!(narrow.predict_argmax(&x, 10..40).unwrap(), want);
+        assert!(
+            matches!(narrow.screen.get(), Some(None)),
+            "too narrow to screen"
+        );
+    }
+
+    #[test]
+    fn every_mut_path_drops_the_screen() {
+        let (trained, x) = trained_wide_head_net();
+        trained.predict_argmax(&x, 0..400).unwrap();
+        assert!(screened(&trained), "the first call builds the screen");
+        let mut net = trained.clone();
+        let _ = net.params_mut();
+        assert!(!screened(&net), "params_mut");
+        let mut net = trained.clone();
+        net.apply_gradients(&mut Optimizer::sgd(0.0));
+        assert!(!screened(&net), "apply_gradients");
+        let mut net = trained.clone();
+        let stats: Vec<(Vec<f64>, Vec<f64>)> = net
+            .running_stats()
+            .into_iter()
+            .map(|(m, v)| (m.to_vec(), v.to_vec()))
+            .collect();
+        net.set_running_stats(&stats).unwrap();
+        assert!(!screened(&net), "set_running_stats");
+        let mut net = trained.clone();
+        net.forward(&x.select_rows(&[5, 6]), true).unwrap();
+        assert!(!screened(&net), "training-mode forward");
+        // A screen rebuilt after an edit bounds the edited parameters: the
+        // class follows the new bias (past the NaN probe row, class 0).
+        let mut net = trained;
+        net.params_mut().last_mut().unwrap().value[(0, 7)] = 1e6;
+        let classes = net.predict_argmax(&x, 0..400).unwrap();
+        assert_eq!(classes[0], 0);
+        assert!(classes[1..].iter().all(|&c| c == 7), "{classes:?}");
+        assert!(screened(&net));
     }
 
     #[test]

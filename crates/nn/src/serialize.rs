@@ -197,6 +197,8 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
         )));
     }
     mlp.set_input_weights_finite(input_weights_finite);
+    // A separate pass over the last layer, never inside the decode loop.
+    mlp.build_screen();
     Ok(())
 }
 

@@ -193,7 +193,9 @@ impl Trainer {
             }
         }
         // One read of the first layer's trained weights lets inference
-        // skip its zero input groups (see `Mlp`).
+        // skip its zero input groups (see `Mlp`). The f32 screen is left to
+        // the first `predict_argmax`: built here, it would sit at the top
+        // of this thread's heap, above the training scratch.
         model.scan_input_weights_finite();
         Ok(report)
     }

@@ -302,6 +302,21 @@ pub struct ModelCatalog {
     epoch: AtomicU64,
 }
 
+/// Hands a lease back, freeing its key to be leased again, unless
+/// [`ModelCatalog::lease`] forgets it once its fault-in succeeds: a failed
+/// or unwinding fault-in never leaves the key leased for good.
+struct HandBack<'a> {
+    catalog: &'a ModelCatalog,
+    key: ShardKey,
+}
+
+impl Drop for HandBack<'_> {
+    fn drop(&mut self) {
+        relock(&self.catalog.state).leased.remove(&self.key);
+        self.catalog.released.notify_all();
+    }
+}
+
 impl fmt::Debug for ModelCatalog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = relock(&self.state);
@@ -658,8 +673,11 @@ impl ModelCatalog {
         };
         // The expensive half — a store read + hydration, or a full
         // retrain — runs outside the state lock so concurrently faulting
-        // shards overlap instead of queueing behind one another.
-        let outcome: Result<(Box<dyn Localizer>, usize, u64, bool), ServeError> = match source {
+        // shards overlap instead of queueing behind one another. Until it
+        // succeeds, the guard hands the key back on every way out: an
+        // error, or an unwind (a panicking store, hydration or retrain).
+        let lease = HandBack { catalog: self, key };
+        let (model, cost, version, retrained) = match source {
             LeaseSource::Stored => self
                 .store
                 .get(key)
@@ -678,30 +696,22 @@ impl ModelCatalog {
                 let cost = write_through(self.store.as_ref(), key, model.as_ref(), 0)?;
                 Ok((model, cost.unwrap_or(0), 0, true))
             }),
-        };
+        }?;
+        std::mem::forget(lease);
         let mut state = relock(&self.state);
-        match outcome {
-            Ok((model, cost, version, retrained)) => {
-                if retrained {
-                    state.stats.retrains += 1;
-                    if cost > 0 {
-                        state.stored.insert(key);
-                    }
-                } else {
-                    state.stats.hydrations += 1;
-                }
-                // Prime the version map from the hydrated snapshot's
-                // stamp (restart recovery: the active slot is the source
-                // of truth until an in-process activation overrides it).
-                state.active.entry(key).or_insert(version);
-                Ok((model, cost, version))
+        if retrained {
+            state.stats.retrains += 1;
+            if cost > 0 {
+                state.stored.insert(key);
             }
-            Err(e) => {
-                state.leased.remove(&key);
-                self.released.notify_all();
-                Err(e)
-            }
+        } else {
+            state.stats.hydrations += 1;
         }
+        // Prime the version map from the hydrated snapshot's stamp
+        // (restart recovery: the active slot is the source of truth until
+        // an in-process activation overrides it).
+        state.active.entry(key).or_insert(version);
+        Ok((model, cost, version))
     }
 
     /// Checks a leased model back in *cold*: writes it through to the

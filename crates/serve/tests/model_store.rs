@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{fast_model_cfg, quick_campaign, store_dir};
+use common::{fast_model_cfg, quick_campaign, store_dir, FaultyStore};
 use noble::imu::{ImuNoble, ImuNobleConfig};
 use noble::wifi::{KnnFingerprint, WifiNoble};
 use noble::{Localizer, SnapshotLocalizer};
@@ -624,6 +624,128 @@ fn failed_spin_down_write_through_keeps_the_model() {
     assert_eq!(catalog.resident_len(), 2, "shutdown dropped a model");
     for (key, reference) in &expected {
         assert_eq!(&catalog.localize(*key, &features).unwrap(), reference);
+    }
+}
+
+/// A store whose `put`s and `get`s fail intermittently, by a seeded draw,
+/// under three snapshotable shards that take turns in a one-slot budget:
+/// drains write models through (and keep them resident when the write
+/// fails), faults read them back (and fail their fixes, typed, when the
+/// read fails). Every fix gets exactly one reply; every answer served is
+/// bit-identical to the model's direct `localize_batch`; every failure is
+/// a typed store error; the gauges settle to zero; and every model whose
+/// `put` was acknowledged rehydrates with its bits, as does every shard
+/// once the store heals. CI greps for this test by name.
+#[test]
+fn intermittent_store_errors_keep_one_reply_per_fix_and_every_acknowledged_model() {
+    use noble::hydrate;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let campaign = quick_campaign();
+    let features = campaign.features(&campaign.test[..4.min(campaign.test.len())]);
+    let rows: Vec<Vec<f64>> = (0..features.rows())
+        .map(|i| features.row(i).to_vec())
+        .collect();
+    for seed in [11u64, 12, 13] {
+        let store = FaultyStore::seeded(seed, 300);
+        let mut catalog =
+            ModelCatalog::with_store(CatalogBudget::Count(1), Box::new(store.clone())).unwrap();
+        let mut expected: Vec<(ShardKey, Vec<Point>)> = Vec::new();
+        for i in 0..3 {
+            let key = ShardKey::building(i);
+            let mut model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
+            expected.push((
+                key,
+                Localizer::localize_batch(&mut model, &features).unwrap(),
+            ));
+            catalog.insert(key, Box::new(model)).unwrap();
+        }
+        let server = BatchServer::start(
+            catalog,
+            BatchConfig {
+                max_batch: 4,
+                latency_budget: Duration::from_micros(200),
+                ..BatchConfig::default()
+            },
+        )
+        .unwrap();
+        let client = server.client();
+        let (mut served, mut failed) = (0, 0);
+        for round in 0..6 {
+            for (key, reference) in &expected {
+                let replies: Vec<_> = rows
+                    .iter()
+                    .map(|row| {
+                        let count = Arc::new(AtomicUsize::new(0));
+                        let (tx, rx) = std::sync::mpsc::channel();
+                        let counter = Arc::clone(&count);
+                        client
+                            .submit_then(*key, row.clone(), move |outcome, _| {
+                                counter.fetch_add(1, Ordering::SeqCst);
+                                let _ = tx.send(outcome);
+                            })
+                            .unwrap();
+                        (count, rx)
+                    })
+                    .collect();
+                for (i, (count, rx)) in replies.into_iter().enumerate() {
+                    match rx.recv_timeout(Duration::from_secs(30)).expect("a reply") {
+                        Ok(point) => {
+                            assert_eq!(
+                                (point.x.to_bits(), point.y.to_bits()),
+                                (reference[i].x.to_bits(), reference[i].y.to_bits()),
+                                "seed {seed} round {round}: {key} fix {i} diverged"
+                            );
+                            served += 1;
+                        }
+                        Err(e) => {
+                            assert!(
+                                matches!(e, ServeError::Store(_)),
+                                "seed {seed} round {round}: {key} fix {i}: untyped failure {e:?}"
+                            );
+                            failed += 1;
+                        }
+                    }
+                    // A second reply would have been counted by now: the
+                    // reply is sent after the count.
+                    assert_eq!(count.load(Ordering::SeqCst), 1, "seed {seed}: one reply");
+                }
+            }
+        }
+        assert!(store.injected() > 0, "seed {seed}: no fault was injected");
+        assert!(
+            served > 0 && failed > 0,
+            "seed {seed}: {served} served, {failed} failed"
+        );
+        let gauges = server.server_stats();
+        assert_eq!(
+            (gauges.queue_depth, gauges.in_flight),
+            (0, 0),
+            "seed {seed}"
+        );
+        let (_, mut catalog) = server.shutdown_with_catalog();
+        // Every acknowledged write rehydrates with its model's bits.
+        let acknowledged = store.acknowledged();
+        assert!(!acknowledged.is_empty(), "seed {seed}: no put succeeded");
+        for (key, snapshot) in &acknowledged {
+            let reference = &expected.iter().find(|(k, _)| k == key).unwrap().1;
+            let mut model = hydrate(snapshot).unwrap();
+            assert_eq!(
+                &model.localize_batch(&features).unwrap(),
+                reference,
+                "seed {seed}: acknowledged {key}"
+            );
+        }
+        // And nothing was lost: once the store heals, every shard answers.
+        store.heal();
+        for (key, reference) in &expected {
+            assert_eq!(
+                &catalog.localize(*key, &features).unwrap(),
+                reference,
+                "seed {seed}: {key} after healing"
+            );
+        }
     }
 }
 

@@ -13,8 +13,12 @@
 //! answering, the other shards keep theirs, and the gauges settle. One
 //! that panics elsewhere (in a drain's write-through, or in lowering)
 //! loses its worker, whose exit releases its slot, its drain and its
-//! lease, so the server never wedges.
+//! lease, so the server never wedges. A store that panics while a worker
+//! faults a model in does not leave the model's key leased either.
 
+mod common;
+
+use common::FaultyStore;
 use noble::wifi::KnnFingerprint;
 use noble::{Localizer, LocalizerInfo, NobleError};
 use noble_datasets::{uji_campaign, UjiConfig};
@@ -532,4 +536,72 @@ fn fragile_model_scenario(
             "fix {fix}: exactly one reply"
         );
     }
+}
+
+/// A store whose first `get` of one key panics, under a one-slot budget:
+/// the worker faulting that key in unwinds inside `ModelCatalog::lease`,
+/// after the key was marked leased. Its fix gets `Internal`, and the key
+/// is handed back, so a later fix to the same shard faults it in again
+/// and is served with the model's bits; the gauges read 0/0 and shutdown
+/// returns. The scenario runs on its own thread behind a bounded wait,
+/// because a key left leased hangs the next lease of it for good.
+#[test]
+fn a_store_that_panics_during_a_lease_never_wedges_the_shard() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let campaign = uji_campaign(&UjiConfig::small()).expect("campaign");
+        let probe = campaign.features(&campaign.test[..1]);
+        let fragile = ShardKey::building(0);
+        let mut direct = KnnFingerprint::fit(&campaign, 1).expect("knn fits");
+        let want = Localizer::localize_batch(&mut direct, &probe).expect("direct answer")[0];
+        let store = FaultyStore::panicking_on_first_get(fragile);
+        let mut catalog =
+            ModelCatalog::with_store(CatalogBudget::Count(1), Box::new(store)).expect("catalog");
+        // The second insert pushes the first model out to the store, so
+        // the fragile shard starts cold and its first fault reads it.
+        catalog
+            .insert(fragile, Box::new(direct))
+            .expect("insert the fragile shard's model");
+        catalog
+            .insert(
+                ShardKey::building(1),
+                Box::new(KnnFingerprint::fit(&campaign, 2).expect("knn fits")),
+            )
+            .expect("insert the other model");
+        assert_eq!(catalog.resident_keys(), vec![ShardKey::building(1)]);
+        let server = BatchServer::start(catalog, one_by_one()).expect("server starts");
+        let client = server.client();
+        let ask = |key: ShardKey| {
+            client
+                .submit(key, probe.row(0).to_vec())
+                .expect("submit")
+                .wait()
+        };
+        let failed = ask(fragile);
+        assert!(
+            matches!(failed, Err(ServeError::Internal(_))),
+            "the fix whose lease panicked: {failed:?}"
+        );
+        for round in 0..2 {
+            let point = ask(fragile)
+                .unwrap_or_else(|e| panic!("round {round}: the shard stayed wedged: {e}"));
+            assert_eq!(
+                (point.x.to_bits(), point.y.to_bits()),
+                (want.x.to_bits(), want.y.to_bits()),
+                "round {round}"
+            );
+            ask(ShardKey::building(1)).expect("the other shard answers");
+        }
+        let stats = server.server_stats();
+        assert_eq!(
+            (stats.queue_depth, stats.in_flight),
+            (0, 0),
+            "gauges settle"
+        );
+        server.shutdown();
+        done_tx.send(()).expect("report");
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("a panicking store wedged the shard or a check failed"));
 }
