@@ -13,14 +13,13 @@
 //! - **batched_threaded** — the same batched call with the blocked matmul
 //!   kernel fanning out over scoped threads.
 //!
-//! Each batched mode additionally runs at every precision tier: `exact`
-//! (the f64 model), `f32`, and `int8` (lowered twins built once via
+//! Each batched mode additionally runs at both precision tiers: `exact`
+//! (the f64 model) and `f32` (a lowered twin built once via
 //! [`noble::Localizer::try_lower`], off the timed path, exactly as the
-//! serving layer does). Before any timing, the lowered twins pass an
-//! **accuracy gate** against the exact outputs — f32 within 1e-4
-//! position error, int8 within its calibrated decode bound — and the
-//! runner errors out if a gate fails, so the `NOBLE_QUICK=1` CI smoke
-//! enforces it on every push.
+//! serving layer does). Before any timing, the f32 twin passes an
+//! **accuracy gate** against the exact outputs — within 1e-4 position
+//! error — and the runner errors out if the gate fails, so the
+//! `NOBLE_QUICK=1` CI smoke enforces it on every push.
 //!
 //! Results go to stdout as a table and to
 //! `results/BENCH_throughput.json` for the perf trajectory. In
@@ -70,21 +69,6 @@ fn max_delta(a: &[Point], b: &[Point]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-fn mean_delta(a: &[Point], b: &[Point]) -> f64 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    a.iter().zip(b).map(|(x, y)| x.distance(*y)).sum::<f64>() / a.len() as f64
-}
-
-fn match_fraction(a: &[Point], b: &[Point]) -> f64 {
-    if a.is_empty() {
-        return 1.0;
-    }
-    let hits = a.iter().zip(b).filter(|(x, y)| x == y).count();
-    hits as f64 / a.len() as f64
-}
-
 /// Times `f` over `reps` repetitions of `fixes` fixes each and returns
 /// the best observed fixes/second (best-of filters scheduler noise).
 fn best_rate(fixes: usize, reps: usize, mut f: impl FnMut()) -> f64 {
@@ -118,16 +102,14 @@ pub fn run(scale: Scale) -> RunnerResult {
     };
     let mut model = WifiNoble::train(&campaign, &cfg)?;
 
-    // Lower the reduced-precision twins once, off the timed path — the
-    // same lifecycle the serving layer uses (lower at hydrate/train
-    // time, serve from the immutable twin).
+    // Lower the f32 twin once, off the timed path — the same lifecycle
+    // the serving layer uses (lower at hydrate/train time, serve from
+    // the immutable twin).
     let mut f32_twin = Localizer::try_lower(&model, InferencePrecision::F32)
         .ok_or("WifiNoble failed to lower to f32")?;
-    let mut i8_twin = Localizer::try_lower(&model, InferencePrecision::Int8)
-        .ok_or("WifiNoble failed to lower to int8")?;
 
     // Accuracy gate: the speedup numbers below are meaningless if the
-    // fast tiers decode to different positions, so refuse to report
+    // fast tier decodes to different positions, so refuse to report
     // them. Runs at Quick scale too — this is the CI smoke's teeth.
     let probe = campaign.features(&campaign.test);
     let exact_fixes = Localizer::localize_batch(&mut model, &probe)?;
@@ -137,16 +119,6 @@ pub fn run(scale: Scale) -> RunnerResult {
         return Err(
             format!("f32 accuracy gate failed: max position delta {f32_delta} > 1e-4").into(),
         );
-    }
-    let i8_fixes = i8_twin.localize_batch(&probe)?;
-    let i8_matches = match_fraction(&i8_fixes, &exact_fixes);
-    let i8_mean = mean_delta(&i8_fixes, &exact_fixes);
-    if i8_matches < 0.9 || i8_mean > 0.5 {
-        return Err(format!(
-            "int8 accuracy gate failed: match fraction {i8_matches:.3} (need >= 0.9), \
-             mean position delta {i8_mean:.3} m (need <= 0.5)"
-        )
-        .into());
     }
 
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -224,38 +196,35 @@ pub fn run(scale: Scale) -> RunnerResult {
             });
         }
 
-        // Reduced-precision tiers over the very same rows. The twins
-        // take the identical slice-of-rows interface, so the only
-        // difference against the exact `batched` rows above is the
-        // kernel tier.
-        for (precision, twin) in [("f32", &mut f32_twin), ("int8", &mut i8_twin)] {
-            set_num_threads(1);
+        // The f32 tier over the very same rows. The twin takes the
+        // identical slice-of-rows interface, so the only difference
+        // against the exact `batched` rows above is the kernel tier.
+        set_num_threads(1);
+        let rate = best_rate(batch, reps, || {
+            f32_twin.localize_rows(slice).expect("localize_rows");
+        });
+        measurements.push(Measurement {
+            mode: "batched",
+            precision: "f32",
+            batch,
+            threads: 1,
+            fixes_per_sec: rate,
+        });
+        for &threads in &thread_counts {
+            if threads <= 1 {
+                continue;
+            }
+            set_num_threads(threads);
             let rate = best_rate(batch, reps, || {
-                twin.localize_rows(slice).expect("localize_rows");
+                f32_twin.localize_rows(slice).expect("localize_rows");
             });
             measurements.push(Measurement {
-                mode: "batched",
-                precision,
+                mode: "batched_threaded",
+                precision: "f32",
                 batch,
-                threads: 1,
+                threads,
                 fixes_per_sec: rate,
             });
-            for &threads in &thread_counts {
-                if threads <= 1 {
-                    continue;
-                }
-                set_num_threads(threads);
-                let rate = best_rate(batch, reps, || {
-                    twin.localize_rows(slice).expect("localize_rows");
-                });
-                measurements.push(Measurement {
-                    mode: "batched_threaded",
-                    precision,
-                    batch,
-                    threads,
-                    fixes_per_sec: rate,
-                });
-            }
         }
         set_num_threads(0);
     }
@@ -285,12 +254,10 @@ pub fn run(scale: Scale) -> RunnerResult {
     let threaded_ref = rate_of("batched_threaded", "exact").max(batched_ref);
     let speedup_batched = batched_ref / single_ref.max(f64::MIN_POSITIVE);
     let speedup_threaded = threaded_ref / single_ref.max(f64::MIN_POSITIVE);
-    // Precision speedups compare best-against-best at the reference
+    // The precision speedup compares best-against-best at the reference
     // batch (each tier free to use its best thread count).
-    let best_of =
-        |precision: &str| rate_of("batched", precision).max(rate_of("batched_threaded", precision));
-    let speedup_f32 = best_of("f32") / threaded_ref.max(f64::MIN_POSITIVE);
-    let speedup_i8 = best_of("int8") / threaded_ref.max(f64::MIN_POSITIVE);
+    let best_f32 = rate_of("batched", "f32").max(rate_of("batched_threaded", "f32"));
+    let speedup_f32 = best_f32 / threaded_ref.max(f64::MIN_POSITIVE);
 
     let mut out = String::new();
     out.push_str("THROUGHPUT: WiFi fixes/sec, single vs batched vs batched+threaded\n");
@@ -300,8 +267,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         campaign.num_waps()
     ));
     out.push_str(&format!(
-        "accuracy gates: f32 max delta {f32_delta:.2e} m (<= 1e-4), \
-         int8 match {i8_matches:.3} (>= 0.9) mean delta {i8_mean:.3} m (<= 0.5)\n\n"
+        "accuracy gate: f32 max delta {f32_delta:.2e} m (<= 1e-4)\n\n"
     ));
     let mut table = TextTable::new(vec![
         "MODE".into(),
@@ -323,7 +289,7 @@ pub fn run(scale: Scale) -> RunnerResult {
     out.push_str(&format!(
         "\nat batch {reference_batch}: batched = {speedup_batched:.2}x single, \
          batched+threaded = {speedup_threaded:.2}x single\n\
-         f32 = {speedup_f32:.2}x exact, int8 = {speedup_i8:.2}x exact (best vs best)\n"
+         f32 = {speedup_f32:.2}x exact (best vs best)\n"
     ));
 
     let json = format!(
@@ -332,10 +298,7 @@ pub fn run(scale: Scale) -> RunnerResult {
          \"speedup_batched_vs_single\": {speedup_batched:.3},\n  \
          \"speedup_batched_threaded_vs_single\": {speedup_threaded:.3},\n  \
          \"speedup_f32_vs_exact\": {speedup_f32:.3},\n  \
-         \"speedup_int8_vs_exact\": {speedup_i8:.3},\n  \
-         \"accuracy_gates\": {{\"f32_max_position_delta\": {f32_delta:.6e}, \
-         \"int8_match_fraction\": {i8_matches:.4}, \
-         \"int8_mean_position_delta\": {i8_mean:.4}}},\n  \
+         \"accuracy_gates\": {{\"f32_max_position_delta\": {f32_delta:.6e}}},\n  \
          \"measurements\": [\n{}\n  ]\n}}\n",
         cfg.hidden_dim,
         campaign.num_waps(),

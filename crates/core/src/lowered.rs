@@ -1,4 +1,4 @@
-//! Reduced-precision serving twins of the NObLe models.
+//! Single-precision serving twins of the NObLe models.
 //!
 //! [`LoweredWifi`] and [`LoweredImu`] wrap [`noble_nn::LoweredMlp`]
 //! lowerings of a trained model's networks and share the *exact* f64
@@ -10,10 +10,10 @@
 //! Two contracts matter here:
 //!
 //! - **Accuracy is gated, not assumed.** A lowered twin tracks its f64
-//!   progenitor within the tier's tolerance (f32: ≤ 1e-4 position
-//!   error; int8: a calibrated quantization bound). The precision-parity
-//!   suite, the accuracy-delta checks in `exp_throughput` and
-//!   `noble-serve`'s `serving_parity` suite pin this.
+//!   progenitor within the tier's tolerance (≤ 1e-4 position error).
+//!   The precision-parity suite, the accuracy-delta check in
+//!   `exp_throughput` and `noble-serve`'s `serving_parity` suite pin
+//!   this.
 //! - **Persistence never loses precision.** [`crate::Localizer::try_snapshot`]
 //!   on a lowered twin returns the progenitor's *exact f64 snapshot*
 //!   captured at lowering time, so catalog eviction write-through and
@@ -25,7 +25,7 @@
 
 use crate::imu::SEGMENT_INPUT_DIM;
 use crate::localizer::check_feature_dim;
-use crate::{InferencePrecision, Localizer, LocalizerInfo, ModelSnapshot, NobleError};
+use crate::{Localizer, LocalizerInfo, ModelSnapshot, NobleError};
 use noble_geo::Point;
 use noble_linalg::Matrix;
 use noble_nn::{one_hot, Dense, LoweredMlp, OutputLayout};
@@ -33,24 +33,12 @@ use noble_quantize::GridQuantizer;
 
 /// Model label of a lowered WiFi twin (the tier is part of the label so
 /// serving stats distinguish exact from lowered shards).
-fn wifi_label(precision: InferencePrecision) -> &'static str {
-    match precision {
-        InferencePrecision::Exact => crate::wifi::WIFI_NOBLE_KIND,
-        InferencePrecision::F32 => "wifi-noble-f32",
-        InferencePrecision::Int8 => "wifi-noble-int8",
-    }
-}
+const WIFI_LABEL: &str = "wifi-noble-f32";
 
 /// Model label of a lowered IMU twin.
-fn imu_label(precision: InferencePrecision) -> &'static str {
-    match precision {
-        InferencePrecision::Exact => crate::imu::IMU_NOBLE_KIND,
-        InferencePrecision::F32 => "imu-noble-f32",
-        InferencePrecision::Int8 => "imu-noble-int8",
-    }
-}
+const IMU_LABEL: &str = "imu-noble-f32";
 
-/// A reduced-precision serving twin of [`crate::wifi::WifiNoble`]:
+/// A single-precision serving twin of [`crate::wifi::WifiNoble`]:
 /// lowered classifier network, exact f64 head/quantizer decode.
 #[derive(Debug, Clone)]
 pub struct LoweredWifi {
@@ -80,18 +68,12 @@ impl LoweredWifi {
             exact_snapshot,
         }
     }
-
-    /// The tier this twin serves in.
-    #[must_use]
-    pub fn precision(&self) -> InferencePrecision {
-        self.mlp.precision()
-    }
 }
 
 impl Localizer for LoweredWifi {
     fn info(&self) -> LocalizerInfo {
         LocalizerInfo {
-            model: wifi_label(self.mlp.precision()),
+            model: WIFI_LABEL,
             site: "default".into(),
             feature_dim: self.feature_dim,
             class_count: self.fine.num_classes(),
@@ -99,7 +81,7 @@ impl Localizer for LoweredWifi {
     }
 
     fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
-        check_feature_dim(wifi_label(self.mlp.precision()), self.feature_dim, features)?;
+        check_feature_dim(WIFI_LABEL, self.feature_dim, features)?;
         if features.rows() == 0 {
             return Ok(Vec::new());
         }
@@ -121,7 +103,7 @@ impl Localizer for LoweredWifi {
     }
 }
 
-/// A reduced-precision serving twin of [`crate::imu::ImuNoble`]: exact
+/// A single-precision serving twin of [`crate::imu::ImuNoble`]: exact
 /// f64 projection (a single tiny shared dense layer) feeding lowered
 /// displacement and location networks, exact f64 centroid decode.
 #[derive(Debug, Clone)]
@@ -153,12 +135,6 @@ impl LoweredImu {
         }
     }
 
-    /// The tier this twin serves in.
-    #[must_use]
-    pub fn precision(&self) -> InferencePrecision {
-        self.displacement.precision()
-    }
-
     fn path_feature_dim(&self) -> usize {
         self.max_segments * SEGMENT_INPUT_DIM + 2
     }
@@ -167,7 +143,7 @@ impl LoweredImu {
 impl Localizer for LoweredImu {
     fn info(&self) -> LocalizerInfo {
         LocalizerInfo {
-            model: imu_label(self.displacement.precision()),
+            model: IMU_LABEL,
             site: "default".into(),
             feature_dim: self.path_feature_dim(),
             class_count: self.quantizer.num_classes(),
@@ -178,11 +154,7 @@ impl Localizer for LoweredImu {
     /// layout — the same unflattening the exact path runs, with the two
     /// heavy networks lowered.
     fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
-        check_feature_dim(
-            imu_label(self.displacement.precision()),
-            self.path_feature_dim(),
-            features,
-        )?;
+        check_feature_dim(IMU_LABEL, self.path_feature_dim(), features)?;
         if features.rows() == 0 {
             return Ok(Vec::new());
         }

@@ -1,15 +1,10 @@
 //! Accuracy gates for the reduced-precision serving tier.
 //!
 //! Every lowered twin ([`noble::LoweredWifi`], [`noble::LoweredImu`])
-//! must track its f64 progenitor within the tier's tolerance:
-//!
-//! - **f32**: ≤ 1e-4 position error on every row (in practice the
-//!   argmax decode absorbs the ~1e-6 logit drift and positions match
-//!   exactly; the gate leaves headroom for borderline logit ties),
-//! - **int8**: a calibrated bound — the 8-bit affine grid perturbs
-//!   logits enough to flip argmax on borderline rows, so the gate is
-//!   "almost all rows decode to the same centroid, and the mean
-//!   position delta stays under a grid cell".
+//! must track its f64 progenitor within the f32 tier's tolerance: ≤ 1e-4
+//! position error on every row (in practice the argmax decode absorbs
+//! the ~1e-6 logit drift and positions match exactly; the gate leaves
+//! headroom for borderline logit ties).
 //!
 //! The suite also pins the structural contracts: lowering never
 //! perturbs the exact model (before/after snapshots byte-equal, f64
@@ -94,21 +89,6 @@ fn max_delta(a: &[Point], b: &[Point]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-fn mean_delta(a: &[Point], b: &[Point]) -> f64 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    a.iter().zip(b).map(|(x, y)| x.distance(*y)).sum::<f64>() / a.len() as f64
-}
-
-fn match_fraction(a: &[Point], b: &[Point]) -> f64 {
-    if a.is_empty() {
-        return 1.0;
-    }
-    let hits = a.iter().zip(b).filter(|(x, y)| x == y).count();
-    hits as f64 / a.len() as f64
-}
-
 #[test]
 fn f32_twins_track_exact_within_1e4_position_error() {
     for fixture in fixtures() {
@@ -128,37 +108,6 @@ fn f32_twins_track_exact_within_1e4_position_error() {
 }
 
 #[test]
-fn int8_twins_track_exact_within_calibrated_bound() {
-    for fixture in fixtures() {
-        let mut twin = fixture
-            .model
-            .try_lower(InferencePrecision::Int8)
-            .expect("NObLe models lower to int8");
-        assert!(
-            twin.info().model.ends_with("-int8"),
-            "{}",
-            twin.info().model
-        );
-        let got = twin.localize_batch(&fixture.features).unwrap();
-        // Calibrated: 8-bit logits may flip argmax on borderline rows,
-        // but almost every row must decode to the very same centroid
-        // and the average drift must stay well under a grid cell.
-        let matches = match_fraction(&got, &fixture.exact);
-        let mean = mean_delta(&got, &fixture.exact);
-        assert!(
-            matches >= 0.9,
-            "{}: only {matches:.3} of rows match the exact decode",
-            twin.info().model
-        );
-        assert!(
-            mean <= 0.5,
-            "{}: mean int8 position delta {mean} exceeds the 0.5 m gate",
-            twin.info().model
-        );
-    }
-}
-
-#[test]
 fn exact_path_is_unperturbed_by_lowering() {
     for fixture in fixtures() {
         // Exact is not a lowering target: the model itself is the tier.
@@ -166,9 +115,7 @@ fn exact_path_is_unperturbed_by_lowering() {
 
         let before = fixture.model.try_snapshot().unwrap();
         let mut f32_twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
-        let mut i8_twin = fixture.model.try_lower(InferencePrecision::Int8).unwrap();
         f32_twin.localize_batch(&fixture.features).unwrap();
-        i8_twin.localize_batch(&fixture.features).unwrap();
         let after = fixture.model.try_snapshot().unwrap();
         assert_eq!(
             before.to_bytes(),
@@ -187,22 +134,20 @@ fn exact_path_is_unperturbed_by_lowering() {
 #[test]
 fn lowered_twin_snapshot_is_progenitors_exact_snapshot() {
     for fixture in fixtures() {
-        for precision in [InferencePrecision::F32, InferencePrecision::Int8] {
-            let twin = fixture.model.try_lower(precision).unwrap();
-            let twin_snap = twin
-                .try_snapshot()
-                .expect("lowered twins stay snapshotable for eviction write-through");
-            let exact_snap = fixture.model.try_snapshot().unwrap();
-            assert_eq!(
-                twin_snap.to_bytes(),
-                exact_snap.to_bytes(),
-                "a lowered twin must persist its progenitor's exact f64 state"
-            );
-            // Hydrating that snapshot reproduces the exact tier bit-for-bit.
-            let mut back = hydrate(&twin_snap).unwrap();
-            let got = back.localize_batch(&fixture.features).unwrap();
-            assert_eq!(got, fixture.exact);
-        }
+        let twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
+        let twin_snap = twin
+            .try_snapshot()
+            .expect("lowered twins stay snapshotable for eviction write-through");
+        let exact_snap = fixture.model.try_snapshot().unwrap();
+        assert_eq!(
+            twin_snap.to_bytes(),
+            exact_snap.to_bytes(),
+            "a lowered twin must persist its progenitor's exact f64 state"
+        );
+        // Hydrating that snapshot reproduces the exact tier bit-for-bit.
+        let mut back = hydrate(&twin_snap).unwrap();
+        let got = back.localize_batch(&fixture.features).unwrap();
+        assert_eq!(got, fixture.exact);
     }
 }
 
@@ -210,19 +155,17 @@ fn lowered_twin_snapshot_is_progenitors_exact_snapshot() {
 fn lowered_inference_is_thread_count_bit_stable() {
     let saved = num_threads();
     for fixture in fixtures() {
-        for precision in [InferencePrecision::F32, InferencePrecision::Int8] {
-            let mut twin = fixture.model.try_lower(precision).unwrap();
-            set_num_threads(1);
-            let single = twin.localize_batch(&fixture.features).unwrap();
-            set_num_threads(4);
-            let multi = twin.localize_batch(&fixture.features).unwrap();
-            assert_eq!(
-                single,
-                multi,
-                "{}: thread count changed lowered outputs",
-                twin.info().model
-            );
-        }
+        let mut twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
+        set_num_threads(1);
+        let single = twin.localize_batch(&fixture.features).unwrap();
+        set_num_threads(4);
+        let multi = twin.localize_batch(&fixture.features).unwrap();
+        assert_eq!(
+            single,
+            multi,
+            "{}: thread count changed lowered outputs",
+            twin.info().model
+        );
     }
     set_num_threads(saved);
 }
@@ -275,17 +218,15 @@ proptest! {
     #[test]
     fn lowered_parity_holds_on_arbitrary_batch_slices(
         kind in 0usize..2,
-        precision in 0usize..2,
         start in 0usize..1 << 16,
         len in 1usize..48,
     ) {
         let fixture = fixtures()[kind];
-        let precision = [InferencePrecision::F32, InferencePrecision::Int8][precision];
         let n = fixture.features.rows();
         let start = start % n;
         let len = len.min(n - start);
 
-        let mut twin = fixture.model.try_lower(precision).unwrap();
+        let mut twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
         let full = twin.localize_batch(&fixture.features).unwrap();
 
         let rows: Vec<Vec<f64>> = (start..start + len)
@@ -294,17 +235,7 @@ proptest! {
         let sliced = twin.localize_rows(&rows).unwrap();
         prop_assert_eq!(&sliced, &full[start..start + len]);
 
-        let gate = match precision {
-            InferencePrecision::F32 => 1e-4,
-            // Per-row int8 bound: borderline rows may flip to an
-            // adjacent centroid; a slice of <=48 rows may hold a few.
-            _ => {
-                let matches = match_fraction(&sliced, &fixture.exact[start..start + len]);
-                prop_assert!(matches >= 0.5, "int8 slice match fraction {matches}");
-                f64::INFINITY
-            }
-        };
         let delta = max_delta(&sliced, &fixture.exact[start..start + len]);
-        prop_assert!(delta <= gate, "slice position error {delta} exceeds {gate}");
+        prop_assert!(delta <= 1e-4, "slice position error {delta} exceeds 1e-4");
     }
 }

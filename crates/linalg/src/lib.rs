@@ -11,8 +11,7 @@
 //! learning baselines (`noble-manifold`, which needs eigendecompositions for
 //! MDS/Isomap/LLE), and the evaluation metrics. All exact routines operate
 //! on `f64`; the accuracy-gated serving fast path additionally ships an
-//! f32 gemm family ([`MatrixF32`], [`matmul_f32`]) and an int8 row-quantized
-//! matmul ([`QuantizedMatrixI8`], [`matmul_i8`]) with the same
+//! f32 gemm family ([`MatrixF32`], [`matmul_f32`]) with the same
 //! thread/batch-shape bit-stability contract as the f64 kernels.
 //!
 //! # Example
@@ -46,7 +45,7 @@ pub use error::LinalgError;
 pub use gemm::{matmul_blocked, matmul_naive, matmul_parallel, matmul_transposed};
 pub use lowp::{
     matmul_f32, matmul_f32_blocked, matmul_f32_columns, matmul_f32_naive, matmul_f32_parallel,
-    matmul_i8, matmul_i8_parallel, tanh_f32_fast, MatrixF32, QuantizedMatrixI8,
+    tanh_f32_fast, MatrixF32,
 };
 pub use matrix::Matrix;
 pub use qr::{least_squares, qr_decompose, QrFactors};

@@ -1,6 +1,5 @@
-//! Reduced-precision kernels: the f32 gemm family and the int8
-//! row-quantized matmul behind the serving fast path (ROADMAP "f32 /
-//! quantized / SIMD inference fast path").
+//! Reduced-precision kernels: the f32 gemm family behind the serving
+//! fast path.
 //!
 //! The f64 kernels in [`crate::gemm`] stay the bit-exact reference; this
 //! module is the *accuracy-gated* tier layered on top of it. Its
@@ -8,18 +7,15 @@
 //! strong in the others:
 //!
 //! - **vs f64**: approximate. f32 products agree with the f64 reference
-//!   to f32 rounding; int8 products agree to the quantization grid. The
-//!   gates live upstream (parity-at-tolerance suites, the accuracy-delta
-//!   checks in `exp_throughput`).
+//!   to f32 rounding. The gates live upstream (parity-at-tolerance
+//!   suites, the accuracy-delta check in `exp_throughput`).
 //! - **vs itself**: exact. Every kernel here is bit-stable across thread
 //!   counts and batch shapes, by the same construction the f64 family
 //!   uses — the parallel variants deal *whole output rows* to workers
 //!   running the identical serial kernel, the serial kernels use
 //!   fixed-width accumulator blocking (never length-dependent
 //!   reassociation), and the dispatcher picks the kernel class from
-//!   per-row work only. Int8 goes further: i32 accumulation is exact
-//!   integer arithmetic, so its sums are associative and any split
-//!   yields the same bits.
+//!   per-row work only.
 //!
 //! The f32 blocked kernel mirrors the f64 one: it computes a range of
 //! output columns read in place ([`matmul_f32_columns`]), and on x86-64
@@ -719,219 +715,6 @@ pub fn matmul_f32_columns(
     Ok(out)
 }
 
-/// A per-row affine-quantized int8 matrix (TFLite-style asymmetric
-/// scheme): row `i` stores `q` such that `x ≈ scale[i] * (q - zero[i])`.
-///
-/// The quantization range of every row is widened to include 0, so
-/// exact zeros (padding slots, one-hot gaps) survive the round trip
-/// exactly — the same concern that drives `noble-quantize`'s grid
-/// anchoring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedMatrixI8 {
-    rows: usize,
-    cols: usize,
-    data: Vec<i8>,
-    scales: Vec<f32>,
-    zeros: Vec<i32>,
-    /// Per-row sums of the raw codes, precomputed so the affine
-    /// cross-terms of the quantized product cost O(1) per output.
-    row_sums: Vec<i32>,
-}
-
-impl QuantizedMatrixI8 {
-    /// Quantizes each row of `m` to int8 with its own scale/zero-point.
-    #[must_use]
-    pub fn quantize(m: &MatrixF32) -> QuantizedMatrixI8 {
-        let (rows, cols) = m.shape();
-        let mut data = vec![0i8; rows * cols];
-        let mut scales = vec![1.0f32; rows];
-        let mut zeros = vec![0i32; rows];
-        let mut row_sums = vec![0i32; rows];
-        for i in 0..rows {
-            let row = m.row(i);
-            // Widen the range to include 0 so it is exactly representable.
-            let mut lo = 0.0f32;
-            let mut hi = 0.0f32;
-            for &v in row {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            let scale = ((hi - lo) / 255.0).max(f32::MIN_POSITIVE);
-            // Map `lo` to -128; 0 then lands on an exact integer code.
-            let zero = (-128.0 - lo / scale).round() as i32;
-            let out = &mut data[i * cols..(i + 1) * cols];
-            let mut sum = 0i32;
-            for (o, &v) in out.iter_mut().zip(row) {
-                let q = ((v / scale).round() as i32 + zero).clamp(-128, 127);
-                *o = q as i8;
-                sum += q;
-            }
-            scales[i] = scale;
-            zeros[i] = zero;
-            row_sums[i] = sum;
-        }
-        QuantizedMatrixI8 {
-            rows,
-            cols,
-            data,
-            scales,
-            zeros,
-            row_sums,
-        }
-    }
-
-    /// Quantizes an f64 matrix (rounds through f32 first).
-    #[must_use]
-    pub fn quantize_f64(m: &Matrix) -> QuantizedMatrixI8 {
-        QuantizedMatrixI8::quantize(&MatrixF32::from_f64(m))
-    }
-
-    /// Dequantizes back to f32 (for tests and round-trip bounds).
-    #[must_use]
-    pub fn dequantize(&self) -> MatrixF32 {
-        let mut out = MatrixF32::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            let scale = self.scales[i];
-            let zero = self.zeros[i];
-            let src = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (o, &q) in out.row_mut(i).iter_mut().zip(src) {
-                *o = scale * (i32::from(q) - zero) as f32;
-            }
-        }
-        out
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The worst-case absolute round-trip error of row `i` (half a
-    /// quantization step).
-    #[must_use]
-    pub fn row_step(&self, i: usize) -> f32 {
-        self.scales[i]
-    }
-}
-
-/// Computes output rows `first_row..` of the quantized product into
-/// `out_chunk`. Whole-row deal + exact integer accumulation ⇒ any
-/// thread split is bit-identical.
-fn quantized_rows(
-    a: &QuantizedMatrixI8,
-    w_t: &QuantizedMatrixI8,
-    first_row: usize,
-    out_chunk: &mut [f32],
-) {
-    let k = a.cols;
-    let n = w_t.rows;
-    if n == 0 || out_chunk.is_empty() {
-        return;
-    }
-    let chunk_rows = out_chunk.len() / n;
-    let k_i32 = k as i32;
-    // Pre-widen both operands to i16: `i32·i32` products of sign-extended
-    // i8 loads stay scalar at the baseline target, but the i16 form is
-    // the `pmaddwd` idiom LLVM's reduction vectorizer recognizes (8
-    // multiply-accumulates per instruction). Weights widen once per
-    // chunk (amortized over every row the worker owns), activations once
-    // per row. Integer adds are exact, so reassociation by the
-    // vectorizer cannot change the result.
-    let w_wide: Vec<i16> = w_t.data.iter().map(|&v| i16::from(v)).collect();
-    let mut a_wide: Vec<i16> = vec![0; k];
-    for i in 0..chunk_rows {
-        let ai = first_row + i;
-        let a_row = &a.data[ai * k..(ai + 1) * k];
-        for (wide, &q) in a_wide.iter_mut().zip(a_row) {
-            *wide = i16::from(q);
-        }
-        let (za, sa) = (a.zeros[ai], a.scales[ai]);
-        let a_sum = a.row_sums[ai];
-        let out_row = &mut out_chunk[i * n..(i + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let w_row = &w_wide[j * k..(j + 1) * k];
-            let dot: i32 = a_wide
-                .iter()
-                .zip(w_row)
-                .map(|(&qa, &qw)| i32::from(qa) * i32::from(qw))
-                .sum();
-            // Σ (qa - za)(qw - zw) = Σ qa·qw - zw Σ qa - za Σ qw + k·za·zw
-            let (zw, sw) = (w_t.zeros[j], w_t.scales[j]);
-            let corrected = dot - zw * a_sum - za * w_t.row_sums[j] + k_i32 * za * zw;
-            *o = sa * sw * corrected as f32;
-        }
-    }
-}
-
-/// Quantized product `a * w_t^T` with the RHS **already transposed**
-/// (`w_t` is `(n, k)`: one quantized row per output channel — the
-/// natural write-once layout for lowered weights).
-///
-/// Accumulation is exact i32 over `(qa - za)(qw - zw)` (computed via the
-/// precomputed row-sum expansion), dequantized by `scale_a * scale_w`
-/// per output. Because integer addition is associative, the result is
-/// bit-identical for any thread count or batch shape by arithmetic
-/// alone.
-///
-/// # Errors
-///
-/// [`LinalgError::ShapeMismatch`] when `a.cols() != w_t.cols()`.
-pub fn matmul_i8(a: &QuantizedMatrixI8, w_t: &QuantizedMatrixI8) -> Result<MatrixF32, LinalgError> {
-    let threads = num_threads();
-    let flops = a.rows * a.cols * w_t.rows;
-    // Int8 MACs are ~4x cheaper than f64 FLOPs; reuse the f64 spawn
-    // threshold unscaled, which only errs toward spawning later.
-    let workers = if threads > 1 {
-        threads.min(flops / PARALLEL_MIN_CHUNK_FLOPS).min(a.rows)
-    } else {
-        1
-    };
-    matmul_i8_parallel(a, w_t, workers)
-}
-
-/// Quantized product `a * w_t^T` on an explicit worker count (see
-/// [`matmul_i8`]); `threads <= 1` runs serially. Bit-identical across
-/// `threads` by exact integer accumulation.
-///
-/// # Errors
-///
-/// [`LinalgError::ShapeMismatch`] when `a.cols() != w_t.cols()`.
-pub fn matmul_i8_parallel(
-    a: &QuantizedMatrixI8,
-    w_t: &QuantizedMatrixI8,
-    threads: usize,
-) -> Result<MatrixF32, LinalgError> {
-    if a.cols != w_t.cols {
-        return Err(LinalgError::ShapeMismatch {
-            op: "matmul_i8",
-            lhs: (a.rows, a.cols),
-            rhs: (w_t.cols, w_t.rows),
-        });
-    }
-    let (m, n) = (a.rows, w_t.rows);
-    let mut out = MatrixF32::zeros(m, n);
-    if m == 0 || n == 0 {
-        return Ok(out);
-    }
-    let rows_per_chunk = m.div_ceil(threads.max(1)).max(1);
-    parallel_chunks_mut(
-        &mut out.data,
-        rows_per_chunk * n,
-        threads,
-        |chunk_index, chunk| {
-            quantized_rows(a, w_t, chunk_index * rows_per_chunk, chunk);
-        },
-    );
-    Ok(out)
-}
-
 /// Fast elementwise `tanh` for the reduced-precision tier.
 ///
 /// The exact f64 path calls libm's `tanh`, which costs more than an
@@ -940,8 +723,8 @@ pub fn matmul_i8_parallel(
 /// polynomial instead: the `[7/8]` Padé continued-fraction truncation
 /// below `|x| < 5`, saturating to `±1` beyond. Absolute error is
 /// ≤ 1.5e-5 for `|x| ≤ 4` and ≤ 1.1e-4 at the `|x| = 5` crossover
-/// (where `1 - tanh` itself is 9.1e-5) — an order of magnitude under
-/// the int8 grid and absorbed by the f32 tier's argmax decode.
+/// (where `1 - tanh` itself is 9.1e-5) — absorbed by the f32 tier's
+/// argmax decode.
 ///
 /// Deterministic and elementwise, so it inherits the tier's
 /// batch-shape and thread-count bit-stability for free.
@@ -1129,64 +912,12 @@ mod tests {
     }
 
     #[test]
-    fn quantize_round_trip_is_within_one_step_and_keeps_zeros() {
-        let m = MatrixF32::from_f64(&deterministic(9, 37, 5));
-        let q = QuantizedMatrixI8::quantize(&m);
-        let back = q.dequantize();
-        for i in 0..m.rows() {
-            let step = q.row_step(i);
-            for (a, b) in m.row(i).iter().zip(back.row(i)) {
-                assert!((a - b).abs() <= step, "row {i}: {a} vs {b} (step {step})");
-            }
-        }
-        // Exact zeros survive: the quantization range always includes 0.
-        let mut z = MatrixF32::from_f64(&deterministic(2, 8, 6));
-        z.row_mut(0)[3] = 0.0;
-        let back = QuantizedMatrixI8::quantize(&z).dequantize();
-        assert_eq!(back.row(0)[3], 0.0);
-        // Degenerate all-zero row round-trips to zeros.
-        let zero = MatrixF32::zeros(1, 5);
-        assert_eq!(QuantizedMatrixI8::quantize(&zero).dequantize(), zero);
-    }
-
-    #[test]
-    fn i8_matmul_tracks_f64_reference_within_quantization_bound() {
-        for &(m, k, n) in &[(4, 24, 6), (16, 96, 32)] {
-            let a = deterministic(m, k, 7);
-            let w = deterministic(k, n, 8);
-            let reference = matmul_naive(&a, &w).unwrap();
-            let qa = QuantizedMatrixI8::quantize_f64(&a);
-            let qw = QuantizedMatrixI8::quantize_f64(&w.transpose());
-            let got = matmul_i8(&qa, &qw).unwrap().to_f64();
-            // Per-element error ≤ k * (|a|max * step_w + |w|max * step_a +
-            // step_a * step_w); inputs are O(4), steps ~ 8/255 ≈ 0.03.
-            let bound = k as f64 * 0.3;
-            let diff = reference.max_abs_diff(&got).unwrap();
-            assert!(diff < bound, "{m}x{k}x{n}: int8 drifted {diff} > {bound}");
-        }
-    }
-
-    #[test]
-    fn i8_matmul_bit_identical_across_thread_counts() {
-        let qa = QuantizedMatrixI8::quantize_f64(&deterministic(33, 48, 9));
-        let qw = QuantizedMatrixI8::quantize_f64(&deterministic(21, 48, 10));
-        let serial = matmul_i8_parallel(&qa, &qw, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let par = matmul_i8_parallel(&qa, &qw, threads).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn lowp_kernels_reject_shape_mismatch() {
         let a = MatrixF32::zeros(2, 3);
         let b = MatrixF32::zeros(2, 3);
         assert!(matmul_f32_naive(&a, &b).is_err());
         assert!(matmul_f32_blocked(&a, &b).is_err());
         assert!(matmul_f32_parallel(&a, &b, 2).is_err());
-        let qa = QuantizedMatrixI8::quantize(&a);
-        let qw = QuantizedMatrixI8::quantize(&MatrixF32::zeros(4, 4));
-        assert!(matmul_i8(&qa, &qw).is_err());
     }
 
     #[test]
@@ -1221,9 +952,7 @@ mod tests {
         let a = MatrixF32::zeros(0, 4);
         let b = MatrixF32::zeros(4, 3);
         assert_eq!(matmul_f32_parallel(&a, &b, 4).unwrap().shape(), (0, 3));
-        let qa = QuantizedMatrixI8::quantize(&MatrixF32::zeros(3, 0));
-        let qw = QuantizedMatrixI8::quantize(&MatrixF32::zeros(2, 0));
-        let out = matmul_i8(&qa, &qw).unwrap();
+        let out = matmul_f32_parallel(&MatrixF32::zeros(3, 0), &MatrixF32::zeros(0, 2), 4).unwrap();
         assert_eq!(out.shape(), (3, 2));
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
     }

@@ -176,9 +176,10 @@ impl Matrix {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
-    /// Iterator over rows as slices.
+    /// Iterator over rows as slices: one per row, empty when the matrix
+    /// has no columns.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
+        (0..self.rows).map(move |i| &self.data[i * self.cols..(i + 1) * self.cols])
     }
 
     /// Returns the transpose.
@@ -697,6 +698,17 @@ mod tests {
         let a = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.sum(), 7.0);
+    }
+
+    #[test]
+    fn iter_rows_yields_one_slice_per_row_even_without_columns() {
+        let m = Matrix::zeros(3, 0);
+        assert_eq!(m.iter_rows().count(), 3);
+        assert!(m.iter_rows().all(<[f64]>::is_empty));
+        assert_eq!(Matrix::zeros(0, 4).iter_rows().count(), 0);
+        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let rows: Vec<&[f64]> = a.iter_rows().collect();
+        assert_eq!(rows, [&[1.0, 2.0][..], &[3.0, 4.0][..]]);
     }
 
     #[test]

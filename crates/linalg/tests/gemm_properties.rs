@@ -2,13 +2,12 @@
 //! threaded paths must agree with the naive reference across arbitrary
 //! shapes and values, and batched products must agree with row-at-a-time
 //! products (the invariant the batched inference engine rests on).
-//! The reduced-precision kernels (f32 family, int8 quantized) are held
-//! to the same structure at their tier's tolerance.
+//! The reduced-precision f32 kernels are held to the same structure at
+//! their tier's tolerance.
 
 use noble_linalg::{
     matmul_blocked, matmul_f32, matmul_f32_blocked, matmul_f32_naive, matmul_f32_parallel,
-    matmul_i8, matmul_i8_parallel, matmul_naive, matmul_parallel, matmul_transposed,
-    set_num_threads, Matrix, MatrixF32, QuantizedMatrixI8,
+    matmul_naive, matmul_parallel, matmul_transposed, set_num_threads, Matrix, MatrixF32,
 };
 use proptest::prelude::*;
 
@@ -112,39 +111,6 @@ proptest! {
             let single = MatrixF32::from_vec(1, k, a32.row(i).to_vec()).unwrap();
             let got = matmul_f32(&single, &b32).unwrap();
             prop_assert_eq!(got.as_slice(), dispatched.row(i));
-        }
-    }
-
-    /// The int8 quantized product stays inside the affine-grid error
-    /// bound versus the f64 reference across arbitrary shapes, and the
-    /// threaded path is bit-identical at any thread count.
-    #[test]
-    fn i8_kernel_is_bounded_and_thread_stable(
-        dims in (1usize..32, 1usize..48, 1usize..32, 0u64..1 << 16),
-    ) {
-        let (m, k, n, salt) = dims;
-        let a = matrix_strategy(m..m + 1, k..k + 1)
-            .generate(&mut proptest::test_runner::TestRng::new(salt));
-        let b = matrix_strategy(k..k + 1, n..n + 1)
-            .generate(&mut proptest::test_runner::TestRng::new(salt ^ 0xABCD));
-        let reference = matmul_naive(&a, &b).unwrap();
-
-        let qa = QuantizedMatrixI8::quantize_f64(&a);
-        // The weight side quantizes the transpose (row-major over the
-        // contraction axis), as the lowered network stages do.
-        let qb = QuantizedMatrixI8::quantize_f64(&b.transpose());
-        let got = matmul_i8(&qa, &qb).unwrap();
-        // One affine step is ~(range/255); values here span ~12.9, and
-        // both operands contribute, so k * 0.5 comfortably bounds the
-        // accumulated grid error while still catching real defects.
-        let bound = k as f64 * 0.5;
-        prop_assert!(
-            reference.max_abs_diff(&got.to_f64()).unwrap() <= bound,
-            "int8 product drifts past the calibrated bound for {m}x{k}x{n}"
-        );
-        for threads in [1usize, 2, 4] {
-            let par = matmul_i8_parallel(&qa, &qb, threads).unwrap();
-            prop_assert_eq!(par.as_slice(), got.as_slice());
         }
     }
 

@@ -25,7 +25,7 @@ const FMA_INTRINSICS: [&str; 4] = ["_fmadd", "_fmsub", "_fnmadd", "_fnmsub"];
 /// reassociate), and fusing a multiply into an add. FMA rounds once
 /// where the reference rounds twice, so `.mul_add(`, an FMA intrinsic or
 /// a `target_feature(enable = "…fma…")` would make the SIMD kernel
-/// disagree with its portable twin. The f32/int8 fast path lives in
+/// disagree with its portable twin. The f32 fast path lives in
 /// path-scoped modules behind explicit accuracy gates; it must not leak
 /// into the reference kernels.
 pub struct FloatDeterminism;

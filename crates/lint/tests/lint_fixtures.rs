@@ -142,7 +142,7 @@ fn the_real_tree_is_clean_under_the_checked_in_policy() {
 
 #[test]
 fn lowered_precision_modules_are_sanctioned_by_path_scope() {
-    // The reduced-precision tier (f32/int8 kernels, lowered models) is
+    // The reduced-precision tier (f32 kernels, lowered models) is
     // carved out of `float-determinism` as a *policy* decision — one
     // scoped exclude per module — rather than line allows scattered
     // through the narrowing code. The exact kernels around those

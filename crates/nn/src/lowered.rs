@@ -1,10 +1,8 @@
 //! Reduced-precision inference lowering: [`Mlp`] → [`LoweredMlp`].
 //!
 //! The serving fast path trades the f64 reference's bit-exactness for
-//! speed behind an explicit accuracy gate (ROADMAP "f32 / quantized /
-//! SIMD inference fast path"). Lowering happens **once, off the hot
-//! path**: every dense layer's weights are narrowed to f32 (or
-//! row-quantized to int8 with per-output-channel scale/zero-point), and
+//! speed behind an explicit accuracy gate. Lowering happens **once, off
+//! the hot path**: every dense layer's weights are narrowed to f32, and
 //! every batch-norm stage is folded into a per-feature affine
 //! `y = scale ⊙ x + shift` — the inference-mode normalization
 //! `γ (x - μ) / √(σ² + ε) + β` collapsed to two vectors, so the lowered
@@ -12,23 +10,22 @@
 //!
 //! The result is immutable ([`LoweredMlp::predict_batch`] takes `&self`,
 //! unlike the cache-carrying [`Mlp`]) and deterministic in the same axes
-//! as the f64 path: the f32 tier rides `noble_linalg::matmul_f32`'s
-//! batch-shape/thread-count invariance, and the int8 tier's i32
-//! accumulation is exact integer arithmetic. What it does *not* promise
-//! is agreement with f64 beyond the gated tolerance — that contract is
+//! as the f64 path: it rides `noble_linalg::matmul_f32`'s
+//! batch-shape/thread-count invariance. What it does *not* promise is
+//! agreement with f64 beyond the gated tolerance — that contract is
 //! pinned by the precision-parity suites, not by construction.
 //!
 //! This module is carved out of the `float-determinism` lint scope by
 //! `noble-lint.toml`: narrowing is its entire job.
 
 use crate::{Activation, Mlp, MlpLayerSpec, NnError};
-use noble_linalg::{matmul_f32, matmul_i8, Matrix, MatrixF32, QuantizedMatrixI8};
+use noble_linalg::{matmul_f32, Matrix, MatrixF32};
 
 /// Which arithmetic an inference pass runs in.
 ///
 /// `Exact` is the f64 reference path — bit-identical across batch
-/// shapes, thread counts, and snapshot round trips. `F32` and `Int8`
-/// are the accuracy-gated lowered tiers served by [`LoweredMlp`].
+/// shapes, thread counts, and snapshot round trips. `F32` is the
+/// accuracy-gated lowered tier served by [`LoweredMlp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InferencePrecision {
     /// Double-precision reference inference (the default).
@@ -36,9 +33,6 @@ pub enum InferencePrecision {
     Exact,
     /// Single-precision lowered inference (~1e-7 relative arithmetic).
     F32,
-    /// Int8 row-quantized lowered inference (quantization-grid accuracy,
-    /// exact i32 accumulation).
-    Int8,
 }
 
 impl InferencePrecision {
@@ -48,7 +42,6 @@ impl InferencePrecision {
         match self {
             InferencePrecision::Exact => "exact",
             InferencePrecision::F32 => "f32",
-            InferencePrecision::Int8 => "int8",
         }
     }
 }
@@ -68,21 +61,13 @@ enum Stage {
     /// f32 dense layer: untransposed `(in, out)` weights for the
     /// dispatching [`matmul_f32`] family, plus the bias row.
     DenseF32 { weights: MatrixF32, bias: Vec<f32> },
-    /// Int8 dense layer: weights quantized per **output channel** (the
-    /// transposed `(out, in)` layout [`matmul_i8`] consumes), plus the
-    /// bias row in f32. Activations are quantized per-row dynamically
-    /// at each call.
-    DenseI8 {
-        weights_t: QuantizedMatrixI8,
-        bias: Vec<f32>,
-    },
     /// A batch-norm stage folded to `y = scale ⊙ x + shift`.
     Affine { scale: Vec<f32>, shift: Vec<f32> },
     /// Element-wise activation, evaluated in f32.
     Activation(Activation),
 }
 
-/// An immutable, reduced-precision lowering of a trained [`Mlp`].
+/// An immutable, single-precision lowering of a trained [`Mlp`].
 ///
 /// Built once via [`LoweredMlp::lower`] from the network's public
 /// surface (`layer_specs` + `params` + `running_stats`); the progenitor
@@ -92,11 +77,10 @@ pub struct LoweredMlp {
     stages: Vec<Stage>,
     in_dim: usize,
     out_dim: usize,
-    precision: InferencePrecision,
 }
 
 impl LoweredMlp {
-    /// Lowers `mlp` into the requested reduced-precision tier.
+    /// Lowers `mlp` into the f32 tier.
     ///
     /// Batch-norm folding happens in f64 (`γ / √(σ² + ε)` and
     /// `β - μ · scale`) before narrowing, so the affine constants carry
@@ -110,8 +94,7 @@ impl LoweredMlp {
     pub fn lower(mlp: &Mlp, precision: InferencePrecision) -> Result<LoweredMlp, NnError> {
         if precision == InferencePrecision::Exact {
             return Err(NnError::InvalidConfig(
-                "InferencePrecision::Exact is the f64 Mlp itself; lowering applies to F32/Int8"
-                    .into(),
+                "InferencePrecision::Exact is the f64 Mlp itself; lowering applies to F32".into(),
             ));
         }
         let params = mlp.params();
@@ -127,17 +110,10 @@ impl LoweredMlp {
                     next_param += 2;
                     let bias: Vec<f32> = bias.as_slice().iter().map(|&v| narrow(v)).collect();
                     debug_assert_eq!(bias.len(), out_dim);
-                    match precision {
-                        InferencePrecision::F32 => stages.push(Stage::DenseF32 {
-                            weights: MatrixF32::from_f64(weights),
-                            bias,
-                        }),
-                        InferencePrecision::Int8 => stages.push(Stage::DenseI8 {
-                            weights_t: QuantizedMatrixI8::quantize_f64(&weights.transpose()),
-                            bias,
-                        }),
-                        InferencePrecision::Exact => unreachable!("rejected above"),
-                    }
+                    stages.push(Stage::DenseF32 {
+                        weights: MatrixF32::from_f64(weights),
+                        bias,
+                    });
                 }
                 MlpLayerSpec::BatchNorm { dim } => {
                     let gamma = params[next_param].value.as_slice();
@@ -161,7 +137,6 @@ impl LoweredMlp {
             stages,
             in_dim: mlp.in_dim(),
             out_dim: mlp.out_dim(),
-            precision,
         })
     }
 
@@ -177,15 +152,8 @@ impl LoweredMlp {
         self.out_dim
     }
 
-    /// The tier this network was lowered to (never `Exact`).
-    #[must_use]
-    pub fn precision(&self) -> InferencePrecision {
-        self.precision
-    }
-
     /// Approximate bytes held by the lowered parameters (for bench and
-    /// capacity reporting): 4 per f32 scalar, 1 per int8 code plus its
-    /// per-row metadata.
+    /// capacity reporting): 4 per f32 scalar.
     #[must_use]
     pub fn parameter_bytes(&self) -> usize {
         self.stages
@@ -193,9 +161,6 @@ impl LoweredMlp {
             .map(|s| match s {
                 Stage::DenseF32 { weights, bias } => {
                     weights.rows() * weights.cols() * 4 + bias.len() * 4
-                }
-                Stage::DenseI8 { weights_t, bias } => {
-                    weights_t.rows() * weights_t.cols() + weights_t.rows() * 8 + bias.len() * 4
                 }
                 Stage::Affine { scale, shift } => (scale.len() + shift.len()) * 4,
                 Stage::Activation(_) => 0,
@@ -205,7 +170,7 @@ impl LoweredMlp {
 
     /// Batched inference in the lowered tier: f64 features in, f64
     /// outputs out (widened from f32 — exact), with all internal
-    /// arithmetic reduced-precision.
+    /// arithmetic in f32.
     ///
     /// Immutable by design: lowered inference keeps no caches, so one
     /// lowered model can serve concurrently without interior state.
@@ -227,16 +192,6 @@ impl LoweredMlp {
             cur = match stage {
                 Stage::DenseF32 { weights, bias } => {
                     let mut y = matmul_f32(&cur, weights)?;
-                    for i in 0..y.rows() {
-                        for (o, &b) in y.row_mut(i).iter_mut().zip(bias) {
-                            *o += b;
-                        }
-                    }
-                    y
-                }
-                Stage::DenseI8 { weights_t, bias } => {
-                    let qx = QuantizedMatrixI8::quantize(&cur);
-                    let mut y = matmul_i8(&qx, weights_t)?;
                     for i in 0..y.rows() {
                         for (o, &b) in y.row_mut(i).iter_mut().zip(bias) {
                             *o += b;
@@ -309,35 +264,19 @@ mod tests {
         let got = lowered.predict_batch(&x).unwrap();
         let diff = exact.max_abs_diff(&got).unwrap();
         assert!(diff < 1e-4, "f32 lowering drifted {diff}");
-        assert_eq!(lowered.precision(), InferencePrecision::F32);
         assert_eq!((lowered.in_dim(), lowered.out_dim()), (6, 4));
-    }
-
-    #[test]
-    fn int8_lowering_tracks_the_f64_reference_loosely() {
-        let mut mlp = trained_network(5);
-        let x = features(24);
-        let exact = mlp.predict(&x).unwrap();
-        let lowered = LoweredMlp::lower(&mlp, InferencePrecision::Int8).unwrap();
-        let got = lowered.predict_batch(&x).unwrap();
-        // Tanh saturation keeps activations O(1); the per-layer grid is
-        // ~1/127, so end-to-end drift stays well under one logit unit.
-        let diff = exact.max_abs_diff(&got).unwrap();
-        assert!(diff < 0.5, "int8 lowering drifted {diff}");
     }
 
     #[test]
     fn lowered_inference_is_batch_shape_invariant() {
         let mlp = trained_network(7);
         let x = features(16);
-        for precision in [InferencePrecision::F32, InferencePrecision::Int8] {
-            let lowered = LoweredMlp::lower(&mlp, precision).unwrap();
-            let full = lowered.predict_batch(&x).unwrap();
-            for i in 0..x.rows() {
-                let row = Matrix::from_vec(1, x.cols(), x.row(i).to_vec()).unwrap();
-                let alone = lowered.predict_batch(&row).unwrap();
-                assert_eq!(full.row(i), alone.row(0), "{precision:?} row {i}");
-            }
+        let lowered = LoweredMlp::lower(&mlp, InferencePrecision::F32).unwrap();
+        let full = lowered.predict_batch(&x).unwrap();
+        for i in 0..x.rows() {
+            let row = Matrix::from_vec(1, x.cols(), x.row(i).to_vec()).unwrap();
+            let alone = lowered.predict_batch(&row).unwrap();
+            assert_eq!(full.row(i), alone.row(0), "row {i}");
         }
     }
 
@@ -361,18 +300,13 @@ mod tests {
         let f32_bytes = LoweredMlp::lower(&mlp, InferencePrecision::F32)
             .unwrap()
             .parameter_bytes();
-        let i8_bytes = LoweredMlp::lower(&mlp, InferencePrecision::Int8)
-            .unwrap()
-            .parameter_bytes();
         assert!(f32_bytes * 2 <= f64_bytes + 8);
-        assert!(i8_bytes < f32_bytes);
     }
 
     #[test]
     fn precision_labels_are_stable() {
         assert_eq!(InferencePrecision::Exact.label(), "exact");
         assert_eq!(InferencePrecision::F32.label(), "f32");
-        assert_eq!(InferencePrecision::Int8.label(), "int8");
         assert_eq!(InferencePrecision::default(), InferencePrecision::Exact);
     }
 }

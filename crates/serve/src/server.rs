@@ -125,7 +125,7 @@ pub struct BatchConfig {
     pub away_timeout: Option<u64>,
     /// Inference tier shards serve in. `Exact` — the default — serves
     /// the f64 models untouched (bit-identical to every earlier
-    /// release). `F32` / `Int8` lower each model once, off the hot path
+    /// release). `F32` lowers each model once, off the hot path
     /// (right after its worker leases it), via
     /// [`Localizer::try_lower`]; models that cannot lower (e.g. the kNN
     /// radio map) keep serving exact. Lowered shards stay within the

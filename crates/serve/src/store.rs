@@ -277,7 +277,9 @@ impl FsStore {
 
     /// Writes `snapshot` to `root/<name>` atomically: complete bytes go
     /// to a per-writer temp file, synced, then a rename publishes the
-    /// final name — a reader can never observe partial bytes.
+    /// final name — a reader can never observe partial bytes. A failed
+    /// write removes its temp file; a successful one syncs the directory,
+    /// so the published name survives a crash.
     fn write_atomic(&self, name: &str, snapshot: &ModelSnapshot) -> Result<(), ServeError> {
         // The temp name is unique per writer and per call, so two
         // concurrent puts of the same key never interleave writes into
@@ -294,12 +296,28 @@ impl FsStore {
         };
         let bytes = Self::encode(snapshot);
         let mut file = fs::File::create(&tmp).map_err(|e| io("create temp for", e))?;
-        file.write_all(&bytes).map_err(|e| io("write", e))?;
         // Flush file contents before the rename publishes the path, so a
         // reader can never observe the final name with partial bytes.
-        file.sync_all().map_err(|e| io("sync", e))?;
+        let written = file
+            .write_all(&bytes)
+            .map_err(|e| io("write", e))
+            .and_then(|()| file.sync_all().map_err(|e| io("sync", e)));
         drop(file);
-        fs::rename(&tmp, &path).map_err(|e| io("publish", e))
+        let published =
+            written.and_then(|()| fs::rename(&tmp, &path).map_err(|e| io("publish", e)));
+        if let Err(e) = published {
+            // Best effort: the write error is the one worth reporting.
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
+        // The rename lives in the directory: sync it too, or a crash may
+        // lose a put already reported as successful. (Only Unix can open a
+        // directory to sync it.)
+        #[cfg(unix)]
+        fs::File::open(&self.root)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| io("sync the directory of", e))?;
+        Ok(())
     }
 
     fn read_name(&self, name: &str) -> Result<Option<ModelSnapshot>, ServeError> {

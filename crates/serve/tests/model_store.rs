@@ -96,6 +96,32 @@ fn fs_store_detects_corruption_as_typed_error() {
     assert_eq!(store.list().unwrap(), vec![key]);
 }
 
+/// A put whose publish step fails reports a typed store error and leaves
+/// no temp file behind. The active file's path is a non-empty directory
+/// here, which the publishing `rename` cannot replace.
+#[test]
+fn a_failed_put_leaves_no_temp_file_behind() {
+    let campaign = quick_campaign();
+    let snapshot = SnapshotLocalizer::snapshot(&KnnFingerprint::fit(&campaign, 3).unwrap());
+    let dir = store_dir("failed-put");
+    let store = FsStore::open(&dir).unwrap();
+    std::fs::create_dir_all(dir.join("b0.snap").join("occupied")).unwrap();
+    assert!(matches!(
+        store.put(ShardKey::building(0), &snapshot),
+        Err(ServeError::Store(_))
+    ));
+    let temps: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(temps.is_empty(), "a failed put left {temps:?} behind");
+    // The store keeps working for every other key.
+    let other = ShardKey::building(1);
+    store.put(other, &snapshot).unwrap();
+    assert_eq!(store.get(other).unwrap(), Some(snapshot));
+}
+
 /// Budget N over >N shards: the resident tier never exceeds N while
 /// every shard keeps answering, and answers are bit-identical to the
 /// original models across eviction/hydration cycles.

@@ -8,9 +8,9 @@
 mod common;
 
 use common::{fast_model_cfg, quick_campaign, registry_cfg};
-use noble::wifi::{KnnFingerprint, WifiNoble, WifiNobleConfig};
+use noble::wifi::{KnnFingerprint, WifiNoble};
 use noble::Localizer;
-use noble_datasets::{uji_campaign, CampusConfig, UjiConfig, WifiCampaign};
+use noble_datasets::WifiCampaign;
 use noble_geo::Point;
 use noble_linalg::Matrix;
 use noble_serve::{
@@ -38,10 +38,15 @@ fn direct_reference(campaign: &WifiCampaign) -> Vec<(ShardKey, Vec<Vec<f64>>, Ve
         .collect()
 }
 
-/// Mean position distance between served and reference fixes.
-fn mean_drift(got: &[Point], expected: &[Point]) -> f64 {
-    let total: f64 = got.iter().zip(expected).map(|(g, e)| g.distance(*e)).sum();
-    total / expected.len().max(1) as f64
+/// The f32 tier's gate: every served fix within 1e-4 m of exact.
+fn assert_within_f32_gate(got: &[Point], expected: &[Point], context: &str) {
+    assert_eq!(got.len(), expected.len(), "{context}: one fix per row");
+    for (g, e) in got.iter().zip(expected) {
+        assert!(
+            g.distance(*e) <= 1e-4,
+            "{context}: f32 served fix {g} drifted from exact {e}"
+        );
+    }
 }
 
 #[test]
@@ -372,13 +377,11 @@ fn idle_shards_spin_down_and_rewarm_bit_identically() {
     server.shutdown();
 }
 
-/// Reduced-precision serving: lowered shards stay inside their tier's
-/// accuracy gate (f32 within 1e-4 m of exact; int8 matching at least
-/// 90% of exact fixes with a mean drift of at most 0.5 m), the default
-/// config still serves the exact tier
-/// bit-identically, and demand-paged write-through persists the exact
-/// f64 state even while shards serve lowered. CI greps for this test by
-/// name — do not rename it casually.
+/// Reduced-precision serving: lowered shards stay inside the f32 tier's
+/// accuracy gate (within 1e-4 m of exact), the default config still
+/// serves the exact tier bit-identically, and demand-paged write-through
+/// persists the exact f64 state even while shards serve lowered. CI
+/// greps for this test by name — do not rename it casually.
 #[test]
 fn lowered_precision_serving_is_gated_and_writes_back_exact() {
     let campaign = quick_campaign();
@@ -391,7 +394,6 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
     for precision in [
         noble::InferencePrecision::Exact,
         noble::InferencePrecision::F32,
-        noble::InferencePrecision::Int8,
     ] {
         let server = BatchServer::start(
             resident,
@@ -414,20 +416,7 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
                     assert_eq!(&got, expected, "{key}: exact tier must stay bit-identical");
                 }
                 noble::InferencePrecision::F32 => {
-                    for (g, e) in got.iter().zip(expected) {
-                        assert!(
-                            g.distance(*e) <= 1e-4,
-                            "{key}: f32 served fix {g} drifted from exact {e}"
-                        );
-                    }
-                }
-                noble::InferencePrecision::Int8 => {
-                    let hits = got.iter().zip(expected).filter(|(g, e)| g == e).count();
-                    assert!(
-                        hits as f64 >= 0.9 * expected.len() as f64,
-                        "{key}: int8 matched only {hits}/{} exact fixes",
-                        expected.len()
-                    );
+                    assert_within_f32_gate(&got, expected, &format!("{key}"));
                 }
             }
         }
@@ -435,7 +424,7 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
         resident = recovered;
     }
 
-    // Demand-paged under heavy eviction pressure while serving int8:
+    // Demand-paged under heavy eviction pressure while serving f32:
     // drains write models back through the store, and that write-through
     // must carry the exact f64 state (the lowered twin's snapshot is its
     // progenitor's), so a later exact hydrate is bit-identical.
@@ -453,7 +442,7 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
         BatchConfig {
             max_batch: 32,
             latency_budget: Duration::from_micros(200),
-            precision: noble::InferencePrecision::Int8,
+            precision: noble::InferencePrecision::F32,
             ..BatchConfig::default()
         },
     )
@@ -465,12 +454,7 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
                 .iter()
                 .map(|row| client.localize(*key, row.clone()).unwrap())
                 .collect();
-            let hits = got.iter().zip(expected).filter(|(g, e)| g == e).count();
-            assert!(
-                hits as f64 >= 0.9 * expected.len() as f64,
-                "{key}: paged int8 matched only {hits}/{} (round {round})",
-                expected.len()
-            );
+            assert_within_f32_gate(&got, expected, &format!("{key} (paged, round {round})"));
         }
     }
     let stats = paged.paged_stats().expect("paged server");
@@ -490,86 +474,12 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
         let got = catalog.localize(*key, &features).unwrap();
         assert_eq!(
             &got, expected,
-            "{key}: write-through lost exact f64 state while serving int8"
+            "{key}: write-through lost exact f64 state while serving f32"
         );
-    }
-
-    // The int8 mean-drift gate (≤ 0.5 m over all served fixes, resident
-    // and paged) on the traffic it was calibrated on: the 2-floor quick
-    // campaign, 128-wide models, 2 epochs, 1 024 fixes. The 32-wide
-    // models above get the match gate only: int8 moves 2 of b2's 24 ~35 m.
-    let campaign = uji_campaign(&UjiConfig {
-        references_per_floor: 25,
-        samples_per_reference: 4,
-        test_samples_per_floor: 30,
-        waps_per_building_floor: 6,
-        campus: CampusConfig {
-            floors: 2,
-            ..CampusConfig::default()
-        },
-        ..UjiConfig::default()
-    })
-    .unwrap();
-    let model_cfg = WifiNobleConfig {
-        hidden_dim: 128,
-        epochs: 2,
-        patience: None,
-        ..WifiNobleConfig::small()
-    };
-    let mut resident = ModelCatalog::from(
-        ShardedRegistry::train_wifi(&campaign, &model_cfg, &registry_cfg()).unwrap(),
-    );
-    let features = campaign.features(&campaign.test);
-    let fixes: Vec<(ShardKey, Vec<f64>)> = (0..1024)
-        .map(|i| {
-            let j = i % features.rows();
-            let key = ShardPolicy::PerBuilding.key_of(&campaign.test[j]);
-            (key, features.row(j).to_vec())
-        })
-        .collect();
-    let exact: Vec<Point> = fixes
-        .iter()
-        .map(|(key, row)| {
-            let row = Matrix::from_rows(std::slice::from_ref(row)).unwrap();
-            resident.localize(*key, &row).unwrap()[0]
-        })
-        .collect();
-    let store = MemStore::new();
-    resident.export_to(&store).unwrap();
-    let paged = ModelCatalog::with_store(CatalogBudget::Count(1), Box::new(store)).unwrap();
-    for (arm, catalog) in [("resident", resident), ("paged", paged)] {
-        let server = BatchServer::start(
-            catalog,
-            BatchConfig {
-                max_batch: 256,
-                latency_budget: Duration::from_micros(200),
-                precision: noble::InferencePrecision::Int8,
-                ..BatchConfig::default()
-            },
-        )
-        .unwrap();
-        let client = server.client();
-        let pending: Vec<_> = fixes
-            .iter()
-            .map(|(key, row)| client.submit(*key, row.clone()).unwrap())
-            .collect();
-        let got: Vec<Point> = pending.into_iter().map(|f| f.wait().unwrap()).collect();
-        let hits = got.iter().zip(&exact).filter(|(g, e)| g == e).count();
-        assert!(
-            hits as f64 >= 0.9 * exact.len() as f64,
-            "{arm}: int8 matched only {hits}/{} exact fixes",
-            exact.len()
-        );
-        let drift = mean_drift(&got, &exact);
-        assert!(
-            drift <= 0.5,
-            "{arm}: int8 mean drift {drift:.3} m exceeds the 0.5 m gate"
-        );
-        server.shutdown();
     }
 }
 
-/// The precision tier must actually engage: under `F32`/`Int8` the
+/// The precision tier must actually engage: under `F32` the
 /// server serves the model's lowered twin, under `Exact` the model
 /// itself. The twin answers a point the original never returns, so any
 /// wrapper that hides `try_lower` shows up as the original's answer.
@@ -614,7 +524,6 @@ fn server_serves_the_lowered_twin_under_a_reduced_tier() {
     for (precision, x) in [
         (InferencePrecision::Exact, 1.0),
         (InferencePrecision::F32, 99.0),
-        (InferencePrecision::Int8, 99.0),
     ] {
         let mut catalog = ModelCatalog::new(CatalogBudget::Unbounded).unwrap();
         catalog.insert(key, Box::new(Original)).unwrap();
