@@ -17,7 +17,7 @@ fn bench_inference(c: &mut Criterion) {
     group.bench_function("single_fingerprint", |b| {
         b.iter_batched(
             || model.clone(),
-            |mut m| m.predict(&single).expect("predict"),
+            |m| m.predict(&single).expect("predict"),
             BatchSize::SmallInput,
         )
     });
@@ -25,7 +25,7 @@ fn bench_inference(c: &mut Criterion) {
         let batch = features.select_rows(&(0..64.min(features.rows())).collect::<Vec<_>>());
         b.iter_batched(
             || model.clone(),
-            |mut m| m.predict(&batch).expect("predict"),
+            |m| m.predict(&batch).expect("predict"),
             BatchSize::SmallInput,
         )
     });
@@ -36,7 +36,7 @@ fn bench_inference(c: &mut Criterion) {
         noble_linalg::set_num_threads(1);
         b.iter_batched(
             || model.clone(),
-            |mut m| m.localize_batch(&rows).expect("localize_batch"),
+            |m| m.localize_batch(&rows).expect("localize_batch"),
             BatchSize::SmallInput,
         );
         noble_linalg::set_num_threads(0);
@@ -44,7 +44,7 @@ fn bench_inference(c: &mut Criterion) {
     group.bench_function("localize_batch_256_threaded", |b| {
         b.iter_batched(
             || model.clone(),
-            |mut m| m.localize_batch(&rows).expect("localize_batch"),
+            |m| m.localize_batch(&rows).expect("localize_batch"),
             BatchSize::SmallInput,
         )
     });

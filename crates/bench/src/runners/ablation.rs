@@ -20,7 +20,7 @@ fn eval_config(
     campaign: &WifiCampaign,
     cfg: &WifiNobleConfig,
 ) -> Result<(f64, f64, f64), Box<dyn std::error::Error>> {
-    let mut model = WifiNoble::train(campaign, cfg)?;
+    let model = WifiNoble::train(campaign, cfg)?;
     let report = model.evaluate(campaign, &campaign.test)?;
     Ok((
         report.position_error.mean,
@@ -52,7 +52,7 @@ pub fn run_tau_sweep(scale: Scale) -> RunnerResult {
         let mut cfg = base.clone();
         cfg.tau = tau;
         cfg.coarse_l = Some((tau * 8.0).max(cfg.coarse_l.unwrap_or(8.0)));
-        let mut model = WifiNoble::train(&campaign, &cfg)?;
+        let model = WifiNoble::train(&campaign, &cfg)?;
         let report = model.evaluate(&campaign, &campaign.test)?;
         table.add_row(vec![
             format!("{tau:.1}"),

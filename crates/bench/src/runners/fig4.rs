@@ -28,15 +28,15 @@ pub fn run(scale: Scale) -> RunnerResult {
     let campaign = uji_campaign(&uji_config(scale))?;
     let features = campaign.features(&campaign.test);
 
-    let mut regression = DeepRegression::train(&campaign, &regression_config(scale))?;
+    let regression = DeepRegression::train(&campaign, &regression_config(scale))?;
     let raw = regression.predict(&features)?;
     let projected = regression.predict_projected(&features, &campaign)?;
 
-    let mut isomap =
+    let isomap =
         ManifoldRegression::train(&campaign, &manifold_config(scale, ManifoldKind::Isomap))?;
     let isomap_preds = isomap.predict(&features)?;
 
-    let mut noble_model = WifiNoble::train(&campaign, &wifi_noble_config(scale))?;
+    let noble_model = WifiNoble::train(&campaign, &wifi_noble_config(scale))?;
     let noble_preds: Vec<Point> = noble_model
         .predict(&features)?
         .into_iter()

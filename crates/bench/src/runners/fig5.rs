@@ -25,7 +25,7 @@ pub fn run(scale: Scale) -> RunnerResult {
     let dataset = ImuDataset::generate(&imu_config(scale))?;
     let truth: Vec<Point> = dataset.test.iter().map(|p| p.end_position).collect();
 
-    let mut regression = ImuDeepRegression::train(&dataset, &imu_regression_config(scale))?;
+    let regression = ImuDeepRegression::train(&dataset, &imu_regression_config(scale))?;
     let refs: Vec<&ImuPathSample> = dataset.test.iter().collect();
     let regression_preds = regression.predict(&refs)?;
 
@@ -35,7 +35,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         .map(DeadReckoning::predict_one)
         .collect();
 
-    let mut noble_model = ImuNoble::train(&dataset, &imu_noble_config(scale))?;
+    let noble_model = ImuNoble::train(&dataset, &imu_noble_config(scale))?;
     let noble_preds = noble_model.predict(&refs)?;
 
     let panels: Vec<(&str, &Vec<Point>)> = vec![

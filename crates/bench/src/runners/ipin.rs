@@ -27,10 +27,10 @@ pub fn run(scale: Scale) -> RunnerResult {
         Scale::Quick => 2.0,
     };
     noble_cfg.coarse_l = Some(noble_cfg.tau * 8.0);
-    let mut noble_model = WifiNoble::train(&campaign, &noble_cfg)?;
+    let noble_model = WifiNoble::train(&campaign, &noble_cfg)?;
     let noble_report = noble_model.evaluate(&campaign, &campaign.test)?;
 
-    let mut regression = DeepRegression::train(&campaign, &regression_config(scale))?;
+    let regression = DeepRegression::train(&campaign, &regression_config(scale))?;
     let regression_summary = regression.evaluate(&campaign, &campaign.test, false)?;
 
     let mut table = TextTable::new(vec![

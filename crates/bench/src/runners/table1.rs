@@ -20,7 +20,7 @@ use noble_datasets::uji_campaign;
 pub fn run(scale: Scale) -> RunnerResult {
     let campaign = uji_campaign(&uji_config(scale))?;
     let cfg = wifi_noble_config(scale);
-    let mut model = WifiNoble::train(&campaign, &cfg)?;
+    let model = WifiNoble::train(&campaign, &cfg)?;
     let report = model.evaluate(&campaign, &campaign.test)?;
 
     let mut out = String::new();

@@ -31,7 +31,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         "PAPER MEDIAN".into(),
     ]);
 
-    let mut regression = DeepRegression::train(&campaign, &regression_config(scale))?;
+    let regression = DeepRegression::train(&campaign, &regression_config(scale))?;
     let raw = regression.evaluate(&campaign, &campaign.test, false)?;
     table.add_row(vec![
         "DEEP REGRESSION".into(),
@@ -49,7 +49,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         "7.16".into(),
     ]);
 
-    let mut isomap =
+    let isomap =
         ManifoldRegression::train(&campaign, &manifold_config(scale, ManifoldKind::Isomap))?;
     let isomap_summary = isomap.evaluate(&campaign, &campaign.test)?;
     table.add_row(vec![
@@ -60,7 +60,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         "7.56".into(),
     ]);
 
-    let mut lle = ManifoldRegression::train(&campaign, &manifold_config(scale, ManifoldKind::Lle))?;
+    let lle = ManifoldRegression::train(&campaign, &manifold_config(scale, ManifoldKind::Lle))?;
     let lle_summary = lle.evaluate(&campaign, &campaign.test)?;
     table.add_row(vec![
         "LLE DEEP REGRESSION".into(),
@@ -72,7 +72,7 @@ pub fn run(scale: Scale) -> RunnerResult {
 
     // Reference rows beyond the paper's table: linear PCA embedding,
     // classic WkNN, and NObLe itself, so the comparison is self-contained.
-    let mut pca = ManifoldRegression::train(&campaign, &manifold_config(scale, ManifoldKind::Pca))?;
+    let pca = ManifoldRegression::train(&campaign, &manifold_config(scale, ManifoldKind::Pca))?;
     let pca_summary = pca.evaluate(&campaign, &campaign.test)?;
     table.add_row(vec![
         "PCA DEEP REGRESSION (ref)".into(),
@@ -90,7 +90,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         "-".into(),
         "-".into(),
     ]);
-    let mut noble_model = WifiNoble::train(&campaign, &wifi_noble_config(scale))?;
+    let noble_model = WifiNoble::train(&campaign, &wifi_noble_config(scale))?;
     let noble_report = noble_model.evaluate(&campaign, &campaign.test)?;
     table.add_row(vec![
         "NOBLE (Table I)".into(),

@@ -20,13 +20,13 @@ use noble_datasets::ImuDataset;
 pub fn run(scale: Scale) -> RunnerResult {
     let dataset = ImuDataset::generate(&imu_config(scale))?;
 
-    let mut regression = ImuDeepRegression::train(&dataset, &imu_regression_config(scale))?;
+    let regression = ImuDeepRegression::train(&dataset, &imu_regression_config(scale))?;
     let regression_summary = regression.evaluate(&dataset.test)?;
 
     let dead_reckoning = DeadReckoning::evaluate(&dataset.test)?;
     let map_assisted = MapAssistedDeadReckoning::evaluate(&dataset, &dataset.test)?;
 
-    let mut noble_model = ImuNoble::train(&dataset, &imu_noble_config(scale))?;
+    let noble_model = ImuNoble::train(&dataset, &imu_noble_config(scale))?;
     let noble_report = noble_model.evaluate(&dataset, &dataset.test)?;
 
     let mut table = TextTable::new(vec![

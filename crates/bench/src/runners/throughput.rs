@@ -100,19 +100,19 @@ pub fn run(scale: Scale) -> RunnerResult {
         patience: None,
         ..WifiNobleConfig::small()
     };
-    let mut model = WifiNoble::train(&campaign, &cfg)?;
+    let model = WifiNoble::train(&campaign, &cfg)?;
 
     // Lower the f32 twin once, off the timed path — the same lifecycle
     // the serving layer uses (lower at hydrate/train time, serve from
     // the immutable twin).
-    let mut f32_twin = Localizer::try_lower(&model, InferencePrecision::F32)
+    let f32_twin = Localizer::try_lower(&model, InferencePrecision::F32)
         .ok_or("WifiNoble failed to lower to f32")?;
 
     // Accuracy gate: the speedup numbers below are meaningless if the
     // fast tier decodes to different positions, so refuse to report
     // them. Runs at Quick scale too — this is the CI smoke's teeth.
     let probe = campaign.features(&campaign.test);
-    let exact_fixes = Localizer::localize_batch(&mut model, &probe)?;
+    let exact_fixes = Localizer::localize_batch(&model, &probe)?;
     let f32_fixes = f32_twin.localize_batch(&probe)?;
     let f32_delta = max_delta(&f32_fixes, &exact_fixes);
     if f32_delta > 1e-4 {

@@ -160,7 +160,7 @@ impl ImuDeepRegression {
     /// # Errors
     ///
     /// Propagates network failures.
-    pub fn predict(&mut self, paths: &[&ImuPathSample]) -> Result<Vec<Point>, NobleError> {
+    pub fn predict(&self, paths: &[&ImuPathSample]) -> Result<Vec<Point>, NobleError> {
         if paths.is_empty() {
             return Ok(Vec::new());
         }
@@ -181,7 +181,7 @@ impl ImuDeepRegression {
     /// # Errors
     ///
     /// [`NobleError::InvalidData`] on an empty set.
-    pub fn evaluate(&mut self, paths: &[ImuPathSample]) -> Result<Summary, NobleError> {
+    pub fn evaluate(&self, paths: &[ImuPathSample]) -> Result<Summary, NobleError> {
         let refs: Vec<&ImuPathSample> = paths.iter().collect();
         let preds = self.predict(&refs)?;
         let truth: Vec<Point> = paths.iter().map(|p| p.end_position).collect();
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn deep_regression_beats_naive() {
         let dataset = quick_dataset();
-        let mut model = ImuDeepRegression::train(&dataset, &ImuRegressionConfig::small()).unwrap();
+        let model = ImuDeepRegression::train(&dataset, &ImuRegressionConfig::small()).unwrap();
         let s = model.evaluate(&dataset.test).unwrap();
         let naive: f64 = dataset
             .test
@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn predict_empty_paths() {
         let dataset = quick_dataset();
-        let mut model = ImuDeepRegression::train(&dataset, &ImuRegressionConfig::small()).unwrap();
+        let model = ImuDeepRegression::train(&dataset, &ImuRegressionConfig::small()).unwrap();
         assert!(model.predict(&[]).unwrap().is_empty());
     }
 }

@@ -211,47 +211,51 @@ impl ImuNoble {
         one_hot(&labels, self.quantizer.num_classes())
     }
 
-    /// Forward pass through all three modules.
-    ///
-    /// Returns `(projected, displacement, logits)`; `projected` is the
-    /// reshaped `(batch, L*p)` concatenation needed by the backward pass.
-    fn forward(
-        &mut self,
-        paths: &[&ImuPathSample],
-        training: bool,
-    ) -> Result<(Matrix, Matrix, Matrix), NobleError> {
-        let stacked = self.stack_segments(paths);
+    /// Training forward pass through all three modules, caching what the
+    /// backward pass needs. Returns `(displacement, logits)`.
+    fn forward(&mut self, paths: &[&ImuPathSample]) -> Result<(Matrix, Matrix), NobleError> {
         let onehots = self.start_onehots(paths);
-        self.forward_parts(&stacked, &onehots, paths.len(), training)
+        let projected = self.projection.forward(&self.stack_segments(paths), true)?;
+        let concat = self.concat_projections(&projected, paths.len());
+        let displacement = self.displacement.forward(&concat, true)?;
+        let logits = self
+            .location
+            .forward(&displacement.hstack(&onehots)?, true)?;
+        Ok((displacement, logits))
     }
 
-    /// Shared tail of the forward pass, fed either from path samples
-    /// ([`ImuNoble::forward`]) or from the flat feature encoding of
-    /// [`ImuNoble::path_features`] — both construct the identical
-    /// `(batch*L, dim)` segment stack and start one-hots, so the two
-    /// entry points are bit-identical.
-    fn forward_parts(
-        &mut self,
+    /// Inference pass: the location logits of a `(batch*L, dim)` segment
+    /// stack and its start one-hots. Fed either from path samples
+    /// ([`ImuNoble::predict_batch`]) or from the flat feature encoding of
+    /// [`ImuNoble::path_features`] — both construct the identical segment
+    /// stack and one-hots, so the two entry points are bit-identical.
+    fn infer(
+        &self,
         stacked: &Matrix,
         start_onehots: &Matrix,
         batch: usize,
-        training: bool,
-    ) -> Result<(Matrix, Matrix, Matrix), NobleError> {
+    ) -> Result<Matrix, NobleError> {
+        let projected = self.projection.predict(stacked)?;
+        let concat = self.concat_projections(&projected, batch);
+        let displacement = self.displacement.predict(&concat)?;
+        Ok(self
+            .location
+            .predict(&displacement.hstack(start_onehots)?)?)
+    }
+
+    /// Reshapes `(batch*L, p)` segment projections into `(batch, L*p)`
+    /// rows, the displacement module's input.
+    fn concat_projections(&self, projected: &Matrix, batch: usize) -> Matrix {
         let l = self.max_segments;
         let p_dim = self.projection.out_dim();
-        let projected_flat = self.projection.forward(stacked, training)?;
-        // Reshape (batch*L, p) -> (batch, L*p).
         let mut concat = Matrix::zeros(batch, l * p_dim);
         for pi in 0..batch {
             for si in 0..l {
-                let src = projected_flat.row(pi * l + si);
+                let src = projected.row(pi * l + si);
                 concat.row_mut(pi)[si * p_dim..(si + 1) * p_dim].copy_from_slice(src);
             }
         }
-        let displacement = self.displacement.forward(&concat, training)?;
-        let loc_in = displacement.hstack(start_onehots)?;
-        let logits = self.location.forward(&loc_in, training)?;
-        Ok((concat, displacement, logits))
+        concat
     }
 
     /// Width of the flat serving-feature rows: `max_segments` padded
@@ -326,7 +330,7 @@ impl ImuNoble {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size) {
                 let batch: Vec<&ImuPathSample> = chunk.iter().map(|&i| &dataset.train[i]).collect();
-                let (_concat, displacement, logits) = self.forward(&batch, true)?;
+                let (displacement, logits) = self.forward(&batch)?;
 
                 // End-class cross entropy.
                 let end_labels: Vec<usize> = batch
@@ -395,7 +399,7 @@ impl ImuNoble {
     /// # Errors
     ///
     /// Propagates network and decode failures.
-    pub fn predict(&mut self, paths: &[&ImuPathSample]) -> Result<Vec<Point>, NobleError> {
+    pub fn predict(&self, paths: &[&ImuPathSample]) -> Result<Vec<Point>, NobleError> {
         self.predict_batch(paths)
     }
 
@@ -405,7 +409,7 @@ impl ImuNoble {
     /// # Errors
     ///
     /// Propagates network and decode failures.
-    pub fn predict_one(&mut self, path: &ImuPathSample) -> Result<Point, NobleError> {
+    pub fn predict_one(&self, path: &ImuPathSample) -> Result<Point, NobleError> {
         let mut out = self.predict_batch(&[path])?;
         out.pop().ok_or_else(|| {
             NobleError::InvalidData("predict_batch returned no prediction for one path".into())
@@ -420,11 +424,15 @@ impl ImuNoble {
     /// # Errors
     ///
     /// Propagates network and decode failures.
-    pub fn predict_batch(&mut self, paths: &[&ImuPathSample]) -> Result<Vec<Point>, NobleError> {
+    pub fn predict_batch(&self, paths: &[&ImuPathSample]) -> Result<Vec<Point>, NobleError> {
         if paths.is_empty() {
             return Ok(Vec::new());
         }
-        let (_c, _d, logits) = self.forward(paths, false)?;
+        let logits = self.infer(
+            &self.stack_segments(paths),
+            &self.start_onehots(paths),
+            paths.len(),
+        )?;
         self.decode_logits(&logits)
     }
 
@@ -435,7 +443,7 @@ impl ImuNoble {
     /// [`NobleError::InvalidData`] on an empty set; propagates prediction
     /// failures.
     pub fn evaluate(
-        &mut self,
+        &self,
         dataset: &ImuDataset,
         paths: &[ImuPathSample],
     ) -> Result<ImuEvalReport, NobleError> {
@@ -497,7 +505,7 @@ impl crate::Localizer for ImuNoble {
     /// segment stack and start one-hots rebuilt from a row are bitwise
     /// equal to what [`ImuNoble::predict_batch`] builds from the original
     /// path, so the two paths agree exactly.
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         crate::localizer::check_feature_dim("imu-noble", self.path_feature_dim(), features)?;
         if features.rows() == 0 {
             return Ok(Vec::new());
@@ -518,7 +526,7 @@ impl crate::Localizer for ImuNoble {
             start_labels.push(self.quantizer.quantize_nearest(start));
         }
         let onehots = one_hot(&start_labels, self.quantizer.num_classes());
-        let (_c, _d, logits) = self.forward_parts(&stacked, &onehots, n, false)?;
+        let logits = self.infer(&stacked, &onehots, n)?;
         self.decode_logits(&logits)
     }
 }
@@ -565,7 +573,7 @@ mod tests {
     #[test]
     fn trains_and_beats_naive_baseline() {
         let dataset = quick_dataset();
-        let mut model = ImuNoble::train(&dataset, &ImuNobleConfig::small()).unwrap();
+        let model = ImuNoble::train(&dataset, &ImuNobleConfig::small()).unwrap();
         let report = model.evaluate(&dataset, &dataset.test).unwrap();
         // Naive baseline: predict the start position.
         let naive: f64 = dataset
@@ -586,7 +594,7 @@ mod tests {
     #[test]
     fn predict_batch_matches_per_sample_and_softmax_paths() {
         let dataset = quick_dataset();
-        let mut model = ImuNoble::train(&dataset, &ImuNobleConfig::small()).unwrap();
+        let model = ImuNoble::train(&dataset, &ImuNobleConfig::small()).unwrap();
         let refs: Vec<&ImuPathSample> = dataset.test.iter().take(16).collect();
         let softmax_path = model.predict(&refs).unwrap();
         let batched = model.predict_batch(&refs).unwrap();
@@ -608,7 +616,7 @@ mod tests {
     #[test]
     fn localizer_trait_matches_predict_batch_exactly() {
         let dataset = quick_dataset();
-        let mut model = ImuNoble::train(&dataset, &ImuNobleConfig::small()).unwrap();
+        let model = ImuNoble::train(&dataset, &ImuNobleConfig::small()).unwrap();
         let refs: Vec<&ImuPathSample> = dataset.test.iter().take(10).collect();
         let direct = model.predict_batch(&refs).unwrap();
 
@@ -618,17 +626,17 @@ mod tests {
         assert_eq!(info.feature_dim, features.cols());
         assert_eq!(info.class_count, model.class_count());
 
-        let via_trait = crate::Localizer::localize_batch(&mut model, &features).unwrap();
+        let via_trait = crate::Localizer::localize_batch(&model, &features).unwrap();
         assert_eq!(direct, via_trait, "matrix encoding must be lossless");
 
         let bad = Matrix::zeros(1, model.path_feature_dim() + 1);
-        assert!(crate::Localizer::localize_batch(&mut model, &bad).is_err());
+        assert!(crate::Localizer::localize_batch(&model, &bad).is_err());
     }
 
     #[test]
     fn predict_empty_is_empty() {
         let dataset = quick_dataset();
-        let mut model = ImuNoble::train(&dataset, &ImuNobleConfig::small()).unwrap();
+        let model = ImuNoble::train(&dataset, &ImuNobleConfig::small()).unwrap();
         assert!(model.predict(&[]).unwrap().is_empty());
         assert!(model.evaluate(&dataset, &[]).is_err());
     }

@@ -46,11 +46,11 @@ impl LocalizerInfo {
 
 /// A trained model that maps feature rows to planar positions.
 ///
-/// `Send` is required so serving shards can own their localizer on a
-/// worker thread. Mutability in [`Localizer::localize_batch`] mirrors the
-/// underlying networks (forward passes share the training cache plumbing);
-/// it must not change observable behavior.
-pub trait Localizer: Send {
+/// Inference is a pure read of the trained model, so every method takes
+/// `&self`, and `Send + Sync` lets the serving layer share one model
+/// between threads behind an `Arc`: a refresh swaps the `Arc` while a
+/// worker's batch still reads the generation it started with.
+pub trait Localizer: Send + Sync {
     /// Model/site/shape metadata.
     fn info(&self) -> LocalizerInfo;
 
@@ -62,7 +62,7 @@ pub trait Localizer: Send {
     /// Implementations return [`NobleError::InvalidData`] when the row
     /// width differs from [`LocalizerInfo::feature_dim`], and propagate
     /// model failures.
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError>;
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError>;
 
     /// Convenience wrapper: stacks `rows` into a matrix and calls
     /// [`Localizer::localize_batch`].
@@ -71,7 +71,7 @@ pub trait Localizer: Send {
     ///
     /// [`NobleError::InvalidData`] on ragged rows; otherwise as
     /// [`Localizer::localize_batch`].
-    fn localize_rows(&mut self, rows: &[Vec<f64>]) -> Result<Vec<Point>, NobleError> {
+    fn localize_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<Point>, NobleError> {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
@@ -112,11 +112,11 @@ impl<L: Localizer + ?Sized> Localizer for Box<L> {
         (**self).info()
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         (**self).localize_batch(features)
     }
 
-    fn localize_rows(&mut self, rows: &[Vec<f64>]) -> Result<Vec<Point>, NobleError> {
+    fn localize_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<Point>, NobleError> {
         (**self).localize_rows(rows)
     }
 

@@ -80,7 +80,7 @@ impl Localizer for LoweredWifi {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         check_feature_dim(WIFI_LABEL, self.feature_dim, features)?;
         if features.rows() == 0 {
             return Ok(Vec::new());
@@ -153,7 +153,7 @@ impl Localizer for LoweredImu {
     /// Localizes rows in the [`crate::imu::ImuNoble::path_features`]
     /// layout — the same unflattening the exact path runs, with the two
     /// heavy networks lowered.
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         check_feature_dim(IMU_LABEL, self.path_feature_dim(), features)?;
         if features.rows() == 0 {
             return Ok(Vec::new());
@@ -174,7 +174,7 @@ impl Localizer for LoweredImu {
         }
         // Shared projection in exact f64 (tiny: one dense layer over
         // short segment rows), then the lowered tail.
-        let projected = self.projection.forward(&stacked, false)?;
+        let projected = self.projection.predict(&stacked)?;
         let p_dim = self.projection.out_dim();
         let mut concat = Matrix::zeros(n, l * p_dim);
         for pi in 0..n {

@@ -759,7 +759,7 @@ mod tests {
         let mut w = SnapWriter::new();
         write_mlp_with(&mut w, &mlp, ParamEncoding::F64);
         let mut r = SnapReader::new(&w.buf);
-        let mut back = read_mlp(&mut r).unwrap();
+        let back = read_mlp(&mut r).unwrap();
         r.finish().unwrap();
 
         let x = Matrix::from_fn(5, 4, |i, j| (i as f64 - j as f64) / 3.0);

@@ -159,7 +159,7 @@ impl DeepRegression {
     /// # Errors
     ///
     /// Propagates network failures.
-    pub fn predict(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    pub fn predict(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         let out = self.mlp.predict(features)?;
         Ok((0..out.rows())
             .map(|i| self.scaler.decode_row(out.row(i)))
@@ -173,7 +173,7 @@ impl DeepRegression {
     ///
     /// Propagates network failures.
     pub fn predict_projected(
-        &mut self,
+        &self,
         features: &Matrix,
         campaign: &WifiCampaign,
     ) -> Result<Vec<Point>, NobleError> {
@@ -191,7 +191,7 @@ impl DeepRegression {
     /// Propagates prediction failures; [`NobleError::InvalidData`] on an
     /// empty set.
     pub fn evaluate(
-        &mut self,
+        &self,
         campaign: &WifiCampaign,
         samples: &[WifiSample],
         projected: bool,
@@ -383,7 +383,7 @@ impl ManifoldRegression {
     /// # Errors
     ///
     /// Propagates network failures.
-    pub fn predict(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    pub fn predict(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         let embedded = match &self.embedding {
             FittedEmbedding::Isomap(m) => m.transform(features),
             FittedEmbedding::Lle(m) => m.transform(features),
@@ -401,7 +401,7 @@ impl ManifoldRegression {
     ///
     /// Propagates prediction failures.
     pub fn evaluate(
-        &mut self,
+        &self,
         campaign: &WifiCampaign,
         samples: &[WifiSample],
     ) -> Result<Summary, NobleError> {
@@ -533,7 +533,7 @@ mod tests {
     #[test]
     fn deep_regression_learns_coarse_location() {
         let campaign = quick_campaign();
-        let mut model = DeepRegression::train(&campaign, &RegressionConfig::small()).unwrap();
+        let model = DeepRegression::train(&campaign, &RegressionConfig::small()).unwrap();
         let s = model.evaluate(&campaign, &campaign.test, false).unwrap();
         // Campus spans ~350 m; a trained regressor should do far better
         // than the ~140 m scale of random guessing.
@@ -543,7 +543,7 @@ mod tests {
     #[test]
     fn projection_never_hurts_structure() {
         let campaign = quick_campaign();
-        let mut model = DeepRegression::train(&campaign, &RegressionConfig::small()).unwrap();
+        let model = DeepRegression::train(&campaign, &RegressionConfig::small()).unwrap();
         let features = campaign.features(&campaign.test);
         let raw = model.predict(&features).unwrap();
         let projected = model.predict_projected(&features, &campaign).unwrap();
@@ -602,7 +602,7 @@ mod tests {
     fn manifold_regression_both_kinds_run() {
         let campaign = quick_campaign();
         for kind in [ManifoldKind::Isomap, ManifoldKind::Lle, ManifoldKind::Pca] {
-            let mut model =
+            let model =
                 ManifoldRegression::train(&campaign, &ManifoldRegressionConfig::small(kind))
                     .unwrap();
             let s = model.evaluate(&campaign, &campaign.test).unwrap();
@@ -617,23 +617,23 @@ mod tests {
         let campaign = quick_campaign();
         let features = campaign.features(&campaign.test[..6.min(campaign.test.len())]);
 
-        let mut deep = DeepRegression::train(&campaign, &RegressionConfig::small()).unwrap();
+        let deep = DeepRegression::train(&campaign, &RegressionConfig::small()).unwrap();
         let direct = deep.predict(&features).unwrap();
-        let served = Localizer::localize_batch(&mut deep, &features).unwrap();
+        let served = Localizer::localize_batch(&deep, &features).unwrap();
         assert_eq!(direct, served);
         assert_eq!(Localizer::info(&deep).model, "deep-regression");
         assert_eq!(Localizer::info(&deep).class_count, 0);
 
-        let mut knn = KnnFingerprint::fit(&campaign, 3).unwrap();
-        let served = Localizer::localize_batch(&mut knn, &features).unwrap();
+        let knn = KnnFingerprint::fit(&campaign, 3).unwrap();
+        let served = Localizer::localize_batch(&knn, &features).unwrap();
         for (i, p) in served.iter().enumerate() {
             assert_eq!(*p, knn.predict_one(features.row(i)).0);
         }
         assert_eq!(Localizer::info(&knn).feature_dim, campaign.num_waps());
 
         let bad = Matrix::zeros(2, campaign.num_waps() + 3);
-        assert!(Localizer::localize_batch(&mut deep, &bad).is_err());
-        assert!(Localizer::localize_batch(&mut knn, &bad).is_err());
+        assert!(Localizer::localize_batch(&deep, &bad).is_err());
+        assert!(Localizer::localize_batch(&knn, &bad).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ impl WifiNoble {
     /// # Errors
     ///
     /// Propagates network and decode failures.
-    pub fn predict(&mut self, features: &Matrix) -> Result<Vec<WifiPrediction>, NobleError> {
+    pub fn predict(&self, features: &Matrix) -> Result<Vec<WifiPrediction>, NobleError> {
         let logits = self.mlp.predict(features)?;
         let buildings = self.layout.predict_classes(&logits, self.head_building)?;
         let floors = self.layout.predict_classes(&logits, self.head_floor)?;
@@ -65,7 +65,7 @@ impl WifiNoble {
     ///
     /// Propagates network and decode failures; the fingerprint length must
     /// equal the trained WAP count.
-    pub fn localize_one(&mut self, fingerprint: &[f64]) -> Result<WifiPrediction, NobleError> {
+    pub fn localize_one(&self, fingerprint: &[f64]) -> Result<WifiPrediction, NobleError> {
         let features = Matrix::from_vec(1, fingerprint.len(), fingerprint.to_vec())
             .map_err(|e| NobleError::InvalidData(e.to_string()))?;
         let mut preds = self.predict(&features)?;
@@ -86,7 +86,7 @@ impl WifiNoble {
     /// [`NobleError::InvalidData`] on ragged input; propagates network and
     /// decode failures.
     pub fn localize_batch(
-        &mut self,
+        &self,
         fingerprints: &[Vec<f64>],
     ) -> Result<Vec<WifiPrediction>, NobleError> {
         if fingerprints.is_empty() {
@@ -103,7 +103,7 @@ impl WifiNoble {
     /// # Errors
     ///
     /// Propagates network failures.
-    pub fn embed(&mut self, features: &Matrix) -> Result<Matrix, NobleError> {
+    pub fn embed(&self, features: &Matrix) -> Result<Matrix, NobleError> {
         Ok(self.mlp.embed(features)?)
     }
 
@@ -121,7 +121,7 @@ impl WifiNoble {
     /// Propagates network and decode failures;
     /// [`NobleError::InvalidConfig`] when `k` is zero.
     pub fn predict_expected(
-        &mut self,
+        &self,
         features: &Matrix,
         k: usize,
     ) -> Result<Vec<(Point, f64)>, NobleError> {
@@ -167,7 +167,7 @@ impl WifiNoble {
     /// [`NobleError::InvalidData`] for an empty sample set; propagates
     /// prediction failures.
     pub fn evaluate(
-        &mut self,
+        &self,
         campaign: &WifiCampaign,
         samples: &[WifiSample],
     ) -> Result<WifiEvalReport, NobleError> {

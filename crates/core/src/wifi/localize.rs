@@ -20,7 +20,7 @@ impl Localizer for WifiNoble {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         check_feature_dim(WIFI_NOBLE_KIND, self.feature_dim(), features)?;
         self.fine_positions(features)
     }
@@ -52,7 +52,7 @@ impl Localizer for DeepRegression {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         check_feature_dim("deep-regression", self.feature_dim(), features)?;
         self.predict(features)
     }
@@ -68,7 +68,7 @@ impl Localizer for ManifoldRegression {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         check_feature_dim("manifold-regression", self.feature_dim(), features)?;
         self.predict(features)
     }
@@ -84,7 +84,7 @@ impl Localizer for KnnFingerprint {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         check_feature_dim(KNN_FINGERPRINT_KIND, self.feature_dim(), features)?;
         Ok((0..features.rows())
             .map(|i| self.predict_one(features.row(i)).0)

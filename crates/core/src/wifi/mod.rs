@@ -52,7 +52,7 @@ mod tests {
     #[test]
     fn trains_and_beats_chance() {
         let campaign = quick_campaign();
-        let mut model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
+        let model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
         let report = model.evaluate(&campaign, &campaign.test).unwrap();
         // 3 buildings: chance = 1/3. The model must be far above that.
         assert!(
@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn predictions_decode_to_occupied_cells() {
         let campaign = quick_campaign();
-        let mut model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
+        let model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
         let features = campaign.features(&campaign.test[..5.min(campaign.test.len())]);
         let preds = model.predict(&features).unwrap();
         for p in &preds {
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn localize_batch_matches_per_sample_path() {
         let campaign = quick_campaign();
-        let mut model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
+        let model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
         let features = campaign.features(&campaign.test[..12.min(campaign.test.len())]);
         let rows: Vec<Vec<f64>> = (0..features.rows())
             .map(|i| features.row(i).to_vec())
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn localizer_trait_matches_inherent_path() {
         let campaign = quick_campaign();
-        let mut model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
+        let model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
         let features = campaign.features(&campaign.test[..8.min(campaign.test.len())]);
 
         let info = Localizer::info(&model);
@@ -121,7 +121,7 @@ mod tests {
         assert_eq!(info.feature_dim, campaign.num_waps());
         assert_eq!(info.class_count, model.fine_quantizer().num_classes());
 
-        let via_trait = Localizer::localize_batch(&mut model, &features).unwrap();
+        let via_trait = Localizer::localize_batch(&model, &features).unwrap();
         let via_predict = model.predict(&features).unwrap();
         assert_eq!(via_trait.len(), via_predict.len());
         for (t, p) in via_trait.iter().zip(&via_predict) {
@@ -129,7 +129,7 @@ mod tests {
         }
         // Width mismatch is a typed error, not a panic.
         let bad = noble_linalg::Matrix::zeros(1, campaign.num_waps() + 1);
-        assert!(Localizer::localize_batch(&mut model, &bad).is_err());
+        assert!(Localizer::localize_batch(&model, &bad).is_err());
     }
 
     #[test]
@@ -151,7 +151,7 @@ mod tests {
         cfg.coarse_l = None;
         cfg.adjacency_weight = None;
         cfg.epochs = 8;
-        let mut model = WifiNoble::train(&campaign, &cfg).unwrap();
+        let model = WifiNoble::train(&campaign, &cfg).unwrap();
         assert!(model.coarse_quantizer().is_none());
         let report = model.evaluate(&campaign, &campaign.test).unwrap();
         assert!(report.position_error.mean.is_finite());
@@ -161,7 +161,7 @@ mod tests {
     fn embedding_has_hidden_width() {
         let campaign = quick_campaign();
         let cfg = WifiNobleConfig::small();
-        let mut model = WifiNoble::train(&campaign, &cfg).unwrap();
+        let model = WifiNoble::train(&campaign, &cfg).unwrap();
         let f = campaign.features(&campaign.test[..3.min(campaign.test.len())]);
         let e = model.embed(&f).unwrap();
         assert_eq!(e.cols(), cfg.hidden_dim);
@@ -170,14 +170,14 @@ mod tests {
     #[test]
     fn evaluate_rejects_empty() {
         let campaign = quick_campaign();
-        let mut model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
+        let model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
         assert!(model.evaluate(&campaign, &[]).is_err());
     }
 
     #[test]
     fn expected_decode_stays_near_argmax_decode() {
         let campaign = quick_campaign();
-        let mut model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
+        let model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
         let features = campaign.features(&campaign.test[..8.min(campaign.test.len())]);
         let argmax_preds = model.predict(&features).unwrap();
         let expected = model.predict_expected(&features, 3).unwrap();
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn expected_decode_k1_matches_argmax() {
         let campaign = quick_campaign();
-        let mut model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
+        let model = WifiNoble::train(&campaign, &WifiNobleConfig::small()).unwrap();
         let features = campaign.features(&campaign.test[..5.min(campaign.test.len())]);
         let argmax_preds = model.predict(&features).unwrap();
         let top1 = model.predict_expected(&features, 1).unwrap();

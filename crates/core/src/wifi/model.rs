@@ -340,7 +340,7 @@ impl WifiNoble {
     }
 
     /// Number of trainable parameters (used by the energy model).
-    pub fn parameter_count(&mut self) -> usize {
+    pub fn parameter_count(&self) -> usize {
         self.mlp.parameter_count()
     }
 

@@ -211,9 +211,9 @@ mod tests {
         let snap = SnapshotLocalizer::snapshot(&model);
         assert_eq!(snap.kind(), KNN_FINGERPRINT_KIND);
 
-        let mut back = hydrate(&snap).unwrap();
+        let back = hydrate(&snap).unwrap();
         let features = campaign.features(&campaign.test);
-        let mut original: Box<dyn Localizer> = Box::new(model);
+        let original: Box<dyn Localizer> = Box::new(model);
         assert_eq!(
             original.localize_batch(&features).unwrap(),
             back.localize_batch(&features).unwrap()

@@ -36,7 +36,7 @@ fn wifi_fixture() -> &'static Fixture {
         cfg.seed = 42;
         let campaign = uji_campaign(&cfg).unwrap();
         let features = campaign.features(&campaign.test);
-        let mut model = WifiNoble::train(
+        let model = WifiNoble::train(
             &campaign,
             &WifiNobleConfig {
                 epochs: 3,
@@ -44,7 +44,7 @@ fn wifi_fixture() -> &'static Fixture {
             },
         )
         .unwrap();
-        let exact = Localizer::localize_batch(&mut model, &features).unwrap();
+        let exact = Localizer::localize_batch(&model, &features).unwrap();
         Fixture {
             model: Box::new(model),
             features,
@@ -59,7 +59,7 @@ fn imu_fixture() -> &'static Fixture {
         let mut cfg = ImuConfig::small();
         cfg.num_paths = 200;
         let dataset = ImuDataset::generate(&cfg).unwrap();
-        let mut model = ImuNoble::train(
+        let model = ImuNoble::train(
             &dataset,
             &ImuNobleConfig {
                 epochs: 8,
@@ -69,7 +69,7 @@ fn imu_fixture() -> &'static Fixture {
         .unwrap();
         let refs: Vec<&ImuPathSample> = dataset.test.iter().collect();
         let features = model.path_features(&refs);
-        let exact = Localizer::localize_batch(&mut model, &features).unwrap();
+        let exact = Localizer::localize_batch(&model, &features).unwrap();
         Fixture {
             model: Box::new(model),
             features,
@@ -92,7 +92,7 @@ fn max_delta(a: &[Point], b: &[Point]) -> f64 {
 #[test]
 fn f32_twins_track_exact_within_1e4_position_error() {
     for fixture in fixtures() {
-        let mut twin = fixture
+        let twin = fixture
             .model
             .try_lower(InferencePrecision::F32)
             .expect("NObLe models lower to f32");
@@ -114,7 +114,7 @@ fn exact_path_is_unperturbed_by_lowering() {
         assert!(fixture.model.try_lower(InferencePrecision::Exact).is_none());
 
         let before = fixture.model.try_snapshot().unwrap();
-        let mut f32_twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
+        let f32_twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
         f32_twin.localize_batch(&fixture.features).unwrap();
         let after = fixture.model.try_snapshot().unwrap();
         assert_eq!(
@@ -125,7 +125,7 @@ fn exact_path_is_unperturbed_by_lowering() {
 
         // And the exact outputs themselves are byte-identical to the
         // reference captured before any lowering existed.
-        let mut hydrated = hydrate(&after).unwrap();
+        let hydrated = hydrate(&after).unwrap();
         let got = hydrated.localize_batch(&fixture.features).unwrap();
         assert_eq!(got, fixture.exact, "exact tier drifted");
     }
@@ -145,7 +145,7 @@ fn lowered_twin_snapshot_is_progenitors_exact_snapshot() {
             "a lowered twin must persist its progenitor's exact f64 state"
         );
         // Hydrating that snapshot reproduces the exact tier bit-for-bit.
-        let mut back = hydrate(&twin_snap).unwrap();
+        let back = hydrate(&twin_snap).unwrap();
         let got = back.localize_batch(&fixture.features).unwrap();
         assert_eq!(got, fixture.exact);
     }
@@ -155,7 +155,7 @@ fn lowered_twin_snapshot_is_progenitors_exact_snapshot() {
 fn lowered_inference_is_thread_count_bit_stable() {
     let saved = num_threads();
     for fixture in fixtures() {
-        let mut twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
+        let twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
         set_num_threads(1);
         let single = twin.localize_batch(&fixture.features).unwrap();
         set_num_threads(4);
@@ -198,7 +198,7 @@ fn compact_f32_snapshot_shrinks_and_round_trips_within_tolerance() {
         );
         // A compact-hydrated model is an f64 model with f32-rounded
         // parameters: decode-level accuracy must hold at the f32 gate.
-        let mut back = hydrate(&compact).unwrap();
+        let back = hydrate(&compact).unwrap();
         let got = back.localize_batch(&fixture.features).unwrap();
         let delta = max_delta(&got, &fixture.exact);
         assert!(
@@ -226,7 +226,7 @@ proptest! {
         let start = start % n;
         let len = len.min(n - start);
 
-        let mut twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
+        let twin = fixture.model.try_lower(InferencePrecision::F32).unwrap();
         let full = twin.localize_batch(&fixture.features).unwrap();
 
         let rows: Vec<Vec<f64>> = (start..start + len)

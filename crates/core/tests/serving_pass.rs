@@ -110,7 +110,7 @@ fn bits(points: &[Point]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn predicted_positions(model: &mut WifiNoble, features: &Matrix) -> Vec<Point> {
+fn predicted_positions(model: &WifiNoble, features: &Matrix) -> Vec<Point> {
     model
         .predict(features)
         .unwrap()
@@ -122,12 +122,12 @@ fn predicted_positions(model: &mut WifiNoble, features: &Matrix) -> Vec<Point> {
 /// Every slice of `batch` rows, at a few offsets, served by
 /// `localize_batch` equals the same rows of `predict` over all rows.
 fn check_batches(fixture: &Fixture, label: &str) {
-    let mut model = fixture.model.clone();
+    let model = fixture.model.clone();
     let features = &fixture.features;
     let m = features.rows();
-    let reference = bits(&predicted_positions(&mut model, features));
+    let reference = bits(&predicted_positions(&model, features));
     assert_eq!(
-        bits(&Localizer::localize_batch(&mut model, features).unwrap()),
+        bits(&Localizer::localize_batch(&model, features).unwrap()),
         reference,
         "{label}: all {m} rows"
     );
@@ -135,7 +135,7 @@ fn check_batches(fixture: &Fixture, label: &str) {
         for start in [0, 1, 3, m / 2, m - batch] {
             let rows: Vec<usize> = (start..start + batch).collect();
             let slice = features.select_rows(&rows);
-            let served = bits(&Localizer::localize_batch(&mut model, &slice).unwrap());
+            let served = bits(&Localizer::localize_batch(&model, &slice).unwrap());
             assert_eq!(
                 served,
                 reference[start..start + batch],
@@ -143,7 +143,7 @@ fn check_batches(fixture: &Fixture, label: &str) {
             );
             assert_eq!(
                 served,
-                bits(&predicted_positions(&mut model, &slice)),
+                bits(&predicted_positions(&model, &slice)),
                 "{label}: predict on batch {batch} at row {start}"
             );
         }
@@ -211,14 +211,14 @@ fn a_non_finite_weight_behind_a_zero_group_falls_back_to_the_full_product() {
     assert!(silent.len() >= 10, "the fixture has sparse fingerprints");
     let class_zero = fixture.model.fine_quantizer().decode(0).unwrap();
     for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let mut model = with_first_layer_weight(&fixture.model, group * 4 + 1, 7, value);
+        let model = with_first_layer_weight(&fixture.model, group * 4 + 1, 7, value);
         // The same bits as `predict`, batched and one fix at a time.
-        let reference = bits(&predicted_positions(&mut model, features));
-        let served = bits(&Localizer::localize_batch(&mut model, features).unwrap());
+        let reference = bits(&predicted_positions(&model, features));
+        let served = bits(&Localizer::localize_batch(&model, features).unwrap());
         assert_eq!(served, reference, "{value}: all rows");
         for &i in &silent {
             let one = features.select_rows(&[i]);
-            let alone = bits(&Localizer::localize_batch(&mut model, &one).unwrap());
+            let alone = bits(&Localizer::localize_batch(&model, &one).unwrap());
             assert_eq!(alone, reference[i..=i], "{value}: row {i} alone");
             // 0 * NaN and 0 * inf are NaN, so every logit of the row is
             // NaN and the decode falls to class 0: the weight was read.
@@ -347,9 +347,9 @@ fn a_near_tie_the_f32_scores_misorder_is_resolved_by_the_exact_logits() {
             .all(|j| j == c || logit(c, &f32s) > logit(j, &f32s)),
         "c is the f32 winner"
     );
-    let mut model = with_head(base, &w, &b);
+    let model = with_head(base, &w, &b);
     let features = &full_scale().features;
-    let predicted = predicted_positions(&mut model, &features.select_rows(&[TARGET]));
+    let predicted = predicted_positions(&model, &features.select_rows(&[TARGET]));
     let decode = |j: usize| model.fine_quantizer().decode(j - fine.start).unwrap();
     assert_eq!(bits(&predicted), bits(&[decode(d)]), "predict picks d");
     assert_ne!(bits(&[decode(c)]), bits(&[decode(d)]));
@@ -376,9 +376,9 @@ fn an_exact_tie_goes_to_the_first_class() {
     }
     b[c] = 1e3;
     b[d] = 1e3;
-    let mut model = with_head(base, &w, &b);
+    let model = with_head(base, &w, &b);
     let features = &full_scale().features;
-    let predicted = predicted_positions(&mut model, features);
+    let predicted = predicted_positions(&model, features);
     let first = model.fine_quantizer().decode(c - fine.start).unwrap();
     // The NaN probe row has no finite logit and decodes to class 0.
     let class_zero = model.fine_quantizer().decode(0).unwrap();
@@ -427,7 +427,7 @@ fn non_finite_fingerprints_and_overflowing_f32_scores_take_the_exact_path() {
             w[(k, d)] = sign * big * h[k].signum();
         }
     }
-    let mut model = with_head(base, &w, &b);
+    let model = with_head(base, &w, &b);
     let (_, exact, f32s) = products(&model, row);
     assert!(
         f32s[d].is_nan(),
@@ -437,7 +437,7 @@ fn non_finite_fingerprints_and_overflowing_f32_scores_take_the_exact_path() {
         exact[d].is_finite() && exact[d] > 1e30,
         "row {row}: the exact logit wins"
     );
-    let predicted = predicted_positions(&mut model, &full_scale().features.select_rows(&[row]));
+    let predicted = predicted_positions(&model, &full_scale().features.select_rows(&[row]));
     let want = model.fine_quantizer().decode(d - fine.start).unwrap();
     assert_eq!(
         bits(&predicted),

@@ -59,7 +59,7 @@ fn fixtures() -> &'static Vec<Fixture> {
         let wifi_features = campaign.features(&campaign.test);
         let mut out = Vec::new();
 
-        let mut wifi = WifiNoble::train(
+        let wifi = WifiNoble::train(
             campaign,
             &WifiNobleConfig {
                 epochs: 3,
@@ -70,13 +70,13 @@ fn fixtures() -> &'static Vec<Fixture> {
         out.push(Fixture {
             snapshot: SnapshotLocalizer::snapshot(&wifi),
             compact: wifi.snapshot_with(ParamEncoding::F32),
-            reference: Localizer::localize_batch(&mut wifi, &wifi_features).unwrap(),
+            reference: Localizer::localize_batch(&wifi, &wifi_features).unwrap(),
             features: wifi_features.clone(),
         });
 
         let knn = KnnFingerprint::fit(campaign, 4).unwrap();
         let knn_compact = knn.snapshot_with(ParamEncoding::F32);
-        let mut knn_loc: Box<dyn Localizer> = Box::new(knn);
+        let knn_loc: Box<dyn Localizer> = Box::new(knn);
         out.push(Fixture {
             snapshot: knn_loc.try_snapshot().unwrap(),
             compact: knn_compact,
@@ -85,7 +85,7 @@ fn fixtures() -> &'static Vec<Fixture> {
         });
 
         let dataset = imu_dataset();
-        let mut imu = ImuNoble::train(
+        let imu = ImuNoble::train(
             dataset,
             &ImuNobleConfig {
                 epochs: 8,
@@ -98,7 +98,7 @@ fn fixtures() -> &'static Vec<Fixture> {
         out.push(Fixture {
             snapshot: SnapshotLocalizer::snapshot(&imu),
             compact: imu.snapshot_with(ParamEncoding::F32),
-            reference: Localizer::localize_batch(&mut imu, &imu_features).unwrap(),
+            reference: Localizer::localize_batch(&imu, &imu_features).unwrap(),
             features: imu_features,
         });
         out
@@ -112,7 +112,7 @@ fn roundtrip_localizes_bit_identically_for_all_kinds() {
         let decoded = ModelSnapshot::from_bytes(&encoded).unwrap();
         assert_eq!(decoded, fixture.snapshot);
 
-        let mut hydrated = hydrate(&decoded)
+        let hydrated = hydrate(&decoded)
             .unwrap_or_else(|e| panic!("{} failed to hydrate: {e}", fixture.snapshot.kind()));
         let info = hydrated.info();
         assert_eq!(info.model, fixture.snapshot.kind());
@@ -285,7 +285,7 @@ fn flip_is_typed_or_coherent(
             Err(e) => {
                 prop_assert!(false, "wrong error type: {e}");
             }
-            Ok(mut model) => {
+            Ok(model) => {
                 // Survived the flip: it must still be a coherent
                 // localizer for its declared feature width.
                 let info = model.info();

@@ -43,7 +43,7 @@ impl Localizer for TestLocalizer {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
@@ -536,7 +536,7 @@ impl Localizer for PanickingLocalizer {
         }
     }
 
-    fn localize_batch(&mut self, _features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, _features: &Matrix) -> Result<Vec<Point>, NobleError> {
         panic!("model fault injected by the test");
     }
 }
@@ -656,7 +656,7 @@ fn panicking_model_scenario() {
 /// sender; announces each entry.
 struct GatedLocalizer {
     entered: std::sync::mpsc::Sender<()>,
-    gate: std::sync::mpsc::Receiver<()>,
+    gate: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
 }
 
 impl Localizer for GatedLocalizer {
@@ -669,9 +669,9 @@ impl Localizer for GatedLocalizer {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         let _ = self.entered.send(());
-        let _ = self.gate.recv();
+        let _ = self.gate.lock().map(|gate| gate.recv());
         Ok(vec![Point::new(5.0, 5.0); features.rows()])
     }
 }
@@ -709,7 +709,7 @@ fn disconnect_scenario() {
         ShardKey::building(0),
         Box::new(GatedLocalizer {
             entered: entered_tx,
-            gate: gate_rx,
+            gate: std::sync::Mutex::new(gate_rx),
         }),
     );
     let serve = BatchServer::start(

@@ -81,11 +81,21 @@ impl Dense {
     ///
     /// Returns [`NnError::ShapeMismatch`] when `x.cols() != in_dim`.
     pub fn forward(&mut self, x: &Matrix, training: bool) -> Result<Matrix, NnError> {
-        let y = self.infer(x, 0..self.out_dim(), false)?;
+        let y = self.predict(x)?;
         if training {
             self.cached_input = Some(x.clone());
         }
         Ok(y)
+    }
+
+    /// Inference pass: the affine map `x W + b`, nothing cached. The bits
+    /// equal [`Dense::forward`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when `x.cols() != in_dim`.
+    pub fn predict(&self, x: &Matrix) -> Result<Matrix, NnError> {
+        self.infer(x, 0..self.out_dim(), false)
     }
 
     /// Output columns `cols` of the affine map `x W + b`: the product is

@@ -9,7 +9,7 @@
 //! forward pass never touches the running statistics again.
 //!
 //! The result is immutable ([`LoweredMlp::predict_batch`] takes `&self`,
-//! unlike the cache-carrying [`Mlp`]) and deterministic in the same axes
+//! as [`Mlp::predict`] does) and deterministic in the same axes
 //! as the f64 path: it rides `noble_linalg::matmul_f32`'s
 //! batch-shape/thread-count invariance. What it does *not* promise is
 //! agreement with f64 beyond the gated tolerance — that contract is
@@ -33,17 +33,6 @@ pub enum InferencePrecision {
     Exact,
     /// Single-precision lowered inference (~1e-7 relative arithmetic).
     F32,
-}
-
-impl InferencePrecision {
-    /// Stable lower-case label used in bench JSON and config parsing.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            InferencePrecision::Exact => "exact",
-            InferencePrecision::F32 => "f32",
-        }
-    }
 }
 
 /// The f64→f32 lowering cast, centralized so exact-path modules (which
@@ -152,22 +141,6 @@ impl LoweredMlp {
         self.out_dim
     }
 
-    /// Approximate bytes held by the lowered parameters (for bench and
-    /// capacity reporting): 4 per f32 scalar.
-    #[must_use]
-    pub fn parameter_bytes(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                Stage::DenseF32 { weights, bias } => {
-                    weights.rows() * weights.cols() * 4 + bias.len() * 4
-                }
-                Stage::Affine { scale, shift } => (scale.len() + shift.len()) * 4,
-                Stage::Activation(_) => 0,
-            })
-            .sum()
-    }
-
     /// Batched inference in the lowered tier: f64 features in, f64
     /// outputs out (widened from f32 — exact), with all internal
     /// arithmetic in f32.
@@ -257,7 +230,7 @@ mod tests {
 
     #[test]
     fn f32_lowering_tracks_the_f64_reference() {
-        let mut mlp = trained_network(3);
+        let mlp = trained_network(3);
         let x = features(24);
         let exact = mlp.predict(&x).unwrap();
         let lowered = LoweredMlp::lower(&mlp, InferencePrecision::F32).unwrap();
@@ -294,19 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn lowered_parameters_are_smaller_than_f64() {
-        let mlp = trained_network(1);
-        let f64_bytes = mlp.parameter_count() * 8;
-        let f32_bytes = LoweredMlp::lower(&mlp, InferencePrecision::F32)
-            .unwrap()
-            .parameter_bytes();
-        assert!(f32_bytes * 2 <= f64_bytes + 8);
-    }
-
-    #[test]
-    fn precision_labels_are_stable() {
-        assert_eq!(InferencePrecision::Exact.label(), "exact");
-        assert_eq!(InferencePrecision::F32.label(), "f32");
+    fn exact_is_the_default_precision() {
         assert_eq!(InferencePrecision::default(), InferencePrecision::Exact);
     }
 }

@@ -226,7 +226,7 @@ impl Mlp {
     /// # Errors
     ///
     /// Propagates shape errors from the constituent layers.
-    pub fn predict(&mut self, x: &Matrix) -> Result<Matrix, NnError> {
+    pub fn predict(&self, x: &Matrix) -> Result<Matrix, NnError> {
         self.infer(x, self.layers.len(), None)
     }
 
@@ -327,7 +327,7 @@ impl Mlp {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when `row.len() != in_dim`.
-    pub fn predict_one(&mut self, row: &[f64]) -> Result<Vec<f64>, NnError> {
+    pub fn predict_one(&self, row: &[f64]) -> Result<Vec<f64>, NnError> {
         if row.len() != self.in_dim {
             return Err(NnError::ShapeMismatch {
                 context: "predict_one",
@@ -336,7 +336,7 @@ impl Mlp {
             });
         }
         let x = Matrix::from_vec(1, self.in_dim, row.to_vec()).expect("length checked");
-        Ok(self.forward(&x, false)?.into_vec())
+        Ok(self.predict(&x)?.into_vec())
     }
 
     /// Batched inference over stacked samples: one forward pass over a
@@ -350,7 +350,7 @@ impl Mlp {
     ///
     /// Returns [`NnError::ShapeMismatch`] when any row's length differs
     /// from `in_dim`.
-    pub fn predict_batch(&mut self, rows: &[Vec<f64>]) -> Result<Matrix, NnError> {
+    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Result<Matrix, NnError> {
         if rows.is_empty() {
             return Ok(Matrix::zeros(0, self.out_dim));
         }
@@ -366,7 +366,7 @@ impl Mlp {
             data.extend_from_slice(row);
         }
         let x = Matrix::from_vec(rows.len(), self.in_dim, data).expect("lengths checked");
-        self.forward(&x, false)
+        self.predict(&x)
     }
 
     /// Output of the *penultimate* stage in inference mode — the learned
@@ -377,7 +377,7 @@ impl Mlp {
     /// # Errors
     ///
     /// Propagates shape errors from the constituent layers.
-    pub fn embed(&mut self, x: &Matrix) -> Result<Matrix, NnError> {
+    pub fn embed(&self, x: &Matrix) -> Result<Matrix, NnError> {
         let last_dense = self
             .layers
             .iter()
@@ -861,7 +861,7 @@ mod tests {
 
     #[test]
     fn predict_columns_carries_the_bits_of_predict() {
-        let (mut mlp, x) = trained_sparse_net();
+        let (mlp, x) = trained_sparse_net();
         let mut restored = Mlp::from_specs(40, &mlp.layer_specs()).unwrap();
         crate::load_parameters(&mut restored, &crate::save_parameters(&mlp)).unwrap();
         let full = mlp.predict(&x).unwrap();
@@ -890,7 +890,7 @@ mod tests {
             // ...and through a blob that carries the non-finite weight.
             let mut restored = Mlp::from_specs(40, &edited.layer_specs()).unwrap();
             crate::load_parameters(&mut restored, &crate::save_parameters(&edited)).unwrap();
-            for mut net in [edited, restored] {
+            for net in [edited, restored] {
                 let out = net.predict(&x).unwrap();
                 // 0 * NaN and 0 * inf are NaN: hidden unit 5 of every row
                 // is NaN, and so is every output after it.
@@ -1062,7 +1062,7 @@ mod tests {
 
     #[test]
     fn predict_batch_rejects_ragged_and_handles_empty() {
-        let mut mlp = Mlp::builder(3, 0).dense(2).build();
+        let mlp = Mlp::builder(3, 0).dense(2).build();
         assert_eq!(mlp.predict_batch(&[]).unwrap().shape(), (0, 2));
         let err = mlp.predict_batch(&[vec![1.0, 2.0, 3.0], vec![1.0]]);
         assert!(err.is_err());
@@ -1071,7 +1071,7 @@ mod tests {
 
     #[test]
     fn embed_returns_penultimate_width() {
-        let mut mlp = Mlp::builder(3, 2)
+        let mlp = Mlp::builder(3, 2)
             .dense(7)
             .activation(Activation::Tanh)
             .dense(4)

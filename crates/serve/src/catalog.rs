@@ -15,10 +15,10 @@
 //!   same order-free derived seed the eager registry path uses, so a
 //!   lazy retrain reproduces the eager model exactly.
 //!
-//! One fault path turns a key into a model: a *lease* takes the parked
-//! model if there is one, else hydrates the stored snapshot, else
-//! retrains from the spec. One write-through moves a model's only copy
-//! out of memory: it stores the model's snapshot stamped with the
+//! One fault path turns a key into a model: an *acquire* shares the
+//! resident model if there is one, else hydrates the stored snapshot,
+//! else retrains from the spec. One write-through moves a model's only
+//! copy out of memory: it stores the model's snapshot stamped with the
 //! version it serves, whether the model leaves through LRU eviction, a
 //! server worker's spin-down, or [`ModelCatalog::export_to`]. So no
 //! answer is ever lost — a later request hydrates the identical model
@@ -30,15 +30,18 @@
 //! observable.
 //!
 //! The same value serves both owners. Owned, [`ModelCatalog::localize`]
-//! leases, serves, parks and trims in the caller's thread, and the
+//! acquires, serves, releases and trims in the caller's thread, and the
 //! `&mut self` calls (inserts, trims, exports) reach the state without
 //! locking. Handed to
 //! [`crate::BatchServer::start`], it is shared by every shard worker:
-//! workers lease models out and release them back when they spin down.
-//! Faulting — store reads, hydration, retraining, write-through — runs
-//! *outside* the state lock, so concurrently faulting shards overlap
-//! instead of queueing behind one another; only same-shard
-//! lease/release pairs are serialized.
+//! inference only reads a model, so a resident model is one
+//! `Arc<dyn Localizer>` that workers share, and each entry counts its
+//! holders. A held entry is never evicted; the last holder of a
+//! spinning-down shard writes the model through and frees it. Faulting —
+//! store reads, hydration, retraining, write-through — runs *outside*
+//! the state lock, so concurrently faulting shards overlap instead of
+//! queueing behind one another; only activations of the same shard are
+//! serialized.
 //!
 //! # Examples
 //!
@@ -58,7 +61,7 @@
 //! let mut catalog = ModelCatalog::new(CatalogBudget::Count(1))?;
 //! let mut expected = Vec::new();
 //! for k in 1..=3 {
-//!     let mut model: Box<dyn Localizer> = Box::new(KnnFingerprint::fit(&campaign, k)?);
+//!     let model: Box<dyn Localizer> = Box::new(KnnFingerprint::fit(&campaign, k)?);
 //!     expected.push(model.localize_batch(&probe)?);
 //!     catalog.insert(ShardKey::building(k), model)?;
 //!     assert!(catalog.resident_len() <= 1, "budget of one enforced");
@@ -84,6 +87,7 @@ use noble_geo::Point;
 use noble_linalg::Matrix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -116,14 +120,14 @@ impl CatalogBudget {
         }
     }
 
-    /// Whether the parked models exceed the budget. A byte budget
+    /// Whether the resident models exceed the budget. A byte budget
     /// always admits one model, however large.
-    fn exceeded_by(self, parked: &BTreeMap<ShardKey, Resident>) -> bool {
+    fn exceeded_by(self, resident: &BTreeMap<ShardKey, Resident>) -> bool {
         match self {
             CatalogBudget::Unbounded => false,
-            CatalogBudget::Count(n) => parked.len() > n,
+            CatalogBudget::Count(n) => resident.len() > n,
             CatalogBudget::Bytes(n) => {
-                parked.len() > 1 && parked.values().map(|r| r.cost).sum::<usize>() > n
+                resident.len() > 1 && resident.values().map(|r| r.cost).sum::<usize>() > n
             }
         }
     }
@@ -211,19 +215,28 @@ impl TrainSpec {
 /// active slot for `key` — the one write-through behind LRU eviction,
 /// worker spin-down, spec retrains, byte-budget inserts and
 /// [`ModelCatalog::export_to`]. Returns the encoded size, or `None` when
-/// the model cannot snapshot.
+/// the model cannot snapshot. A panic in the model's snapshot or in the
+/// store is a failed write ([`ServeError::Internal`]), so the model stays
+/// resident instead of being lost.
 fn write_through(
     store: &dyn ModelStore,
     key: ShardKey,
     model: &dyn Localizer,
     version: u64,
 ) -> Result<Option<usize>, ServeError> {
-    let Some(snapshot) = model.try_snapshot() else {
-        return Ok(None);
-    };
-    let snapshot = snapshot.with_version(version);
-    store.put(key, &snapshot)?;
-    Ok(Some(snapshot.encoded_len()))
+    catch_unwind(AssertUnwindSafe(|| {
+        let Some(snapshot) = model.try_snapshot() else {
+            return Ok(None);
+        };
+        let snapshot = snapshot.with_version(version);
+        store.put(key, &snapshot)?;
+        Ok(Some(snapshot.encoded_len()))
+    }))
+    .unwrap_or_else(|_| {
+        Err(ServeError::Internal(format!(
+            "the write-through of shard {key} panicked"
+        )))
+    })
 }
 
 /// The state of an owned catalog, reached without locking.
@@ -233,19 +246,40 @@ fn unlocked(state: &mut Mutex<State>) -> &mut State {
 
 /// One resident model plus its LRU bookkeeping.
 struct Resident {
-    model: Box<dyn Localizer>,
+    model: Arc<dyn Localizer>,
     /// Encoded-snapshot size, the [`CatalogBudget::Bytes`] unit; `0` when
     /// unknown (non-snapshotable models under a count budget).
     cost: usize,
     last_used: u64,
     /// Model version (online-refresh lineage; `0` is the offline-trained
     /// generation). Stamped onto the model's write-through, and lets a
-    /// worker tell a stale lease from the active generation.
+    /// worker tell its generation from the active one.
     version: u64,
+    /// Workers serving from this entry now; a held entry is never
+    /// evicted.
+    holders: usize,
 }
 
-/// What a leasing worker must do to materialize a cold model.
-enum LeaseSource {
+impl Resident {
+    fn served(&self) -> Served {
+        Served {
+            model: Arc::clone(&self.model),
+            cost: self.cost,
+            version: self.version,
+        }
+    }
+}
+
+/// A shared resident model as [`ModelCatalog::acquire`] hands it out.
+pub(crate) struct Served {
+    pub(crate) model: Arc<dyn Localizer>,
+    /// Its budget cost: encoded snapshot bytes, `0` when unknown.
+    pub(crate) cost: usize,
+    pub(crate) version: u64,
+}
+
+/// Where a cold model faults in from.
+enum FaultSource {
     Stored,
     Spec(Arc<TrainSpec>),
 }
@@ -255,22 +289,13 @@ enum LeaseSource {
 /// fault (store reads, hydration, retraining) never holds this lock.
 #[derive(Default)]
 struct State {
-    /// Models checked into the catalog and not leased out (the resident
-    /// tier).
-    parked: BTreeMap<ShardKey, Resident>,
+    /// Live models (the resident tier), each with its holder count.
+    resident: BTreeMap<ShardKey, Resident>,
     /// Keys known to have a snapshot in the store tier (primed from
     /// `store.list()` at construction, maintained on every put).
     stored: BTreeSet<ShardKey>,
-    /// Keys whose model is currently leased out.
-    leased: BTreeSet<ShardKey>,
-    /// Freshly activated models for keys whose previous generation is
-    /// still leased out. The leasing worker picks its entry up at the
-    /// next batch boundary ([`ModelCatalog::refresh_lease`]); release
-    /// paths fold a leftover entry in so an activated model is never
-    /// lost.
-    pending: BTreeMap<ShardKey, Resident>,
     /// Activated model version per key; absent means "whatever the
-    /// store's active slot says" (primed on first lease), which is `0`
+    /// store's active slot says" (primed on first fault-in), which is `0`
     /// for shards that never refreshed.
     active: BTreeMap<ShardKey, u64>,
     /// Keys with an activation (or rollback) in flight — version
@@ -292,9 +317,8 @@ pub struct ModelCatalog {
     store: Arc<dyn ModelStore>,
     specs: BTreeMap<ShardKey, Arc<TrainSpec>>,
     state: Mutex<State>,
-    /// Signals lease releases and activation completions (same-shard
-    /// waiters re-check here).
-    released: Condvar,
+    /// Signals freed activation slots (same-shard activations wait here).
+    slot_freed: Condvar,
     /// Bumped on every activation/rollback. Shard workers cache the value
     /// and re-check it between batches — one atomic load per batch — so
     /// a version bump is picked up at a batch boundary without ever
@@ -302,18 +326,18 @@ pub struct ModelCatalog {
     epoch: AtomicU64,
 }
 
-/// Hands a lease back, freeing its key to be leased again, unless
-/// [`ModelCatalog::lease`] forgets it once its fault-in succeeds: a failed
-/// or unwinding fault-in never leaves the key leased for good.
-struct HandBack<'a> {
+/// A claimed per-key activation slot. Dropping it is the slot's one
+/// exit: it frees the slot and wakes same-key waiters whether the
+/// activation succeeded, failed or unwound.
+struct ActivationSlot<'a> {
     catalog: &'a ModelCatalog,
     key: ShardKey,
 }
 
-impl Drop for HandBack<'_> {
+impl Drop for ActivationSlot<'_> {
     fn drop(&mut self) {
-        relock(&self.catalog.state).leased.remove(&self.key);
-        self.catalog.released.notify_all();
+        relock(&self.catalog.state).activating.remove(&self.key);
+        self.catalog.slot_freed.notify_all();
     }
 }
 
@@ -322,8 +346,7 @@ impl fmt::Debug for ModelCatalog {
         let state = relock(&self.state);
         f.debug_struct("ModelCatalog")
             .field("budget", &self.budget)
-            .field("parked", &state.parked.keys().collect::<Vec<_>>())
-            .field("leased", &state.leased)
+            .field("resident", &state.resident.keys().collect::<Vec<_>>())
             .field("stored", &state.stored)
             .field("specs", &self.specs.keys().collect::<Vec<_>>())
             .finish()
@@ -368,7 +391,7 @@ impl ModelCatalog {
                 stored,
                 ..State::default()
             }),
-            released: Condvar::new(),
+            slot_freed: Condvar::new(),
             epoch: AtomicU64::new(0),
         })
     }
@@ -412,13 +435,14 @@ impl ModelCatalog {
             state.stored.insert(key);
         }
         state.clock += 1;
-        state.parked.insert(
+        state.resident.insert(
             key,
             Resident {
-                model: localizer,
+                model: Arc::from(localizer),
                 cost: written.unwrap_or(0),
                 last_used: state.clock,
                 version: 0,
+                holders: 0,
             },
         );
         self.trim(Some(key));
@@ -478,12 +502,11 @@ impl ModelCatalog {
         self.register_spec(key, TrainSpec::Imu { dataset, cfg });
     }
 
-    /// Every key the catalog can serve (resident ∪ leased ∪ stored ∪
-    /// specs), sorted.
+    /// Every key the catalog can serve (resident ∪ stored ∪ specs),
+    /// sorted.
     pub fn keys(&self) -> Vec<ShardKey> {
         let state = relock(&self.state);
-        let mut keys: BTreeSet<ShardKey> = state.parked.keys().copied().collect();
-        keys.extend(state.leased.iter().copied());
+        let mut keys: BTreeSet<ShardKey> = state.resident.keys().copied().collect();
         keys.extend(state.stored.iter().copied());
         keys.extend(self.specs.keys().copied());
         keys.into_iter().collect()
@@ -491,12 +514,12 @@ impl ModelCatalog {
 
     /// Keys currently holding a live model, sorted.
     pub fn resident_keys(&self) -> Vec<ShardKey> {
-        relock(&self.state).parked.keys().copied().collect()
+        relock(&self.state).resident.keys().copied().collect()
     }
 
     /// Number of live models (what the budget bounds).
     pub fn resident_len(&self) -> usize {
-        relock(&self.state).parked.len()
+        relock(&self.state).resident.len()
     }
 
     /// Number of servable shards across all tiers.
@@ -513,14 +536,14 @@ impl ModelCatalog {
     /// model's site labeled by its shard key.
     pub fn info(&self) -> Vec<LocalizerInfo> {
         relock(&self.state)
-            .parked
+            .resident
             .iter()
             .map(|(key, r)| r.model.info().with_site(key.to_string()))
             .collect()
     }
 
     /// Routes a feature batch to its shard and localizes it: the model is
-    /// leased (faulting it in if cold), serves, parks again, and the
+    /// acquired (faulting it in if cold) for the call, and the
     /// least-recently-used models past the budget are written through
     /// and evicted.
     ///
@@ -529,9 +552,8 @@ impl ModelCatalog {
     /// [`ServeError::UnknownShard`] when no tier knows `key`; propagates
     /// hydration, training, model and write-through failures.
     pub fn localize(&mut self, key: ShardKey, features: &Matrix) -> Result<Vec<Point>, ServeError> {
-        let (mut model, cost, version) = self.lease(key)?;
-        let points = model.localize_batch(features);
-        self.release_parked(key, model, cost, version);
+        let points = self.acquire(key)?.model.localize_batch(features);
+        self.release(key, false);
         self.trim(Some(key));
         points.map_err(ServeError::from)
     }
@@ -547,42 +569,40 @@ impl ModelCatalog {
     /// [`ServeError::NotSnapshotable`] when a resident model cannot
     /// serialize itself; propagates store failures.
     pub fn export_to(&mut self, store: &dyn ModelStore) -> Result<usize, ServeError> {
-        let parked = &unlocked(&mut self.state).parked;
-        for (key, resident) in parked {
-            write_through(store, *key, resident.model.as_ref(), resident.version)?
+        let resident = &unlocked(&mut self.state).resident;
+        for (key, r) in resident {
+            write_through(store, *key, r.model.as_ref(), r.version)?
                 .ok_or(ServeError::NotSnapshotable(*key))?;
         }
-        Ok(parked.len())
+        Ok(resident.len())
     }
 
     /// Moves every tier out into a fresh catalog trimmed back under the
     /// budget: the server's shutdown hand-back, run once every worker
-    /// has released its lease.
+    /// has let go of its hold.
     pub(crate) fn take(&self) -> ModelCatalog {
-        let mut state = std::mem::take(&mut *relock(&self.state));
+        let state = std::mem::take(&mut *relock(&self.state));
         debug_assert!(
-            state.leased.is_empty(),
-            "taking a catalog with live leases loses models"
+            state.resident.values().all(|r| r.holders == 0),
+            "taking a catalog whose models are still held"
         );
-        let pending = std::mem::take(&mut state.pending);
-        state.parked.extend(pending);
         let mut catalog = ModelCatalog {
             budget: self.budget,
             store: Arc::clone(&self.store),
             specs: self.specs.clone(),
             state: Mutex::new(state),
-            released: Condvar::new(),
+            slot_freed: Condvar::new(),
             epoch: AtomicU64::new(0),
         };
         catalog.trim(None);
         catalog
     }
 
-    /// Evicts least-recently-used parked models (never `protect`, the
-    /// shard just served) until the budget holds or only pinned models
-    /// remain. A victim the store does not hold yet is written through
-    /// first; one that can neither be stored nor retrained stays
-    /// resident, pinned.
+    /// Evicts least-recently-used resident models (never `protect`, the
+    /// shard just served, nor a held one) until the budget holds or only
+    /// pinned models remain. A victim the store does not hold yet is
+    /// written through first; one that can neither be stored nor
+    /// retrained stays resident, pinned.
     fn trim(&mut self, protect: Option<ShardKey>) {
         let ModelCatalog {
             budget,
@@ -593,15 +613,15 @@ impl ModelCatalog {
         } = self;
         let state = unlocked(state);
         let mut pinned = BTreeSet::new();
-        while budget.exceeded_by(&state.parked) {
+        while budget.exceeded_by(&state.resident) {
             let victim = state
-                .parked
+                .resident
                 .iter()
-                .filter(|(k, _)| protect != Some(**k) && !pinned.contains(*k))
+                .filter(|(k, r)| protect != Some(**k) && r.holders == 0 && !pinned.contains(*k))
                 .min_by_key(|(_, r)| r.last_used);
             let Some((&key, victim)) = victim else {
-                // Everything left is pinned; staying over budget beats
-                // losing a model.
+                // Everything left is pinned or held; staying over budget
+                // beats losing a model.
                 return;
             };
             let evictable = state.stored.contains(&key)
@@ -627,58 +647,48 @@ impl ModelCatalog {
                 pinned.insert(key);
                 continue;
             }
-            state.parked.remove(&key);
+            state.resident.remove(&key);
             state.stats.evictions += 1;
         }
     }
 
-    /// Checks `key`'s model out of the catalog for exclusive use,
-    /// faulting it in (parked hit → store hydration → spec retrain) if
-    /// cold — the only code that turns a key into a model. Returns the
-    /// model, its budget cost (encoded snapshot bytes; `0` when unknown)
-    /// and its model version.
+    /// Shares `key`'s model with one more holder, faulting it in
+    /// (resident hit → store hydration → spec retrain) if cold — the only
+    /// code that turns a key into a model. Every successful acquire is
+    /// matched by one [`ModelCatalog::release`].
     ///
-    /// Blocks while a previous worker still holds `key`'s lease, so a
-    /// spin-down's write-through always completes before the re-fault.
+    /// A miss faults the model in outside the lock and marks nothing
+    /// until the model is resident, so a failed or unwinding fault-in
+    /// leaves no state behind. When an activation published the key
+    /// while it faulted in, the published generation serves instead.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownShard`] when no tier knows `key`; propagates
-    /// hydration, training and store failures (the lease is not held on
-    /// error).
-    pub(crate) fn lease(
-        &self,
-        key: ShardKey,
-    ) -> Result<(Box<dyn Localizer>, usize, u64), ServeError> {
+    /// hydration, training and store failures.
+    pub(crate) fn acquire(&self, key: ShardKey) -> Result<Served, ServeError> {
         let source = {
             let mut state = relock(&self.state);
-            while state.leased.contains(&key) {
-                state = rewait(&self.released, state);
-            }
-            if let Some(parked) = state.parked.remove(&key) {
+            if let Some(resident) = state.resident.get_mut(&key) {
+                resident.holders += 1;
+                let served = resident.served();
                 state.stats.hits += 1;
-                state.leased.insert(key);
-                return Ok((parked.model, parked.cost, parked.version));
+                return Ok(served);
             }
             state.stats.misses += 1;
             if state.stored.contains(&key) {
-                state.leased.insert(key);
-                LeaseSource::Stored
+                FaultSource::Stored
             } else if let Some(spec) = self.specs.get(&key) {
-                state.leased.insert(key);
-                LeaseSource::Spec(Arc::clone(spec))
+                FaultSource::Spec(Arc::clone(spec))
             } else {
                 return Err(ServeError::UnknownShard(key));
             }
         };
         // The expensive half — a store read + hydration, or a full
         // retrain — runs outside the state lock so concurrently faulting
-        // shards overlap instead of queueing behind one another. Until it
-        // succeeds, the guard hands the key back on every way out: an
-        // error, or an unwind (a panicking store, hydration or retrain).
-        let lease = HandBack { catalog: self, key };
+        // shards overlap instead of queueing behind one another.
         let (model, cost, version, retrained) = match source {
-            LeaseSource::Stored => self
+            FaultSource::Stored => self
                 .store
                 .get(key)
                 .and_then(|snapshot| {
@@ -690,14 +700,13 @@ impl ModelCatalog {
                     let model = hydrate(&snapshot)?;
                     Ok((model, snapshot.encoded_len(), snapshot.version(), false))
                 }),
-            LeaseSource::Spec(spec) => spec.train(key).and_then(|model| {
+            FaultSource::Spec(spec) => spec.train(key).and_then(|model| {
                 // Write through immediately: the next cold fault hydrates
                 // instead of paying the retrain again.
                 let cost = write_through(self.store.as_ref(), key, model.as_ref(), 0)?;
                 Ok((model, cost.unwrap_or(0), 0, true))
             }),
         }?;
-        std::mem::forget(lease);
         let mut state = relock(&self.state);
         if retrained {
             state.stats.retrains += 1;
@@ -711,116 +720,78 @@ impl ModelCatalog {
         // (restart recovery: the active slot is the source of truth until
         // an in-process activation overrides it).
         state.active.entry(key).or_insert(version);
-        Ok((model, cost, version))
+        state.clock += 1;
+        let last_used = state.clock;
+        let resident = state.resident.entry(key).or_insert_with(|| Resident {
+            model: Arc::from(model),
+            cost,
+            last_used,
+            version,
+            holders: 0,
+        });
+        resident.holders += 1;
+        Ok(resident.served())
     }
 
-    /// Checks a leased model back in *cold*: writes it through to the
-    /// store if it is not already there, then releases its memory (the
-    /// spin-down path). A model that can neither snapshot nor retrain is
-    /// parked instead of dropped — never lost — and the
+    /// Ends one holder's use of `key`'s model. With `cold` — a worker's
+    /// spin-down — the last holder out retires the model: it is written
+    /// through to the store unless the store already has it, then
+    /// evicted. A model that can neither snapshot nor retrain, or that the
+    /// store refused, stays resident instead — never lost — and the
     /// [`CatalogStats::pinned`] warning counter ticks.
-    ///
-    /// `version` is the generation the worker was serving. When a newer
-    /// generation was activated during the lease, the returned model is
-    /// stale: its bytes are already archived and the successor's bytes
-    /// already occupy the store's active slot, so both the stale model
-    /// and the superseding pending model can be dropped — the next fault
-    /// hydrates the active generation.
-    pub(crate) fn release_cold(
-        &self,
-        key: ShardKey,
-        model: Box<dyn Localizer>,
-        cost: usize,
-        version: u64,
-    ) {
-        let (superseded, stored) = {
-            let mut state = relock(&self.state);
-            (state.pending.remove(&key), state.stored.contains(&key))
+    pub(crate) fn release(&self, key: ShardKey, cold: bool) {
+        let mut state = relock(&self.state);
+        state.clock += 1;
+        let last_used = state.clock;
+        let Some(resident) = state.resident.get_mut(&key) else {
+            return;
         };
-        // Activation already wrote a superseding generation's bytes to
-        // the active slot, so neither live copy needs a write-through.
-        // Otherwise serialization and the store write run outside the
-        // lock.
-        if superseded.is_none() && !stored {
-            let droppable = match write_through(self.store.as_ref(), key, model.as_ref(), version) {
+        resident.holders = resident.holders.saturating_sub(1);
+        resident.last_used = last_used;
+        if !cold || resident.holders > 0 {
+            return;
+        }
+        let (model, version) = (Arc::clone(&resident.model), resident.version);
+        if !state.stored.contains(&key) {
+            // Serialization and the store write run outside the lock.
+            drop(state);
+            let written = write_through(self.store.as_ref(), key, model.as_ref(), version);
+            if let Err(e) = &written {
+                eprintln!(
+                    "noble-serve: spin-down write-through for shard {key} failed ({e}); \
+                     keeping the model resident"
+                );
+            }
+            state = relock(&self.state);
+            let retired = match written {
                 Ok(Some(_)) => {
-                    relock(&self.state).stored.insert(key);
+                    state.stored.insert(key);
                     true
                 }
                 // Unsnapshotable: dropping is safe only with a spec.
                 Ok(None) => self.specs.contains_key(&key),
-                Err(e) => {
-                    eprintln!(
-                        "noble-serve: spin-down write-through for shard {key} failed ({e}); \
-                         keeping the model resident"
-                    );
-                    false
-                }
+                Err(_) => false,
             };
-            if !droppable {
-                // Dropping would lose the only copy: park it (pinned)
-                // and keep serving from memory.
-                relock(&self.state).stats.pinned += 1;
-                return self.release_parked(key, model, cost, version);
+            if !retired {
+                // Dropping would lose the only copy: keep serving it from
+                // memory, pinned.
+                state.stats.pinned += 1;
+                return;
             }
         }
-        drop(model);
-        drop(superseded);
-        let mut state = relock(&self.state);
-        state.stats.evictions += 1;
-        state.leased.remove(&key);
-        self.released.notify_all();
-    }
-
-    /// Checks a leased model back in *live*: it stays parked in the
-    /// resident tier for the next lease (the owned `localize` path and
-    /// the server-shutdown path, so the handed-back catalog keeps warm
-    /// models). A pending activation supersedes the returned model — the
-    /// fresh generation parks, the stale one drops.
-    pub(crate) fn release_parked(
-        &self,
-        key: ShardKey,
-        model: Box<dyn Localizer>,
-        cost: usize,
-        version: u64,
-    ) {
-        let stale;
+        // Evict only the generation retired above, and only if no new
+        // holder picked it up meanwhile; its memory is freed after the
+        // lock.
+        if state
+            .resident
+            .get(&key)
+            .is_some_and(|r| r.holders == 0 && r.version == version)
         {
-            let mut state = relock(&self.state);
-            state.clock += 1;
-            let last_used = state.clock;
-            let resident = match state.pending.remove(&key) {
-                Some(mut fresh) => {
-                    fresh.last_used = last_used;
-                    stale = Some(model);
-                    fresh
-                }
-                None => {
-                    stale = None;
-                    Resident {
-                        model,
-                        cost,
-                        last_used,
-                        version,
-                    }
-                }
-            };
-            state.parked.insert(key, resident);
-            state.leased.remove(&key);
+            let evicted = state.resident.remove(&key);
+            state.stats.evictions += 1;
+            drop(state);
+            drop(evicted);
         }
-        self.released.notify_all();
-        drop(stale);
-    }
-
-    /// Ends a lease whose model was lost to an unwinding worker. A pending
-    /// activation parks in its place, so an activated model is never lost.
-    pub(crate) fn abandon_lease(&self, key: ShardKey) {
-        let mut state = relock(&self.state);
-        if let Some(fresh) = state.pending.remove(&key) {
-            state.parked.insert(key, fresh);
-        }
-        state.leased.remove(&key);
-        self.released.notify_all();
     }
 
     // -----------------------------------------------------------------
@@ -834,7 +805,7 @@ impl ModelCatalog {
     ///
     /// Note the map is primed lazily: after a restart the authoritative
     /// version lives in the store's active slot and is learned on the
-    /// first lease or activation of the key.
+    /// first fault-in or activation of the key.
     pub(crate) fn active_version(&self, key: ShardKey) -> u64 {
         relock(&self.state).active.get(&key).copied().unwrap_or(0)
     }
@@ -876,12 +847,14 @@ impl ModelCatalog {
     ///    version archive **before** activation;
     /// 3. the same bytes are published to the store's active slot (a
     ///    restart rehydrates to the new version);
-    /// 4. the in-memory flip: parked keys swap immediately, leased keys
-    ///    get a pending entry their worker picks up at the next batch
-    ///    boundary — never mid-batch — and the swap epoch bumps.
+    /// 4. the in-memory flip: the key's resident entry takes the new
+    ///    model in place, held or not — its holders pick it up at their
+    ///    next batch boundary, never mid-batch — and the swap epoch bumps.
     ///
     /// Activations and rollbacks of the same key are serialized against
-    /// each other (concurrent calls for different keys overlap).
+    /// each other (concurrent calls for different keys overlap), and an
+    /// error or a panic anywhere in them frees the key for the next one
+    /// with nothing activated.
     /// Version numbers are never reused: after a rollback, the next
     /// activation continues above the highest archived version.
     ///
@@ -894,39 +867,36 @@ impl ModelCatalog {
     where
         F: FnOnce(u64) -> Result<Box<dyn Localizer>, ServeError>,
     {
-        let current = self.begin_activation(key);
-        let outcome = (|| {
-            // Lineage recovery from the store: the active slot may be
-            // ahead of the in-memory map (fresh process), and archived
-            // numbers must never be reused (rollback rewinds `active`
-            // but not history).
-            let slot = self.store.get(key)?;
-            let slot_version = slot.as_ref().map_or(0, ModelSnapshot::version);
-            let archived = self.store.versions(key)?;
-            if let Some(slot_snap) = &slot {
-                if !archived.contains(&slot_version) {
-                    self.store.put_version(key, slot_version, slot_snap)?;
-                }
+        let (_claim, current) = self.begin_activation(key);
+        // Lineage recovery from the store: the active slot may be ahead
+        // of the in-memory map (fresh process), and archived numbers must
+        // never be reused (rollback rewinds `active` but not history).
+        let slot = self.store.get(key)?;
+        let slot_version = slot.as_ref().map_or(0, ModelSnapshot::version);
+        let archived = self.store.versions(key)?;
+        if let Some(slot_snap) = &slot {
+            if !archived.contains(&slot_version) {
+                self.store.put_version(key, slot_version, slot_snap)?;
             }
-            let version = archived
-                .last()
-                .copied()
-                .unwrap_or(0)
-                .max(slot_version)
-                .max(current)
-                + 1;
-            let model = build(version)?;
-            let snapshot = model
-                .try_snapshot()
-                .ok_or(ServeError::NotSnapshotable(key))?
-                .with_version(version);
-            // Archive first, then publish the active slot: every version
-            // is durably snapshotted before anything serves it.
-            self.store.put_version(key, version, &snapshot)?;
-            self.store.put(key, &snapshot)?;
-            Ok((version, model, snapshot.encoded_len()))
-        })();
-        self.finish_activation(key, outcome)
+        }
+        let version = archived
+            .last()
+            .copied()
+            .unwrap_or(0)
+            .max(slot_version)
+            .max(current)
+            + 1;
+        let model = build(version)?;
+        let snapshot = model
+            .try_snapshot()
+            .ok_or(ServeError::NotSnapshotable(key))?
+            .with_version(version);
+        // Archive first, then publish the active slot: every version is
+        // durably snapshotted before anything serves it.
+        self.store.put_version(key, version, &snapshot)?;
+        self.store.put(key, &snapshot)?;
+        self.publish(key, version, model, snapshot.encoded_len());
+        Ok(version)
     }
 
     /// Rewinds `key` to an archived `version`: rehydrates its bytes,
@@ -941,102 +911,68 @@ impl ModelCatalog {
     /// for `key`; propagates store and hydration failures (serving is
     /// untouched on error).
     pub(crate) fn rollback(&self, key: ShardKey, version: u64) -> Result<(), ServeError> {
-        self.begin_activation(key);
-        let outcome = (|| {
-            let snapshot = self
-                .store
-                .get_version(key, version)?
-                .ok_or(ServeError::UnknownVersion { key, version })?;
-            let model = hydrate(&snapshot)?;
-            // Republish the archived bytes as the active slot so a
-            // restart rehydrates to the rolled-back version.
-            self.store.put(key, &snapshot)?;
-            Ok((version, model, snapshot.encoded_len()))
-        })();
-        self.finish_activation(key, outcome).map(|_| ())
+        let _claim = self.begin_activation(key);
+        let snapshot = self
+            .store
+            .get_version(key, version)?
+            .ok_or(ServeError::UnknownVersion { key, version })?;
+        let model = hydrate(&snapshot)?;
+        // Republish the archived bytes as the active slot so a restart
+        // rehydrates to the rolled-back version.
+        self.store.put(key, &snapshot)?;
+        self.publish(key, version, model, snapshot.encoded_len());
+        Ok(())
     }
 
     /// Claims the per-key activation slot, waiting out an in-flight
-    /// activation of the same key. Returns the current active version.
-    fn begin_activation(&self, key: ShardKey) -> u64 {
+    /// activation of the same key. Returns the claimed slot, which frees
+    /// itself when dropped, and the current active version.
+    fn begin_activation(&self, key: ShardKey) -> (ActivationSlot<'_>, u64) {
         let mut state = relock(&self.state);
         while state.activating.contains(&key) {
-            state = rewait(&self.released, state);
+            state = rewait(&self.slot_freed, state);
         }
         state.activating.insert(key);
-        state.active.get(&key).copied().unwrap_or(0)
+        let current = state.active.get(&key).copied().unwrap_or(0);
+        (ActivationSlot { catalog: self, key }, current)
     }
 
-    /// Publishes (or abandons, on error) an activation: flips the active
-    /// version, routes the model to the parked tier or the leased
-    /// worker's pending slot, bumps the swap epoch and releases the
-    /// per-key activation slot.
-    fn finish_activation(
-        &self,
-        key: ShardKey,
-        outcome: Result<(u64, Box<dyn Localizer>, usize), ServeError>,
-    ) -> Result<u64, ServeError> {
+    /// Publishes an activated generation: flips the active version,
+    /// replaces the key's resident model in place (keeping its holders)
+    /// and bumps the swap epoch.
+    fn publish(&self, key: ShardKey, version: u64, model: Box<dyn Localizer>, cost: usize) {
         let mut state = relock(&self.state);
-        state.activating.remove(&key);
-        let result = match outcome {
-            Ok((version, model, cost)) => {
-                state.clock += 1;
-                let resident = Resident {
-                    model,
-                    cost,
-                    last_used: state.clock,
-                    version,
-                };
-                state.stored.insert(key);
-                state.active.insert(key, version);
-                if state.leased.contains(&key) {
-                    // The worker picks this up at its next batch
-                    // boundary; a second activation before that simply
-                    // replaces the entry (the dropped generation is
-                    // archived).
-                    state.pending.insert(key, resident);
-                } else {
-                    state.parked.insert(key, resident);
-                }
-                self.epoch.fetch_add(1, Ordering::Release);
-                Ok(version)
-            }
-            Err(e) => Err(e),
-        };
+        state.clock += 1;
+        let last_used = state.clock;
+        state.stored.insert(key);
+        state.active.insert(key, version);
+        let holders = state.resident.get(&key).map_or(0, |r| r.holders);
+        // The generation replaced here drops with its last holder's batch.
+        let replaced = state.resident.insert(
+            key,
+            Resident {
+                model: Arc::from(model),
+                cost,
+                last_used,
+                version,
+                holders,
+            },
+        );
+        self.epoch.fetch_add(1, Ordering::Release);
         drop(state);
-        self.released.notify_all();
-        result
+        drop(replaced);
     }
 
-    /// A worker's between-batches version check: given the version it is
-    /// serving, returns the fresh `(model, cost, version)` to swap to at
-    /// this batch boundary, or `None` to keep serving. Never blocks on
-    /// training — the fresh model was built off-path and is waiting in
-    /// the pending slot (the rare fallback rehydrates the store's active
-    /// slot). On any store/hydration hiccup the worker keeps its current
-    /// generation: refresh machinery must never degrade serving.
-    pub(crate) fn refresh_lease(
-        &self,
-        key: ShardKey,
-        serving: u64,
-    ) -> Option<(Box<dyn Localizer>, usize, u64)> {
-        {
-            let mut state = relock(&self.state);
-            let active = state.active.get(&key).copied().unwrap_or(serving);
-            if active == serving {
-                return None;
-            }
-            if let Some(fresh) = state.pending.remove(&key) {
-                return Some((fresh.model, fresh.cost, fresh.version));
-            }
-        }
-        // No live pending copy (e.g. consecutive swaps raced): fall back
-        // to the active slot's bytes.
-        let snapshot = self.store.get(key).ok().flatten()?;
-        if snapshot.version() == serving {
-            return None;
-        }
-        let model = hydrate(&snapshot).ok()?;
-        Some((model, snapshot.encoded_len(), snapshot.version()))
+    /// A holder's between-batches version check: the resident generation
+    /// of `key` when its version differs from the `serving` one, else
+    /// `None`. It never blocks on training or the store: an activation
+    /// replaced the entry in place, and the caller's hold keeps it
+    /// resident.
+    pub(crate) fn newer(&self, key: ShardKey, serving: u64) -> Option<Served> {
+        relock(&self.state)
+            .resident
+            .get(&key)
+            .filter(|r| r.version != serving)
+            .map(Resident::served)
     }
 }

@@ -17,14 +17,14 @@
 //! - [`ShardedRegistry`] is the eager-training hand-off: it partitions a
 //!   campaign by building/floor [`ShardKey`] and trains (or accepts) one
 //!   model per shard with order-free derived seeds and bounded per-shard
-//!   memory, then converts into an unbounded [`ModelCatalog`] of parked
+//!   memory, then converts into an unbounded [`ModelCatalog`] of resident
 //!   models. The catalog is the single source of truth for routing,
 //!   persistence and model version lineage.
 //! - [`BatchServer`] is the one serving engine. [`BatchServer::start`]
 //!   takes anything that converts into a [`ModelCatalog`] and
 //!   **demand-pages shards over it**: a shard's first request spawns its
-//!   worker, which leases the model (a parked model as-is, else a
-//!   hydrate or retrain) and micro-batches concurrently arriving fixes
+//!   worker, which acquires the model (shares a resident model, else
+//!   hydrates or retrains it) and micro-batches concurrently arriving fixes
 //!   under a configurable latency budget / max batch size
 //!   ([`BatchConfig`]) into one stacked `localize_batch` call;
 //!   per-request completions carry results back. Workers spin down

@@ -156,7 +156,7 @@ pub fn partition_campaign(
 /// alternative is [`ModelCatalog::register_wifi_campaign`]), and
 /// [`crate::BatchServer::start`] takes the registry through
 /// `From<ShardedRegistry> for ModelCatalog`: an unbounded catalog whose
-/// models are already parked, so the server serves them fully resident.
+/// models are already resident, so the server serves them fully resident.
 /// Everything past training — routing, persistence
 /// ([`ModelCatalog::export_to`]), budgets, and online refresh — lives on
 /// the catalog and the server. Refresh retrains from a registered

@@ -12,11 +12,11 @@
 //! ([`ServeClient::submit_then`]).
 //!
 //! A fully-resident server is the same engine over an unbounded catalog
-//! whose models are already parked — which is what a trained
+//! whose models are already resident — which is what a trained
 //! [`crate::ShardedRegistry`] converts into. Start is lazy for every
-//! shard: a resident shard's first request spawns its worker and leases
-//! the parked model (no hydration), and without budget pressure or an
-//! idle TTL the worker then stays hot for the server's lifetime.
+//! shard: a resident shard's first request spawns its worker, which
+//! shares the resident model (no hydration), and without budget pressure
+//! or an idle TTL the worker then stays hot for the server's lifetime.
 //!
 //! Each shard walks a COLD → WARMING → HOT → DRAINING lifecycle, decided
 //! by the pure type in `lifecycle.rs` (the state table is there); this
@@ -126,11 +126,11 @@ pub struct BatchConfig {
     /// Inference tier shards serve in. `Exact` — the default — serves
     /// the f64 models untouched (bit-identical to every earlier
     /// release). `F32` lowers each model once, off the hot path
-    /// (right after its worker leases it), via
+    /// (right after its worker acquires it), via
     /// [`Localizer::try_lower`]; models that cannot lower (e.g. the kNN
     /// radio map) keep serving exact. Lowered shards stay within the
-    /// tier's accuracy gate, and persistence write-through always
-    /// carries the exact f64 snapshot.
+    /// tier's accuracy gate; the lowered twin stays local to its worker,
+    /// so the catalog, and every write-through, keeps the exact f64 model.
     pub precision: InferencePrecision,
 }
 
@@ -148,18 +148,18 @@ impl Default for BatchConfig {
     }
 }
 
-/// Lowers a leased model into `precision` when requested and possible,
-/// *discarding* the exact progenitor (only the lowered twin stays
-/// resident; its snapshot is the progenitor's exact state); models that
-/// cannot lower (or an `Exact` config) serve unchanged.
+/// Lowers a worker's model into `precision` when requested and possible;
+/// models that cannot lower (or an `Exact` config) serve unchanged. The
+/// lowered twin stays local to the worker: the catalog keeps the exact
+/// model.
 fn lower_for_serving(
-    model: Box<dyn Localizer>,
+    model: Arc<dyn Localizer>,
     precision: InferencePrecision,
-) -> Box<dyn Localizer> {
+) -> Arc<dyn Localizer> {
     if precision == InferencePrecision::Exact {
         return model;
     }
-    model.try_lower(precision).unwrap_or(model)
+    model.try_lower(precision).map_or(model, Arc::from)
 }
 
 /// One shard's counters and live queue gauges. Unlike the cumulative
@@ -282,8 +282,8 @@ enum Job {
     /// Retire after serving everything queued ahead of this marker;
     /// write the model back through the store and free it.
     Drain,
-    /// Retire after serving the backlog and park the model in the shared
-    /// catalog.
+    /// Retire after serving the backlog and leave the model resident in
+    /// the shared catalog.
     Shutdown,
 }
 
@@ -413,7 +413,7 @@ impl PendingFix {
     /// Whether this fix found its shard cold (or still warming) and had
     /// to park while the model faulted in. Start is lazy, so on a
     /// fully-resident server this is `true` only for the fixes that
-    /// reach a shard before its worker's first lease. Latency-sensitive
+    /// reach a shard before its worker first acquires it. Latency-sensitive
     /// callers use this to split cold-start tails from steady-state
     /// percentiles.
     pub fn cold(&self) -> bool {
@@ -601,7 +601,7 @@ impl ServerCore {
                     key,
                     rx,
                     shard,
-                    leased: false,
+                    hold: Hold::Nothing,
                     exit_error: ServeError::ShuttingDown,
                 };
                 noble_linalg::as_worker(|| worker.run())
@@ -614,17 +614,30 @@ impl ServerCore {
     }
 }
 
-/// One shard worker: claims a budget slot, leases the model, serves
-/// batches and hands the model back (the state table is in
-/// `lifecycle.rs`). Dropping it is its one exit, on return or unwind.
+/// What a worker's exit does with its catalog hold on its key.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// It holds nothing: it never acquired the model, or the acquire
+    /// failed.
+    Nothing,
+    /// It leaves the model resident: shutdown, or an unwind (no model
+    /// code runs in a drop that is already unwinding).
+    Keep,
+    /// It retires the model cold: a drain or an idle spin-down.
+    Retire,
+}
+
+/// One shard worker: claims a budget slot, acquires the model, serves
+/// batches and releases it (the state table is in `lifecycle.rs`).
+/// Dropping it is its one exit, on return or unwind.
 struct ShardWorker {
     core: Arc<ServerCore>,
     id: WorkerId,
     key: ShardKey,
     rx: Receiver<Job>,
     shard: Arc<Shard>,
-    /// Whether it holds the catalog's lease on `key`.
-    leased: bool,
+    /// Its catalog hold, which its drop releases.
+    hold: Hold,
     /// The answer for fixes still queued when it exits.
     exit_error: ServeError,
 }
@@ -650,21 +663,24 @@ impl ShardWorker {
             }
         }
         drop(slots);
-        let (model, mut cost, mut version) = match core.catalog.lease(self.key) {
-            Ok(leased) => leased,
+        // The swap epoch this worker has observed, re-checked per batch;
+        // read before the fault-in, so an activation that lands during it
+        // is picked up at the first batch boundary.
+        let mut epoch = core.catalog.epoch();
+        let served = match core.catalog.acquire(self.key) {
+            Ok(served) => served,
             Err(e) => {
                 self.exit_error = e;
                 return;
             }
         };
-        self.leased = true;
+        self.hold = Hold::Keep;
+        let mut version = served.version;
         // Lowering happens here, once per fault, off the hot path.
-        let mut model = lower_for_serving(model, core.cfg.precision);
-        // The swap epoch this worker has observed, re-checked per batch.
-        let mut epoch = core.catalog.epoch();
+        let mut model = lower_for_serving(served.model, core.cfg.precision);
         {
             let mut slots = relock(&core.slots);
-            for victim in slots.lifecycle.leased(self.id, cost) {
+            for victim in slots.lifecycle.leased(self.id, served.cost) {
                 // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks; a marker is sent under the lock that removed its route, so no fix lands behind it")
                 let _ = victim.send(Job::Drain);
             }
@@ -709,13 +725,10 @@ impl ShardWorker {
             let now_epoch = core.catalog.epoch();
             if now_epoch != epoch {
                 epoch = now_epoch;
-                if let Some((fresh, fresh_cost, fresh_version)) =
-                    core.catalog.refresh_lease(self.key, version)
-                {
-                    model = lower_for_serving(fresh, core.cfg.precision);
+                if let Some(fresh) = core.catalog.newer(self.key, version) {
+                    model = lower_for_serving(fresh.model, core.cfg.precision);
                     feature_dim = model.info().feature_dim;
-                    cost = fresh_cost;
-                    version = fresh_version;
+                    version = fresh.version;
                     relock(&core.slots).lifecycle.swapped();
                 }
             }
@@ -737,30 +750,31 @@ impl ShardWorker {
                     Err(RecvTimeoutError::Disconnected) => retire_after = Some(Job::Drain),
                 }
             }
-            serve_batch(model.as_mut(), self.key, feature_dim, batch, &self.shard);
+            serve_batch(model.as_ref(), self.key, feature_dim, batch, &self.shard);
             if let Some(marker) = retire_after {
                 break marker;
             }
         };
 
-        // Hand the model back; the drop then releases the slot. Shutdown
-        // parks it, except a lowered twin, which is written back through
-        // the store (as its progenitor's exact f64 snapshot) so the
-        // catalog only ever holds exact models.
-        if matches!(marker, Job::Shutdown) && core.cfg.precision == InferencePrecision::Exact {
-            core.catalog.release_parked(self.key, model, cost, version);
-        } else {
-            core.catalog.release_cold(self.key, model, cost, version);
+        // Shutdown leaves the model resident for the handed-back catalog;
+        // a drain or an idle spin-down retires it.
+        if !matches!(marker, Job::Shutdown) {
+            self.hold = Hold::Retire;
         }
-        self.leased = false;
     }
 }
 
 impl Drop for ShardWorker {
-    /// The one exit: release the slot (waking workers that wait for room),
-    /// answer every fix still queued (none on a normal retirement), and
-    /// hand back a lease whose model was lost to an unwind.
+    /// The one exit: release the catalog hold (a retiring worker writes
+    /// its model through before its slot frees), release the slot
+    /// (waking workers that wait for room), and answer every fix still
+    /// queued (none on a normal retirement).
     fn drop(&mut self) {
+        if self.hold != Hold::Nothing {
+            self.core
+                .catalog
+                .release(self.key, self.hold == Hold::Retire);
+        }
         relock(&self.core.slots).lifecycle.exited(self.id);
         self.core.room.notify_all();
         let err = if std::thread::panicking() {
@@ -774,9 +788,6 @@ impl Drop for ShardWorker {
             .try_iter()
             .filter_map(|job| job.into_fix(shard).ok());
         answer(queued.map(|fix| (fix, Err(err.clone()))), None, shard);
-        if self.leased {
-            self.core.catalog.abandon_lease(self.key);
-        }
     }
 }
 
@@ -789,7 +800,7 @@ impl BatchServer {
     /// Starts serving every shard the catalog can serve — resident
     /// models, stored snapshots, and registered [`crate::TrainSpec`]s
     /// alike. A trained [`crate::ShardedRegistry`] converts into an
-    /// unbounded catalog of parked models, so `start(registry, cfg)`
+    /// unbounded catalog of resident models, so `start(registry, cfg)`
     /// serves it fully resident. Workers fault models in through the
     /// shared catalog on a shard's first request and spin down under the
     /// idle TTL or budget pressure (see the module docs), so one process
@@ -921,11 +932,11 @@ impl BatchServer {
     }
 
     /// Shuts down and hands the whole model catalog back — resident
-    /// models parked live, stored snapshots and train specs intact — so
+    /// models resident, stored snapshots and train specs intact — so
     /// the caller can pass it back to [`BatchServer::start`] (under
     /// different batching knobs, say) without retraining or losing a
     /// single tier. Models that served a lowered precision tier come
-    /// back through the store as their exact f64 snapshots. Trimming the
+    /// back as their exact f64 models. Trimming the
     /// resident tier back under the catalog budget never drops a model
     /// the store refuses: it stays resident (see
     /// [`crate::CatalogStats::pinned`]).
@@ -937,7 +948,7 @@ impl BatchServer {
     }
 
     /// Sends the shutdown marker to every worker and joins them; workers
-    /// park their models in the shared catalog on the way out.
+    /// leave their models resident in the shared catalog on the way out.
     fn stop(&self) {
         let handles = {
             let mut slots = relock(&self.core.slots);
@@ -989,10 +1000,10 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 /// rest still ride the stacked call (row independence makes the mixture
 /// safe). The model call is supervised: a panic inside `localize_batch`
 /// answers every rider of the batch with [`ServeError::Internal`], and the
-/// worker carries on with its slot, lease and occupancy, so its gauges
+/// worker carries on with its slot, hold and occupancy, so its gauges
 /// settle and a later drain still reaches it.
 fn serve_batch(
-    localizer: &mut dyn Localizer,
+    localizer: &dyn Localizer,
     key: ShardKey,
     feature_dim: usize,
     batch: Vec<QueuedFix>,

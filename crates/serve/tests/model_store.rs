@@ -146,7 +146,7 @@ fn catalog_budget_never_exceeded_and_answers_stay_bit_identical() {
     for i in 0..shard_count {
         let key = ShardKey::building(i);
         let model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
-        let mut boxed: Box<dyn Localizer> = Box::new(model);
+        let boxed: Box<dyn Localizer> = Box::new(model);
         reference.push((key, boxed.localize_batch(&probe).unwrap()));
         catalog.insert(key, boxed).unwrap();
         assert!(
@@ -255,10 +255,10 @@ fn imu_campaign_serves_through_catalog_and_batch_server() {
     // Direct reference: train with the same derived seed the catalog uses.
     let mut shard_cfg = cfg.clone();
     shard_cfg.seed = shard_seed(cfg.seed, imu_key);
-    let mut reference_model = ImuNoble::train(&dataset, &shard_cfg).unwrap();
+    let reference_model = ImuNoble::train(&dataset, &shard_cfg).unwrap();
     let refs: Vec<&ImuPathSample> = dataset.test.iter().take(24).collect();
     let features = reference_model.path_features(&refs);
-    let expected = Localizer::localize_batch(&mut reference_model, &features).unwrap();
+    let expected = Localizer::localize_batch(&reference_model, &features).unwrap();
 
     // Through the catalog (lazy spec -> retrain -> hydrate).
     let mut catalog = ModelCatalog::new(CatalogBudget::Count(4)).unwrap();
@@ -378,8 +378,8 @@ fn paged_spin_down_write_through_survives_process_restart() {
     // "Process one": live models only — nothing pre-saved in the store.
     let expected: Vec<(ShardKey, Vec<Point>)> = (0..shard_count)
         .map(|i| {
-            let mut model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
-            let out = Localizer::localize_batch(&mut model, &features).unwrap();
+            let model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
+            let out = Localizer::localize_batch(&model, &features).unwrap();
             (ShardKey::building(i), out)
         })
         .collect();
@@ -467,14 +467,11 @@ fn corrupt_snapshot_fails_its_fixes_typed_and_spares_other_shards() {
     let mut expected: Vec<(ShardKey, Vec<Point>)> = Vec::new();
     for i in 0..3 {
         let key = ShardKey::building(i);
-        let mut model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
+        let model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
         store
             .put(key, &SnapshotLocalizer::snapshot(&model))
             .unwrap();
-        expected.push((
-            key,
-            Localizer::localize_batch(&mut model, &features).unwrap(),
-        ));
+        expected.push((key, Localizer::localize_batch(&model, &features).unwrap()));
     }
     let bad = ShardKey::building(1);
     let path = dir.join("b1.snap");
@@ -584,11 +581,8 @@ fn failed_spin_down_write_through_keeps_the_model() {
     let mut expected: Vec<(ShardKey, Vec<Point>)> = Vec::new();
     for i in 0..2 {
         let key = ShardKey::building(i);
-        let mut model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
-        expected.push((
-            key,
-            Localizer::localize_batch(&mut model, &features).unwrap(),
-        ));
+        let model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
+        expected.push((key, Localizer::localize_batch(&model, &features).unwrap()));
         // The second insert pushes the catalog over budget, and its
         // victim cannot be written through: it stays resident.
         catalog.insert(key, Box::new(model)).unwrap();
@@ -680,11 +674,8 @@ fn intermittent_store_errors_keep_one_reply_per_fix_and_every_acknowledged_model
         let mut expected: Vec<(ShardKey, Vec<Point>)> = Vec::new();
         for i in 0..3 {
             let key = ShardKey::building(i);
-            let mut model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
-            expected.push((
-                key,
-                Localizer::localize_batch(&mut model, &features).unwrap(),
-            ));
+            let model = KnnFingerprint::fit(&campaign, i + 1).unwrap();
+            expected.push((key, Localizer::localize_batch(&model, &features).unwrap()));
             catalog.insert(key, Box::new(model)).unwrap();
         }
         let server = BatchServer::start(
@@ -756,7 +747,7 @@ fn intermittent_store_errors_keep_one_reply_per_fix_and_every_acknowledged_model
         assert!(!acknowledged.is_empty(), "seed {seed}: no put succeeded");
         for (key, snapshot) in &acknowledged {
             let reference = &expected.iter().find(|(k, _)| k == key).unwrap().1;
-            let mut model = hydrate(snapshot).unwrap();
+            let model = hydrate(snapshot).unwrap();
             assert_eq!(
                 &model.localize_batch(&features).unwrap(),
                 reference,
@@ -790,7 +781,7 @@ fn unsnapshotable_models_are_pinned_not_lost() {
                 class_count: 0,
             }
         }
-        fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+        fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
             Ok(vec![Point::new(1.0, 2.0); features.rows()])
         }
     }
@@ -865,7 +856,7 @@ fn mem_store_backs_the_same_lifecycle_as_fs() {
     let mut catalog = ModelCatalog::with_store(CatalogBudget::Count(1), Box::new(store)).unwrap();
     assert_eq!(catalog.keys(), vec![key]);
     let features = campaign.features(&campaign.test[..3.min(campaign.test.len())]);
-    let mut direct: Box<dyn Localizer> = Box::new(model);
+    let direct: Box<dyn Localizer> = Box::new(model);
     assert_eq!(
         catalog.localize(key, &features).unwrap(),
         direct.localize_batch(&features).unwrap()

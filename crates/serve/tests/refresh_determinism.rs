@@ -23,10 +23,11 @@
 
 mod common;
 
-use common::{fast_model_cfg, quick_campaign, store_dir};
+use common::{fast_model_cfg, quick_campaign, store_dir, FaultyStore};
 use noble::wifi::WifiNobleConfig;
 use noble_datasets::{uji_campaign, CampusConfig, UjiConfig, WifiCampaign, WifiSample};
 use noble_geo::Point;
+use noble_linalg::Matrix;
 use noble_serve::{
     partition_campaign, BatchConfig, BatchServer, BufferLimits, CatalogBudget, FsStore,
     ModelCatalog, Observation, ObservationBuffer, ObservationKind, PushOutcome, RefreshConfig,
@@ -337,7 +338,7 @@ fn versioned_snapshots_survive_restart() {
     assert_eq!(
         refresher.active_version(key),
         1,
-        "the active version is learned from the slot's stamp on lease"
+        "the active version is learned from the slot's stamp on the first fault-in"
     );
     assert_eq!(refresher.versions(key).unwrap(), vec![0, 1]);
     refresher.rollback(key, 0).unwrap();
@@ -366,6 +367,72 @@ fn versioned_snapshots_survive_restart() {
         "export_to keeps the version stamp"
     );
     server.shutdown();
+}
+
+/// A refresh that panics partway — here in its first store read — changes
+/// nothing and leaves the shard refreshable: the active version, the
+/// archive and the buffered corrections are as they were, the shard
+/// serves its version-0 bits, and a second refresh and a rollback both
+/// complete. The checks run behind a bounded wait, because a refresh that
+/// kept its key's activation slot would hang every later one for good.
+#[test]
+fn a_refresh_that_panics_partway_changes_nothing_and_the_shard_stays_refreshable() {
+    let campaign = quick_campaign();
+    let cfg = fast_model_cfg(3);
+    let probe = probes(&campaign, 6);
+    // Version 0's bits, from a catalog that serves the same spec directly.
+    let mut direct = ModelCatalog::new(CatalogBudget::Unbounded).unwrap();
+    let key = direct
+        .register_wifi_campaign(&campaign, &cfg, &RegistryConfig::default())
+        .unwrap()[0];
+    let v0 = direct
+        .localize(key, &Matrix::from_rows(&probe).unwrap())
+        .unwrap();
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        // Nothing is served before the refresh, so the store's first `get`
+        // of the key is the refresh's.
+        let store = FaultyStore::panicking_on_first_get(key);
+        let mut catalog =
+            ModelCatalog::with_store(CatalogBudget::Unbounded, Box::new(store)).unwrap();
+        catalog
+            .register_wifi_campaign(&campaign, &cfg, &RegistryConfig::default())
+            .unwrap();
+        let server = BatchServer::start(catalog, serving_cfg()).unwrap();
+        let refresher = server.refresher(RefreshConfig::default()).unwrap();
+        for (rssi, position) in corrections_for(&campaign, key, 4) {
+            refresher.observe_correction(key, rssi, position).unwrap();
+        }
+        let corrections = refresher.buffer_stats(key).corrections;
+        assert!(corrections > 0, "corrections are buffered");
+        let versions = refresher.versions(key).unwrap();
+
+        let first = std::thread::scope(|s| s.spawn(|| refresher.refresh(key)).join());
+        assert!(first.is_err(), "the first refresh panics in its store read");
+        assert_eq!(refresher.active_version(key), 0);
+        assert_eq!(refresher.versions(key).unwrap(), versions);
+        assert_eq!(refresher.buffer_stats(key).corrections, corrections);
+        let client = server.client();
+        assert_eq!(
+            serve_all(&client, key, &probe),
+            v0,
+            "version 0 still serves"
+        );
+
+        assert_eq!(refresher.refresh(key).unwrap().version, 1);
+        refresher.rollback(key, 0).unwrap();
+        assert_eq!(
+            serve_all(&client, key, &probe),
+            v0,
+            "the rollback restores version 0's bits"
+        );
+        server.shutdown();
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("a panicked refresh wedged the shard or a check failed"));
 }
 
 /// `sample` under a deterministic per-WAP RSSI drift in

@@ -11,10 +11,12 @@
 //! A model that panics inside `localize_batch` is supervised at the batch
 //! boundary: its riders get `ServeError::Internal`, its shard keeps
 //! answering, the other shards keep theirs, and the gauges settle. One
-//! that panics elsewhere (in a drain's write-through, or in lowering)
-//! loses its worker, whose exit releases its slot, its drain and its
-//! lease, so the server never wedges. A store that panics while a worker
-//! faults a model in does not leave the model's key leased either.
+//! that panics elsewhere never wedges the server: a panicking drain
+//! write-through counts as a failed write, so the model stays resident
+//! and keeps serving, and a worker that panics in lowering exits through
+//! its drop, which releases its slot, its drain and its catalog hold. A
+//! store that panics while a worker faults a model in leaves no catalog
+//! state behind either.
 
 mod common;
 
@@ -30,7 +32,7 @@ use noble_serve::{
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Blocks in `localize_batch` until the test sends a token; announces
@@ -38,7 +40,7 @@ use std::time::Duration;
 struct GatedLocalizer {
     dim: usize,
     entered: Sender<()>,
-    gate: Receiver<()>,
+    gate: Mutex<Receiver<()>>,
     out: Point,
 }
 
@@ -52,9 +54,9 @@ impl Localizer for GatedLocalizer {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         let _ = self.entered.send(());
-        let _ = self.gate.recv();
+        let _ = self.gate.lock().map(|gate| gate.recv());
         Ok(vec![self.out; features.rows()])
     }
 }
@@ -68,7 +70,7 @@ fn gated_registry() -> (ShardedRegistry, Sender<()>, Receiver<()>) {
         Box::new(GatedLocalizer {
             dim: 4,
             entered: entered_tx,
-            gate: gate_rx,
+            gate: Mutex::new(gate_rx),
             out: Point::new(3.0, 4.0),
         }),
     );
@@ -201,7 +203,7 @@ fn paged_shutdown_answers_fixes_parked_on_a_warming_shard() {
             Box::new(GatedLocalizer {
                 dim: 4,
                 entered: entered_tx,
-                gate: gate_rx,
+                gate: Mutex::new(gate_rx),
                 out: Point::new(3.0, 4.0),
             }),
         )
@@ -253,7 +255,7 @@ impl Localizer for FixedLocalizer {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         Ok(vec![self.out; features.rows()])
     }
 }
@@ -273,7 +275,7 @@ impl Localizer for PanickingLocalizer {
         }
     }
 
-    fn localize_batch(&mut self, _features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, _features: &Matrix) -> Result<Vec<Point>, NobleError> {
         panic!("model defect under test");
     }
 }
@@ -367,7 +369,7 @@ impl Localizer for FragileLocalizer {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         Ok(vec![self.out; features.rows()])
     }
 
@@ -386,14 +388,17 @@ impl Localizer for FragileLocalizer {
     }
 }
 
-/// A model that panics in model code outside `localize_batch` (the
-/// write-through of a drain, or lowering after a lease) takes down only
-/// its own worker, and that worker's exit releases everything it held:
-/// its budget slot, its drain in flight and its catalog lease. So under a
-/// one-slot budget the healthy shard still gets the slot and answers with
-/// its bits, every fix gets exactly one reply, the panicked shard's fixes
-/// get a typed error (its model is gone: it had no spec and no snapshot),
-/// the gauges read 0/0, and the catalog comes back at shutdown. Each
+/// A model that panics in model code outside `localize_batch` never
+/// wedges the server, and never loses the model. A panic in the
+/// write-through of a drain is a failed write: the model stays resident
+/// (pinned: it has no spec and no snapshot) and its later fixes get its
+/// bits. A panic in lowering after the acquire takes down only its own
+/// worker, whose exit releases its budget slot, its drain in flight and
+/// its catalog hold, leaving the model resident; each later worker of
+/// that shard panics the same way, so its fixes get a typed error. Under
+/// a one-slot budget the healthy shard still gets the slot and answers
+/// with its bits, every fix gets exactly one reply, the gauges read 0/0,
+/// and the catalog comes back at shutdown holding both models. Each
 /// scenario runs on its own thread behind a bounded wait, because a
 /// wedged worker hangs the test.
 #[test]
@@ -493,30 +498,30 @@ fn fragile_model_scenario(
             "{round}"
         );
     };
-    let typed_error = |outcome: Result<Point, ServeError>, round: &str| {
-        assert!(
-            matches!(
-                outcome,
-                Err(ServeError::Internal(_)) | Err(ServeError::UnknownShard(_))
-            ),
+    let fragile = |outcome: Result<Point, ServeError>, round: &str| match fault {
+        // The fragile shard serves; draining it for the healthy shard
+        // panics in its write-through, and the model stays resident.
+        Fault::Snapshot => {
+            let point =
+                outcome.unwrap_or_else(|e| panic!("{round}: the fragile shard failed: {e}"));
+            assert_eq!(
+                (point.x.to_bits(), point.y.to_bits()),
+                (1.0f64.to_bits(), 2.0f64.to_bits()),
+                "{round}"
+            );
+        }
+        // Lowering panics right after the acquire, with the fix queued.
+        Fault::Lower => assert!(
+            matches!(outcome, Err(ServeError::Internal(_))),
             "{round}: the panicked shard must get a typed error, got {outcome:?}"
-        );
+        ),
     };
 
-    match fault {
-        // The fragile shard serves; draining it for the healthy shard
-        // panics in its write-through.
-        Fault::Snapshot => {
-            let first = ask(0, 0).expect("the fragile shard serves before its drain");
-            assert_eq!((first.x, first.y), (1.0, 2.0));
-        }
-        // Lowering panics right after the lease, with the fix queued.
-        Fault::Lower => typed_error(ask(0, 0), "first fix"),
-    }
+    fragile(ask(0, 0), "first fix");
     healthy_bits(ask(1, 1), "healthy shard after the panic");
-    typed_error(ask(2, 0), "the panicked shard again");
+    fragile(ask(2, 0), "the fragile shard again");
     healthy_bits(ask(3, 1), "healthy shard again");
-    typed_error(ask(4, 0), "the panicked shard a third time");
+    fragile(ask(4, 0), "the fragile shard a third time");
 
     assert_eq!(
         server.server_stats(),
@@ -528,7 +533,11 @@ fn fragile_model_scenario(
         "{fault:?} under {budget:?}: gauges settle"
     );
     let (_, catalog) = server.shutdown_with_catalog();
-    assert_eq!(catalog.resident_keys(), vec![ShardKey::building(1)]);
+    assert_eq!(
+        catalog.resident_keys(),
+        vec![ShardKey::building(0), ShardKey::building(1)],
+        "{fault:?} under {budget:?}: no model is lost"
+    );
     for (fix, count) in replies.iter().enumerate() {
         assert_eq!(
             count.load(Ordering::SeqCst),
@@ -539,21 +548,21 @@ fn fragile_model_scenario(
 }
 
 /// A store whose first `get` of one key panics, under a one-slot budget:
-/// the worker faulting that key in unwinds inside `ModelCatalog::lease`,
-/// after the key was marked leased. Its fix gets `Internal`, and the key
-/// is handed back, so a later fix to the same shard faults it in again
-/// and is served with the model's bits; the gauges read 0/0 and shutdown
+/// the worker faulting that key in unwinds inside the catalog's acquire,
+/// which marks nothing until the model is resident. Its fix gets
+/// `Internal`, and a later fix to the same shard faults the model in
+/// again and is served with its bits; the gauges read 0/0 and shutdown
 /// returns. The scenario runs on its own thread behind a bounded wait,
-/// because a key left leased hangs the next lease of it for good.
+/// because a fault-in that left state behind could hang the shard.
 #[test]
-fn a_store_that_panics_during_a_lease_never_wedges_the_shard() {
+fn a_store_that_panics_during_a_fault_in_never_wedges_the_shard() {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let campaign = uji_campaign(&UjiConfig::small()).expect("campaign");
         let probe = campaign.features(&campaign.test[..1]);
         let fragile = ShardKey::building(0);
-        let mut direct = KnnFingerprint::fit(&campaign, 1).expect("knn fits");
-        let want = Localizer::localize_batch(&mut direct, &probe).expect("direct answer")[0];
+        let direct = KnnFingerprint::fit(&campaign, 1).expect("knn fits");
+        let want = Localizer::localize_batch(&direct, &probe).expect("direct answer")[0];
         let store = FaultyStore::panicking_on_first_get(fragile);
         let mut catalog =
             ModelCatalog::with_store(CatalogBudget::Count(1), Box::new(store)).expect("catalog");
@@ -580,7 +589,7 @@ fn a_store_that_panics_during_a_lease_never_wedges_the_shard() {
         let failed = ask(fragile);
         assert!(
             matches!(failed, Err(ServeError::Internal(_))),
-            "the fix whose lease panicked: {failed:?}"
+            "the fix whose fault-in panicked: {failed:?}"
         );
         for round in 0..2 {
             let point = ask(fragile)

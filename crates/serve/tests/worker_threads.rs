@@ -31,7 +31,7 @@ impl Localizer for ProbeLocalizer {
         }
     }
 
-    fn localize_batch(&mut self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
+    fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
         let _ = self.seen.send(noble_linalg::num_threads());
         Ok(vec![Point::new(0.0, 0.0); features.rows()])
     }

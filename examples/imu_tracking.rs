@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         meters(assisted.median),
     ]);
 
-    let mut regression = ImuDeepRegression::train(&dataset, &ImuRegressionConfig::default())?;
+    let regression = ImuDeepRegression::train(&dataset, &ImuRegressionConfig::default())?;
     let reg = regression.evaluate(&dataset.test)?;
     table.add_row(vec![
         "Deep Regression".into(),
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         epochs: 80,
         ..ImuNobleConfig::default()
     };
-    let mut noble_model = ImuNoble::train(&dataset, &noble_cfg)?;
+    let noble_model = ImuNoble::train(&dataset, &noble_cfg)?;
     let report = noble_model.evaluate(&dataset, &dataset.test)?;
     table.add_row(vec![
         "NObLe".into(),

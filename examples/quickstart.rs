@@ -11,7 +11,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let campaign = uji_campaign(&UjiConfig::small())?;
 
     // Train the structure-aware localizer.
-    let mut model = WifiNoble::train(&campaign, &WifiNobleConfig::small())?;
+    let model = WifiNoble::train(&campaign, &WifiNobleConfig::small())?;
 
     // Localize one held-out fingerprint...
     let features = campaign.features(&campaign.test[..1]);

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..WifiNobleConfig::default()
         }
     };
-    let mut noble_model = WifiNoble::train(&campaign, &noble_cfg)?;
+    let noble_model = WifiNoble::train(&campaign, &noble_cfg)?;
     let noble_preds: Vec<Point> = noble_model
         .predict(&features)?
         .into_iter()
@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         RegressionConfig::default()
     };
-    let mut regression = DeepRegression::train(&campaign, &reg_cfg)?;
+    let regression = DeepRegression::train(&campaign, &reg_cfg)?;
     let raw = regression.predict(&features)?;
     let s = err(&raw)?;
     table.add_row(vec![
@@ -109,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ..ManifoldRegressionConfig::default()
             }
         };
-        let mut model = ManifoldRegression::train(&campaign, &cfg)?;
+        let model = ManifoldRegression::train(&campaign, &cfg)?;
         let preds = model.predict(&features)?;
         let s = err(&preds)?;
         table.add_row(vec![

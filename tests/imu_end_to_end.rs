@@ -34,10 +34,10 @@ fn noble_config() -> ImuNobleConfig {
 #[test]
 fn noble_beats_deep_regression() {
     let dataset = dataset();
-    let mut noble_model = ImuNoble::train(&dataset, &noble_config()).expect("noble");
+    let noble_model = ImuNoble::train(&dataset, &noble_config()).expect("noble");
     let noble_report = noble_model.evaluate(&dataset, &dataset.test).expect("eval");
 
-    let mut regression = ImuDeepRegression::train(
+    let regression = ImuDeepRegression::train(
         &dataset,
         &ImuRegressionConfig {
             hidden_dim: 96,
@@ -61,7 +61,7 @@ fn noble_median_is_far_below_mean() {
     // The paper's Table III signature: median 0.4 m vs mean 2.52 m —
     // correct classifications decode almost exactly.
     let dataset = dataset();
-    let mut noble_model = ImuNoble::train(&dataset, &noble_config()).expect("noble");
+    let noble_model = ImuNoble::train(&dataset, &noble_config()).expect("noble");
     let report = noble_model.evaluate(&dataset, &dataset.test).expect("eval");
     assert!(
         report.position_error.median < report.position_error.mean * 0.6,
@@ -108,7 +108,7 @@ fn map_assistance_keeps_predictions_on_walkway() {
 #[test]
 fn noble_structure_awareness() {
     let dataset = dataset();
-    let mut noble_model = ImuNoble::train(&dataset, &noble_config()).expect("noble");
+    let noble_model = ImuNoble::train(&dataset, &noble_config()).expect("noble");
     let report = noble_model.evaluate(&dataset, &dataset.test).expect("eval");
     assert!(
         report.structure.on_map_fraction > 0.8,

@@ -32,12 +32,12 @@ fn noble_config() -> WifiNobleConfig {
 #[test]
 fn noble_beats_deep_regression_on_position_error() {
     let campaign = campaign();
-    let mut noble_model = WifiNoble::train(&campaign, &noble_config()).expect("noble training");
+    let noble_model = WifiNoble::train(&campaign, &noble_config()).expect("noble training");
     let noble_report = noble_model
         .evaluate(&campaign, &campaign.test)
         .expect("noble eval");
 
-    let mut regression = DeepRegression::train(
+    let regression = DeepRegression::train(
         &campaign,
         &RegressionConfig {
             hidden_dim: 96,
@@ -67,7 +67,7 @@ fn noble_beats_deep_regression_on_position_error() {
 #[test]
 fn noble_predictions_respect_structure() {
     let campaign = campaign();
-    let mut noble_model = WifiNoble::train(&campaign, &noble_config()).expect("noble training");
+    let noble_model = WifiNoble::train(&campaign, &noble_config()).expect("noble training");
     let features = campaign.features(&campaign.test);
     let preds: Vec<Point> = noble_model
         .predict(&features)
@@ -89,7 +89,7 @@ fn noble_predictions_respect_structure() {
 #[test]
 fn deep_regression_predicts_off_map_noble_does_not() {
     let campaign = campaign();
-    let mut regression =
+    let regression =
         DeepRegression::train(&campaign, &RegressionConfig::small()).expect("training");
     let features = campaign.features(&campaign.test);
     let raw = regression.predict(&features).expect("predict");
@@ -106,7 +106,7 @@ fn deep_regression_predicts_off_map_noble_does_not() {
 #[test]
 fn building_and_floor_heads_are_accurate() {
     let campaign = campaign();
-    let mut noble_model = WifiNoble::train(&campaign, &noble_config()).expect("training");
+    let noble_model = WifiNoble::train(&campaign, &noble_config()).expect("training");
     let report = noble_model
         .evaluate(&campaign, &campaign.test)
         .expect("eval");
@@ -125,7 +125,7 @@ fn building_and_floor_heads_are_accurate() {
 #[test]
 fn noble_competitive_with_knn_radio_map() {
     let campaign = campaign();
-    let mut noble_model = WifiNoble::train(&campaign, &noble_config()).expect("training");
+    let noble_model = WifiNoble::train(&campaign, &noble_config()).expect("training");
     let noble_report = noble_model
         .evaluate(&campaign, &campaign.test)
         .expect("eval");
