@@ -33,6 +33,7 @@ mod matrix;
 mod qr;
 mod solve;
 mod stats;
+mod tanh;
 pub mod threads;
 mod vector;
 
@@ -51,6 +52,7 @@ pub use matrix::Matrix;
 pub use qr::{least_squares, qr_decompose, QrFactors};
 pub use solve::{cholesky, lu_decompose, lu_solve, solve, solve_cholesky, LuFactors};
 pub use stats::{argmax, argmin, median, percentile, std_dev, Summary};
+pub use tanh::{tanh, tanh_in_place};
 pub use threads::{
     as_worker, num_threads, parallel_chunks_mut, parallel_map_ranges, set_num_threads,
 };

@@ -717,14 +717,13 @@ pub fn matmul_f32_columns(
 
 /// Fast elementwise `tanh` for the reduced-precision tier.
 ///
-/// The exact f64 path calls libm's `tanh`, which costs more than an
-/// entire hidden-layer matmul row at serving widths; the lowered tiers
-/// are accuracy-gated, not bit-exact, so they get a branch-light
-/// polynomial instead: the `[7/8]` Padé continued-fraction truncation
-/// below `|x| < 5`, saturating to `±1` beyond. Absolute error is
-/// ≤ 1.5e-5 for `|x| ≤ 4` and ≤ 1.1e-4 at the `|x| = 5` crossover
-/// (where `1 - tanh` itself is 9.1e-5) — absorbed by the f32 tier's
-/// argmax decode.
+/// The exact f64 path runs [`crate::tanh`], accurate to a few ulp; the
+/// lowered tiers are accuracy-gated, not bit-exact, so they get a
+/// cheaper branch-light polynomial instead: the `[7/8]` Padé
+/// continued-fraction truncation below `|x| < 5`, saturating to `±1`
+/// beyond. Absolute error is ≤ 1.5e-5 for `|x| ≤ 4` and ≤ 1.1e-4 at the
+/// `|x| = 5` crossover (where `1 - tanh` itself is 9.1e-5) — absorbed
+/// by the f32 tier's argmax decode.
 ///
 /// Deterministic and elementwise, so it inherits the tier's
 /// batch-shape and thread-count bit-stability for free.

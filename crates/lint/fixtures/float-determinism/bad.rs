@@ -1,6 +1,6 @@
 //! float-determinism bad fixture: an f32 truncation, a hash-ordered
-//! float reduction, and three ways to fuse a multiply into an add in
-//! kernel-style code.
+//! float reduction, three ways to fuse a multiply into an add, and two
+//! calls into the host libm's tanh in kernel-style code.
 use std::collections::HashMap;
 
 pub fn truncate(x: f64) -> f32 {
@@ -23,4 +23,14 @@ pub fn fused_lanes(
     c: std::arch::x86_64::__m256d,
 ) -> std::arch::x86_64::__m256d {
     std::arch::x86_64::_mm256_fmadd_pd(a, b, c)
+}
+
+pub fn libm_activation(x: f64) -> f64 {
+    x.tanh()
+}
+
+pub fn libm_activation_by_path(xs: &mut [f64]) {
+    for x in xs {
+        *x = f64::tanh(*x);
+    }
 }

@@ -15,17 +15,22 @@ const REDUCERS: [&str; 3] = ["sum", "fold", "product"];
 const FMA_INTRINSICS: [&str; 4] = ["_fmadd", "_fmsub", "_fnmadd", "_fnmsub"];
 
 /// Flags `as f32` narrowing casts, float reductions over unordered
-/// iterators, and fused multiply-add in kernel/decode code.
+/// iterators, fused multiply-add and the host libm's `tanh` in
+/// kernel/decode code.
 ///
 /// The matmul kernels and decode paths are the *bit-exact reference*
 /// every serving-parity and snapshot-roundtrip test pins against
-/// (f64 end to end, shape/thread-invariant dispatch). Three silent ways
+/// (f64 end to end, shape/thread-invariant dispatch). Four silent ways
 /// to lose that: truncating through `f32` mid-pipeline, reducing
 /// floats in a container-defined order (float addition does not
-/// reassociate), and fusing a multiply into an add. FMA rounds once
-/// where the reference rounds twice, so `.mul_add(`, an FMA intrinsic or
-/// a `target_feature(enable = "…fma…")` would make the SIMD kernel
-/// disagree with its portable twin. The f32 fast path lives in
+/// reassociate), fusing a multiply into an add, and calling the host
+/// libm's `tanh`. FMA rounds once where the reference rounds twice, so
+/// `.mul_add(`, an FMA intrinsic or a `target_feature(enable = "…fma…")`
+/// would make the SIMD kernel disagree with its portable twin. libm's
+/// `tanh` is not correctly rounded, so its last bits differ between
+/// libms; `.tanh(` and `f64::tanh`/`f32::tanh` are flagged, and the
+/// repo's one definition, `noble_linalg::tanh` (IEEE arithmetic alone),
+/// is what the exact path calls. The f32 fast path lives in
 /// path-scoped modules behind explicit accuracy gates; it must not leak
 /// into the reference kernels.
 pub struct FloatDeterminism;
@@ -36,7 +41,8 @@ impl Lint for FloatDeterminism {
     }
 
     fn summary(&self) -> &'static str {
-        "no f32-truncating casts, hash-ordered float reductions or FMA in kernel/decode code"
+        "no f32-truncating casts, hash-ordered float reductions, FMA or libm tanh in \
+         kernel/decode code"
     }
 
     fn contract(&self) -> &'static str {
@@ -83,6 +89,26 @@ impl Lint for FloatDeterminism {
                     help: "keep the multiply and the add separate (`_mm256_mul_pd` then \
                            `_mm256_add_pd`, or `a * b + c`) so every output keeps the \
                            portable kernel's operation sequence"
+                        .into(),
+                    severity: Severity::Error,
+                });
+                continue;
+            }
+            // `.tanh(` or `f64::tanh`: the host libm's last bits.
+            if let Some((start, width)) = host_libm_tanh(file, ci) {
+                let tok = file.tok(start);
+                findings.push(Finding {
+                    lint: self.name(),
+                    file: file.path.clone(),
+                    line: tok.line,
+                    col: tok.col,
+                    width,
+                    message: "host-libm `tanh` in exact-kernel code: its last bits depend on \
+                              the host's libm"
+                        .into(),
+                    contract: self.contract(),
+                    help: "call `noble_linalg::tanh` (or `noble_linalg::tanh_in_place` over a \
+                           slice), which gives the same bits on every host"
                         .into(),
                     severity: Severity::Error,
                 });
@@ -142,6 +168,23 @@ impl Lint for FloatDeterminism {
         }
         findings
     }
+}
+
+/// Whether the code token at `ci` is the host libm's `tanh`: a method
+/// call `.tanh(`, or the path `f64::tanh` / `f32::tanh` (called or
+/// passed as a function). Returns the code index the finding starts at
+/// and its highlight width. `fn tanh(` and `noble_linalg::tanh` do not
+/// match.
+fn host_libm_tanh(file: &SourceFile, ci: usize) -> Option<(usize, u32)> {
+    if is_method_call(file, ci, "tanh") {
+        return Some((ci, 4));
+    }
+    let float_path = file.is_ident(ci, "tanh")
+        && ci >= 3
+        && file.is_punct(ci - 1, ':')
+        && file.is_punct(ci - 2, ':')
+        && (file.is_ident(ci - 3, "f64") || file.is_ident(ci - 3, "f32"));
+    float_path.then(|| (ci - 3, 9))
 }
 
 /// Whether the code token at `ci` starts a fused multiply-add: returns
@@ -205,5 +248,22 @@ fn h(a: f64) -> f64 { let mul_add = a * 2.0 + 1.0; mul_add } // a.mul_add(b, c)
         assert_eq!(lines, [1, 1, 2, 3, 3], "{found:?}");
         assert!(found[2].1.contains("avx2,fma"), "{found:?}");
         assert!(found[3].1.contains("_mm256_fmadd_pd"), "{found:?}");
+    }
+
+    #[test]
+    fn flags_host_libm_tanh_but_not_the_deterministic_one() {
+        let src = r#"fn f(x: f64) -> f64 { x.tanh() + f64::tanh(x) }
+fn g(m: &Matrix) -> Matrix { m.map(f32::tanh) }
+fn tanh(x: f64) -> f64 { noble_linalg::tanh(x) + tanh_f32_fast(x) }
+fn h(x: f64) -> f64 { let tanh = 1.0; x.tanh_in_place(); tanh } // x.tanh()
+"#;
+        let file = SourceFile::parse("kernel.rs", src);
+        let policy = Policy::everywhere(&["float-determinism"]);
+        let found: Vec<(u32, u32)> = FloatDeterminism
+            .check(&file, &policy)
+            .into_iter()
+            .map(|f| (f.line, f.col))
+            .collect();
+        assert_eq!(found, [(1, 25), (1, 34), (2, 36)], "{found:?}");
     }
 }

@@ -1,6 +1,6 @@
 //! Element-wise activation functions with analytic derivatives.
 
-use noble_linalg::Matrix;
+use noble_linalg::{tanh_in_place, Matrix};
 
 /// An element-wise activation function.
 ///
@@ -22,9 +22,16 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation element-wise.
+    ///
+    /// `Tanh` is [`noble_linalg::tanh`], IEEE arithmetic alone, so the
+    /// same input gives the same bits on every host and under every libm.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         match self {
-            Activation::Tanh => x.map(f64::tanh),
+            Activation::Tanh => {
+                let mut y = x.clone();
+                tanh_in_place(y.as_mut_slice());
+                y
+            }
             Activation::Relu => x.map(|v| v.max(0.0)),
             Activation::Sigmoid => x.map(sigmoid),
             Activation::Identity => x.clone(),
@@ -35,7 +42,7 @@ impl Activation {
     /// on each element as [`Activation::forward`], without a new matrix.
     pub(crate) fn apply_in_place(&self, y: &mut Matrix) {
         match self {
-            Activation::Tanh => y.map_in_place(f64::tanh),
+            Activation::Tanh => tanh_in_place(y.as_mut_slice()),
             Activation::Relu => y.map_in_place(|v| v.max(0.0)),
             Activation::Sigmoid => y.map_in_place(sigmoid),
             Activation::Identity => {}

@@ -184,9 +184,8 @@ impl LoweredMlp {
                 Stage::Activation(a) => {
                     let mut y = cur;
                     let f: fn(f32) -> f32 = match a {
-                        // The polynomial tanh is the single biggest win
-                        // of the tier at serving widths — libm tanh on
-                        // two hidden layers outweighs the gemm savings.
+                        // The tier's own f32 polynomial: cheaper than the
+                        // exact f64 tanh, and covered by the tier's gate.
                         Activation::Tanh => noble_linalg::tanh_f32_fast,
                         Activation::Relu => |v| v.max(0.0),
                         Activation::Sigmoid => |v| 1.0 / (1.0 + (-v).exp()),

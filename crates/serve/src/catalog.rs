@@ -431,8 +431,13 @@ impl ModelCatalog {
             _ => None,
         };
         let state = unlocked(&mut self.state);
+        // The store holds this model only if it was just written; any
+        // older snapshot is a predecessor's, so a later eviction must
+        // write this one through.
         if written.is_some() {
             state.stored.insert(key);
+        } else {
+            state.stored.remove(&key);
         }
         state.clock += 1;
         state.resident.insert(
@@ -841,10 +846,12 @@ impl ModelCatalog {
     /// current generation keeps serving untouched). The activation
     /// contract, in order:
     ///
-    /// 1. the predecessor generation is archived if it never was (so the
-    ///    first refresh makes version 0 rollback-able);
-    /// 2. the new model is snapshotted through the store as an immutable
-    ///    version archive **before** activation;
+    /// 1. the new model is built and snapshotted in memory; if either
+    ///    fails, the store and serving are as they were;
+    /// 2. the predecessor generation is archived if it never was (so the
+    ///    first refresh makes version 0 rollback-able), then the new
+    ///    model is snapshotted through the store as an immutable version
+    ///    archive **before** activation;
     /// 3. the same bytes are published to the store's active slot (a
     ///    restart rehydrates to the new version);
     /// 4. the in-memory flip: the key's resident entry takes the new
@@ -874,11 +881,6 @@ impl ModelCatalog {
         let slot = self.store.get(key)?;
         let slot_version = slot.as_ref().map_or(0, ModelSnapshot::version);
         let archived = self.store.versions(key)?;
-        if let Some(slot_snap) = &slot {
-            if !archived.contains(&slot_version) {
-                self.store.put_version(key, slot_version, slot_snap)?;
-            }
-        }
         let version = archived
             .last()
             .copied()
@@ -891,6 +893,11 @@ impl ModelCatalog {
             .try_snapshot()
             .ok_or(ServeError::NotSnapshotable(key))?
             .with_version(version);
+        if let Some(slot_snap) = &slot {
+            if !archived.contains(&slot_version) {
+                self.store.put_version(key, slot_version, slot_snap)?;
+            }
+        }
         // Archive first, then publish the active slot: every version is
         // durably snapshotted before anything serves it.
         self.store.put_version(key, version, &snapshot)?;

@@ -181,6 +181,40 @@ fn catalog_budget_never_exceeded_and_answers_stay_bit_identical() {
     ));
 }
 
+/// An insert that replaces a model without writing it through must not
+/// leave the predecessor's snapshot standing in for it: when the new
+/// model is later evicted it is written through, and the next fault
+/// hydrates it, not the model it replaced.
+#[test]
+fn a_replaced_model_is_written_through_when_evicted() {
+    let campaign = quick_campaign();
+    let probe = campaign.features(&campaign.test[..6.min(campaign.test.len())]);
+    let (b0, b1) = (ShardKey::building(0), ShardKey::building(1));
+    let k7: Box<dyn Localizer> = Box::new(KnnFingerprint::fit(&campaign, 7).unwrap());
+    let k1: Box<dyn Localizer> = Box::new(KnnFingerprint::fit(&campaign, 1).unwrap());
+    let (want, stale) = (
+        k7.localize_batch(&probe).unwrap(),
+        k1.localize_batch(&probe).unwrap(),
+    );
+    assert_ne!(want, stale, "k = 1 and k = 7 must answer differently");
+
+    let mut catalog = ModelCatalog::new(CatalogBudget::Count(1)).unwrap();
+    catalog.insert(b0, k1).unwrap();
+    // Evicts b0 (k = 1), writing it through.
+    catalog
+        .insert(b1, Box::new(KnnFingerprint::fit(&campaign, 2).unwrap()))
+        .unwrap();
+    // Replaces b0 with k = 7 and evicts b1.
+    catalog.insert(b0, k7).unwrap();
+    // Faulting b1 back in evicts b0 (k = 7).
+    catalog.localize(b1, &probe).unwrap();
+    assert_eq!(
+        catalog.localize(b0, &probe).unwrap(),
+        want,
+        "b0 answered with the snapshot of the model its insert replaced"
+    );
+}
+
 #[test]
 fn byte_budget_is_enforced() {
     let campaign = quick_campaign();

@@ -24,14 +24,14 @@
 mod common;
 
 use common::{fast_model_cfg, quick_campaign, store_dir, FaultyStore};
-use noble::wifi::WifiNobleConfig;
+use noble::wifi::{WifiNoble, WifiNobleConfig};
 use noble_datasets::{uji_campaign, CampusConfig, UjiConfig, WifiCampaign, WifiSample};
 use noble_geo::Point;
 use noble_linalg::Matrix;
 use noble_serve::{
     partition_campaign, BatchConfig, BatchServer, BufferLimits, CatalogBudget, FsStore,
     ModelCatalog, Observation, ObservationBuffer, ObservationKind, PushOutcome, RefreshConfig,
-    RegistryConfig, ServeError, ShardKey, ShardedRegistry,
+    RegistryConfig, ServeError, ShardKey, ShardedRegistry, TrainSpec,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -433,6 +433,65 @@ fn a_refresh_that_panics_partway_changes_nothing_and_the_shard_stays_refreshable
     done_rx
         .recv_timeout(Duration::from_secs(60))
         .unwrap_or_else(|_| panic!("a panicked refresh wedged the shard or a check failed"));
+}
+
+/// A refresh whose retrain fails inside `build` changes nothing. The
+/// shard serves a resident model whose registered spec cannot train
+/// (`coarse_l` is not coarser than `tau`), so the retrain returns a
+/// typed error after the refresh has claimed the activation slot and
+/// numbered the new version. A byte budget writes the inserted model
+/// through, so the store's active slot holds version 0, not archived
+/// yet. The active version, the archive, the buffered corrections and
+/// the served bits stay as they were.
+#[test]
+fn a_refresh_whose_retrain_fails_changes_nothing() {
+    let campaign = quick_campaign();
+    let cfg = fast_model_cfg(3);
+    let key = ShardKey::building(0);
+    let untrainable = WifiNobleConfig {
+        coarse_l: Some(cfg.tau),
+        ..cfg.clone()
+    };
+    let mut catalog = ModelCatalog::new(CatalogBudget::Bytes(usize::MAX)).unwrap();
+    catalog
+        .insert(key, Box::new(WifiNoble::train(&campaign, &cfg).unwrap()))
+        .unwrap();
+    catalog.register_spec(
+        key,
+        TrainSpec::Wifi {
+            campaign: campaign.clone(),
+            cfg: untrainable,
+        },
+    );
+    let server = BatchServer::start(catalog, serving_cfg()).unwrap();
+    let refresher = server.refresher(RefreshConfig::default()).unwrap();
+    let client = server.client();
+    let probe = probes(&campaign, 6);
+    for (rssi, position) in corrections_for(&campaign, key, 4) {
+        refresher.observe_correction(key, rssi, position).unwrap();
+    }
+    let corrections = refresher.buffer_stats(key).corrections;
+    assert!(corrections > 0, "corrections are buffered");
+    let versions = refresher.versions(key).unwrap();
+    let before = serve_all(&client, key, &probe);
+
+    assert!(matches!(
+        refresher.refresh(key),
+        Err(ServeError::Model(ref m)) if m.contains("coarse side")
+    ));
+    assert_eq!(refresher.active_version(key), 0);
+    assert_eq!(
+        refresher.versions(key).unwrap(),
+        versions,
+        "a failed retrain must leave the archive as it was"
+    );
+    assert_eq!(refresher.buffer_stats(key).corrections, corrections);
+    assert_eq!(
+        serve_all(&client, key, &probe),
+        before,
+        "a failed retrain must leave the shard serving the same bits"
+    );
+    server.shutdown();
 }
 
 /// `sample` under a deterministic per-WAP RSSI drift in
