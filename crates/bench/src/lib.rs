@@ -14,7 +14,7 @@
 //! | [`runners::fig5`] | Fig. 5 — IMU scatter + structure metrics |
 //! | [`runners::energy`] | §IV-C and §V-D — energy measurements |
 //! | [`runners::ablation`] | design ablations — τ sweep, labels, aux heads, decode |
-//! | [`runners::throughput`] | serving throughput — single vs batched vs threaded fixes/sec, per precision tier |
+//! | [`runners::throughput`] | serving throughput — single vs batched vs threaded fixes/sec, bit-identical across modes |
 //!
 //! The serving stack above the kernels is measured by `e2ebench/` and
 //! gated by the `noble-serve` and `noble-net` integration tests.

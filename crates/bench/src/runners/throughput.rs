@@ -13,16 +13,15 @@
 //! - **batched_threaded** — the same batched call with the blocked matmul
 //!   kernel fanning out over scoped threads.
 //!
-//! Each batched mode additionally runs at both precision tiers: `exact`
-//! (the f64 model) and `f32` (a lowered twin built once via
-//! [`noble::Localizer::try_lower`], off the timed path, exactly as the
-//! serving layer does). Before any timing, the f32 twin passes an
-//! **accuracy gate** against the exact outputs — within 1e-4 position
-//! error — and the runner errors out if the gate fails, so the
+//! Every mode must give the same answers, so before timing each batch
+//! size and thread count the runner holds them to an **exact gate**: the
+//! `batched` and `batched_threaded` positions must be bit-identical to
+//! `single`'s, and the runner errors out if any differs, so the
 //! `NOBLE_QUICK=1` CI smoke enforces it on every push.
 //!
 //! Results go to stdout as a table and to
-//! `results/BENCH_throughput.json` for the perf trajectory. In
+//! `results/BENCH_throughput.json` for the perf trajectory, with the
+//! core count and scale they were measured at. In
 //! [`Scale::Quick`] (smoke) mode the sweep shrinks to two batch sizes and
 //! at most two thread counts so CI can exercise the parallel path in
 //! seconds.
@@ -31,10 +30,8 @@ use crate::config::uji_config;
 use crate::runners::RunnerResult;
 use crate::{write_artifact, Scale};
 use noble::report::TextTable;
-use noble::wifi::{WifiNoble, WifiNobleConfig};
-use noble::{InferencePrecision, Localizer};
+use noble::wifi::{WifiNoble, WifiNobleConfig, WifiPrediction};
 use noble_datasets::uji_campaign;
-use noble_geo::Point;
 use noble_linalg::{num_threads, set_num_threads};
 use std::time::Instant;
 
@@ -42,7 +39,6 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 struct Measurement {
     mode: &'static str,
-    precision: &'static str,
     batch: usize,
     threads: usize,
     fixes_per_sec: f64,
@@ -51,9 +47,8 @@ struct Measurement {
 impl Measurement {
     fn json(&self) -> String {
         format!(
-            "    {{\"mode\": \"{}\", \"precision\": \"{}\", \"batch\": {}, \"threads\": {}, \"fixes_per_sec\": {:.1}, \"us_per_fix\": {:.3}}}",
+            "    {{\"mode\": \"{}\", \"batch\": {}, \"threads\": {}, \"fixes_per_sec\": {:.1}, \"us_per_fix\": {:.3}}}",
             self.mode,
-            self.precision,
             self.batch,
             self.threads,
             self.fixes_per_sec,
@@ -62,11 +57,25 @@ impl Measurement {
     }
 }
 
-fn max_delta(a: &[Point], b: &[Point]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| x.distance(*y))
-        .fold(0.0, f64::max)
+/// The exact gate: `got` must carry `single`'s answers, classes and
+/// position bits alike.
+fn check_bits(
+    mode: &str,
+    batch: usize,
+    threads: usize,
+    single: &[WifiPrediction],
+    got: &[WifiPrediction],
+) -> Result<(), String> {
+    let bits = |p: &WifiPrediction| {
+        let (x, y) = (p.position.x.to_bits(), p.position.y.to_bits());
+        (p.building, p.floor, p.fine_class, x, y)
+    };
+    if got.len() != single.len() || !single.iter().zip(got).all(|(a, b)| bits(a) == bits(b)) {
+        return Err(format!(
+            "exact gate failed: {mode} answers at batch {batch} on {threads} thread(s) differ from single's"
+        ));
+    }
+    Ok(())
 }
 
 /// Times `f` over `reps` repetitions of `fixes` fixes each and returns
@@ -102,25 +111,6 @@ pub fn run(scale: Scale) -> RunnerResult {
     };
     let model = WifiNoble::train(&campaign, &cfg)?;
 
-    // Lower the f32 twin once, off the timed path — the same lifecycle
-    // the serving layer uses (lower at hydrate/train time, serve from
-    // the immutable twin).
-    let f32_twin = Localizer::try_lower(&model, InferencePrecision::F32)
-        .ok_or("WifiNoble failed to lower to f32")?;
-
-    // Accuracy gate: the speedup numbers below are meaningless if the
-    // fast tier decodes to different positions, so refuse to report
-    // them. Runs at Quick scale too — this is the CI smoke's teeth.
-    let probe = campaign.features(&campaign.test);
-    let exact_fixes = Localizer::localize_batch(&model, &probe)?;
-    let f32_fixes = f32_twin.localize_batch(&probe)?;
-    let f32_delta = max_delta(&f32_fixes, &exact_fixes);
-    if f32_delta > 1e-4 {
-        return Err(
-            format!("f32 accuracy gate failed: max position delta {f32_delta} > 1e-4").into(),
-        );
-    }
-
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (batch_sizes, reps): (Vec<usize>, usize) = match scale {
         Scale::Quick => (vec![32, 256], 2),
@@ -155,6 +145,10 @@ pub fn run(scale: Scale) -> RunnerResult {
         let slice = &rows[..batch];
 
         set_num_threads(1);
+        let want = slice
+            .iter()
+            .map(|row| model.localize_one(row))
+            .collect::<Result<Vec<_>, _>>()?;
         let single = best_rate(batch, reps, || {
             for row in slice {
                 model.localize_one(row).expect("localize_one");
@@ -162,65 +156,27 @@ pub fn run(scale: Scale) -> RunnerResult {
         });
         measurements.push(Measurement {
             mode: "single",
-            precision: "exact",
             batch,
             threads: 1,
             fixes_per_sec: single,
         });
 
-        let batched = best_rate(batch, reps, || {
-            model.localize_batch(slice).expect("localize_batch");
-        });
-        measurements.push(Measurement {
-            mode: "batched",
-            precision: "exact",
-            batch,
-            threads: 1,
-            fixes_per_sec: batched,
-        });
-
         for &threads in &thread_counts {
-            if threads <= 1 {
-                continue;
-            }
+            let mode = if threads <= 1 {
+                "batched"
+            } else {
+                "batched_threaded"
+            };
             set_num_threads(threads);
+            // The exact gate, off the timed path: the speed-ups below are
+            // meaningless if a mode answers differently. Runs at Quick
+            // scale too — this is the CI smoke's teeth.
+            check_bits(mode, batch, threads, &want, &model.localize_batch(slice)?)?;
             let rate = best_rate(batch, reps, || {
                 model.localize_batch(slice).expect("localize_batch");
             });
             measurements.push(Measurement {
-                mode: "batched_threaded",
-                precision: "exact",
-                batch,
-                threads,
-                fixes_per_sec: rate,
-            });
-        }
-
-        // The f32 tier over the very same rows. The twin takes the
-        // identical slice-of-rows interface, so the only difference
-        // against the exact `batched` rows above is the kernel tier.
-        set_num_threads(1);
-        let rate = best_rate(batch, reps, || {
-            f32_twin.localize_rows(slice).expect("localize_rows");
-        });
-        measurements.push(Measurement {
-            mode: "batched",
-            precision: "f32",
-            batch,
-            threads: 1,
-            fixes_per_sec: rate,
-        });
-        for &threads in &thread_counts {
-            if threads <= 1 {
-                continue;
-            }
-            set_num_threads(threads);
-            let rate = best_rate(batch, reps, || {
-                f32_twin.localize_rows(slice).expect("localize_rows");
-            });
-            measurements.push(Measurement {
-                mode: "batched_threaded",
-                precision: "f32",
+                mode,
                 batch,
                 threads,
                 fixes_per_sec: rate,
@@ -242,36 +198,33 @@ pub fn run(scale: Scale) -> RunnerResult {
     } else {
         max_batch
     };
-    let rate_of = |mode: &str, precision: &str| {
+    let rate_of = |mode: &str| {
         measurements
             .iter()
-            .filter(|m| m.mode == mode && m.precision == precision && m.batch == reference_batch)
+            .filter(|m| m.mode == mode && m.batch == reference_batch)
             .map(|m| m.fixes_per_sec)
             .fold(0.0f64, f64::max)
     };
-    let single_ref = rate_of("single", "exact");
-    let batched_ref = rate_of("batched", "exact");
-    let threaded_ref = rate_of("batched_threaded", "exact").max(batched_ref);
+    let single_ref = rate_of("single");
+    let batched_ref = rate_of("batched");
+    let threaded_ref = rate_of("batched_threaded").max(batched_ref);
     let speedup_batched = batched_ref / single_ref.max(f64::MIN_POSITIVE);
     let speedup_threaded = threaded_ref / single_ref.max(f64::MIN_POSITIVE);
-    // The precision speedup compares best-against-best at the reference
-    // batch (each tier free to use its best thread count).
-    let best_f32 = rate_of("batched", "f32").max(rate_of("batched_threaded", "f32"));
-    let speedup_f32 = best_f32 / threaded_ref.max(f64::MIN_POSITIVE);
 
+    let scale_name = match scale {
+        Scale::Quick => "quick",
+        Scale::Full => "full",
+    };
     let mut out = String::new();
     out.push_str("THROUGHPUT: WiFi fixes/sec, single vs batched vs batched+threaded\n");
     out.push_str(&format!(
-        "(hidden_dim={}, waps={}, available_parallelism={available})\n",
+        "(hidden_dim={}, waps={}, available_parallelism={available}, scale={scale_name})\n",
         cfg.hidden_dim,
         campaign.num_waps()
     ));
-    out.push_str(&format!(
-        "accuracy gate: f32 max delta {f32_delta:.2e} m (<= 1e-4)\n\n"
-    ));
+    out.push_str("exact gate: every batched answer is bit-identical to single's\n\n");
     let mut table = TextTable::new(vec![
         "MODE".into(),
-        "PRECISION".into(),
         "BATCH".into(),
         "THREADS".into(),
         "FIXES/SEC".into(),
@@ -279,7 +232,6 @@ pub fn run(scale: Scale) -> RunnerResult {
     for m in &measurements {
         table.add_row(vec![
             m.mode.to_uppercase(),
-            m.precision.to_string(),
             m.batch.to_string(),
             m.threads.to_string(),
             format!("{:.0}", m.fixes_per_sec),
@@ -288,17 +240,14 @@ pub fn run(scale: Scale) -> RunnerResult {
     out.push_str(&table.render());
     out.push_str(&format!(
         "\nat batch {reference_batch}: batched = {speedup_batched:.2}x single, \
-         batched+threaded = {speedup_threaded:.2}x single\n\
-         f32 = {speedup_f32:.2}x exact (best vs best)\n"
+         batched+threaded = {speedup_threaded:.2}x single\n"
     ));
 
     let json = format!(
-        "{{\n  \"available_parallelism\": {available},\n  \"hidden_dim\": {},\n  \
+        "{{\n  \"available_parallelism\": {available},\n  \"scale\": \"{scale_name}\",\n  \"hidden_dim\": {},\n  \
          \"num_waps\": {},\n  \"reference_batch\": {reference_batch},\n  \
          \"speedup_batched_vs_single\": {speedup_batched:.3},\n  \
          \"speedup_batched_threaded_vs_single\": {speedup_threaded:.3},\n  \
-         \"speedup_f32_vs_exact\": {speedup_f32:.3},\n  \
-         \"accuracy_gates\": {{\"f32_max_position_delta\": {f32_delta:.6e}}},\n  \
          \"measurements\": [\n{}\n  ]\n}}\n",
         cfg.hidden_dim,
         campaign.num_waps(),

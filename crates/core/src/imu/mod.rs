@@ -488,19 +488,6 @@ impl crate::Localizer for ImuNoble {
         Some(crate::SnapshotLocalizer::snapshot(self))
     }
 
-    fn try_lower(&self, precision: crate::InferencePrecision) -> Option<Box<dyn crate::Localizer>> {
-        let displacement = noble_nn::LoweredMlp::lower(&self.displacement, precision).ok()?;
-        let location = noble_nn::LoweredMlp::lower(&self.location, precision).ok()?;
-        Some(Box::new(crate::LoweredImu::new(
-            self.projection.clone(),
-            displacement,
-            location,
-            self.quantizer.clone(),
-            self.max_segments,
-            crate::SnapshotLocalizer::snapshot(self),
-        )))
-    }
-
     /// Localizes rows in the [`ImuNoble::path_features`] layout. The
     /// segment stack and start one-hots rebuilt from a row are bitwise
     /// equal to what [`ImuNoble::predict_batch`] builds from the original

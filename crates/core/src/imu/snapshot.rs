@@ -8,27 +8,21 @@
 
 use super::{ImuNoble, IMU_NOBLE_KIND};
 use crate::snapshot::{
-    bad, read_dense, read_mlp, read_quantizer, write_dense, write_mlp_with, write_quantizer,
+    bad, read_dense, read_mlp, read_quantizer, write_dense, write_mlp, write_quantizer,
     ModelSnapshot, SnapReader, SnapWriter,
 };
-use crate::{NobleError, ParamEncoding, SnapshotLocalizer};
+use crate::{NobleError, SnapshotLocalizer};
 
 /// Payload format version of [`ImuNoble`] snapshots.
 const IMU_PAYLOAD_VERSION: u32 = 1;
 
 impl SnapshotLocalizer for ImuNoble {
     fn snapshot(&self) -> ModelSnapshot {
-        self.snapshot_with(ParamEncoding::F64)
-    }
-
-    // The tiny shared projection layer always travels in f64 (write_dense);
-    // the compact encoding only narrows the two heavy network blobs.
-    fn snapshot_with(&self, encoding: ParamEncoding) -> ModelSnapshot {
         let mut w = SnapWriter::new();
         w.u32(IMU_PAYLOAD_VERSION);
         write_dense(&mut w, &self.projection);
-        write_mlp_with(&mut w, &self.displacement, encoding);
-        write_mlp_with(&mut w, &self.location, encoding);
+        write_mlp(&mut w, &self.displacement);
+        write_mlp(&mut w, &self.location);
         write_quantizer(&mut w, &self.quantizer);
         w.u64(self.max_segments as u64);
         w.f64(self.displacement_scale);

@@ -52,10 +52,7 @@ pub mod snapshot;
 pub mod wifi;
 
 mod error;
-mod lowered;
 
 pub use error::NobleError;
 pub use localizer::{Localizer, LocalizerInfo};
-pub use lowered::{LoweredImu, LoweredWifi};
-pub use noble_nn::{InferencePrecision, ParamEncoding};
 pub use snapshot::{hydrate, ModelSnapshot, SnapshotLocalizer};

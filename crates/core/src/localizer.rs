@@ -89,22 +89,6 @@ pub trait Localizer: Send + Sync {
     fn try_snapshot(&self) -> Option<crate::ModelSnapshot> {
         None
     }
-
-    /// Dynamic probe of the reduced-precision capability: `Some` when
-    /// the model can lower itself into the requested accuracy-gated
-    /// inference tier (see [`crate::InferencePrecision`]), `None` when
-    /// it cannot — including `precision == Exact`, where the model
-    /// itself *is* the exact tier and there is nothing to lower.
-    ///
-    /// The lowered twin serves the same feature layout and site, tracks
-    /// the exact model within the gated tolerance, and — crucially for
-    /// catalog eviction — its [`Localizer::try_snapshot`] returns the
-    /// *progenitor's exact f64 snapshot*, so write-through persistence
-    /// never loses precision. Lowering happens here, once, off the hot
-    /// path (serving calls this at hydrate/train time).
-    fn try_lower(&self, _precision: crate::InferencePrecision) -> Option<Box<dyn Localizer>> {
-        None
-    }
 }
 
 impl<L: Localizer + ?Sized> Localizer for Box<L> {
@@ -122,10 +106,6 @@ impl<L: Localizer + ?Sized> Localizer for Box<L> {
 
     fn try_snapshot(&self) -> Option<crate::ModelSnapshot> {
         (**self).try_snapshot()
-    }
-
-    fn try_lower(&self, precision: crate::InferencePrecision) -> Option<Box<dyn Localizer>> {
-        (**self).try_lower(precision)
     }
 }
 

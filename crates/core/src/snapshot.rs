@@ -30,9 +30,7 @@
 use crate::{Localizer, NobleError};
 use noble_geo::{Grid, Point};
 use noble_linalg::Matrix;
-use noble_nn::{
-    Activation, Dense, HeadKind, HeadSpec, Mlp, MlpLayerSpec, OutputLayout, ParamEncoding,
-};
+use noble_nn::{Activation, Dense, HeadKind, HeadSpec, Mlp, MlpLayerSpec, OutputLayout};
 use noble_quantize::{DecodePolicy, GridQuantizer};
 use std::sync::Arc;
 
@@ -187,17 +185,6 @@ impl ModelSnapshot {
 pub trait SnapshotLocalizer: Localizer {
     /// Serializes the full inference state of the model.
     fn snapshot(&self) -> ModelSnapshot;
-
-    /// [`SnapshotLocalizer::snapshot`] with an explicit parameter
-    /// encoding: [`ParamEncoding::F64`] is exact,
-    /// [`ParamEncoding::F32`] produces a ~2x smaller *compact* snapshot
-    /// whose hydrated twin reproduces inference to f32 accuracy instead
-    /// of bit-identically (the compact-snapshot gate in the
-    /// `precision_parity` suite pins the drift). Models without network parameters ignore the
-    /// flag — the default forwards to the exact writer.
-    fn snapshot_with(&self, _encoding: ParamEncoding) -> ModelSnapshot {
-        self.snapshot()
-    }
 }
 
 /// Rebuilds a servable model from a snapshot, dispatching on the kind
@@ -453,13 +440,9 @@ fn activation_from_tag(tag: u8) -> Result<Activation, NobleError> {
 }
 
 /// Writes a network: architecture specs, then the versioned parameter
-/// blob ([`noble_nn::save_parameters_with`], which carries batch-norm
-/// running statistics so inference is bit-identical after reload).
-/// `ParamEncoding::F64` is the exact default (byte-identical to
-/// historical snapshots); `F32` narrows every parameter scalar for ~2x
-/// smaller edge stores at f32-accuracy round trips (the compact-snapshot
-/// gate in the `precision_parity` suite pins the accuracy delta).
-pub(crate) fn write_mlp_with(w: &mut SnapWriter, mlp: &Mlp, encoding: ParamEncoding) {
+/// blob ([`noble_nn::save_parameters`], which carries batch-norm running
+/// statistics so inference is bit-identical after reload).
+pub(crate) fn write_mlp(w: &mut SnapWriter, mlp: &Mlp) {
     w.u64(mlp.in_dim() as u64);
     let specs = mlp.layer_specs();
     w.u32(specs.len() as u32);
@@ -480,11 +463,11 @@ pub(crate) fn write_mlp_with(w: &mut SnapWriter, mlp: &Mlp, encoding: ParamEncod
             }
         }
     }
-    w.bytes(&noble_nn::save_parameters_with(mlp, encoding));
+    w.bytes(&noble_nn::save_parameters(mlp));
 }
 
-/// Reads a network written by [`write_mlp_with`] (the nested parameter
-/// blob self-describes its scalar encoding).
+/// Reads a network written by [`write_mlp`]. A nested parameter blob of
+/// any version but 2 is a typed error.
 pub(crate) fn read_mlp(r: &mut SnapReader<'_>) -> Result<Mlp, NobleError> {
     let in_dim = r.usize()?;
     let spec_count = r.u32()? as usize;
@@ -502,13 +485,6 @@ pub(crate) fn read_mlp(r: &mut SnapReader<'_>) -> Result<Mlp, NobleError> {
         specs.push(spec);
     }
     let blob = r.bytes()?;
-    // The scalar width depends on the nested blob's own header (8 for
-    // the exact f64 encoding, 4 for compact f32).
-    let unit =
-        match noble_nn::blob_encoding(blob).map_err(|e| bad(format!("bad parameters: {e}")))? {
-            ParamEncoding::F64 => 8usize,
-            ParamEncoding::F32 => 4usize,
-        };
     // The specs' dimensions are untrusted: before from_specs allocates
     // weight matrices, require every tensor to fit inside the parameter
     // blob that claims to fill it (checked arithmetic — corrupt dims
@@ -523,7 +499,7 @@ pub(crate) fn read_mlp(r: &mut SnapReader<'_>) -> Result<Mlp, NobleError> {
             MlpLayerSpec::Activation(_) => Some(0),
         };
         param_bytes = scalars
-            .and_then(|s| s.checked_mul(unit))
+            .and_then(|s| s.checked_mul(8))
             .and_then(|b| param_bytes.checked_add(b))
             .ok_or_else(|| bad("architecture spec dimensions overflow".to_string()))?;
     }
@@ -757,7 +733,7 @@ mod tests {
         mlp.forward(&warm, true).unwrap();
 
         let mut w = SnapWriter::new();
-        write_mlp_with(&mut w, &mlp, ParamEncoding::F64);
+        write_mlp(&mut w, &mlp);
         let mut r = SnapReader::new(&w.buf);
         let back = read_mlp(&mut r).unwrap();
         r.finish().unwrap();

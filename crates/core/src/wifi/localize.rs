@@ -28,18 +28,6 @@ impl Localizer for WifiNoble {
     fn try_snapshot(&self) -> Option<ModelSnapshot> {
         Some(SnapshotLocalizer::snapshot(self))
     }
-
-    fn try_lower(&self, precision: crate::InferencePrecision) -> Option<Box<dyn Localizer>> {
-        let lowered = noble_nn::LoweredMlp::lower(&self.mlp, precision).ok()?;
-        Some(Box::new(crate::LoweredWifi::new(
-            lowered,
-            self.layout.clone(),
-            self.fine.clone(),
-            self.head_fine,
-            self.feature_dim(),
-            SnapshotLocalizer::snapshot(self),
-        )))
-    }
 }
 
 impl Localizer for DeepRegression {

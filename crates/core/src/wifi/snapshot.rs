@@ -11,10 +11,10 @@ use super::baselines::KnnFingerprint;
 use super::model::WifiNoble;
 use super::{KNN_FINGERPRINT_KIND, WIFI_NOBLE_KIND};
 use crate::snapshot::{
-    bad, read_layout, read_mlp, read_quantizer, write_layout, write_mlp_with, write_quantizer,
+    bad, read_layout, read_mlp, read_quantizer, write_layout, write_mlp, write_quantizer,
     ModelSnapshot, SnapReader, SnapWriter,
 };
-use crate::{NobleError, ParamEncoding, SnapshotLocalizer};
+use crate::{NobleError, SnapshotLocalizer};
 use noble_manifold::KdTree;
 
 /// Payload format version of [`WifiNoble`] snapshots.
@@ -25,13 +25,9 @@ const KNN_PAYLOAD_VERSION: u32 = 1;
 
 impl SnapshotLocalizer for WifiNoble {
     fn snapshot(&self) -> ModelSnapshot {
-        self.snapshot_with(ParamEncoding::F64)
-    }
-
-    fn snapshot_with(&self, encoding: ParamEncoding) -> ModelSnapshot {
         let mut w = SnapWriter::new();
         w.u32(WIFI_PAYLOAD_VERSION);
-        write_mlp_with(&mut w, &self.mlp, encoding);
+        write_mlp(&mut w, &self.mlp);
         write_layout(&mut w, &self.layout);
         write_quantizer(&mut w, &self.fine);
         match &self.coarse {

@@ -10,14 +10,13 @@
 //! never a huge allocation. Byte flips inside the f64 payload can decode
 //! to a *different but valid* model (bits are bits); the property there
 //! is "typed error or clean hydrate", and the checksummed file store one
-//! layer up is what catches silent payload damage. Compact
-//! (`ParamEncoding::F32`) snapshots get the same truncation and
-//! byte-flip treatment through `hydrate`, plus a parameter blob cut
-//! mid-tensor.
+//! layer up is what catches silent payload damage. A network parameter
+//! blob in the retired version-3 layout (f32 scalars) is one more
+//! version skew.
 
 use noble::imu::{ImuNoble, ImuNobleConfig};
 use noble::wifi::{KnnFingerprint, WifiNoble, WifiNobleConfig};
-use noble::{hydrate, Localizer, ModelSnapshot, NobleError, ParamEncoding, SnapshotLocalizer};
+use noble::{hydrate, Localizer, ModelSnapshot, NobleError, SnapshotLocalizer};
 use noble_datasets::{uji_campaign, ImuConfig, ImuDataset, ImuPathSample, UjiConfig, WifiCampaign};
 use noble_linalg::Matrix;
 use proptest::prelude::*;
@@ -43,11 +42,9 @@ fn imu_dataset() -> &'static ImuDataset {
 }
 
 /// One (snapshot, probe features, reference outputs) triple per model
-/// kind, trained once and shared by every test and proptest case, plus
-/// the same model's compact (`ParamEncoding::F32`) snapshot.
+/// kind, trained once and shared by every test and proptest case.
 struct Fixture {
     snapshot: ModelSnapshot,
-    compact: ModelSnapshot,
     features: Matrix,
     reference: Vec<noble_geo::Point>,
 }
@@ -69,17 +66,14 @@ fn fixtures() -> &'static Vec<Fixture> {
         .unwrap();
         out.push(Fixture {
             snapshot: SnapshotLocalizer::snapshot(&wifi),
-            compact: wifi.snapshot_with(ParamEncoding::F32),
             reference: Localizer::localize_batch(&wifi, &wifi_features).unwrap(),
             features: wifi_features.clone(),
         });
 
         let knn = KnnFingerprint::fit(campaign, 4).unwrap();
-        let knn_compact = knn.snapshot_with(ParamEncoding::F32);
         let knn_loc: Box<dyn Localizer> = Box::new(knn);
         out.push(Fixture {
             snapshot: knn_loc.try_snapshot().unwrap(),
-            compact: knn_compact,
             reference: knn_loc.localize_batch(&wifi_features).unwrap(),
             features: wifi_features,
         });
@@ -97,7 +91,6 @@ fn fixtures() -> &'static Vec<Fixture> {
         let imu_features = imu.path_features(&refs);
         out.push(Fixture {
             snapshot: SnapshotLocalizer::snapshot(&imu),
-            compact: imu.snapshot_with(ParamEncoding::F32),
             reference: Localizer::localize_batch(&imu, &imu_features).unwrap(),
             features: imu_features,
         });
@@ -175,7 +168,82 @@ fn version_skew_is_a_typed_error() {
             Ok(_) => panic!("{}: payload version skew hydrated", fixture.snapshot.kind()),
             Err(e) => panic!("wrong error type: {e}"),
         }
+        // Network parameter blobs of the retired version 3: first with
+        // only the version field changed, then re-encoded whole (f32
+        // scalars, as the compact writer stored them).
+        let kind = fixture.snapshot.kind();
+        for reencode in [false, true] {
+            let (payload, blobs) = with_version_3_blobs(fixture.snapshot.payload(), reencode);
+            if blobs == 0 {
+                assert_eq!(
+                    kind,
+                    noble::wifi::KNN_FINGERPRINT_KIND,
+                    "no network blob found"
+                );
+                continue;
+            }
+            match hydrate(&with_payload(&fixture.snapshot, payload)) {
+                Err(NobleError::BadSnapshot(msg)) => assert!(
+                    reencode || msg.contains("version 3"),
+                    "{kind}: unexpected message: {msg}"
+                ),
+                Ok(_) => panic!("{kind}: a version-3 parameter blob hydrated"),
+                Err(e) => panic!("{kind}: wrong error type: {e}"),
+            }
+        }
     }
+}
+
+/// Rewrites every network parameter blob of `payload` (each one
+/// `u64 length | "NOBL" | version 2 | ...`) as version 3: with
+/// `reencode`, every scalar narrowed to f32 and the blob re-prefixed
+/// with its new length; without it, only the version field. Returns the
+/// new payload and the number of blobs rewritten.
+fn with_version_3_blobs(payload: &[u8], reencode: bool) -> (Vec<u8>, usize) {
+    let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+    let (mut out, mut blobs, mut at) = (Vec::new(), 0, 0);
+    for start in 8..payload.len().saturating_sub(8) {
+        if start < at || &payload[start..start + 4] != b"NOBL" || u32_at(start + 4) != 2 {
+            continue;
+        }
+        let len = u64::from_le_bytes(payload[start - 8..start].try_into().unwrap()) as usize;
+        let end = start + len;
+        let mut blob = payload[start..start + 12].to_vec();
+        blob[4] = 3;
+        let mut pos = start + 12;
+        let scalars = |blob: &mut Vec<u8>, pos: &mut usize, n: usize| {
+            for _ in 0..n {
+                let v = f64::from_le_bytes(payload[*pos..*pos + 8].try_into().unwrap());
+                blob.extend_from_slice(&(v as f32).to_le_bytes());
+                *pos += 8;
+            }
+        };
+        if reencode {
+            for _ in 0..u32_at(start + 8) {
+                blob.extend_from_slice(&payload[pos..pos + 8]);
+                pos += 8;
+                let n = u32_at(pos - 8) * u32_at(pos - 4);
+                scalars(&mut blob, &mut pos, n);
+            }
+            blob.extend_from_slice(&payload[pos..pos + 4]);
+            pos += 4;
+            for _ in 0..u32_at(pos - 4) {
+                blob.extend_from_slice(&payload[pos..pos + 4]);
+                pos += 4;
+                let n = u32_at(pos - 4);
+                scalars(&mut blob, &mut pos, n);
+            }
+            assert_eq!(pos, end, "the blob parses to its length");
+        } else {
+            blob.extend_from_slice(&payload[pos..end]);
+        }
+        out.extend_from_slice(&payload[at..start - 8]);
+        out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+        out.extend_from_slice(&blob);
+        (at, blobs) = (end, blobs + 1);
+    }
+    out.extend_from_slice(&payload[at..]);
+    (out, blobs)
 }
 
 #[test]
@@ -230,36 +298,7 @@ proptest! {
     fn corrupted_blob_never_panics(kind in 0usize..3, pos in 0usize..1 << 20, flip in 1u8..=255) {
         flip_is_typed_or_coherent(&fixtures()[kind].snapshot, pos, flip)?;
     }
-
-    /// Any strict prefix of a compact snapshot's payload fails to
-    /// hydrate with the typed error: every reader, down to the f32
-    /// parameter decode, checks its length before it reads.
-    #[test]
-    fn compact_truncated_payload_is_typed_error(which in 0usize..2, cut in 0usize..1 << 20) {
-        let snap = &fixtures()[COMPACT_KINDS[which]].compact;
-        let cut = cut % snap.payload().len();
-        match hydrate(&with_payload(snap, snap.payload()[..cut].to_vec())) {
-            Err(NobleError::BadSnapshot(_)) => {}
-            Err(e) => {
-                prop_assert!(false, "wrong error type: {e}");
-            }
-            Ok(_) => {
-                prop_assert!(false, "compact payload cut at {cut} hydrated");
-            }
-        }
-    }
-
-    /// [`corrupted_blob_never_panics`] for compact snapshots, whose
-    /// parameter blobs decode f32 scalars.
-    #[test]
-    fn compact_corrupted_blob_never_panics(which in 0usize..2, pos in 0usize..1 << 20, flip in 1u8..=255) {
-        flip_is_typed_or_coherent(&fixtures()[COMPACT_KINDS[which]].compact, pos, flip)?;
-    }
 }
-
-/// Fixture indices whose compact snapshot narrows network parameters
-/// (the kNN baseline has none, so its compact snapshot is the exact one).
-const COMPACT_KINDS: [usize; 2] = [0, 2];
 
 fn with_payload(snap: &ModelSnapshot, payload: Vec<u8>) -> ModelSnapshot {
     ModelSnapshot::new(snap.kind(), snap.feature_dim(), snap.class_count(), payload)
@@ -298,41 +337,4 @@ fn flip_is_typed_or_coherent(
         },
     }
     Ok(())
-}
-
-/// Cuts every compact parameter blob in the payload through the middle
-/// of its first tensor, re-prefixing the blob with its new length so
-/// the cut reaches the network reader, which must refuse it with the
-/// typed error. (The reader's architecture-size check is what fires
-/// here; `noble-nn`'s own serialize tests feed mid-tensor cuts straight
-/// to `load_parameters` to reach the bulk decode's bounds check.)
-#[test]
-fn compact_param_blob_cut_mid_tensor_is_typed_error() {
-    const HEADER: usize = 12; // magic, format version, tensor count
-    for &kind in &COMPACT_KINDS {
-        let snap = &fixtures()[kind].compact;
-        let payload = snap.payload();
-        let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
-        // Each network's blob is `u64 length | "NOBL" | version 3 | ...`.
-        let blobs: Vec<usize> = (8..payload.len() - 8)
-            .filter(|&at| &payload[at..at + 4] == b"NOBL" && u32_at(at + 4) == 3)
-            .collect();
-        assert!(!blobs.is_empty(), "{}: no compact blob found", snap.kind());
-        for start in blobs {
-            let len = u64::from_le_bytes(payload[start - 8..start].try_into().unwrap()) as usize;
-            let (rows, cols) = (u32_at(start + HEADER), u32_at(start + HEADER + 4));
-            let first_tensor = (rows * cols) as usize * 4;
-            assert!(first_tensor > 4, "{}: first tensor too small", snap.kind());
-            let cut = HEADER + 8 + first_tensor / 2 + 1;
-            let mut cut_payload = payload[..start - 8].to_vec();
-            cut_payload.extend_from_slice(&(cut as u64).to_le_bytes());
-            cut_payload.extend_from_slice(&payload[start..start + cut]);
-            cut_payload.extend_from_slice(&payload[start + len..]);
-            match hydrate(&with_payload(snap, cut_payload)) {
-                Err(NobleError::BadSnapshot(_)) => {}
-                Err(e) => panic!("{}: wrong error type: {e}", snap.kind()),
-                Ok(_) => panic!("{}: blob cut mid-tensor hydrated", snap.kind()),
-            }
-        }
-    }
 }

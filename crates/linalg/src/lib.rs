@@ -10,9 +10,10 @@
 //! three places: the neural-network substrate (`noble-nn`), the manifold
 //! learning baselines (`noble-manifold`, which needs eigendecompositions for
 //! MDS/Isomap/LLE), and the evaluation metrics. All exact routines operate
-//! on `f64`; the accuracy-gated serving fast path additionally ships an
-//! f32 gemm family ([`MatrixF32`], [`matmul_f32`]) with the same
-//! thread/batch-shape bit-stability contract as the f64 kernels.
+//! on `f64`. An f32 gemm family ([`MatrixF32`], [`matmul_f32_columns`])
+//! scores the certified screen of a network's head, which only rules
+//! classes out and never changes an answer; it keeps the f64 kernels'
+//! thread/batch-shape bit-stability contract.
 //!
 //! # Example
 //!
@@ -46,7 +47,7 @@ pub use error::LinalgError;
 pub use gemm::{matmul_blocked, matmul_naive, matmul_parallel, matmul_transposed};
 pub use lowp::{
     matmul_f32, matmul_f32_blocked, matmul_f32_columns, matmul_f32_naive, matmul_f32_parallel,
-    tanh_f32_fast, MatrixF32,
+    MatrixF32,
 };
 pub use matrix::Matrix;
 pub use qr::{least_squares, qr_decompose, QrFactors};

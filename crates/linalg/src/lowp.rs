@@ -1,14 +1,14 @@
-//! Reduced-precision kernels: the f32 gemm family behind the serving
-//! fast path.
+//! The f32 gemm family behind the certified f32 screen.
 //!
-//! The f64 kernels in [`crate::gemm`] stay the bit-exact reference; this
-//! module is the *accuracy-gated* tier layered on top of it. Its
-//! determinism contract is deliberately weaker in one axis and just as
-//! strong in the others:
+//! The f64 kernels in [`crate::gemm`] are the bit-exact reference and the
+//! only arithmetic an answer is made of. This module's kernels score the
+//! certified screen with which `noble-nn` picks a wide head's exact
+//! class: the screen's error bound rules classes out, and every class it
+//! cannot rule out is recomputed in f64, so no f32 value ever becomes an
+//! answer. Their determinism contract:
 //!
 //! - **vs f64**: approximate. f32 products agree with the f64 reference
-//!   to f32 rounding. The gates live upstream (parity-at-tolerance
-//!   suites, the accuracy-delta check in `exp_throughput`).
+//!   to f32 rounding, which is what the screen's bound accounts for.
 //! - **vs itself**: exact. Every kernel here is bit-stable across thread
 //!   counts and batch shapes, by the same construction the f64 family
 //!   uses — the parallel variants deal *whole output rows* to workers
@@ -21,8 +21,8 @@
 //! output columns read in place ([`matmul_f32_columns`]), and on x86-64
 //! hosts with AVX2 it runs an 8-lane twin with a 4-row register tile that
 //! keeps the portable kernel's operation order, so its bits are the same
-//! on every host. Besides the f32 tier, it scores the certified f32
-//! screen with which `noble-nn` picks a wide head's exact class.
+//! on every host. The naive, blocked and parallel kernels are the test
+//! references of that dispatcher.
 //!
 //! This file is carved out of the `float-determinism` lint scope by
 //! `noble-lint.toml` — `as f32` narrowing is this module's entire job,
@@ -39,10 +39,10 @@ const BLOCK_K: usize = 128;
 const BLOCK_COLS: usize = 256;
 
 /// A row-major single-precision matrix: the storage type of the f32
-/// inference tier.
+/// screen.
 ///
-/// Deliberately minimal — just what the lowered forward pass needs. The
-/// f64 [`Matrix`] remains the API for everything exact.
+/// Deliberately minimal — just what the screen and the kernel tests
+/// need. The f64 [`Matrix`] remains the API for everything exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixF32 {
     rows: usize,
@@ -77,7 +77,7 @@ impl MatrixF32 {
         Ok(MatrixF32 { rows, cols, data })
     }
 
-    /// Rounds an f64 matrix to single precision (the lowering cast).
+    /// Rounds an f64 matrix to single precision (the one narrowing cast).
     #[must_use]
     pub fn from_f64(m: &Matrix) -> MatrixF32 {
         MatrixF32 {
@@ -143,23 +143,6 @@ impl MatrixF32 {
     #[must_use]
     pub fn as_slice(&self) -> &[f32] {
         &self.data
-    }
-
-    /// The whole row-major buffer, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Rows-of-columns transpose.
-    #[must_use]
-    pub fn transpose(&self) -> MatrixF32 {
-        let mut out = MatrixF32::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
-        out
     }
 }
 
@@ -715,37 +698,6 @@ pub fn matmul_f32_columns(
     Ok(out)
 }
 
-/// Fast elementwise `tanh` for the reduced-precision tier.
-///
-/// The exact f64 path runs [`crate::tanh`], accurate to a few ulp; the
-/// lowered tiers are accuracy-gated, not bit-exact, so they get a
-/// cheaper branch-light polynomial instead: the `[7/8]` Padé
-/// continued-fraction truncation below `|x| < 5`, saturating to `±1`
-/// beyond. Absolute error is ≤ 1.5e-5 for `|x| ≤ 4` and ≤ 1.1e-4 at the
-/// `|x| = 5` crossover (where `1 - tanh` itself is 9.1e-5) — absorbed
-/// by the f32 tier's argmax decode.
-///
-/// Deterministic and elementwise, so it inherits the tier's
-/// batch-shape and thread-count bit-stability for free.
-#[must_use]
-pub fn tanh_f32_fast(x: f32) -> f32 {
-    if x.is_nan() {
-        return x;
-    }
-    if x >= 5.0 {
-        return 1.0;
-    }
-    if x <= -5.0 {
-        return -1.0;
-    }
-    let x2 = x * x;
-    let p = x * (135_135.0 + x2 * (17_325.0 + x2 * (378.0 + x2)));
-    let q = 135_135.0 + x2 * (62_370.0 + x2 * (3_150.0 + x2 * 28.0));
-    // f32 rounding can push the ratio a few ulps past ±1 near the
-    // crossover; tanh is bounded, so pin it.
-    (p / q).clamp(-1.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,33 +869,6 @@ mod tests {
         assert!(matmul_f32_naive(&a, &b).is_err());
         assert!(matmul_f32_blocked(&a, &b).is_err());
         assert!(matmul_f32_parallel(&a, &b, 2).is_err());
-    }
-
-    #[test]
-    fn fast_tanh_tracks_libm_within_its_envelope() {
-        let mut worst = 0.0f64;
-        for i in -120_000..=120_000 {
-            let x = i as f32 / 10_000.0; // [-12, 12] in 1e-4 steps
-            let got = f64::from(tanh_f32_fast(x));
-            let want = f64::from(x).tanh();
-            worst = worst.max((got - want).abs());
-            assert!(
-                got.abs() <= 1.0,
-                "tanh_f32_fast({x}) = {got} leaves [-1, 1]"
-            );
-        }
-        assert!(
-            worst <= 1.1e-4,
-            "fast tanh error {worst} exceeds the envelope"
-        );
-        // Odd symmetry and saturation are exact.
-        assert_eq!(tanh_f32_fast(0.0), 0.0);
-        assert_eq!(tanh_f32_fast(7.0), 1.0);
-        assert_eq!(tanh_f32_fast(-7.0), -1.0);
-        assert_eq!(tanh_f32_fast(2.5), -tanh_f32_fast(-2.5));
-        assert!(tanh_f32_fast(f32::NAN).is_nan());
-        assert_eq!(tanh_f32_fast(f32::INFINITY), 1.0);
-        assert_eq!(tanh_f32_fast(f32::NEG_INFINITY), -1.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! threaded paths must agree with the naive reference across arbitrary
 //! shapes and values, and batched products must agree with row-at-a-time
 //! products (the invariant the batched inference engine rests on).
-//! The reduced-precision f32 kernels are held to the same structure at
-//! their tier's tolerance.
+//! The f32 kernels of the certified screen are held to the same
+//! structure at f32 tolerance.
 
 use noble_linalg::{
     matmul_blocked, matmul_f32, matmul_f32_blocked, matmul_f32_naive, matmul_f32_parallel,

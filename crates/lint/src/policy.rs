@@ -111,15 +111,11 @@ impl Policy {
                     "crates/nn/src".into(),
                     "crates/quantize/src".into(),
                 ],
-                // The reduced-precision tier is sanctioned per-module:
-                // narrowing is these files' entire job, and the parity
-                // gates covering them live in the lowp/lowered test
-                // suites rather than in bit-exactness.
-                exclude: vec![
-                    "crates/linalg/src/lowp.rs".into(),
-                    "crates/nn/src/lowered.rs".into(),
-                    "crates/core/src/lowered.rs".into(),
-                ],
+                // The f32 kernels of the certified screen are sanctioned
+                // as one module: narrowing is that file's entire job, its
+                // kernels are held to their own bits by the lowp tests,
+                // and the screen's bound keeps them out of every answer.
+                exclude: vec!["crates/linalg/src/lowp.rs".into()],
             },
         );
         Policy {

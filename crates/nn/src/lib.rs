@@ -47,7 +47,6 @@ mod heads;
 mod init;
 mod layer;
 mod loss;
-mod lowered;
 mod metrics;
 mod network;
 mod optimizer;
@@ -65,14 +64,11 @@ pub use heads::{HeadKind, HeadSpec, MultiHeadLoss, OutputLayout};
 pub use init::{he_uniform, xavier_normal, xavier_uniform};
 pub use layer::Dense;
 pub use loss::{BceWithLogitsLoss, Loss, MseLoss, SoftmaxCrossEntropyLoss};
-pub use lowered::{narrow, InferencePrecision, LoweredMlp};
 pub use metrics::{accuracy, confusion_counts, one_hot, softmax_row};
 pub use network::{Mlp, MlpBuilder, MlpLayerSpec};
 pub use optimizer::Optimizer;
 pub use param::Param;
 pub use screen::SCREEN_MIN_ROW_FLOPS;
 pub use seed::derive_seed;
-pub use serialize::{
-    blob_encoding, load_parameters, save_parameters, save_parameters_with, ParamEncoding,
-};
+pub use serialize::{load_parameters, save_parameters};
 pub use trainer::{EarlyStopping, TrainConfig, TrainReport, Trainer};

@@ -11,83 +11,32 @@
 //! then per vector: len u32, f64 payload. The stat vectors are each
 //! batch-norm stage's running mean and variance in layer order — without
 //! them an inference pass through a restored network would not be
-//! bit-identical to the saved one. Version 1 (no statistics section) is
-//! no longer readable; loading it is a typed error, never a panic.
-//!
-//! Version 3 is the **compact encoding** ([`ParamEncoding::F32`]): the
-//! identical layout with every scalar stored as f32 little-endian
-//! (4 bytes), halving edge-store footprints. Narrowing is lossy, so a
-//! v3 round trip reproduces inference only to f32 accuracy — the same
-//! accuracy-gated contract as the lowered serving tier, checked by the
-//! round-trip tests here and the compact-snapshot gate in `noble`'s
-//! `precision_parity` suite. [`load_parameters`] reads both versions; the
-//! default writer [`save_parameters`] still emits byte-identical v2.
+//! bit-identical to the saved one. Every other version (1, which had no
+//! statistics section, and the retired f32 encoding 3) is a typed error
+//! on load, never a panic.
 
 use crate::{Mlp, NnError};
 
 const MAGIC: &[u8; 4] = b"NOBL";
-const VERSION_F64: u32 = 2;
-const VERSION_F32: u32 = 3;
-
-/// Scalar encoding of a parameter blob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ParamEncoding {
-    /// Exact f64 scalars (format version 2) — the default; round trips
-    /// are bit-identical.
-    #[default]
-    F64,
-    /// Compact f32 scalars (format version 3) — ~2x smaller, round
-    /// trips reproduce inference to f32 accuracy.
-    F32,
-}
-
-impl ParamEncoding {
-    /// Bytes per stored scalar.
-    fn unit(self) -> usize {
-        match self {
-            ParamEncoding::F64 => 8,
-            ParamEncoding::F32 => 4,
-        }
-    }
-
-    fn version(self) -> u32 {
-        match self {
-            ParamEncoding::F64 => VERSION_F64,
-            ParamEncoding::F32 => VERSION_F32,
-        }
-    }
-}
+const VERSION: u32 = 2;
 
 /// Serializes every trainable parameter of `mlp`, plus its batch-norm
-/// running statistics, into a byte buffer (exact f64 encoding).
+/// running statistics, into a byte buffer.
 pub fn save_parameters(mlp: &Mlp) -> Vec<u8> {
-    save_parameters_with(mlp, ParamEncoding::F64)
-}
-
-/// [`save_parameters`] with an explicit scalar encoding.
-pub fn save_parameters_with(mlp: &Mlp, encoding: ParamEncoding) -> Vec<u8> {
     let params = mlp.params();
     let stats = mlp.running_stats();
-    let unit = encoding.unit();
-    let tensor_bytes: usize = params.iter().map(|p| 8 + p.len() * unit).sum();
-    let stat_bytes: usize = stats
-        .iter()
-        .map(|(m, v)| 8 + (m.len() + v.len()) * unit)
-        .sum();
+    let tensor_bytes: usize = params.iter().map(|p| 8 + p.len() * 8).sum();
+    let stat_bytes: usize = stats.iter().map(|(m, v)| 8 + (m.len() + v.len()) * 8).sum();
     let mut out = Vec::with_capacity(16 + tensor_bytes + 4 + stat_bytes);
-    let push_scalar = |out: &mut Vec<u8>, v: f64| match encoding {
-        ParamEncoding::F64 => out.extend_from_slice(&v.to_le_bytes()),
-        ParamEncoding::F32 => out.extend_from_slice(&crate::lowered::narrow(v).to_le_bytes()),
-    };
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&encoding.version().to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(params.len() as u32).to_le_bytes());
     for p in params {
         let (r, c) = p.value.shape();
         out.extend_from_slice(&(r as u32).to_le_bytes());
         out.extend_from_slice(&(c as u32).to_le_bytes());
         for &v in p.value.as_slice() {
-            push_scalar(&mut out, v);
+            out.extend_from_slice(&v.to_le_bytes());
         }
     }
     out.extend_from_slice(&(2 * stats.len() as u32).to_le_bytes());
@@ -95,43 +44,16 @@ pub fn save_parameters_with(mlp: &Mlp, encoding: ParamEncoding) -> Vec<u8> {
         for vector in [mean, var] {
             out.extend_from_slice(&(vector.len() as u32).to_le_bytes());
             for &v in vector {
-                push_scalar(&mut out, v);
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
     }
     out
 }
 
-/// The scalar encoding of a parameter blob, sniffed from its header.
-///
-/// # Errors
-///
-/// [`NnError::InvalidConfig`] when the header is truncated, has the
-/// wrong magic, or names an unknown version.
-pub fn blob_encoding(bytes: &[u8]) -> Result<ParamEncoding, NnError> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    if cursor.take(4)? != MAGIC {
-        return Err(NnError::InvalidConfig(
-            "bad magic: not a NObLe parameter blob".into(),
-        ));
-    }
-    match cursor.u32()? {
-        VERSION_F64 => Ok(ParamEncoding::F64),
-        VERSION_F32 => Ok(ParamEncoding::F32),
-        v => Err(NnError::InvalidConfig(format!(
-            "unsupported parameter format version {v} (this build reads {VERSION_F64} and {VERSION_F32})"
-        ))),
-    }
-}
-
 /// Restores parameters and running statistics previously produced by
-/// [`save_parameters`] / [`save_parameters_with`] into a *structurally
-/// identical* network (same builder calls, or [`Mlp::from_specs`] on
-/// the saved architecture).
-///
-/// Both encodings load: f64 blobs restore exactly; f32 blobs widen each
-/// scalar to f64 (the widening itself is exact — the loss happened at
-/// save time).
+/// [`save_parameters`] into a *structurally identical* network (same
+/// builder calls, or [`Mlp::from_specs`] on the saved architecture).
 ///
 /// # Errors
 ///
@@ -139,8 +61,18 @@ pub fn blob_encoding(bytes: &[u8]) -> Result<ParamEncoding, NnError> {
 /// truncated, the version is unsupported, or tensor shapes do not match
 /// the target network.
 pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
-    let encoding = blob_encoding(bytes)?;
-    let mut cursor = Cursor { bytes, pos: 8 };
+    let mut cursor = Cursor { bytes, pos: 0 };
+    if cursor.take(4)? != MAGIC {
+        return Err(NnError::InvalidConfig(
+            "bad magic: not a NObLe parameter blob".into(),
+        ));
+    }
+    let version = cursor.u32()?;
+    if version != VERSION {
+        return Err(NnError::InvalidConfig(format!(
+            "unsupported parameter format version {version} (this build reads {VERSION})"
+        )));
+    }
     let count = cursor.u32()? as usize;
     let checked = mlp.input_weights_tensor();
     let mut input_weights_finite = false;
@@ -165,12 +97,12 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
             if Some(i) == checked {
                 // Learned in the decode loop itself: no second pass.
                 let mut finite = true;
-                cursor.decode(encoding, p.value.as_mut_slice(), |v| {
+                cursor.decode(p.value.as_mut_slice(), |v| {
                     finite &= v.is_finite();
                 })?;
                 input_weights_finite = finite;
             } else {
-                cursor.scalars_into(encoding, p.value.as_mut_slice())?;
+                cursor.scalars_into(p.value.as_mut_slice())?;
             }
         }
     }
@@ -185,8 +117,8 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
     }
     let mut stats = Vec::with_capacity(stat_count / 2);
     for _ in 0..stat_count / 2 {
-        let mean = cursor.vector(encoding)?;
-        let var = cursor.vector(encoding)?;
+        let mean = cursor.vector()?;
+        let var = cursor.vector()?;
         stats.push((mean, var));
     }
     mlp.set_running_stats(&stats)?;
@@ -235,44 +167,28 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
-    /// Fills `out` from the next `out.len()` scalars in the blob's
-    /// encoding, widened to f64: one bounds check for the whole run,
-    /// then a straight decode.
-    fn scalars_into(&mut self, encoding: ParamEncoding, out: &mut [f64]) -> Result<(), NnError> {
-        self.decode(encoding, out, |_| {})
+    /// Fills `out` from the next `out.len()` f64 scalars: one bounds
+    /// check for the whole run, then a straight decode.
+    fn scalars_into(&mut self, out: &mut [f64]) -> Result<(), NnError> {
+        self.decode(out, |_| {})
     }
 
     /// [`Cursor::scalars_into`] that shows each decoded scalar to `seen`
     /// inside the decode loop. Anything `seen` does costs the loop its
     /// straight-copy speed, so only the tensor that needs it pays.
-    fn decode(
-        &mut self,
-        encoding: ParamEncoding,
-        out: &mut [f64],
-        mut seen: impl FnMut(f64),
-    ) -> Result<(), NnError> {
-        let bytes = self.take(out.len() * encoding.unit())?;
-        match encoding {
-            ParamEncoding::F64 => {
-                for (v, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-                    *v = f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-                    seen(*v);
-                }
-            }
-            ParamEncoding::F32 => {
-                for (v, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-                    *v = f64::from(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                    seen(*v);
-                }
-            }
+    fn decode(&mut self, out: &mut [f64], mut seen: impl FnMut(f64)) -> Result<(), NnError> {
+        let bytes = self.take(out.len() * 8)?;
+        for (v, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *v = f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+            seen(*v);
         }
         Ok(())
     }
 
     /// Reads one length-prefixed scalar vector.
-    fn vector(&mut self, encoding: ParamEncoding) -> Result<Vec<f64>, NnError> {
-        let mut v = vec![0.0; self.checked_len(encoding.unit())?];
-        self.scalars_into(encoding, &mut v)?;
+    fn vector(&mut self) -> Result<Vec<f64>, NnError> {
+        let mut v = vec![0.0; self.checked_len(8)?];
+        self.scalars_into(&mut v)?;
         Ok(v)
     }
 }
@@ -373,64 +289,43 @@ mod tests {
     }
 
     #[test]
-    fn compact_f32_blob_halves_scalar_bytes_and_round_trips_closely() {
-        let mut a = network(1);
-        let warm = Matrix::from_fn(16, 3, |i, j| ((i * 3 + j) % 7) as f64 / 3.0 - 1.0);
-        a.forward(&warm, true).unwrap();
-        let exact = save_parameters_with(&a, ParamEncoding::F64);
-        let compact = save_parameters_with(&a, ParamEncoding::F32);
-        assert_eq!(blob_encoding(&exact).unwrap(), ParamEncoding::F64);
-        assert_eq!(blob_encoding(&compact).unwrap(), ParamEncoding::F32);
-        // Scalar payloads halve; only the fixed headers stay 8/4-byte.
-        let scalars = a.parameter_count()
-            + a.running_stats()
-                .iter()
-                .map(|(m, v)| m.len() + v.len())
-                .sum::<usize>();
-        assert_eq!(exact.len() - compact.len(), scalars * 4);
-
-        let mut b = network(99);
-        load_parameters(&mut b, &compact).unwrap();
-        let x = Matrix::from_rows(&[vec![0.4, -1.0, 2.0]]).unwrap();
-        let ya = a.predict(&x).unwrap();
-        let yb = b.predict(&x).unwrap();
-        let drift = ya.max_abs_diff(&yb).unwrap();
-        assert!(drift > 0.0, "narrowing should be lossy on trained weights");
-        assert!(drift < 1e-4, "f32 round trip drifted {drift}");
-    }
-
-    #[test]
-    fn default_writer_is_still_byte_identical_v2() {
-        // The compact encoding must not perturb the default format:
-        // existing snapshots in stores hydrate against these exact bytes.
+    fn writer_emits_version_2() {
+        // Existing snapshots in stores hydrate against these exact bytes.
         let a = network(4);
         let blob = save_parameters(&a);
         assert_eq!(&blob[..4], b"NOBL");
         assert_eq!(u32::from_le_bytes([blob[4], blob[5], blob[6], blob[7]]), 2);
-        assert_eq!(blob, save_parameters_with(&a, ParamEncoding::F64));
     }
 
     #[test]
-    fn cut_mid_tensor_is_typed_for_both_encodings() {
+    fn cut_mid_tensor_is_typed() {
         let a = network(1);
-        for encoding in [ParamEncoding::F64, ParamEncoding::F32] {
-            let blob = save_parameters_with(&a, encoding);
-            // Header (12 bytes) + first tensor's shape (8), then its
-            // 3x5 scalars: cut through the middle of that run.
-            let cut = 12 + 8 + 7 * encoding.unit() + 1;
-            let err = load_parameters(&mut network(2), &blob[..cut]).unwrap_err();
-            assert!(err.to_string().contains("truncated"), "{encoding:?}: {err}");
-            // Every other prefix is a typed error too, never a panic.
-            for n in 0..blob.len() {
-                assert!(load_parameters(&mut network(2), &blob[..n]).is_err());
-            }
+        let blob = save_parameters(&a);
+        // Header (12 bytes) + first tensor's shape (8), then its 3x5
+        // scalars: cut through the middle of that run.
+        let cut = 12 + 8 + 7 * 8 + 1;
+        let err = load_parameters(&mut network(2), &blob[..cut]).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+        // Every other prefix is a typed error too, never a panic.
+        for n in 0..blob.len() {
+            assert!(load_parameters(&mut network(2), &blob[..n]).is_err());
         }
     }
 
     #[test]
-    fn blob_encoding_rejects_garbage() {
-        assert!(blob_encoding(b"NOB").is_err());
-        assert!(blob_encoding(b"XOBL\x02\x00\x00\x00").is_err());
-        assert!(blob_encoding(b"NOBL\x07\x00\x00\x00").is_err());
+    fn retired_f32_version_is_a_typed_error() {
+        // Version 3 stored every scalar as f32; this build no longer
+        // reads it, whatever follows the header.
+        let mut blob = save_parameters(&network(1));
+        blob[4] = 3;
+        let err = load_parameters(&mut network(2), &blob).unwrap_err();
+        assert!(err.to_string().contains("version 3"), "{err}");
+        for garbage in [
+            &b"NOB"[..],
+            b"XOBL\x02\x00\x00\x00",
+            b"NOBL\x03\x00\x00\x00",
+        ] {
+            assert!(load_parameters(&mut network(2), garbage).is_err());
+        }
     }
 }

@@ -983,3 +983,63 @@ impl ModelCatalog {
             .map(Resident::served)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noble::wifi::KnnFingerprint;
+    use noble_datasets::{uji_campaign, UjiConfig};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    /// A retrain that panics inside `build` changes nothing: the active
+    /// version, the archive, the swap epoch and the served bits are as
+    /// they were, the next activation gets the next version and a
+    /// rollback to version 0 completes. The body runs on its own thread
+    /// behind a bounded wait, because an activation slot the panic left
+    /// claimed would hang the next activation.
+    #[test]
+    fn a_retrain_that_panics_inside_build_changes_nothing() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let campaign = uji_campaign(&UjiConfig::small()).unwrap();
+            let probe = campaign.features(&campaign.test[..8]);
+            let key = ShardKey::building(0);
+            // Under a bytes budget the insert writes version 0 through to
+            // the store's active slot.
+            let mut catalog = ModelCatalog::new(CatalogBudget::Bytes(usize::MAX)).unwrap();
+            let original = KnnFingerprint::fit(&campaign, 1).unwrap();
+            catalog.insert(key, Box::new(original)).unwrap();
+            let before = catalog.localize(key, &probe).unwrap();
+            let (version, archived, epoch) = (
+                catalog.active_version(key),
+                catalog.archived_versions(key).unwrap(),
+                catalog.epoch(),
+            );
+
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                catalog.activate(key, |_| panic!("retrain defect under test"))
+            }));
+            assert!(panicked.is_err(), "the build panic reaches the caller");
+            assert_eq!(catalog.active_version(key), version);
+            assert_eq!(catalog.archived_versions(key).unwrap(), archived);
+            assert_eq!(catalog.epoch(), epoch);
+            assert_eq!(catalog.localize(key, &probe).unwrap(), before);
+
+            let retrained = catalog
+                .activate(key, |_| Ok(Box::new(KnnFingerprint::fit(&campaign, 7)?)))
+                .unwrap();
+            assert_eq!(
+                retrained,
+                version + 1,
+                "the next activation gets the next version"
+            );
+            catalog.rollback(key, 0).unwrap();
+            assert_eq!(catalog.localize(key, &probe).unwrap(), before);
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the catalog wedged or a check failed");
+    }
+}

@@ -80,7 +80,7 @@ use crate::lifecycle::{Lifecycle, Room, Submit, WorkerId};
 use crate::refresh::{RefreshConfig, Refresher};
 use crate::sync::{relock, rewait, rewait_timeout};
 use crate::{CatalogStats, ModelCatalog, ServeError, ShardKey};
-use noble::{InferencePrecision, Localizer};
+use noble::Localizer;
 use noble_geo::Point;
 use noble_linalg::Matrix;
 use std::any::Any;
@@ -93,6 +93,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Micro-batching and lifecycle knobs.
+///
+/// None of them changes an answer: every shard serves its catalog model's
+/// exact f64 pass, whatever the batch shape, budget or spin-down timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Largest batch one shard inference call may carry.
@@ -123,15 +126,6 @@ pub struct BatchConfig {
     /// — keeps silent sessions forever. Plain [`BatchServer`]s ignore
     /// it.
     pub away_timeout: Option<u64>,
-    /// Inference tier shards serve in. `Exact` — the default — serves
-    /// the f64 models untouched (bit-identical to every earlier
-    /// release). `F32` lowers each model once, off the hot path
-    /// (right after its worker acquires it), via
-    /// [`Localizer::try_lower`]; models that cannot lower (e.g. the kNN
-    /// radio map) keep serving exact. Lowered shards stay within the
-    /// tier's accuracy gate; the lowered twin stays local to its worker,
-    /// so the catalog, and every write-through, keeps the exact f64 model.
-    pub precision: InferencePrecision,
 }
 
 impl Default for BatchConfig {
@@ -143,23 +137,8 @@ impl Default for BatchConfig {
             session_shards: 16,
             stability_k: 3,
             away_timeout: None,
-            precision: InferencePrecision::Exact,
         }
     }
-}
-
-/// Lowers a worker's model into `precision` when requested and possible;
-/// models that cannot lower (or an `Exact` config) serve unchanged. The
-/// lowered twin stays local to the worker: the catalog keeps the exact
-/// model.
-fn lower_for_serving(
-    model: Arc<dyn Localizer>,
-    precision: InferencePrecision,
-) -> Arc<dyn Localizer> {
-    if precision == InferencePrecision::Exact {
-        return model;
-    }
-    model.try_lower(precision).map_or(model, Arc::from)
 }
 
 /// One shard's counters and live queue gauges. Unlike the cumulative
@@ -676,8 +655,7 @@ impl ShardWorker {
         };
         self.hold = Hold::Keep;
         let mut version = served.version;
-        // Lowering happens here, once per fault, off the hot path.
-        let mut model = lower_for_serving(served.model, core.cfg.precision);
+        let mut model = served.model;
         {
             let mut slots = relock(&core.slots);
             for victim in slots.lifecycle.leased(self.id, served.cost) {
@@ -726,7 +704,7 @@ impl ShardWorker {
             if now_epoch != epoch {
                 epoch = now_epoch;
                 if let Some(fresh) = core.catalog.newer(self.key, version) {
-                    model = lower_for_serving(fresh.model, core.cfg.precision);
+                    model = fresh.model;
                     feature_dim = model.info().feature_dim;
                     version = fresh.version;
                     relock(&core.slots).lifecycle.swapped();
@@ -935,11 +913,9 @@ impl BatchServer {
     /// models resident, stored snapshots and train specs intact — so
     /// the caller can pass it back to [`BatchServer::start`] (under
     /// different batching knobs, say) without retraining or losing a
-    /// single tier. Models that served a lowered precision tier come
-    /// back as their exact f64 models. Trimming the
-    /// resident tier back under the catalog budget never drops a model
-    /// the store refuses: it stays resident (see
-    /// [`crate::CatalogStats::pinned`]).
+    /// single tier. Trimming the resident tier back under the catalog
+    /// budget never drops a model the store refuses: it stays resident
+    /// (see [`crate::CatalogStats::pinned`]).
     pub fn shutdown_with_catalog(self) -> (Vec<(ShardKey, ShardStats)>, ModelCatalog) {
         self.stop();
         let stats = self.stats();

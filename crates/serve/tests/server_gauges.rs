@@ -347,9 +347,9 @@ fn a_panicking_model_gets_typed_errors_and_never_wedges_the_server() {
 enum Fault {
     /// In `try_snapshot`, which a drain's write-through calls.
     Snapshot,
-    /// In `try_lower`, which a worker calls right after its lease under a
-    /// reduced precision tier.
-    Lower,
+    /// In `info`, which a worker calls right after its acquire (and which
+    /// neither `insert` nor `start` calls).
+    Info,
 }
 
 /// Serves `out`, but panics in the model code `fault` names.
@@ -361,6 +361,9 @@ struct FragileLocalizer {
 
 impl Localizer for FragileLocalizer {
     fn info(&self) -> LocalizerInfo {
+        if let Fault::Info = self.fault {
+            panic!("info defect under test");
+        }
         LocalizerInfo {
             model: "fragile-test",
             site: "default".into(),
@@ -376,14 +379,7 @@ impl Localizer for FragileLocalizer {
     fn try_snapshot(&self) -> Option<noble::ModelSnapshot> {
         match self.fault {
             Fault::Snapshot => panic!("snapshot defect under test"),
-            Fault::Lower => None,
-        }
-    }
-
-    fn try_lower(&self, _precision: noble::InferencePrecision) -> Option<Box<dyn Localizer>> {
-        match self.fault {
-            Fault::Lower => panic!("lowering defect under test"),
-            Fault::Snapshot => None,
+            Fault::Info => None,
         }
     }
 }
@@ -392,7 +388,7 @@ impl Localizer for FragileLocalizer {
 /// wedges the server, and never loses the model. A panic in the
 /// write-through of a drain is a failed write: the model stays resident
 /// (pinned: it has no spec and no snapshot) and its later fixes get its
-/// bits. A panic in lowering after the acquire takes down only its own
+/// bits. A panic in `info` after the acquire takes down only its own
 /// worker, whose exit releases its budget slot, its drain in flight and
 /// its catalog hold, leaving the model resident; each later worker of
 /// that shard panics the same way, so its fixes get a typed error. Under
@@ -404,26 +400,14 @@ impl Localizer for FragileLocalizer {
 #[test]
 fn a_model_that_panics_outside_localize_batch_never_wedges_the_server() {
     let scenarios = [
-        (
-            Fault::Snapshot,
-            CatalogBudget::Count(1),
-            noble::InferencePrecision::Exact,
-        ),
-        (
-            Fault::Lower,
-            CatalogBudget::Count(1),
-            noble::InferencePrecision::F32,
-        ),
-        (
-            Fault::Lower,
-            CatalogBudget::Unbounded,
-            noble::InferencePrecision::F32,
-        ),
+        (Fault::Snapshot, CatalogBudget::Count(1)),
+        (Fault::Info, CatalogBudget::Count(1)),
+        (Fault::Info, CatalogBudget::Unbounded),
     ];
-    for (fault, budget, precision) in scenarios {
+    for (fault, budget) in scenarios {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            fragile_model_scenario(fault, budget, precision);
+            fragile_model_scenario(fault, budget);
             done_tx.send(()).expect("report");
         });
         done_rx
@@ -434,11 +418,7 @@ fn a_model_that_panics_outside_localize_batch_never_wedges_the_server() {
     }
 }
 
-fn fragile_model_scenario(
-    fault: Fault,
-    budget: CatalogBudget,
-    precision: noble::InferencePrecision,
-) {
+fn fragile_model_scenario(fault: Fault, budget: CatalogBudget) {
     let healthy = Point::new(3.0, 4.0);
     let mut catalog = ModelCatalog::new(budget).expect("catalog");
     // The healthy model goes in first: neither model can be stored, so
@@ -463,14 +443,7 @@ fn fragile_model_scenario(
             }),
         )
         .expect("insert the fragile model");
-    let server = BatchServer::start(
-        catalog,
-        BatchConfig {
-            precision,
-            ..one_by_one()
-        },
-    )
-    .expect("server starts");
+    let server = BatchServer::start(catalog, one_by_one()).expect("server starts");
     let client = server.client();
 
     // Each fix counts its replies and reports its outcome.
@@ -510,8 +483,8 @@ fn fragile_model_scenario(
                 "{round}"
             );
         }
-        // Lowering panics right after the acquire, with the fix queued.
-        Fault::Lower => assert!(
+        // `info` panics right after the acquire, with the fix queued.
+        Fault::Info => assert!(
             matches!(outcome, Err(ServeError::Internal(_))),
             "{round}: the panicked shard must get a typed error, got {outcome:?}"
         ),

@@ -38,17 +38,6 @@ fn direct_reference(campaign: &WifiCampaign) -> Vec<(ShardKey, Vec<Vec<f64>>, Ve
         .collect()
 }
 
-/// The f32 tier's gate: every served fix within 1e-4 m of exact.
-fn assert_within_f32_gate(got: &[Point], expected: &[Point], context: &str) {
-    assert_eq!(got.len(), expected.len(), "{context}: one fix per row");
-    for (g, e) in got.iter().zip(expected) {
-        assert!(
-            g.distance(*e) <= 1e-4,
-            "{context}: f32 served fix {g} drifted from exact {e}"
-        );
-    }
-}
-
 #[test]
 fn served_results_bit_identical_to_direct() {
     let campaign = quick_campaign();
@@ -377,58 +366,38 @@ fn idle_shards_spin_down_and_rewarm_bit_identically() {
     server.shutdown();
 }
 
-/// Reduced-precision serving: lowered shards stay inside the f32 tier's
-/// accuracy gate (within 1e-4 m of exact), the default config still
-/// serves the exact tier bit-identically, and the catalog keeps only the
-/// exact models, so demand-paged write-through persists the exact f64
-/// state even while shards serve lowered. CI
-/// greps for this test by name — do not rename it casually.
+/// WiFi shards serve bit-identically resident and demand-paged, and the
+/// paged server's drains write the exact model back: under a one-slot
+/// budget every drain writes a shard through the store, every refault
+/// hydrates it (rebuilding its head screen), the answers stay the direct
+/// path's bits, and the handed-back catalog still serves those bits.
 #[test]
-fn lowered_precision_serving_is_gated_and_writes_back_exact() {
+fn paged_wifi_serving_writes_back_exact_bits() {
     let campaign = quick_campaign();
     let reference = direct_reference(&campaign);
+    let config = BatchConfig {
+        max_batch: 32,
+        latency_budget: Duration::from_micros(200),
+        ..BatchConfig::default()
+    };
 
-    // Resident sweep over the tiers, re-using the same trained shards.
-    let mut resident = ModelCatalog::from(
+    let resident = ModelCatalog::from(
         ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(4), &registry_cfg()).unwrap(),
     );
-    for precision in [
-        noble::InferencePrecision::Exact,
-        noble::InferencePrecision::F32,
-    ] {
-        let server = BatchServer::start(
-            resident,
-            BatchConfig {
-                max_batch: 32,
-                latency_budget: Duration::from_micros(200),
-                precision,
-                ..BatchConfig::default()
-            },
-        )
-        .unwrap();
-        let client = server.client();
-        for (key, rows, expected) in &reference {
-            let got: Vec<Point> = rows
-                .iter()
-                .map(|row| client.localize(*key, row.clone()).unwrap())
-                .collect();
-            match precision {
-                noble::InferencePrecision::Exact => {
-                    assert_eq!(&got, expected, "{key}: exact tier must stay bit-identical");
-                }
-                noble::InferencePrecision::F32 => {
-                    assert_within_f32_gate(&got, expected, &format!("{key}"));
-                }
-            }
-        }
-        let (_, recovered) = server.shutdown_with_catalog();
-        resident = recovered;
+    let server = BatchServer::start(resident, config).unwrap();
+    let client = server.client();
+    for (key, rows, expected) in &reference {
+        let got: Vec<Point> = rows
+            .iter()
+            .map(|row| client.localize(*key, row.clone()).unwrap())
+            .collect();
+        assert_eq!(
+            &got, expected,
+            "{key}: resident serving must stay bit-identical"
+        );
     }
+    server.shutdown();
 
-    // Demand-paged under heavy eviction pressure while serving f32:
-    // drains write models back through the store, and that write-through
-    // must carry the exact f64 state, so a later exact hydrate is
-    // bit-identical.
     let model_cfg = fast_model_cfg(4);
     let shards = partition_campaign(&campaign, |s| ShardPolicy::PerBuilding.key_of(s), None);
     let mut catalog = ModelCatalog::new(CatalogBudget::Count(1)).unwrap();
@@ -438,16 +407,7 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
         let model = WifiNoble::train(&shards[key], &cfg).unwrap();
         catalog.insert(*key, Box::new(model)).unwrap();
     }
-    let paged = BatchServer::start(
-        catalog,
-        BatchConfig {
-            max_batch: 32,
-            latency_budget: Duration::from_micros(200),
-            precision: noble::InferencePrecision::F32,
-            ..BatchConfig::default()
-        },
-    )
-    .unwrap();
+    let paged = BatchServer::start(catalog, config).unwrap();
     let client = paged.client();
     for round in 0..2 {
         for (key, rows, expected) in &reference {
@@ -455,98 +415,17 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
                 .iter()
                 .map(|row| client.localize(*key, row.clone()).unwrap())
                 .collect();
-            assert_within_f32_gate(&got, expected, &format!("{key} (paged, round {round})"));
+            assert_eq!(&got, expected, "{key} (paged, round {round})");
         }
     }
     let stats = paged.paged_stats().expect("paged server");
     assert!(stats.drains > 0, "budget 1 over many shards must drain");
 
-    // Lowered twins stay local to their workers: the catalog only ever
-    // holds the exact models, so what the shutdown leaves resident is
-    // exact, and every model the drains wrote back through the store is
-    // an exact f64 snapshot. The handed-back catalog hydrates and serves
-    // the exact tier bit-identically.
     let (_, mut catalog) = paged.shutdown_with_catalog();
-    for info in catalog.info() {
-        assert!(
-            !info.model.ends_with("-f32"),
-            "{}: a lowered twin {} stayed in the returned catalog",
-            info.site,
-            info.model
-        );
-    }
     for (key, rows, expected) in &reference {
         let features = Matrix::from_rows(rows).unwrap();
         let got = catalog.localize(*key, &features).unwrap();
-        assert_eq!(
-            &got, expected,
-            "{key}: write-through lost exact f64 state while serving f32"
-        );
-    }
-}
-
-/// The precision tier must actually engage: under `F32` the
-/// server serves the model's lowered twin, under `Exact` the model
-/// itself. The twin answers a point the original never returns, so any
-/// wrapper that hides `try_lower` shows up as the original's answer.
-/// CI greps for this test by name — do not rename it casually.
-#[test]
-fn server_serves_the_lowered_twin_under_a_reduced_tier() {
-    use noble::{InferencePrecision, LocalizerInfo, NobleError};
-
-    fn info() -> LocalizerInfo {
-        LocalizerInfo {
-            model: "twin-probe",
-            site: "default".into(),
-            feature_dim: 2,
-            class_count: 0,
-        }
-    }
-    /// Answers x = 1; lowers into `Twin`.
-    struct Original;
-    /// Answers x = 99.
-    struct Twin;
-    impl Localizer for Original {
-        fn info(&self) -> LocalizerInfo {
-            info()
-        }
-        fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
-            Ok(vec![Point::new(1.0, 0.0); features.rows()])
-        }
-        fn try_lower(&self, precision: InferencePrecision) -> Option<Box<dyn Localizer>> {
-            (precision != InferencePrecision::Exact).then(|| Box::new(Twin) as Box<dyn Localizer>)
-        }
-    }
-    impl Localizer for Twin {
-        fn info(&self) -> LocalizerInfo {
-            info()
-        }
-        fn localize_batch(&self, features: &Matrix) -> Result<Vec<Point>, NobleError> {
-            Ok(vec![Point::new(99.0, 0.0); features.rows()])
-        }
-    }
-
-    let key = ShardKey::building(0);
-    for (precision, x) in [
-        (InferencePrecision::Exact, 1.0),
-        (InferencePrecision::F32, 99.0),
-    ] {
-        let mut catalog = ModelCatalog::new(CatalogBudget::Unbounded).unwrap();
-        catalog.insert(key, Box::new(Original)).unwrap();
-        let server = BatchServer::start(
-            catalog,
-            BatchConfig {
-                precision,
-                ..BatchConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            server.client().localize(key, vec![0.0; 2]).unwrap(),
-            Point::new(x, 0.0),
-            "{precision:?} server answered from the wrong tier"
-        );
-        server.shutdown();
+        assert_eq!(&got, expected, "{key}: write-through lost exact state");
     }
 }
 
