@@ -485,6 +485,9 @@ pub(crate) fn read_mlp(r: &mut SnapReader<'_>) -> Result<Mlp, NobleError> {
         specs.push(spec);
     }
     let blob = r.bytes()?;
+    // The blob's header first: a blob of another format version is a
+    // version skew, whatever size its scalars make it.
+    noble_nn::check_parameter_header(blob).map_err(|e| bad(format!("bad parameters: {e}")))?;
     // The specs' dimensions are untrusted: before from_specs allocates
     // weight matrices, require every tensor to fit inside the parameter
     // blob that claims to fill it (checked arithmetic — corrupt dims

@@ -15,13 +15,17 @@
 //! scores rank the wrong way round, an exact tie (the first index wins),
 //! f32 scores that overflow to NaN while the exact logit is finite and
 //! wins, and head weights that are not finite or exceed `f32::MAX` (no
-//! screen). CI greps for these test names; do not rename them casually.
+//! screen). The snapshot bytes and answer bits of both fixtures are also
+//! pinned as FNV-1a digests, so a change that moves a bit of the trained
+//! weights (the f64 kernel) or of the full-scale answers (the f32 screen
+//! too) fails here even when `predict` moves with it. CI greps for these
+//! test names; do not rename them casually.
 
 use noble::wifi::{WifiNoble, WifiNobleConfig};
 use noble::{Localizer, ModelSnapshot, SnapshotLocalizer};
 use noble_datasets::{uji_campaign, CampusConfig, UjiConfig};
 use noble_geo::Point;
-use noble_linalg::{matmul_f32, Matrix, MatrixF32};
+use noble_linalg::{matmul_f32_columns, Matrix, MatrixF32};
 use noble_nn::SCREEN_MIN_ROW_FLOPS;
 use std::sync::OnceLock;
 
@@ -161,6 +165,46 @@ fn fine_head_pass_is_bit_identical_to_predict_on_full_scale_and_quick_models() {
     assert!(k * n >= SCREEN_MIN_ROW_FLOPS, "full-scale head {k}x{n}");
     check_batches(quick(), "quick");
     check_batches(full_scale(), "full-scale");
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The digests of a fixture: its model's `snapshot()` payload, and the
+/// bits of its `localize_batch` answers over all its probe rows.
+fn digests(fixture: &Fixture) -> (u64, u64) {
+    let snapshot = fnv1a(fixture.model.snapshot().payload().iter().copied());
+    let answers = Localizer::localize_batch(&fixture.model, &fixture.features).unwrap();
+    let answers = fnv1a(
+        bits(&answers)
+            .into_iter()
+            .flat_map(|(x, y)| x.to_le_bytes().into_iter().chain(y.to_le_bytes())),
+    );
+    (snapshot, answers)
+}
+
+#[test]
+fn snapshots_and_answers_match_their_pinned_digests() {
+    // Taken from the tree before the f64 and f32 kernels became one
+    // generic kernel; any bit a kernel change moves shows up here.
+    let (quick_snapshot, quick_answers) = digests(quick());
+    let (full_snapshot, full_answers) = digests(full_scale());
+    let pinned = [
+        ("quick snapshot", quick_snapshot, 0x81e0_7b3d_1213_e2fd),
+        ("quick answers", quick_answers, 0xd888_47fb_cede_f6fb),
+        ("full-scale snapshot", full_snapshot, 0x7162_1210_5aaa_e75a),
+        ("full-scale answers", full_answers, 0x6a9f_bb80_dc3e_150a),
+    ];
+    let differ: Vec<String> = pinned
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(name, got, want)| format!("{name}: {got:#018x}, pinned {want:#018x}"))
+        .collect();
+    assert!(differ.is_empty(), "digests differ: {}", differ.join("; "));
 }
 
 /// `model` with first-layer weight `(wap, unit)` set to `value`, through
@@ -303,7 +347,8 @@ fn products(model: &WifiNoble, row: usize) -> (Matrix, Vec<f64>, Vec<f64>) {
         .unwrap();
     let (w, _) = head_of(model);
     let exact = h.matmul(&w).unwrap().as_slice().to_vec();
-    let f32s = matmul_f32(&MatrixF32::from_f64(&h), &MatrixF32::from_f64(&w)).unwrap();
+    let (h32, w32) = (MatrixF32::from_f64(&h), MatrixF32::from_f64(&w));
+    let f32s = matmul_f32_columns(&h32, &w32, 0..w.cols()).unwrap();
     let f32s = f32s.as_slice().iter().map(|&v| f64::from(v)).collect();
     (h, exact, f32s)
 }

@@ -184,8 +184,8 @@ fn version_skew_is_a_typed_error() {
             }
             match hydrate(&with_payload(&fixture.snapshot, payload)) {
                 Err(NobleError::BadSnapshot(msg)) => assert!(
-                    reencode || msg.contains("version 3"),
-                    "{kind}: unexpected message: {msg}"
+                    msg.contains("version 3"),
+                    "{kind} (re-encoded: {reencode}): unexpected message: {msg}"
                 ),
                 Ok(_) => panic!("{kind}: a version-3 parameter blob hydrated"),
                 Err(e) => panic!("{kind}: wrong error type: {e}"),

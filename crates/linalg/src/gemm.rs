@@ -1,21 +1,27 @@
-//! Dense matrix-multiply kernels: naive reference, cache-blocked with a
-//! k-unrolled streaming micro-kernel, a packed/transposed-RHS dot kernel,
-//! and a multi-threaded variant.
+//! Dense matrix-multiply kernels, written once and run at two element
+//! types: `f64` for every exact product ([`Matrix::matmul`],
+//! [`Matrix::matmul_columns`]) and `f32` for the certified screen
+//! ([`crate::matmul_f32_columns`]). The pieces are a naive reference loop,
+//! a cache-blocked kernel with a k-unrolled streaming micro-kernel, its
+//! run-time selected AVX2 implementation, a row-slab splitter over scoped
+//! threads, and the dispatcher that picks among them. The [`Element`]
+//! trait supplies what differs between the two types: the lane count of a
+//! 256-bit register and its AVX2 intrinsics.
 //!
 //! [`Matrix::matmul`] routes through these automatically (see its docs for
-//! the thresholds); the free functions are public so benchmarks and
-//! property tests can pin a specific kernel. [`Matrix::matmul_columns`]
-//! runs the same kernels over a range of output columns, and may skip
-//! all-zero groups of LHS terms when the caller knows the RHS is finite
-//! (see *Zero-group skipping* below). [`Matrix::matmul`] is its
-//! full-range, no-skip case.
+//! the thresholds); [`matmul_naive`] is public as the reference the tests
+//! compare the others against. [`Matrix::matmul_columns`] runs the same
+//! kernels over a range of output columns, and may skip all-zero groups
+//! of LHS terms when the caller knows the RHS is finite (see *Zero-group
+//! skipping* below). [`Matrix::matmul`] is its full-range, no-skip case;
+//! the f32 instantiation never skips.
 //!
-//! The blocked kernel (under [`matmul_blocked`] and [`matmul_parallel`])
-//! has two implementations, selected at run time:
+//! The blocked kernel has two implementations, selected at run time:
 //!
 //! - on x86-64 with AVX2 (`is_x86_feature_detected!("avx2")`), complete
-//!   4-row tiles run a 4 × 4 register tile (one 4-lane accumulator per
-//!   row) and the 1–3 rows left over run a 4-lane streaming loop;
+//!   4-row tiles run a register tile of 4 rows × one register of lanes (4
+//!   `f64` or 8 `f32`), one accumulator per row, and the 1–3 rows left
+//!   over run a streaming loop one register wide;
 //! - everywhere else, the portable kernel runs. It is also the reference
 //!   the AVX2 kernel is tested against.
 //!
@@ -58,7 +64,7 @@
 
 use crate::threads::{num_threads, parallel_chunks_mut};
 use crate::{LinalgError, Matrix};
-use std::ops::Range;
+use std::ops::{Add, AddAssign, Mul, Range};
 
 /// Depth (`k`) handled per cache block: a panel of `BLOCK_K` RHS rows is
 /// reused across every LHS row before moving on.
@@ -67,43 +73,145 @@ const BLOCK_K: usize = 128;
 /// and the four streamed RHS row segments stay cache-resident even for
 /// very wide products.
 const BLOCK_COLS: usize = 256;
-/// Minimum *per-row* multiply-accumulate count (`k * n`) before
-/// [`Matrix::matmul`] switches from the reference loop to the blocked
-/// kernel.
+/// Minimum *per-row* multiply-accumulate count (`k * n`) before the
+/// dispatcher switches from the reference loop to the blocked kernel.
 ///
 /// The kernel class is chosen per output row — never from the batch size —
 /// so row `i` of a product is bit-identical no matter how many other rows
 /// share the batch. Serving layers rely on this: micro-batching coalesces
 /// requests into arbitrary batch shapes and must return the same bits a
 /// single-fix call would.
-pub(crate) const BLOCKED_MIN_ROW_FLOPS: usize = 64 * 64;
+const BLOCKED_MIN_ROW_FLOPS: usize = 64 * 64;
 /// Minimum multiply-accumulate count *per worker* before threads are
 /// spawned. Scoped-thread spawn/join costs tens of microseconds, so each
 /// worker must carry enough work to amortize it; sizing the threshold per
 /// worker (instead of per product) lets training-shaped mini-batch
 /// products engage the parallel path without letting tiny products spawn
 /// threads.
-pub(crate) const PARALLEL_MIN_CHUNK_FLOPS: usize = 128 * 128 * 16;
+const PARALLEL_MIN_CHUNK_FLOPS: usize = 128 * 128 * 16;
 
-fn check_shapes(op: &'static str, a: &Matrix, b_shape: (usize, usize)) -> Result<(), LinalgError> {
-    if a.cols() != b_shape.0 {
-        return Err(LinalgError::ShapeMismatch {
-            op,
-            lhs: a.shape(),
-            rhs: b_shape,
-        });
-    }
-    Ok(())
+/// An element type the kernels run at: `f64` (exact products) or `f32`
+/// (the certified screen). The scalar bounds carry the portable kernel;
+/// the x86-64 items are one 256-bit AVX2 register of [`Element::LANES`]
+/// elements and the five intrinsics the AVX2 kernel is made of. Each
+/// `unsafe` method requires a CPU with AVX2; `load` and `store` also
+/// require `LANES` valid elements at `p`.
+pub(crate) trait Element:
+    Copy + PartialEq + Add<Output = Self> + Mul<Output = Self> + AddAssign + Send + Sync
+{
+    /// `+0.0`, where every output starts.
+    const ZERO: Self;
+    /// Elements per 256-bit register.
+    #[cfg(target_arch = "x86_64")]
+    const LANES: usize;
+    /// A 256-bit register of `LANES` elements.
+    #[cfg(target_arch = "x86_64")]
+    type Lanes: Copy;
+    /// Every lane set to `v`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn splat(v: Self) -> Self::Lanes;
+    /// An unaligned load of `LANES` elements.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load(p: *const Self) -> Self::Lanes;
+    /// An unaligned store of `LANES` elements.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn store(p: *mut Self, v: Self::Lanes);
+    /// Lane-wise `a + b`, rounded once per lane.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn vadd(a: Self::Lanes, b: Self::Lanes) -> Self::Lanes;
+    /// Lane-wise `a * b`, rounded once per lane (never fused with an add).
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn vmul(a: Self::Lanes, b: Self::Lanes) -> Self::Lanes;
 }
 
-/// Checks that `cols` is a range of output columns of a product whose
-/// RHS has `n` columns.
-fn check_cols(cols: &Range<usize>, n: usize) -> Result<(), LinalgError> {
-    if cols.start > cols.end || cols.end > n {
-        return Err(LinalgError::InvalidArgument(format!(
-            "output columns {}..{} outside a product with {n} columns",
-            cols.start, cols.end
-        )));
+/// Implements [`Element`] for a float type from its lane count, register
+/// type and `_pd`/`_ps` intrinsics.
+macro_rules! element {
+    ($t:ty, $lanes:expr, $reg:ident, $set1:ident, $loadu:ident, $storeu:ident, $add:ident, $mul:ident) => {
+        impl Element for $t {
+            const ZERO: $t = 0.0;
+            #[cfg(target_arch = "x86_64")]
+            const LANES: usize = $lanes;
+            #[cfg(target_arch = "x86_64")]
+            type Lanes = std::arch::x86_64::$reg;
+            #[cfg(target_arch = "x86_64")]
+            #[inline(always)]
+            unsafe fn splat(v: $t) -> Self::Lanes {
+                // SAFETY: the caller vouches for AVX2.
+                unsafe { std::arch::x86_64::$set1(v) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline(always)]
+            unsafe fn load(p: *const $t) -> Self::Lanes {
+                // SAFETY: the caller vouches for AVX2 and `LANES` elements at `p`.
+                unsafe { std::arch::x86_64::$loadu(p) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline(always)]
+            unsafe fn store(p: *mut $t, v: Self::Lanes) {
+                // SAFETY: the caller vouches for AVX2 and `LANES` elements at `p`.
+                unsafe { std::arch::x86_64::$storeu(p, v) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline(always)]
+            unsafe fn vadd(a: Self::Lanes, b: Self::Lanes) -> Self::Lanes {
+                // SAFETY: the caller vouches for AVX2.
+                unsafe { std::arch::x86_64::$add(a, b) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline(always)]
+            unsafe fn vmul(a: Self::Lanes, b: Self::Lanes) -> Self::Lanes {
+                // SAFETY: the caller vouches for AVX2.
+                unsafe { std::arch::x86_64::$mul(a, b) }
+            }
+        }
+    };
+}
+
+element!(
+    f64,
+    4,
+    __m256d,
+    _mm256_set1_pd,
+    _mm256_loadu_pd,
+    _mm256_storeu_pd,
+    _mm256_add_pd,
+    _mm256_mul_pd
+);
+element!(
+    f32,
+    8,
+    __m256,
+    _mm256_set1_ps,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    _mm256_add_ps,
+    _mm256_mul_ps
+);
+
+/// A row-major `rows × cols` operand seen as its buffer: the form in which
+/// the kernels take a [`Matrix`] or a `MatrixF32`.
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a, T> {
+    pub(crate) data: &'a [T],
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+}
+
+impl<'a, T> Operand<'a, T> {
+    fn row(&self, i: usize) -> &'a [T] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+}
+
+/// Checks that `a * b` is defined.
+fn check_shapes<T>(a: Operand<'_, T>, b: Operand<'_, T>) -> Result<(), LinalgError> {
+    if a.cols != b.rows {
+        return Err(LinalgError::ShapeMismatch {
+            op: "matmul",
+            lhs: (a.rows, a.cols),
+            rhs: (b.rows, b.cols),
+        });
     }
     Ok(())
 }
@@ -117,74 +225,27 @@ fn check_cols(cols: &Range<usize>, n: usize) -> Result<(), LinalgError> {
 ///
 /// Returns [`LinalgError::ShapeMismatch`] when `a.cols() != b.rows()`.
 pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    check_shapes("matmul", a, b.shape())?;
+    check_shapes(a.operand(), b.operand())?;
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    naive_rows(a, b, 0..b.cols(), out.as_mut_slice());
+    naive_rows(a.operand(), b.operand(), 0..b.cols(), out.as_mut_slice());
     Ok(out)
 }
 
 /// The i-k-j loop over output columns `cols`, into `out` (whole rows of
 /// width `cols.len()`). It never skips a term.
-fn naive_rows(a: &Matrix, b: &Matrix, cols: Range<usize>, out: &mut [f64]) {
+fn naive_rows<T: Element>(a: Operand<'_, T>, b: Operand<'_, T>, cols: Range<usize>, out: &mut [T]) {
     let w = cols.len();
     if w == 0 {
         return;
     }
-    for (a_row, out_row) in a.iter_rows().zip(out.chunks_exact_mut(w)) {
-        for (k, &a_ik) in a_row.iter().enumerate() {
+    for (i, out_row) in out.chunks_exact_mut(w).enumerate() {
+        for (k, &a_ik) in a.row(i).iter().enumerate() {
             let b_row = &b.row(k)[cols.clone()];
             for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
                 *o += a_ik * b_kj;
             }
         }
     }
-}
-
-/// Four-accumulator dot product: the micro-kernel shared by the packed
-/// kernels. Independent accumulators expose instruction-level parallelism
-/// the single-accumulator loop lacks.
-#[inline]
-fn dot_packed(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut acc = [0.0f64; 4];
-    let split = x.len() - x.len() % 4;
-    for (cx, cy) in x[..split].chunks_exact(4).zip(y[..split].chunks_exact(4)) {
-        acc[0] += cx[0] * cy[0];
-        acc[1] += cx[1] * cy[1];
-        acc[2] += cx[2] * cy[2];
-        acc[3] += cx[3] * cy[3];
-    }
-    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (xv, yv) in x[split..].iter().zip(&y[split..]) {
-        sum += xv * yv;
-    }
-    sum
-}
-
-/// Product `a * b_t^T` where the RHS is supplied **already transposed**
-/// (`b_t` is `(n, k)`; its rows are the columns of the logical RHS).
-///
-/// Both operands of every inner product are contiguous rows, so callers
-/// that keep a transposed ("packed") weight matrix around — the natural
-/// layout for serving, where weights are written once and read forever —
-/// get a dot-product kernel with no strided access and no packing cost at
-/// call time.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] when `a.cols() != b_t.cols()`.
-pub fn matmul_transposed(a: &Matrix, b_t: &Matrix) -> Result<Matrix, LinalgError> {
-    check_shapes("matmul_transposed", a, (b_t.cols(), b_t.rows()))?;
-    let n = b_t.rows();
-    let mut out = Matrix::zeros(a.rows(), n);
-    for i in 0..a.rows() {
-        let a_row = a.row(i);
-        let out_row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-        for (o, j) in out_row.iter_mut().zip(0..n) {
-            *o = dot_packed(a_row, b_t.row(j));
-        }
-    }
-    Ok(out)
 }
 
 /// One blocked-kernel call: the RHS output columns it computes, and
@@ -196,15 +257,6 @@ struct Panel {
     skip_zero_groups: bool,
 }
 
-impl Panel {
-    fn full(n: usize) -> Self {
-        Panel {
-            cols: 0..n,
-            skip_zero_groups: false,
-        }
-    }
-}
-
 /// Computes output rows `first_row..` of columns `panel.cols` of `a * b`
 /// into `out_chunk` (a slab of whole output rows, each `panel.cols.len()`
 /// wide) with the fastest kernel this CPU supports.
@@ -213,7 +265,13 @@ impl Panel {
 /// `std`) this runs [`avx2::gemm_rows`]; everywhere else it runs
 /// [`gemm_rows_portable`]. Both give every output the same operation
 /// sequence, so the choice never changes a bit.
-fn gemm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64], panel: &Panel) {
+fn gemm_rows<T: Element>(
+    a: Operand<'_, T>,
+    b: Operand<'_, T>,
+    first_row: usize,
+    out_chunk: &mut [T],
+    panel: &Panel,
+) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the host supports AVX2, the only target feature the
@@ -233,21 +291,21 @@ fn gemm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64], pa
 /// streaming access pattern that auto-vectorizes. Blocking bounds the
 /// working set (output segment + four RHS row segments) for wide
 /// products.
-fn gemm_rows_portable(
-    a: &Matrix,
-    b: &Matrix,
+fn gemm_rows_portable<T: Element>(
+    a: Operand<'_, T>,
+    b: Operand<'_, T>,
     first_row: usize,
-    out_chunk: &mut [f64],
+    out_chunk: &mut [T],
     panel: &Panel,
 ) {
-    let (k, n) = (b.rows(), b.cols());
+    let (k, n) = (b.rows, b.cols);
     let (cols, skip) = (panel.cols.clone(), panel.skip_zero_groups);
     let w = cols.len();
     if w == 0 || out_chunk.is_empty() {
         return;
     }
     let chunk_rows = out_chunk.len() / w;
-    let bs = b.as_slice();
+    let (bs, zero) = (b.data, T::ZERO);
     for k0 in (0..k).step_by(BLOCK_K) {
         let k_hi = (k0 + BLOCK_K).min(k);
         let k4 = k0 + (k_hi - k0) / 4 * 4;
@@ -260,7 +318,7 @@ fn gemm_rows_portable(
                 let mut kk = k0;
                 while kk < k4 {
                     let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-                    if skip && a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
+                    if skip && a0 == zero && a1 == zero && a2 == zero && a3 == zero {
                         kk += 4;
                         continue;
                     }
@@ -275,7 +333,7 @@ fn gemm_rows_portable(
                 }
                 for kr in k4..k_hi {
                     let a_ik = a_row[kr];
-                    if skip && a_ik == 0.0 {
+                    if skip && a_ik == zero {
                         continue;
                     }
                     let b_row = &bs[kr * n + j0..kr * n + j_hi];
@@ -289,20 +347,16 @@ fn gemm_rows_portable(
 }
 
 /// The AVX2 twin of [`gemm_rows_portable`]: every output gets the
-/// portable kernel's operation sequence (see the module notes), so four
-/// lanes compute four outputs exactly as four scalar loops would, and
-/// the same zero groups are skipped.
+/// portable kernel's operation sequence (see the module notes), so the
+/// `T::LANES` lanes of a register compute that many outputs exactly as
+/// that many scalar loops would, and the same zero groups are skipped.
 ///
-/// All `unsafe` here is unaligned 4-lane loads and stores; each
-/// micro-kernel asserts its slice bounds before its loops, and every
-/// pointer offset below is bounded by those asserts.
+/// All `unsafe` here is unaligned register loads and stores through
+/// [`Element`]; each micro-kernel asserts its slice bounds before its
+/// loops, and every pointer offset below is bounded by those asserts.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{Panel, BLOCK_COLS, BLOCK_K};
-    use crate::Matrix;
-    use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
-    };
+    use super::{Element, Operand, Panel, BLOCK_COLS, BLOCK_K};
     use std::ops::Range;
 
     /// Output rows per register tile.
@@ -322,16 +376,17 @@ mod avx2 {
     /// The whole row-major RHS (`k × n`) and the first RHS column of the
     /// call: output column `o` of a call reads RHS column `col0 + o`.
     #[derive(Clone, Copy)]
-    struct Rhs<'a> {
-        data: &'a [f64],
+    struct Rhs<'a, T> {
+        data: &'a [T],
         n: usize,
         col0: usize,
     }
 
     /// Whether `a[kk..kk + 4]` is all zeros.
     #[inline(always)]
-    fn zero_group(a: &[f64], kk: usize) -> bool {
-        a[kk] == 0.0 && a[kk + 1] == 0.0 && a[kk + 2] == 0.0 && a[kk + 3] == 0.0
+    fn zero_group<T: Element>(a: &[T], kk: usize) -> bool {
+        let zero = T::ZERO;
+        a[kk] == zero && a[kk + 1] == zero && a[kk + 2] == zero && a[kk + 3] == zero
     }
 
     /// Computes output rows `first_row..` of columns `panel.cols` of
@@ -341,22 +396,22 @@ mod avx2 {
     /// Outside AVX2 code, calling this is `unsafe`: the caller must have
     /// checked that the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) fn gemm_rows(
-        a: &Matrix,
-        b: &Matrix,
+    pub(super) fn gemm_rows<T: Element>(
+        a: Operand<'_, T>,
+        b: Operand<'_, T>,
         first_row: usize,
-        out_chunk: &mut [f64],
+        out_chunk: &mut [T],
         panel: &Panel,
     ) {
-        let (k, n) = (b.rows(), b.cols());
+        let (k, n) = (b.rows, b.cols);
         let w = panel.cols.len();
         if w == 0 || out_chunk.is_empty() {
             return;
         }
         let rows = out_chunk.len() / w;
-        let a_rows = &a.as_slice()[first_row * k..(first_row + rows) * k];
+        let a_rows = &a.data[first_row * k..(first_row + rows) * k];
         let rhs = Rhs {
-            data: b.as_slice(),
+            data: b.data,
             n,
             col0: panel.cols.start,
         };
@@ -393,12 +448,18 @@ mod avx2 {
         }
     }
 
-    /// Register tile: 4 rows × 4 columns, one accumulator per row, held
-    /// in registers across the whole depth block. `a` holds the tile's 4
-    /// LHS rows and `out` its 4 output rows; `cols` are output columns.
-    /// A group is skipped only when it is zero in all 4 rows.
+    /// Register tile: 4 rows × `T::LANES` columns, one accumulator per
+    /// row, held in registers across the whole depth block. `a` holds the
+    /// tile's 4 LHS rows and `out` its 4 output rows; `cols` are output
+    /// columns. A group is skipped only when it is zero in all 4 rows.
     #[target_feature(enable = "avx2")]
-    fn tile_rows(a: &[f64], rhs: Rhs<'_>, out: &mut [f64], d: Depth, cols: Range<usize>) {
+    fn tile_rows<T: Element>(
+        a: &[T],
+        rhs: Rhs<'_, T>,
+        out: &mut [T],
+        d: Depth,
+        cols: Range<usize>,
+    ) {
         let w = out.len() / TILE_ROWS;
         let k = a.len() / TILE_ROWS;
         let n = rhs.n;
@@ -425,17 +486,18 @@ mod avx2 {
         // SAFETY: col0 + w <= n (asserted), so the offset stays inside
         // the first RHS row.
         let bp = unsafe { rhs.data.as_ptr().add(rhs.col0) };
-        let j4 = cols.start + cols.len() / 4 * 4;
-        for j in (cols.start..j4).step_by(4) {
-            // SAFETY: r < 4 and j + 3 < j4 <= w, so r * w + j + 3 <
-            // 4 * w == out.len() (asserted above).
-            let mut acc: [__m256d; TILE_ROWS] =
-                std::array::from_fn(|r| unsafe { _mm256_loadu_pd(op.add(r * w + j)) });
+        let lanes = T::LANES;
+        let jv = cols.start + cols.len() / lanes * lanes;
+        for j in (cols.start..jv).step_by(lanes) {
+            // SAFETY: AVX2 is enabled here; r < 4 and j + lanes <= jv <= w,
+            // so r * w + j + lanes <= 4 * w == out.len() (asserted above).
+            let mut acc: [T::Lanes; TILE_ROWS] =
+                std::array::from_fn(|r| unsafe { T::load(op.add(r * w + j)) });
             if d.skip {
                 for &kk in &active[..groups] {
                     // SAFETY: AVX2 is enabled here; kk + 3 < d.groups <=
                     // d.hi <= k, `ap` holds 4 rows of k (asserted), and
-                    // col0 + j + 3 < n, so `tile_group`'s bounds hold.
+                    // col0 + j + lanes <= n, so `tile_group`'s bounds hold.
                     unsafe { tile_group(&mut acc, ap, bp, k, n, kk, j) };
                 }
             } else {
@@ -447,25 +509,26 @@ mod avx2 {
                 }
             }
             for kr in d.groups..d.hi {
-                if d.skip && (0..TILE_ROWS).all(|r| a[r * k + kr] == 0.0) {
+                if d.skip && (0..TILE_ROWS).all(|r| a[r * k + kr] == T::ZERO) {
                     continue;
                 }
-                // SAFETY: kr < d.hi <= k and col0 + j + 3 < n, as above.
+                // SAFETY: AVX2 is enabled here; kr < d.hi <= k and
+                // col0 + j + lanes <= n, as above.
                 unsafe {
-                    let bv = _mm256_loadu_pd(bp.add(kr * n + j));
+                    let bv = T::load(bp.add(kr * n + j));
                     for (r, acc_r) in acc.iter_mut().enumerate() {
-                        let t = _mm256_mul_pd(_mm256_set1_pd(*ap.add(r * k + kr)), bv);
-                        *acc_r = _mm256_add_pd(*acc_r, t);
+                        let t = T::vmul(T::splat(*ap.add(r * k + kr)), bv);
+                        *acc_r = T::vadd(*acc_r, t);
                     }
                 }
             }
             for (r, acc_r) in acc.iter().enumerate() {
                 // SAFETY: the same offsets the loads above read.
-                unsafe { _mm256_storeu_pd(op.add(r * w + j), *acc_r) };
+                unsafe { T::store(op.add(r * w + j), *acc_r) };
             }
         }
         for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(w)) {
-            for (j, o) in (j4..).zip(&mut out_row[j4..cols.end]) {
+            for (j, o) in (jv..).zip(&mut out_row[jv..cols.end]) {
                 *o = scalar_block(a_row, rhs, j, d, *o);
             }
         }
@@ -473,108 +536,110 @@ mod avx2 {
 
     /// Applies depth group `kk..kk + 4` to a register tile:
     /// `acc[r] += ((a_r0*b0 + a_r1*b1) + a_r2*b2) + a_r3*b3` for the 4
-    /// rows, lanes `j..j + 4` of the RHS rows at `bp` (row stride `n`).
+    /// rows, lanes `j..j + T::LANES` of the RHS rows at `bp` (row stride
+    /// `n`).
     ///
     /// # Safety
     ///
     /// The CPU supports AVX2; `ap` points at 4 rows of `k` values with
     /// `kk + 3 < k`; and `bp` points at a `k × n` row-major block whose
-    /// columns `j..j + 4` are inside each row.
+    /// columns `j..j + T::LANES` are inside each row.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile_group(
-        acc: &mut [__m256d; TILE_ROWS],
-        ap: *const f64,
-        bp: *const f64,
+    unsafe fn tile_group<T: Element>(
+        acc: &mut [T::Lanes; TILE_ROWS],
+        ap: *const T,
+        bp: *const T,
         k: usize,
         n: usize,
         kk: usize,
         j: usize,
     ) {
         // SAFETY: the offsets stay inside the blocks the caller vouches
-        // for: kk + 3 < k, j + 3 < n, r < 4.
+        // for: kk + 3 < k, j + T::LANES <= n, r < 4.
         unsafe {
-            let b0 = _mm256_loadu_pd(bp.add(kk * n + j));
-            let b1 = _mm256_loadu_pd(bp.add((kk + 1) * n + j));
-            let b2 = _mm256_loadu_pd(bp.add((kk + 2) * n + j));
-            let b3 = _mm256_loadu_pd(bp.add((kk + 3) * n + j));
+            let b0 = T::load(bp.add(kk * n + j));
+            let b1 = T::load(bp.add((kk + 1) * n + j));
+            let b2 = T::load(bp.add((kk + 2) * n + j));
+            let b3 = T::load(bp.add((kk + 3) * n + j));
             for (r, acc_r) in acc.iter_mut().enumerate() {
                 let ar = ap.add(r * k + kk);
-                let mut t = _mm256_mul_pd(_mm256_set1_pd(*ar), b0);
-                t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(*ar.add(1)), b1));
-                t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(*ar.add(2)), b2));
-                t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(*ar.add(3)), b3));
-                *acc_r = _mm256_add_pd(*acc_r, t);
+                let mut t = T::vmul(T::splat(*ar), b0);
+                t = T::vadd(t, T::vmul(T::splat(*ar.add(1)), b1));
+                t = T::vadd(t, T::vmul(T::splat(*ar.add(2)), b2));
+                t = T::vadd(t, T::vmul(T::splat(*ar.add(3)), b3));
+                *acc_r = T::vadd(*acc_r, t);
             }
         }
     }
 
-    /// Streaming kernel for a single row: the portable kernel's loop, 4
-    /// lanes wide. Each group of four LHS scalars streams four RHS row
+    /// Streaming kernel for a single row: the portable kernel's loop, one
+    /// register wide. Each group of four LHS scalars streams four RHS row
     /// segments through the output segment.
     #[target_feature(enable = "avx2")]
-    fn stream_row(a: &[f64], rhs: Rhs<'_>, out: &mut [f64], d: Depth, cols: Range<usize>) {
+    fn stream_row<T: Element>(
+        a: &[T],
+        rhs: Rhs<'_, T>,
+        out: &mut [T],
+        d: Depth,
+        cols: Range<usize>,
+    ) {
         let (k, w, n) = (a.len(), out.len(), rhs.n);
         assert!(rhs.data.len() == k * n && rhs.col0 + w <= n && d.hi <= k && cols.end <= w);
         let op = out.as_mut_ptr();
         // SAFETY: col0 + w <= n (asserted), so the offset stays inside
         // the first RHS row.
         let bp = unsafe { rhs.data.as_ptr().add(rhs.col0) };
-        let j4 = cols.start + cols.len() / 4 * 4;
+        let lanes = T::LANES;
+        let jv = cols.start + cols.len() / lanes * lanes;
         let mut kk = d.lo;
         while kk < d.groups {
             if d.skip && zero_group(a, kk) {
                 kk += 4;
                 continue;
             }
-            let a0 = _mm256_set1_pd(a[kk]);
-            let a1 = _mm256_set1_pd(a[kk + 1]);
-            let a2 = _mm256_set1_pd(a[kk + 2]);
-            let a3 = _mm256_set1_pd(a[kk + 3]);
-            for j in (cols.start..j4).step_by(4) {
-                // SAFETY: kk + 3 < d.groups <= k and col0 + j + 3 < n,
-                // so each B offset is below k * n == rhs.data.len(), and
-                // j + 3 < out.len() (asserted above).
-                unsafe {
-                    let mut t = _mm256_mul_pd(a0, _mm256_loadu_pd(bp.add(kk * n + j)));
-                    t = _mm256_add_pd(
-                        t,
-                        _mm256_mul_pd(a1, _mm256_loadu_pd(bp.add((kk + 1) * n + j))),
-                    );
-                    t = _mm256_add_pd(
-                        t,
-                        _mm256_mul_pd(a2, _mm256_loadu_pd(bp.add((kk + 2) * n + j))),
-                    );
-                    t = _mm256_add_pd(
-                        t,
-                        _mm256_mul_pd(a3, _mm256_loadu_pd(bp.add((kk + 3) * n + j))),
-                    );
-                    _mm256_storeu_pd(op.add(j), _mm256_add_pd(_mm256_loadu_pd(op.add(j)), t));
+            // SAFETY: AVX2 is enabled here. kk + 3 < d.groups <= k and
+            // col0 + j + lanes <= n, so each B offset stays below
+            // k * n == rhs.data.len(), and j + lanes <= out.len()
+            // (asserted above).
+            unsafe {
+                let a0 = T::splat(a[kk]);
+                let a1 = T::splat(a[kk + 1]);
+                let a2 = T::splat(a[kk + 2]);
+                let a3 = T::splat(a[kk + 3]);
+                for j in (cols.start..jv).step_by(lanes) {
+                    let mut t = T::vmul(a0, T::load(bp.add(kk * n + j)));
+                    t = T::vadd(t, T::vmul(a1, T::load(bp.add((kk + 1) * n + j))));
+                    t = T::vadd(t, T::vmul(a2, T::load(bp.add((kk + 2) * n + j))));
+                    t = T::vadd(t, T::vmul(a3, T::load(bp.add((kk + 3) * n + j))));
+                    T::store(op.add(j), T::vadd(T::load(op.add(j)), t));
                 }
             }
             kk += 4;
         }
         for (kr, &a_k) in (d.groups..).zip(&a[d.groups..d.hi]) {
-            if d.skip && a_k == 0.0 {
+            if d.skip && a_k == T::ZERO {
                 continue;
             }
-            let ak = _mm256_set1_pd(a_k);
-            for j in (cols.start..j4).step_by(4) {
-                // SAFETY: kr < d.hi <= k and col0 + j + 3 < n, as above.
-                unsafe {
-                    let t = _mm256_mul_pd(ak, _mm256_loadu_pd(bp.add(kr * n + j)));
-                    _mm256_storeu_pd(op.add(j), _mm256_add_pd(_mm256_loadu_pd(op.add(j)), t));
+            // SAFETY: AVX2 is enabled here; kr < d.hi <= k and
+            // col0 + j + lanes <= n, as above.
+            unsafe {
+                let ak = T::splat(a_k);
+                for j in (cols.start..jv).step_by(lanes) {
+                    let t = T::vmul(ak, T::load(bp.add(kr * n + j)));
+                    T::store(op.add(j), T::vadd(T::load(op.add(j)), t));
                 }
             }
         }
-        for (j, o) in (j4..).zip(&mut out[j4..cols.end]) {
+        for (j, o) in (jv..).zip(&mut out[jv..cols.end]) {
             *o = scalar_block(a, rhs, j, d, *o);
         }
     }
 
     /// Output column `o` of one row over one depth block, in the portable
-    /// kernel's order: the column tail (`w % 4`) of both micro-kernels.
-    fn scalar_block(a_row: &[f64], rhs: Rhs<'_>, o: usize, d: Depth, mut acc: f64) -> f64 {
+    /// kernel's order: the column tail (`w % T::LANES`) of both
+    /// micro-kernels.
+    fn scalar_block<T: Element>(a_row: &[T], rhs: Rhs<'_, T>, o: usize, d: Depth, mut acc: T) -> T {
         let (bs, n, j) = (rhs.data, rhs.n, rhs.col0 + o);
         let mut kk = d.lo;
         while kk < d.groups {
@@ -587,7 +652,7 @@ mod avx2 {
             kk += 4;
         }
         for kr in d.groups..d.hi {
-            if !(d.skip && a_row[kr] == 0.0) {
+            if !(d.skip && a_row[kr] == T::ZERO) {
                 acc += a_row[kr] * bs[kr * n + j];
             }
         }
@@ -595,69 +660,31 @@ mod avx2 {
     }
 }
 
-/// Cache-blocked product `a * b` (see the module notes on the kernel and
-/// its run-time selected AVX2 implementation).
-///
-/// Matches [`matmul_naive`] to floating-point reassociation (≲ 1e-12
-/// relative; the unrolled micro-kernel groups the depth sum in fours) and
-/// propagates non-finite values identically. Its bits are the same on
-/// every host, with or without AVX2.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] when `a.cols() != b.rows()`.
-pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    check_shapes("matmul", a, b.shape())?;
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    gemm_rows(a, b, 0, out.as_mut_slice(), &Panel::full(b.cols()));
-    Ok(out)
-}
-
-/// Multi-threaded blocked product `a * b`, parallelized over row blocks of
-/// the output with scoped threads (see [`crate::threads`]).
-///
-/// Each worker writes a disjoint slab of output rows, so results are
-/// bit-identical to [`matmul_blocked`] regardless of `threads`. With
-/// `threads <= 1` no thread is spawned.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] when `a.cols() != b.rows()`.
-pub fn matmul_parallel(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, LinalgError> {
-    check_shapes("matmul", a, b.shape())?;
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    parallel_rows(a, b, &Panel::full(b.cols()), threads, &mut out);
-    Ok(out)
-}
-
-/// The blocked kernel over row slabs of `out` (`a.rows() × panel width`)
-/// on up to `threads` scoped workers.
-fn parallel_rows(a: &Matrix, b: &Matrix, panel: &Panel, threads: usize, out: &mut Matrix) {
-    let (m, w) = out.shape();
+/// The blocked kernel over row slabs of `out` (`a.rows × panel width`)
+/// on up to `threads` scoped workers. Each worker writes a disjoint slab
+/// of whole rows with the serial kernel, so the bits do not depend on
+/// `threads`; with `threads <= 1` no thread is spawned.
+fn parallel_rows<T: Element>(
+    a: Operand<'_, T>,
+    b: Operand<'_, T>,
+    panel: &Panel,
+    threads: usize,
+    out: &mut [T],
+) {
+    let (m, w) = (a.rows, panel.cols.len());
     if m == 0 || w == 0 {
         return;
     }
     // Split rows evenly across workers; each chunk is a whole-row slab.
     let rows_per_chunk = m.div_ceil(threads.max(1)).max(1);
-    parallel_chunks_mut(
-        out.as_mut_slice(),
-        rows_per_chunk * w,
-        threads,
-        |chunk_index, chunk| {
-            gemm_rows(a, b, chunk_index * rows_per_chunk, chunk, panel);
-        },
-    );
+    parallel_chunks_mut(out, rows_per_chunk * w, threads, |chunk_index, chunk| {
+        gemm_rows(a, b, chunk_index * rows_per_chunk, chunk, panel);
+    });
 }
 
-/// Dispatches `a * b` to the cheapest kernel for its shape: the
-/// full-range, no-skip case of [`matmul_columns`].
-pub(crate) fn matmul_dispatch(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    matmul_columns(a, b, 0..b.cols(), false)
-}
-
-/// Columns `cols` of `a * b`, from the cheapest kernel for the product's
-/// shape; with `rhs_finite`, the blocked kernels skip all-zero LHS groups
-/// (see the module notes).
+/// Columns `cols` of `a * b` (`a.rows × cols.len()`, row-major), from the
+/// cheapest kernel for the product's shape; with `rhs_finite`, the
+/// blocked kernels skip all-zero LHS groups (see the module notes).
 ///
 /// The serial kernel class depends only on the *per-row* work of the
 /// whole product, `k * n` (naive below [`BLOCKED_MIN_ROW_FLOPS`], blocked
@@ -666,17 +693,27 @@ pub(crate) fn matmul_dispatch(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgEr
 /// regardless of batch size, thread count, column range and skipping**.
 /// Threads are spawned once each worker's share of the total work clears
 /// [`PARALLEL_MIN_CHUNK_FLOPS`].
-pub(crate) fn matmul_columns(
-    a: &Matrix,
-    b: &Matrix,
+///
+/// # Errors
+///
+/// [`LinalgError::ShapeMismatch`] when `a.cols != b.rows`, and
+/// [`LinalgError::InvalidArgument`] for a range outside `0..b.cols`.
+pub(crate) fn matmul_columns<T: Element>(
+    a: Operand<'_, T>,
+    b: Operand<'_, T>,
     cols: Range<usize>,
     rhs_finite: bool,
-) -> Result<Matrix, LinalgError> {
-    check_shapes("matmul", a, b.shape())?;
-    check_cols(&cols, b.cols())?;
-    let mut out = Matrix::zeros(a.rows(), cols.len());
-    if a.cols() * b.cols() < BLOCKED_MIN_ROW_FLOPS {
-        naive_rows(a, b, cols, out.as_mut_slice());
+) -> Result<Vec<T>, LinalgError> {
+    check_shapes(a, b)?;
+    if cols.start > cols.end || cols.end > b.cols {
+        return Err(LinalgError::InvalidArgument(format!(
+            "output columns {}..{} outside a product with {} columns",
+            cols.start, cols.end, b.cols
+        )));
+    }
+    let mut out = vec![T::ZERO; a.rows * cols.len()];
+    if a.cols * b.cols < BLOCKED_MIN_ROW_FLOPS {
+        naive_rows(a, b, cols, &mut out);
         return Ok(out);
     }
     let panel = Panel {
@@ -684,27 +721,98 @@ pub(crate) fn matmul_columns(
         skip_zero_groups: rhs_finite,
     };
     let threads = num_threads();
-    let workers = if threads > 1 && a.rows() > 1 {
-        let flops = a.rows() * a.cols() * panel.cols.len();
-        threads.min(flops / PARALLEL_MIN_CHUNK_FLOPS).min(a.rows())
+    let workers = if threads > 1 && a.rows > 1 {
+        let flops = a.rows * a.cols * panel.cols.len();
+        threads.min(flops / PARALLEL_MIN_CHUNK_FLOPS).min(a.rows)
     } else {
         1
     };
     if workers > 1 {
         parallel_rows(a, b, &panel, workers, &mut out);
     } else {
-        gemm_rows(a, b, 0, out.as_mut_slice(), &panel);
+        gemm_rows(a, b, 0, &mut out, &panel);
     }
     Ok(out)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn deterministic(rows: usize, cols: usize, salt: u64) -> Matrix {
+    /// The whole product, no skipping.
+    fn full(n: usize) -> Panel {
+        Panel {
+            cols: 0..n,
+            skip_zero_groups: false,
+        }
+    }
+
+    /// The serial blocked kernel over the whole product: the bit
+    /// reference of the threaded splitter and of the dispatcher.
+    pub(crate) fn blocked<T: Element>(
+        a: Operand<'_, T>,
+        b: Operand<'_, T>,
+    ) -> Result<Vec<T>, LinalgError> {
+        check_shapes(a, b)?;
+        let mut out = vec![T::ZERO; a.rows * b.cols];
+        gemm_rows(a, b, 0, &mut out, &full(b.cols));
+        Ok(out)
+    }
+
+    /// The blocked kernel over the whole product on `threads` workers.
+    pub(crate) fn parallel<T: Element>(
+        a: Operand<'_, T>,
+        b: Operand<'_, T>,
+        threads: usize,
+    ) -> Result<Vec<T>, LinalgError> {
+        check_shapes(a, b)?;
+        let mut out = vec![T::ZERO; a.rows * b.cols];
+        parallel_rows(a, b, &full(b.cols), threads, &mut out);
+        Ok(out)
+    }
+
+    /// The naive loop over the whole product.
+    pub(crate) fn naive<T: Element>(
+        a: Operand<'_, T>,
+        b: Operand<'_, T>,
+    ) -> Result<Vec<T>, LinalgError> {
+        check_shapes(a, b)?;
+        let mut out = vec![T::ZERO; a.rows * b.cols];
+        naive_rows(a, b, 0..b.cols, &mut out);
+        Ok(out)
+    }
+
+    /// Columns `cols` of `a * b`, no skipping, from the portable kernel
+    /// and from the kernel `gemm_rows` selects on this host.
+    pub(crate) fn portable_and_selected<T: Element>(
+        a: Operand<'_, T>,
+        b: Operand<'_, T>,
+        cols: Range<usize>,
+    ) -> (Vec<T>, Vec<T>) {
+        let panel = Panel {
+            cols,
+            skip_zero_groups: false,
+        };
+        let mut portable = vec![T::ZERO; a.rows * panel.cols.len()];
+        gemm_rows_portable(a, b, 0, &mut portable, &panel);
+        let mut selected = vec![T::ZERO; portable.len()];
+        gemm_rows(a, b, 0, &mut selected, &panel);
+        (portable, selected)
+    }
+
+    fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
+        blocked(a.operand(), b.operand()).and_then(|d| Matrix::from_vec(a.rows(), b.cols(), d))
+    }
+
+    fn matmul_parallel(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, LinalgError> {
+        parallel(a.operand(), b.operand(), threads)
+            .and_then(|d| Matrix::from_vec(a.rows(), b.cols(), d))
+    }
+
+    pub(crate) fn deterministic(rows: usize, cols: usize, salt: u64) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| {
             let h = (i as u64)
                 .wrapping_mul(0x9E37_79B9)
@@ -712,6 +820,23 @@ mod tests {
                 .wrapping_mul(0x85EB_CA6B)
                 .wrapping_add(salt);
             ((h % 2000) as f64 - 1000.0) / 257.0
+        })
+    }
+
+    /// Matrices of a shape drawn from `rows × cols`, with entries in
+    /// roughly ±6.4 hashed from their position and a drawn salt.
+    pub(crate) fn matrix_strategy(
+        rows: core::ops::Range<usize>,
+        cols: core::ops::Range<usize>,
+    ) -> impl Strategy<Value = Matrix> {
+        (rows, cols, 0u64..1 << 20).prop_map(|(r, c, salt)| {
+            Matrix::from_fn(r, c, |i, j| {
+                let h = (i as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add((j as u64).wrapping_mul(0xC2B2_AE35))
+                    .wrapping_add(salt.wrapping_mul(0x1656_67B1));
+                ((h % 4001) as f64 - 2000.0) / 311.0
+            })
         })
     }
 
@@ -759,11 +884,8 @@ mod tests {
             let specials = if case % 3 == 2 { 3 } else { 0 };
             let a = random_matrix(&mut rng, m, k, specials);
             let b = random_matrix(&mut rng, k, n, specials);
-            let mut reference = Matrix::zeros(m, n);
-            gemm_rows_portable(&a, &b, 0, reference.as_mut_slice(), &Panel::full(n));
-            let mut got = Matrix::zeros(m, n);
-            gemm_rows(&a, &b, 0, got.as_mut_slice(), &Panel::full(n));
-            for (idx, (r, g)) in reference.as_slice().iter().zip(got.as_slice()).enumerate() {
+            let (reference, got) = portable_and_selected(a.operand(), b.operand(), 0..n);
+            for (idx, (r, g)) in reference.iter().zip(&got).enumerate() {
                 let same = if r.is_nan() {
                     g.is_nan()
                 } else {
@@ -815,8 +937,14 @@ mod tests {
             let mut a = random_matrix(&mut rng, m, k, 0);
             sparsify(&mut rng, &mut a);
             let b = random_matrix(&mut rng, k, n, 0);
-            let mut full = Matrix::zeros(m, n);
-            gemm_rows_portable(&a, &b, 0, full.as_mut_slice(), &Panel::full(n));
+            let mut full_product = Matrix::zeros(m, n);
+            gemm_rows_portable(
+                a.operand(),
+                b.operand(),
+                0,
+                full_product.as_mut_slice(),
+                &full(n),
+            );
             for cols in [0..n, 3..n - 2, 1..n.min(30), n / 2..n / 2 + 5] {
                 for skip_zero_groups in [false, true] {
                     let panel = Panel {
@@ -825,12 +953,18 @@ mod tests {
                     };
                     let w = cols.len();
                     let mut portable = Matrix::zeros(m, w);
-                    gemm_rows_portable(&a, &b, 0, portable.as_mut_slice(), &panel);
+                    gemm_rows_portable(
+                        a.operand(),
+                        b.operand(),
+                        0,
+                        portable.as_mut_slice(),
+                        &panel,
+                    );
                     let mut selected = Matrix::zeros(m, w);
-                    gemm_rows(&a, &b, 0, selected.as_mut_slice(), &panel);
+                    gemm_rows(a.operand(), b.operand(), 0, selected.as_mut_slice(), &panel);
                     for i in 0..m {
                         for (o, j) in cols.clone().enumerate() {
-                            let want = full[(i, j)].to_bits();
+                            let want = full_product[(i, j)].to_bits();
                             assert_eq!(
                                 (portable[(i, o)].to_bits(), selected[(i, o)].to_bits()),
                                 (want, want),
@@ -844,18 +978,16 @@ mod tests {
     }
 
     #[test]
-    fn blocked_and_transposed_match_naive() {
+    fn blocked_matches_naive() {
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (33, 17, 65), (70, 40, 70)] {
             let a = deterministic(m, k, 1);
             let b = deterministic(k, n, 2);
             let reference = matmul_naive(&a, &b).unwrap();
             let blocked = matmul_blocked(&a, &b).unwrap();
-            let transposed = matmul_transposed(&a, &b.transpose()).unwrap();
             assert!(
                 reference.max_abs_diff(&blocked).unwrap() < 1e-9,
                 "{m}x{k}x{n}"
             );
-            assert!(reference.max_abs_diff(&transposed).unwrap() < 1e-9);
         }
     }
 
@@ -879,10 +1011,10 @@ mod tests {
             let b = deterministic(k, n, 11);
             for &m in &[2usize, 7, 64] {
                 let a = deterministic(m, k, 12);
-                let full = crate::gemm::matmul_dispatch(&a, &b).unwrap();
+                let full = a.matmul(&b).unwrap();
                 for i in 0..m {
                     let row = Matrix::from_vec(1, k, a.row(i).to_vec()).unwrap();
-                    let alone = crate::gemm::matmul_dispatch(&row, &b).unwrap();
+                    let alone = row.matmul(&b).unwrap();
                     assert_eq!(
                         full.row(i),
                         alone.row(0),
@@ -901,7 +1033,7 @@ mod tests {
         let reference = matmul_blocked(&a, &b).unwrap();
         for threads in [1, 2, 4] {
             crate::threads::set_num_threads(threads);
-            let got = crate::gemm::matmul_dispatch(&a, &b).unwrap();
+            let got = a.matmul(&b).unwrap();
             assert_eq!(got, reference, "threads={threads}");
         }
         crate::threads::set_num_threads(0);
@@ -914,7 +1046,7 @@ mod tests {
         assert!(matmul_naive(&a, &b).is_err());
         assert!(matmul_blocked(&a, &b).is_err());
         assert!(matmul_parallel(&a, &b, 2).is_err());
-        assert!(matmul_transposed(&a, &Matrix::zeros(3, 2)).is_err());
+        assert!(a.matmul(&b).is_err());
     }
 
     #[test]
@@ -928,7 +1060,6 @@ mod tests {
             matmul_naive(&a, &b).unwrap(),
             matmul_blocked(&a, &b).unwrap(),
             matmul_parallel(&a, &b, 2).unwrap(),
-            matmul_transposed(&a, &b.transpose()).unwrap(),
         ] {
             assert!(result[(0, 0)].is_nan(), "0*NaN must stay NaN: {result:?}");
             assert!(result[(0, 1)].is_nan(), "0*inf must yield NaN: {result:?}");
@@ -945,5 +1076,38 @@ mod tests {
         let out = matmul_blocked(&a, &b).unwrap();
         assert_eq!(out.shape(), (3, 2));
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Blocked and threaded kernels match the naive reference within
+        /// 1e-12 across random shapes (they reassociate the inner sum, so
+        /// bit equality is not expected — but parallel == blocked exactly).
+        #[test]
+        fn kernels_agree_across_shapes(
+            dims in (1usize..48, 1usize..48, 1usize..48, 0u64..1 << 16),
+        ) {
+            let (m, k, n, salt) = dims;
+            let a = matrix_strategy(m..m + 1, k..k + 1)
+                .generate(&mut proptest::test_runner::TestRng::new(salt));
+            let b = matrix_strategy(k..k + 1, n..n + 1)
+                .generate(&mut proptest::test_runner::TestRng::new(salt ^ 0xABCD));
+            let reference = matmul_naive(&a, &b).unwrap();
+            let scale = reference
+                .as_slice()
+                .iter()
+                .fold(1.0f64, |acc, v| acc.max(v.abs()));
+
+            let blocked = matmul_blocked(&a, &b).unwrap();
+            prop_assert!(
+                reference.max_abs_diff(&blocked).unwrap() <= 1e-12 * scale,
+                "blocked kernel diverges for {m}x{k}x{n}"
+            );
+            for threads in [2usize, 4] {
+                let par = matmul_parallel(&a, &b, threads).unwrap();
+                prop_assert_eq!(&par, &blocked);
+            }
+        }
     }
 }

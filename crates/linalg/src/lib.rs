@@ -10,10 +10,12 @@
 //! three places: the neural-network substrate (`noble-nn`), the manifold
 //! learning baselines (`noble-manifold`, which needs eigendecompositions for
 //! MDS/Isomap/LLE), and the evaluation metrics. All exact routines operate
-//! on `f64`. An f32 gemm family ([`MatrixF32`], [`matmul_f32_columns`])
-//! scores the certified screen of a network's head, which only rules
-//! classes out and never changes an answer; it keeps the f64 kernels'
-//! thread/batch-shape bit-stability contract.
+//! on `f64`. The matrix product is written once over its element type:
+//! [`Matrix::matmul`] runs it at `f64`, and [`matmul_f32_columns`] runs
+//! the same kernels at `f32` on a [`MatrixF32`] to score the certified
+//! screen of a network's head, which only rules classes out and never
+//! changes an answer. Both keep the kernels' thread/batch-shape
+//! bit-stability contract.
 //!
 //! # Example
 //!
@@ -44,11 +46,8 @@ pub use eigen::{
     EigenPair, EigenSort,
 };
 pub use error::LinalgError;
-pub use gemm::{matmul_blocked, matmul_naive, matmul_parallel, matmul_transposed};
-pub use lowp::{
-    matmul_f32, matmul_f32_blocked, matmul_f32_columns, matmul_f32_naive, matmul_f32_parallel,
-    MatrixF32,
-};
+pub use gemm::matmul_naive;
+pub use lowp::{matmul_f32_columns, MatrixF32};
 pub use matrix::Matrix;
 pub use qr::{least_squares, qr_decompose, QrFactors};
 pub use solve::{cholesky, lu_decompose, lu_solve, solve, solve_cholesky, LuFactors};

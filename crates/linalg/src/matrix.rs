@@ -1,3 +1,4 @@
+use crate::gemm::Operand;
 use crate::LinalgError;
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -137,6 +138,15 @@ impl Matrix {
         &mut self.data
     }
 
+    /// This matrix as a kernel operand.
+    pub(crate) fn operand(&self) -> Operand<'_, f64> {
+        Operand {
+            data: &self.data,
+            rows: self.rows,
+            cols: self.cols,
+        }
+    }
+
     /// Consumes the matrix, returning the backing buffer.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
@@ -193,21 +203,24 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self * rhs`.
+    /// Matrix product `self * rhs`: the full-range, no-skip case of
+    /// [`Matrix::matmul_columns`].
     ///
     /// Dispatches on shape: rows with little work use the reference i-k-j
-    /// loop ([`crate::matmul_naive`]); heavier rows use the cache-blocked
-    /// kernel ([`crate::matmul_blocked`]); and once every worker's share of
-    /// the total multiply-accumulate count is large enough the row blocks
-    /// are spread over scoped threads ([`crate::matmul_parallel`], worker
-    /// count from [`crate::num_threads`]). The kernel class is chosen from
-    /// the *per-row* work and each kernel computes rows independently, so
-    /// **output row `i` is bit-identical no matter what batch it is
-    /// computed in and no matter the thread count** — the invariant the
-    /// serving engine's micro-batching relies on. The kernels agree with
-    /// each other to floating-point reassociation (≲ 1e-12 relative) and
-    /// all follow IEEE semantics — non-finite values propagate, nothing is
-    /// skipped as "sparse".
+    /// loop (the one [`crate::matmul_naive`] runs); heavier rows use the
+    /// cache-blocked kernel; and once every worker's share of the total
+    /// multiply-accumulate count is large enough the row blocks are
+    /// spread over scoped threads (worker count from
+    /// [`crate::num_threads`]), each running the blocked kernel on whole
+    /// rows. These are the kernels [`crate::matmul_f32_columns`] runs at
+    /// `f32`. The kernel class is chosen from the *per-row* work and each
+    /// kernel computes rows independently, so **output row `i` is
+    /// bit-identical no matter what batch it is computed in and no matter
+    /// the thread count** — the invariant the serving engine's
+    /// micro-batching relies on. The kernels agree with each other to
+    /// floating-point reassociation (≲ 1e-12 relative) and all follow
+    /// IEEE semantics — non-finite values propagate, nothing is skipped
+    /// as "sparse".
     ///
     /// The blocked kernel is chosen at run time: an AVX2 implementation
     /// (4 × 4 register tiles for complete 4-row tiles, a 4-lane streaming
@@ -223,7 +236,7 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        crate::gemm::matmul_dispatch(self, rhs)
+        self.matmul_columns(rhs, 0..rhs.cols, false)
     }
 
     /// Output columns `cols` of `self * rhs`, as a
@@ -256,7 +269,13 @@ impl Matrix {
         cols: std::ops::Range<usize>,
         rhs_finite: bool,
     ) -> Result<Matrix, LinalgError> {
-        crate::gemm::matmul_columns(self, rhs, cols, rhs_finite)
+        let width = cols.len();
+        let data = crate::gemm::matmul_columns(self.operand(), rhs.operand(), cols, rhs_finite)?;
+        Ok(Matrix {
+            rows: self.rows,
+            cols: width,
+            data,
+        })
     }
 
     /// Matrix-vector product `self * v`.

@@ -1,14 +1,12 @@
-//! Property tests of the matmul kernels: the blocked, transposed and
-//! threaded paths must agree with the naive reference across arbitrary
-//! shapes and values, and batched products must agree with row-at-a-time
-//! products (the invariant the batched inference engine rests on).
-//! The f32 kernels of the certified screen are held to the same
-//! structure at f32 tolerance.
+//! Property tests of the public matmul surface: batched products must
+//! agree with row-at-a-time products (the invariant the batched inference
+//! engine rests on), bit for bit past the kernel's block edges and at any
+//! thread count, and a column range of a product must carry the bits of
+//! the full product's columns. The kernels behind it are pinned against
+//! the naive reference, at `f64` and `f32`, by the unit tests of
+//! `gemm.rs` and `lowp.rs`.
 
-use noble_linalg::{
-    matmul_blocked, matmul_f32, matmul_f32_blocked, matmul_f32_naive, matmul_f32_parallel,
-    matmul_naive, matmul_parallel, matmul_transposed, set_num_threads, Matrix, MatrixF32,
-};
+use noble_linalg::{set_num_threads, Matrix};
 use proptest::prelude::*;
 
 fn matrix_strategy(
@@ -28,91 +26,6 @@ fn matrix_strategy(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Blocked, transposed and threaded kernels match the naive reference
-    /// within 1e-12 across random shapes (they reassociate the inner sum,
-    /// so bit equality is not expected — but parallel == blocked exactly).
-    #[test]
-    fn kernels_agree_across_shapes(
-        dims in (1usize..48, 1usize..48, 1usize..48, 0u64..1 << 16),
-    ) {
-        let (m, k, n, salt) = dims;
-        let a = matrix_strategy(m..m + 1, k..k + 1)
-            .generate(&mut proptest::test_runner::TestRng::new(salt));
-        let b = matrix_strategy(k..k + 1, n..n + 1)
-            .generate(&mut proptest::test_runner::TestRng::new(salt ^ 0xABCD));
-        let reference = matmul_naive(&a, &b).unwrap();
-        let scale = reference
-            .as_slice()
-            .iter()
-            .fold(1.0f64, |acc, v| acc.max(v.abs()));
-
-        let blocked = matmul_blocked(&a, &b).unwrap();
-        prop_assert!(
-            reference.max_abs_diff(&blocked).unwrap() <= 1e-12 * scale,
-            "blocked kernel diverges for {m}x{k}x{n}"
-        );
-        let transposed = matmul_transposed(&a, &b.transpose()).unwrap();
-        prop_assert!(
-            reference.max_abs_diff(&transposed).unwrap() <= 1e-12 * scale,
-            "transposed kernel diverges for {m}x{k}x{n}"
-        );
-        for threads in [2usize, 4] {
-            let par = matmul_parallel(&a, &b, threads).unwrap();
-            prop_assert_eq!(&par, &blocked);
-        }
-    }
-
-    /// The f32 family tracks the f64 naive reference within the f32
-    /// accumulation tolerance across arbitrary shapes, the f32 kernels
-    /// agree with each other **bitwise** at any thread count, and the
-    /// dispatcher returns the same bits as the blocked kernel.
-    #[test]
-    fn f32_kernels_track_f64_and_agree_bitwise(
-        dims in (1usize..48, 1usize..48, 1usize..48, 0u64..1 << 16),
-    ) {
-        let (m, k, n, salt) = dims;
-        let a = matrix_strategy(m..m + 1, k..k + 1)
-            .generate(&mut proptest::test_runner::TestRng::new(salt));
-        let b = matrix_strategy(k..k + 1, n..n + 1)
-            .generate(&mut proptest::test_runner::TestRng::new(salt ^ 0xABCD));
-        let reference = matmul_naive(&a, &b).unwrap();
-        let scale = reference
-            .as_slice()
-            .iter()
-            .fold(1.0f64, |acc, v| acc.max(v.abs()));
-
-        let a32 = MatrixF32::from_f64(&a);
-        let b32 = MatrixF32::from_f64(&b);
-        let naive32 = matmul_f32_naive(&a32, &b32).unwrap();
-        let widened = naive32.to_f64();
-        prop_assert!(
-            reference.max_abs_diff(&widened).unwrap() <= 1e-5 * k as f64 * scale,
-            "f32 naive kernel drifts past the f32 tolerance for {m}x{k}x{n}"
-        );
-
-        // Bitwise structural agreement inside the tier: blocked matches
-        // naive only at tolerance (it reassociates), but every threaded
-        // run and the dispatcher must match blocked exactly.
-        let blocked32 = matmul_f32_blocked(&a32, &b32).unwrap();
-        prop_assert!(
-            widened.max_abs_diff(&blocked32.to_f64()).unwrap() <= 1e-5 * k as f64 * scale,
-            "f32 blocked kernel diverges for {m}x{k}x{n}"
-        );
-        for threads in [1usize, 2, 4] {
-            let par = matmul_f32_parallel(&a32, &b32, threads).unwrap();
-            prop_assert_eq!(par.as_slice(), blocked32.as_slice());
-        }
-        // The dispatcher picks a kernel class per *row* (small rows run
-        // naive, big rows run blocked), so its contract is batch-shape
-        // invariance: stacking rows never changes any row's bits.
-        let dispatched = matmul_f32(&a32, &b32).unwrap();
-        for i in 0..m {
-            let single = MatrixF32::from_vec(1, k, a32.row(i).to_vec()).unwrap();
-            let got = matmul_f32(&single, &b32).unwrap();
-            prop_assert_eq!(got.as_slice(), dispatched.row(i));
-        }
-    }
 
     /// Batch-vs-single parity at the kernel level: multiplying a stacked
     /// batch equals multiplying each row separately. This is the algebraic

@@ -111,11 +111,7 @@ impl Policy {
                     "crates/nn/src".into(),
                     "crates/quantize/src".into(),
                 ],
-                // The f32 kernels of the certified screen are sanctioned
-                // as one module: narrowing is that file's entire job, its
-                // kernels are held to their own bits by the lowp tests,
-                // and the screen's bound keeps them out of every answer.
-                exclude: vec!["crates/linalg/src/lowp.rs".into()],
+                exclude: Vec::new(),
             },
         );
         Policy {

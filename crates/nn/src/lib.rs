@@ -70,5 +70,5 @@ pub use optimizer::Optimizer;
 pub use param::Param;
 pub use screen::SCREEN_MIN_ROW_FLOPS;
 pub use seed::derive_seed;
-pub use serialize::{load_parameters, save_parameters};
+pub use serialize::{check_parameter_header, load_parameters, save_parameters};
 pub use trainer::{EarlyStopping, TrainConfig, TrainReport, Trainer};

@@ -62,17 +62,7 @@ pub fn save_parameters(mlp: &Mlp) -> Vec<u8> {
 /// the target network.
 pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
     let mut cursor = Cursor { bytes, pos: 0 };
-    if cursor.take(4)? != MAGIC {
-        return Err(NnError::InvalidConfig(
-            "bad magic: not a NObLe parameter blob".into(),
-        ));
-    }
-    let version = cursor.u32()?;
-    if version != VERSION {
-        return Err(NnError::InvalidConfig(format!(
-            "unsupported parameter format version {version} (this build reads {VERSION})"
-        )));
-    }
+    cursor.header()?;
     let count = cursor.u32()? as usize;
     let checked = mlp.input_weights_tensor();
     let mut input_weights_finite = false;
@@ -134,6 +124,20 @@ pub fn load_parameters(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), NnError> {
     Ok(())
 }
 
+/// Checks the header of a parameter blob — its magic and its format
+/// version — and reads no further, so a caller that sizes the blob from
+/// an architecture first can report a blob of another format version as
+/// a version skew, not as a size mismatch.
+///
+/// # Errors
+///
+/// Returns [`NnError::InvalidConfig`] when the buffer is shorter than a
+/// header, does not start with the magic, or carries a version other
+/// than the one [`load_parameters`] reads.
+pub fn check_parameter_header(bytes: &[u8]) -> Result<(), NnError> {
+    Cursor { bytes, pos: 0 }.header()
+}
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -147,6 +151,22 @@ impl<'a> Cursor<'a> {
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Reads the magic and the format version.
+    fn header(&mut self) -> Result<(), NnError> {
+        if self.take(4)? != MAGIC {
+            return Err(NnError::InvalidConfig(
+                "bad magic: not a NObLe parameter blob".into(),
+            ));
+        }
+        let version = self.u32()?;
+        if version != VERSION {
+            return Err(NnError::InvalidConfig(format!(
+                "unsupported parameter format version {version} (this build reads {VERSION})"
+            )));
+        }
+        Ok(())
     }
 
     fn u32(&mut self) -> Result<u32, NnError> {

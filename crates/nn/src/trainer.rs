@@ -371,9 +371,9 @@ mod tests {
     fn loss_curves_invariant_to_thread_count() {
         // Mini-batch products (batch 64, width 128 — 1M MACs) now cross
         // the per-worker parallel threshold, so with threads configured
-        // the trainer's forward/backward run on `matmul_parallel`. That
-        // kernel is bit-identical to the serial blocked kernel, so the
-        // loss trajectory must not move by even one bit.
+        // the trainer's forward/backward run the blocked kernel on row
+        // slabs over threads. That is bit-identical to the serial blocked
+        // kernel, so the loss trajectory must not move by even one bit.
         let x = Matrix::from_fn(256, 128, |i, j| ((i * 31 + j * 7) % 23) as f64 / 23.0 - 0.5);
         let y = Matrix::from_fn(256, 1, |i, _| (i % 17) as f64 / 17.0);
         let run = |threads: usize| {
